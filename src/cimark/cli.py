@@ -1,7 +1,8 @@
 """Command-line entry point: gen | test | embed | extract | attack | bench.
 
 Exit codes: 0 success (all tests passed, for `test`); 1 any statistical test
-failed; 2 bad flags / rejected input; 3 I/O failure; 4 insufficient data.
+failed; 2 bad flags / rejected input; 3 I/O failure; 4 insufficient data;
+5 internal error (any other exception; the traceback goes to stderr).
 Every run is deterministic given its flags; reports echo the parsed
 configuration.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -312,6 +314,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # never let a crash read as "a test failed" (1)
+        traceback.print_exc(file=sys.stderr)
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

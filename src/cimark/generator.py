@@ -123,7 +123,7 @@ class CiGenerator:
 
     m_source / s_source accept injected iterables so tests can drive the
     engine with explicit sequences; production wiring uses the two XORshift
-    instances, in which case the hot loop runs in the compiled kernel.
+    instances, in which case the rounds run in the `ci_fill` kernel.
     """
 
     def __init__(self, x0, seed1: int = None, seed2: int = None, *,

@@ -1,9 +1,15 @@
 """Hot inner loops: XORshift chains, chaotic-iteration rounds, GF(2) ranks.
 
-Every kernel exists twice: a numba @njit version (default) and a pure-numpy
-version. Set CIMARK_DISABLE_NUMBA=1 to force the numpy path; it is also
-selected automatically when numba is not installed. Both paths produce
-bit-identical output (cross-checked in the test suite).
+Each kernel has a numba @njit version, used when numba is installed, and a
+vectorised numpy version, used otherwise or when CIMARK_DISABLE_NUMBA=1.
+Both emit bit-identical output.
+
+The numpy XORshift fill jumps ahead with cached byte tables of the round
+matrix raised to powers of two and fills a chain of n words by doubling, in
+about log2(n) vector passes. The numpy generator kernel reads each emitted
+state off a prefix XOR of one-hot flip masks, in chunks of about 2^20
+flips, so its working memory beyond the output is bounded for any stream
+length. See the comment above the numpy kernels.
 """
 
 from __future__ import annotations
@@ -120,15 +126,27 @@ if NUMBA_ENABLED:
 
 
 # ---------------------------------------------------------------------------
-# numpy fallbacks
+# numpy kernels
 #
-# The XORshift round is linear over GF(2), so a block of the state chain can
-# be advanced in lock-step: with T the round matrix and L the block length,
-# [s_{k+L} .. s_{k+2L-1}] = T^L applied elementwise to [s_k .. s_{k+L-1}].
-# Only the first block is generated serially.
+# The XORshift round is a linear map T over GF(2)^32. Level k of the jump
+# cache holds T^(2^k) as four 256-entry byte tables: the image of a word is
+# the XOR of one table lookup per byte. Level k+1 is found by applying level
+# k to its own columns, so the cache is built in about a millisecond and
+# only up to the level a call needs. A chain of n words is then filled by
+# doubling: out[0] is one scalar round, and while h < n words are known,
+# out[h:2h] = T^h(out[:h]).
+#
+# A generator round flips m cells and emits the state, so each emitted
+# state is the initial state XOR the prefix XOR of one-hot flip masks
+# (1 << (63 - cell mod 64) in the state word cell // 64), read at the
+# round's last flip. Rounds are processed in chunks of about _CHUNK_FLIPS
+# flips, so working memory beyond the rounds * N output is bounded by the
+# chunk, whatever the stream length.
 # ---------------------------------------------------------------------------
 
-_LANES = 1024
+_CHUNK_FLIPS = 1 << 20
+_APPLY_BLOCK = 1 << 16  # words per table application; bounds its temporaries
+_JUMP = ()  # _JUMP[k]: (4, 256) uint32 byte tables of T^(2^k)
 
 
 def _xs_columns():
@@ -159,38 +177,55 @@ def _mat_pow_gf2(a, e):
     return result
 
 
-_TL_COLS = None  # lazily built uint32 columns of T^_LANES
+def _byte_tables(cols):
+    """(4, 256) tables of the matrix with uint32 columns `cols`: row b maps
+    the value of byte b (b = 0 least significant) to its image."""
+    tab = np.zeros((4, 256), dtype=np.uint32)
+    c = cols.reshape(4, 8, 1)
+    for i in range(8):
+        tab[:, 1 << i:2 << i] = tab[:, :1 << i] ^ c[:, i]
+    return tab
 
 
-def _apply_cols(cols, v):
-    out = np.zeros_like(v)
-    one = np.uint32(1)
-    for j in range(32):
-        bit = (v >> np.uint32(j)) & one
-        out ^= bit * cols[j]
-    return out
+def _apply_tables(tab, v, out):
+    """out = M v for each word of the contiguous uint32 array v."""
+    b = v.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
+    np.take(tab[0], b[:, 0], out=out)
+    out ^= tab[1].take(b[:, 1])
+    out ^= tab[2].take(b[:, 2])
+    out ^= tab[3].take(b[:, 3])
+
+
+def _jump_tables(levels):
+    """Byte tables of T^(2^k) for k < levels (cached, built on demand)."""
+    global _JUMP
+    tabs = _JUMP
+    if len(tabs) < levels:
+        tabs = list(tabs) or [_byte_tables(np.array(_xs_columns(), dtype=np.uint32))]
+        while len(tabs) < levels:
+            prev = tabs[-1]
+            cols = prev[:, 1 << np.arange(8)].ravel()  # image of each basis word
+            nxt = np.empty(32, dtype=np.uint32)
+            _apply_tables(prev, cols, nxt)
+            tabs.append(_byte_tables(nxt))
+        tabs = tuple(tabs)
+        _JUMP = tabs  # one assignment: a racing caller only rebuilds
+    return tabs
 
 
 def _xorshift_fill_np(state, out):
-    global _TL_COLS
     n = out.size
     if n == 0:
         return state
-    head = min(n, _LANES)
-    x = int(state)
-    for i in range(head):
-        x = xorshift_step(x)
-        out[i] = x
-    if n > head:
-        if _TL_COLS is None:
-            _TL_COLS = np.array(_mat_pow_gf2(_xs_columns(), _LANES), dtype=np.uint32)
-        pos = head
-        block = out[:head]
-        while pos < n:
-            take = min(_LANES, n - pos)
-            block = _apply_cols(_TL_COLS, block)
-            out[pos:pos + take] = block[:take]
-            pos += take
+    out[0] = xorshift_step(int(state))
+    levels = (n - 1).bit_length()  # doublings from 1 word to n
+    h = 1
+    for tab in _jump_tables(levels)[:levels]:
+        t = min(h, n - h)
+        for s in range(0, t, _APPLY_BLOCK):
+            e = min(t, s + _APPLY_BLOCK)
+            _apply_tables(tab, out[s:e], out[h + s:h + e])
+        h += t
     return int(out[n - 1])
 
 
@@ -198,21 +233,35 @@ def _ci_fill_np(xbits, s1, s2, c, out):
     n = xbits.size
     rounds = out.size // n
     if rounds == 0:
-        return None, None, s1, s2
-    a_chain = np.empty(rounds, dtype=np.uint32)
-    s1 = _xorshift_fill_np(s1, a_chain)
-    m = (a_chain & np.uint32(1)).astype(np.int64) + c
-    total = int(m.sum())
-    b_chain = np.empty(total, dtype=np.uint32)
-    s2 = _xorshift_fill_np(s2, b_chain)
-    idx = (b_chain % np.uint32(n)).astype(np.int64)
-    round_id = np.repeat(np.arange(rounds, dtype=np.int64), m)
-    counts = np.bincount(round_id * n + idx, minlength=rounds * n)
-    parity = np.cumsum(counts.reshape(rounds, n), axis=0) & 1
-    states = parity.astype(np.uint8) ^ xbits[None, :]
-    out[:] = states.reshape(-1)
-    xbits[:] = states[-1]
-    return a_chain, b_chain, s1, s2
+        return s1, s2
+    nw = -(-n // 64)  # 64-cell state words, cell 64w + j at bit 63 - j
+    packed = np.zeros(8 * nw, dtype=np.uint8)
+    packed[:-(-n // 8)] = np.packbits(xbits)
+    carry = packed.view(">u8").astype(np.uint64)
+    rows = out.reshape(rounds, n)
+    per_chunk = max(1, _CHUNK_FLIPS // (c + 1))
+    for r0 in range(0, rounds, per_chunk):
+        r1 = min(rounds, r0 + per_chunk)
+        a = np.empty(r1 - r0, dtype=np.uint32)
+        s1 = _xorshift_fill_np(s1, a)
+        last = np.cumsum((a & np.uint32(1)).astype(np.int64) + c) - 1
+        b = np.empty(int(last[-1]) + 1, dtype=np.uint32)
+        s2 = _xorshift_fill_np(s2, b)
+        cell = np.remainder(b, np.uint32(n), out=b)
+        masks = np.empty(cell.size, dtype=np.uint64)
+        states = np.empty((r1 - r0, nw), dtype=np.uint64)
+        for w in range(nw):
+            # a shift of 64 or more (or a wrapped negative one) gives 0, so
+            # cells outside word w contribute nothing
+            np.subtract(np.uint64(64 * w + 63), cell, out=masks)
+            np.left_shift(np.uint64(1), masks, out=masks)
+            np.bitwise_xor.accumulate(masks, out=masks)
+            np.bitwise_xor(masks[last], carry[w], out=states[:, w])
+        carry = states[-1].copy()
+        rows[r0:r1] = np.unpackbits(states.astype(">u8").view(np.uint8),
+                                    axis=1, count=n)
+    xbits[:] = rows[-1]
+    return s1, s2
 
 
 def _rank_batch_np(rows, nrows, ncols):
@@ -268,7 +317,7 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
     if NUMBA_ENABLED:
         a, b = _ci_fill_nb(xbits, s1, s2, c, out)
         return out, int(a), int(b)
-    _, _, s1, s2 = _ci_fill_np(xbits, s1, s2, c, out)
+    s1, s2 = _ci_fill_np(xbits, s1, s2, c, out)
     return out, s1, s2
 
 

@@ -216,3 +216,17 @@ class TestBench:
             main(["bench", "--carrier", str(carrier), "--watermark", str(wm),
                   "--seed1", "1", "--seed2", "2"])
         assert err.value.code == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), MemoryError(), KeyError("k")])
+    def test_uncaught_error_exits_5(self, monkeypatch, capsys, exc):
+        from cimark import cli
+
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_gen", broken)
+        assert main(["gen", "--seed1", "1", "--seed2", "2", "--bits", "8"]) == 5
+        err = capsys.readouterr().err
+        assert f"error: internal: {type(exc).__name__}" in err.splitlines()[-1]

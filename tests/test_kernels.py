@@ -1,18 +1,37 @@
-"""Cross-checks that the compiled kernels and the numpy fallbacks emit
-bit-identical results."""
+"""Kernel checks against independent references: the scalar `xorshift_step`
+chain, the per-round `CiGenerator.round()` engine, and GF(2) matrix powers
+computed in pure Python."""
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from cimark import kernels
+from cimark.generator import CiGenerator
 from cimark.kernels import (
-    _ci_fill_np,
+    _mat_pow_gf2,
     _rank_batch_np,
     _xorshift_fill_np,
+    _xs_columns,
     ci_fill,
     rank_batch,
     xorshift_fill,
     xorshift_step,
 )
+
+seeds = st.integers(min_value=1, max_value=2**32 - 1)
+# lengths around the doubling and block boundaries of the numpy fill
+edge_lengths = sorted({0, 1} | {(1 << k) + d for k in range(1, 19) for d in (-1, 0, 1)})
+
+
+def scalar_chain(state, n):
+    out = []
+    for _ in range(n):
+        state = xorshift_step(state)
+        out.append(state)
+    return np.array(out, dtype=np.uint32)
 
 
 def test_xorshift_fallback_matches_scalar():
@@ -26,25 +45,119 @@ def test_xorshift_fallback_matches_scalar():
 
 
 def test_xorshift_paths_agree():
-    words, end = xorshift_fill(0xCAFEBABE, 4096)
-    out = np.empty(4096, dtype=np.uint32)
-    end_np = _xorshift_fill_np(0xCAFEBABE, out)
-    assert np.array_equal(words, out)
-    assert end == end_np
+    """xorshift_fill equals the scalar chain at every doubling edge."""
+    ref = scalar_chain(0xCAFEBABE, edge_lengths[-1])
+    for n in edge_lengths:
+        words, end = xorshift_fill(0xCAFEBABE, n)
+        assert np.array_equal(words, ref[:n]), n
+        assert end == (int(ref[n - 1]) if n else 0xCAFEBABE)
 
 
-def test_ci_fill_paths_agree():
-    for n, c, rounds in [(32, 96, 200), (5, 4, 40), (64, 192, 17)]:
-        rng = np.random.default_rng(n)
-        x0 = rng.integers(0, 2, size=n, dtype=np.uint8)
-        xa = x0.copy()
-        bits_a, s1a, s2a = ci_fill(xa, 123, 456, c, rounds)
-        xb = x0.copy()
-        out = np.empty(rounds * n, dtype=np.uint8)
-        _, _, s1b, s2b = _ci_fill_np(xb, 123, 456, c, out)
-        assert np.array_equal(bits_a, out)
-        assert np.array_equal(xa, xb)
-        assert (s1a, s2a) == (int(s1b), int(s2b))
+@settings(max_examples=15, deadline=None)
+@given(seed=seeds,
+       sizes=st.lists(st.integers(min_value=0, max_value=300_000), min_size=1, max_size=3))
+def test_xorshift_fill_resumes_like_scalar(seed, sizes):
+    ref = scalar_chain(seed, sum(sizes))
+    state, pos = seed, 0
+    for n in sizes:
+        words, state = xorshift_fill(state, n)
+        assert np.array_equal(words, ref[pos:pos + n])
+        pos += n
+    assert state == (int(ref[-1]) if pos else seed)
+
+
+def scalar_sources(s1, s2, c, n):
+    """Injected m and (1-based) s sequences drawn from scalar XORshift
+    chains, plus a record of the chains' current words."""
+    words = {"a": s1, "b": s2}
+
+    def m_source():
+        while True:
+            words["a"] = xorshift_step(words["a"])
+            yield (words["a"] & 1) + c
+
+    def s_source():
+        while True:
+            words["b"] = xorshift_step(words["b"])
+            yield words["b"] % n + 1
+
+    return m_source(), s_source(), words
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 5, 24, 31, 32, 33, 64, 65, 130]),
+       c_scale=st.sampled_from([None, 1, 2]),
+       rounds=st.integers(min_value=0, max_value=40),
+       s1=seeds, s2=seeds,
+       chunk=st.integers(min_value=100, max_value=600),
+       data=st.data())
+def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, data):
+    """ci_fill equals round-by-round iteration driven by scalar chains,
+    across many chunk boundaries of the numpy kernel."""
+    c = 3 * n if c_scale is None else c_scale
+    x0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                  dtype=np.uint8)
+    m_src, s_src, words = scalar_sources(s1, s2, c, n)
+    ref = CiGenerator(x0, c=c, m_source=m_src, s_source=s_src)
+    expected = [ref.round() for _ in range(rounds)]
+
+    xbits = x0.copy()
+    with mock.patch.object(kernels, "_CHUNK_FLIPS", chunk):
+        out, a, b = ci_fill(xbits, s1, s2, c, rounds)
+    assert out.dtype == np.uint8 and out.size == rounds * n
+    assert np.array_equal(out.reshape(rounds, n),
+                          np.array(expected, dtype=np.uint8).reshape(rounds, n))
+    assert np.array_equal(xbits, ref.x)
+    assert (a, b) == (words["a"], words["b"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 5, 24, 32, 65]),
+       a=st.integers(min_value=0, max_value=3000),
+       b=st.integers(min_value=0, max_value=3000),
+       s1=seeds, s2=seeds)
+def test_bits_split_equals_whole(n, a, b, s1, s2):
+    with mock.patch.object(kernels, "_CHUNK_FLIPS", 300):
+        g1 = CiGenerator.from_seeds(s1, s2, n_cells=n)
+        g2 = CiGenerator.from_seeds(s1, s2, n_cells=n)
+        split = np.concatenate([g1.bits(a), g1.bits(b)])
+        assert np.array_equal(split, g2.bits(a + b))
+
+
+def test_ci_fill_memory_bounded():
+    """Working memory beyond the rounds * N output stays within one chunk's
+    arrays on a 300k-word stream (about 29M flips)."""
+    rounds = 300_000
+    tracemalloc.start()
+    try:
+        out, _, _ = ci_fill(np.ones(32, dtype=np.uint8), 123, 456, 96, rounds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == rounds * 32
+    assert peak - out.nbytes < 48 * 2**20
+
+
+def test_xorshift_full_period():
+    """T^(2^32-1) = I and T^((2^32-1)/p) != I for each prime p of 2^32-1,
+    so every nonzero seed lies on one cycle of length 2^32-1."""
+    order = 2**32 - 1
+    cols = _xs_columns()
+    identity = [1 << j for j in range(32)]
+    assert _mat_pow_gf2(cols, order) == identity
+    for p in (3, 5, 17, 257, 65537):
+        assert order % p == 0
+        assert _mat_pow_gf2(cols, order // p) != identity
+
+
+def test_jump_tables_match_matrix_powers():
+    """Level k of the jump cache is T^(2^k)."""
+    tabs = kernels._jump_tables(25)
+    cols = _xs_columns()
+    for k in (0, 1, 2, 7, 16, 24):
+        expected = _mat_pow_gf2(cols, 1 << k)
+        got = [int(tabs[k][j // 8, 1 << (j % 8)]) for j in range(32)]
+        assert got == expected, k
 
 
 def test_rank_paths_agree():
