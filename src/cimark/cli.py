@@ -10,6 +10,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import traceback
@@ -23,6 +24,11 @@ from .source import BitStreamSource, InsufficientDataError
 
 _EXAMPLE_M = (4, 5, 4)
 _EXAMPLE_S = (2, 4, 2, 2, 5, 1, 1, 5, 5, 3, 2, 3, 3)
+
+# `gen` produces and writes its output in pieces of this many bits (a
+# multiple of 32, so raw XORshift words and packed bytes never straddle two
+# pieces), which bounds its memory for any --bits.
+_GEN_CHUNK_BITS = 1 << 23
 
 BENCH_GRID = (
     [("crop", s) for s in (10, 50, 100, 200)]
@@ -138,6 +144,18 @@ class SystemExit2(Exception):
     """Usage / rejected-input error (exit code 2)."""
 
 
+def _gen_chunk(gen, nbits: int, raw: bool) -> bytes:
+    """The next nbits of `gen` output, packed most significant bit first;
+    a partial last byte is zero-padded. Raw XORshift words are emitted
+    big-endian, and a partial last word is cut to its leading bits."""
+    if raw:
+        words = gen.fill(-(-nbits // 32)).astype(">u4")
+        bits = np.unpackbits(words.view(np.uint8))[:nbits]
+    else:
+        bits = gen.bits(nbits)
+    return np.packbits(bits).tobytes()
+
+
 def cmd_gen(args) -> int:
     if args.example_trace:
         gen = CiGenerator((1, 0, 1, 0, 0), emit_seed_first=True,
@@ -150,20 +168,12 @@ def cmd_gen(args) -> int:
     if nbits < 0:
         raise SystemExit2("--bits/--bytes must be nonnegative")
     gen = _make_generator(args, want_raw=args.raw_xorshift)
-    if args.raw_xorshift:
-        nwords, rem = divmod(nbits, 32)
-        data = gen.fill(nwords).astype(">u4").tobytes()
-        if rem:
-            extra = np.unpackbits(np.frombuffer(
-                gen.fill(1).astype(">u4").tobytes(), np.uint8))[:rem]
-            data += np.packbits(extra).tobytes()
-    else:
-        data = np.packbits(gen.bits(nbits)).tobytes()
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
+    sink = open(args.out, "wb") if args.out \
+        else contextlib.nullcontext(sys.stdout.buffer)
+    with sink as fh:
+        for start in range(0, nbits, _GEN_CHUNK_BITS):
+            fh.write(_gen_chunk(gen, min(_GEN_CHUNK_BITS, nbits - start),
+                                args.raw_xorshift))
     print(_echo(args, ("seed1", "seed2", "n", "c", "bits", "nbytes",
                        "raw_xorshift", "emit_seed_first")), file=sys.stderr)
     return 0

@@ -98,6 +98,7 @@ def derive_initial_state(seed1: int, seed2: int, n: int) -> np.ndarray:
 
 
 def _rotl32(v: int, k: int) -> int:
+    k %= 32
     v &= _MASK32
     return ((v << k) | (v >> (32 - k))) & _MASK32
 
@@ -229,7 +230,8 @@ class CiGenerator:
                 self.gen1.word, self.gen2.word = a, b
                 parts.append(emitted)
         stream = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        self._pending = stream[nbits:]
+        # a copy, so the carried tail does not pin the whole stream
+        self._pending = stream[nbits:].copy()
         return stream[:nbits]
 
     def bytes(self, nbytes: int) -> bytes:

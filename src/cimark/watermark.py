@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import CiGenerator, XorShift32, seed_word
+from .generator import CiGenerator, XorShift32, _rotl32, seed_word
 from .imaging import crop_attack, gaussian_noise_attack, jpeg_attack, rotate_attack
 
 FOLD_INIT = 0x811C9DC5  # nonzero so the all-zero MSC plane still digests
 
-_MASK32 = 0xFFFFFFFF
+# Largest modulus whose address scan stays in int64: (M - 1) + (M - 1)^2 < 2^63.
+_SCAN_INT64_MAX_M = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,6 @@ class EmbeddingKey:
             raise ValueError("repetition must be >= 1")
 
 
-def _rotl32(v: int, k: int) -> int:
-    k %= 32
-    v &= _MASK32
-    return ((v << k) | (v >> (32 - k))) & _MASK32
-
-
 def split_coefficients(img, spec: CoefficientSpec = CoefficientSpec()):
     """Linearize the MSC and LSC planes: pixels in row-major order, selected
     bits most significant first within each pixel."""
@@ -112,11 +107,20 @@ def merge_coefficients(msc, lsc, spec: CoefficientSpec, base):
 
 def fold_digest(bits) -> int:
     """32-bit rotate-XOR fold of a bit sequence (packed to bytes first);
-    flipping any single input bit changes the digest."""
-    data = np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
-    digest = FOLD_INIT
-    for byte in data:
-        digest = _rotl32(digest, 5) ^ byte
+    flipping any single input bit changes the digest.
+
+    The fold d <- rotl(d, 5) ^ byte over L bytes has the closed form
+    rotl(INIT, 5L) ^ XOR_i rotl(byte_i, 5 (L - 1 - i)). Rotation is linear
+    over XOR and rotl by 5 has period 32, so the bytes, reversed and
+    zero-padded to whole rows of 32, are XOR-reduced column by column and
+    column t is rotated by 5t.
+    """
+    data = np.packbits(np.asarray(bits, dtype=np.uint8))
+    rev = np.zeros(-(-data.size // 32) * 32, dtype=np.uint8)
+    rev[:data.size] = data[::-1]
+    digest = _rotl32(FOLD_INIT, 5 * data.size)
+    for t, lane in enumerate(np.bitwise_xor.reduce(rev.reshape(-1, 32), axis=0).tolist()):
+        digest ^= _rotl32(lane, 5 * t)
     return digest
 
 
@@ -133,6 +137,27 @@ def derive_strategy_seed(key: EmbeddingKey, msc) -> tuple:
             seed_word(key.seed2 ^ _rotl32(digest, 7)))
 
 
+def _doubling_scan(s, m_total: int) -> np.ndarray:
+    """U_0 .. U_{n-1} of the doubling recurrence over the n values `s`.
+
+    Step k >= 1 is the affine map u -> 2u + (S_k + k - 1) (mod M) and U_0 is
+    the constant S_0 mod M. A log-depth (Hillis-Steele) scan composes the
+    maps: before the pass with offset d, entry i holds the composition of
+    the steps (i - d, i]. Once that window reaches step 0 the entry is U_i;
+    otherwise (i >= d) its multiplier is exactly 2^d, so the pass
+    u[i] += 2^d u[i - d] is one vector multiply-add. Moduli past int64
+    range run the same scan on Python integers.
+    """
+    dtype = np.int64 if m_total <= _SCAN_INT64_MAX_M else object
+    u = np.asarray(s, dtype=np.int64).astype(dtype) % m_total
+    u[1:] = (u[1:] + np.arange(u.size - 1).astype(dtype)) % m_total
+    d = 1
+    while d < u.size:
+        u[d:] = (u[d:] + pow(2, d, m_total) * u[:-d]) % m_total
+        d *= 2
+    return u.astype(np.int64)
+
+
 def embedding_sequence(s_values, m_total: int, count: int) -> np.ndarray:
     """Exact doubling-recurrence evaluation: U_0 = S_0 mod M and
     U_{k+1} = (S_{k+1} + 2 U_k + k) mod M."""
@@ -141,15 +166,7 @@ def embedding_sequence(s_values, m_total: int, count: int) -> np.ndarray:
     s = np.asarray(s_values, dtype=np.int64)
     if s.size < count:
         raise ValueError("not enough strategy values")
-    out = np.empty(count, dtype=np.int64)
-    u = 0
-    for k in range(count):
-        if k == 0:
-            u = int(s[0]) % m_total
-        else:
-            u = (int(s[k]) + 2 * u + (k - 1)) % m_total
-        out[k] = u
-    return out
+    return _doubling_scan(s[:count], m_total)
 
 
 def _strategy_seed(s1p: int, s2p: int) -> int:
@@ -159,54 +176,64 @@ def _strategy_seed(s1p: int, s2p: int) -> int:
     return seed_word(s2p ^ _rotl32(s1p, 16))
 
 
+def _mixture(derived, n: int, extra: int = 0, rounds: int = None):
+    """The chaotic mixture run over n cells: `rounds` chunks of 3n or 3n+1
+    flips (lengths drawn from seed 1), cells drawn from the strategy source.
+
+    Returns (mask, cells, gen2): the flip-parity mask, the drawn cells (the
+    flips followed by `extra` further strategy values) and the strategy
+    source positioned after them.
+    """
+    s1p, s2p = derived
+    c_mix = 3 * n
+    if rounds is None:
+        rounds = -(-4 * n // c_mix)  # total flips ~ 4 per cell
+    g1 = XorShift32(s1p)
+    total_flips = sum((g1.next_word() & 1) + c_mix for _ in range(rounds))
+    gen2 = XorShift32(_strategy_seed(s1p, s2p))
+    cells = gen2.fill(total_flips + extra) % np.uint32(n)
+    mask = (np.bincount(cells[:total_flips], minlength=n) & 1).astype(np.uint8)
+    return mask, cells, gen2
+
+
 class _KeyStream:
     """Derived-key material: mixture mask and distinct LSC addresses, both
     fed by the same strategy sequence."""
 
     def __init__(self, derived, n_mix: int, m_total: int, count: int):
-        s1p, s2p = derived
         self.n_mix = n_mix
-        c_mix = 3 * n_mix
-        rounds = -(-4 * n_mix // c_mix)  # total flips ~ 4 per cell
-        g1 = XorShift32(s1p)
-        m_lengths = [(g1.next_word() & 1) + c_mix for _ in range(rounds)]
-        total_flips = sum(m_lengths)
-        self._gen2 = XorShift32(_strategy_seed(s1p, s2p))
-        self._chain = self._gen2.fill(total_flips + count + count // 8 + 64)
-        idx = self._chain % np.uint32(n_mix)
-        flips = np.bincount(idx[:total_flips], minlength=n_mix)
-        self.mix_mask = (flips & 1).astype(np.uint8)
-        self.addresses = self._distinct_addresses(idx, m_total, count)
+        short = count + count // 8 + 64
+        self.mix_mask, cells, self._gen2 = _mixture(derived, n_mix, extra=short)
+        self.addresses = self._distinct_addresses(cells, m_total, count, short)
 
-    def _distinct_addresses(self, idx, m_total, count):
+    def _distinct_addresses(self, cells, m_total, count, short):
         """First `count` distinct values of the doubling recurrence over the
         strategy sequence; revisited addresses are skipped so every payload
-        bit owns one LSC."""
+        bit owns one LSC.
+
+        The first `short` strategy values almost always suffice. Otherwise
+        the scan is redone over the whole drawn chain and then over the
+        strategy source's continuation, up to U_cap.
+        """
         if count > m_total:
             raise ValueError("payload exceeds LSC capacity")
-        seen = np.zeros(m_total, dtype=bool)
-        out = np.empty(count, dtype=np.int64)
-        got = 0
-        k = 0
-        u = 0
         cap = 16 * count + 4096
-        s = idx
-        while got < count:
-            if k >= s.size:
-                more = self._gen2.fill(count + 4096)
-                s = np.concatenate([s, more % np.uint32(self.n_mix)])
-            if k > cap:
-                raise RuntimeError("address generation did not converge")
-            if k == 0:
-                u = int(s[0]) % m_total
-            else:
-                u = (int(s[k]) + 2 * u + (k - 1)) % m_total
-            if not seen[u]:
-                seen[u] = True
-                out[got] = u
-                got += 1
-            k += 1
-        return out
+        for s in self._strategy_prefixes(cells, short, cap + 1):
+            u = _doubling_scan(s, m_total)
+            _, first = np.unique(u, return_index=True)
+            if first.size >= count:
+                return u[np.sort(first)[:count]]
+        raise RuntimeError("address generation did not converge")
+
+    def _strategy_prefixes(self, cells, short: int, longest: int):
+        """Strategy prefixes to scan, each longer than the last: `short`
+        values, the whole drawn chain, then the chain continued from the
+        strategy source to `longest` values."""
+        yield cells[:short]
+        yield cells[:longest]
+        if cells.size < longest:
+            more = self._gen2.fill(longest - cells.size) % np.uint32(self.n_mix)
+            yield np.concatenate([cells, more])
 
 
 def mix_watermark(wm_bits, key: EmbeddingKey, derived=None, rounds: int = None):
@@ -220,15 +247,7 @@ def mix_watermark(wm_bits, key: EmbeddingKey, derived=None, rounds: int = None):
     if key.mix == "xor":
         ks = CiGenerator.from_seeds(derived[0], derived[1]).bits(n)
         return bits ^ ks
-    s1p, s2p = derived
-    c_mix = 3 * n
-    if rounds is None:
-        rounds = -(-4 * n // c_mix)
-    g1 = XorShift32(s1p)
-    m_lengths = [(g1.next_word() & 1) + c_mix for _ in range(rounds)]
-    total = sum(m_lengths)
-    idx = XorShift32(_strategy_seed(s1p, s2p)).fill(total) % np.uint32(n)
-    mask = (np.bincount(idx, minlength=n) & 1).astype(np.uint8)
+    mask, _, _ = _mixture(derived, n, rounds=rounds)
     return bits ^ mask
 
 
@@ -309,16 +328,22 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
 
     `attacks` is an iterable of (kind, parameter); returns rows of
     (kind, parameter, mode, similarity). Deterministic given the seeds.
+    Each mode embeds once; the attacks copy their input, so every cell
+    attacks the same marked image.
     """
     wm = np.asarray(wm, dtype=np.uint8) & 1
-    rows = []
-    for kind, param in attacks:
+    attacks = list(attacks)
+    for kind, _ in attacks:
         if kind not in _ATTACKS:
             raise ValueError(f"unknown attack {kind!r}")
-        for mode in ("unauth", "auth"):
-            key = EmbeddingKey(seed1, seed2, mode=mode)
-            marked = embed(carrier, wm, key, spec)
-            attacked = _ATTACKS[kind](marked, param, noise_seed)
+    if not attacks:
+        return []
+    keys = [EmbeddingKey(seed1, seed2, mode=mode) for mode in ("unauth", "auth")]
+    marked = [embed(carrier, wm, key, spec) for key in keys]
+    rows = []
+    for kind, param in attacks:
+        for key, image in zip(keys, marked):
+            attacked = _ATTACKS[kind](image, param, noise_seed)
             recovered = extract(attacked, key, spec, wm.shape)
-            rows.append((kind, param, mode, similarity(wm, recovered)))
+            rows.append((kind, param, key.mode, similarity(wm, recovered)))
     return rows

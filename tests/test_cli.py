@@ -1,10 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cimark.cli import main
+from cimark.generator import CiGenerator, XorShift32
 from cimark.imaging import (
     load_pbm,
     load_pgm,
@@ -59,6 +61,39 @@ class TestGen:
         assert main(["gen", "--seed1", "AB", "--seed2", "CD",
                      "--bits", "4096"]) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
+
+    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("nbits", [0, 1, 63, 64, 65, 255, 256, 1001, 4099])
+    def test_chunked_output_byte_identical(self, tmp_path, monkeypatch, raw, nbits):
+        from cimark import cli
+
+        monkeypatch.setattr(cli, "_GEN_CHUNK_BITS", 64)
+        out = tmp_path / "c.bin"
+        flags = ["--raw-xorshift"] if raw else ["--seed2", "2468ACE0", "--n", "24"]
+        assert main(["gen", "--seed1", "13579BDF", *flags, "--bits", str(nbits),
+                     "--out", str(out)]) == 0
+        if raw:
+            words = XorShift32(0x13579BDF).fill(-(-nbits // 32)).astype(">u4")
+            bits = np.unpackbits(words.view(np.uint8))[:nbits]
+        else:
+            bits = CiGenerator(None, 0x13579BDF, 0x2468ACE0, n_cells=24).bits(nbits)
+        assert out.read_bytes() == np.packbits(bits).tobytes()
+
+    def test_memory_bounded_by_chunk(self, tmp_path, monkeypatch):
+        # 2^24 bits in 2^16-bit chunks; one piece in memory would need 16 MB
+        from cimark import cli
+
+        monkeypatch.setattr(cli, "_GEN_CHUNK_BITS", 1 << 16)
+        out = tmp_path / "m.bin"
+        tracemalloc.start()
+        try:
+            assert main(["gen", "--seed1", "1", "--seed2", "2", "--bits",
+                         str(1 << 24), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size == 1 << 21
+        assert peak < 8 << 20
 
     def test_seed_from_time(self, tmp_path, capsys):
         out = tmp_path / "t.bin"

@@ -256,6 +256,20 @@ class TestCiGenerator:
         expected = np.frombuffer(np.packbits(bits).tobytes(), dtype=">u4")
         assert np.array_equal(words, expected.astype(np.uint32))
 
+    @pytest.mark.parametrize("n_cells", [24, 32])
+    def test_carried_tail_owns_little_memory(self, n_cells):
+        # 6.4M bits; 24-cell rounds leave a 16-bit tail, 32-cell rounds none
+        g = CiGenerator.from_seeds(0xDEADBEEF, 0xC0FFEE11, n_cells=n_cells)
+        g.words(200_000)
+        tail = g._pending
+        owner = tail if tail.base is None else tail.base
+        assert tail.size < n_cells
+        assert owner.nbytes <= n_cells
+        # the carried tail still continues the stream
+        ref = CiGenerator.from_seeds(0xDEADBEEF, 0xC0FFEE11, n_cells=n_cells)
+        ref.bits(6_400_000)
+        assert np.array_equal(g.bits(100), ref.bits(100))
+
 
 class TestKthBitOracle:
     def test_worked_example_k0(self):

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cimark.imaging import synthetic_carrier, synthetic_watermark
+from cimark.generator import XorShift32
+from cimark.imaging import (
+    crop_attack,
+    gaussian_noise_attack,
+    jpeg_attack,
+    rotate_attack,
+    synthetic_carrier,
+    synthetic_watermark,
+)
 from cimark.watermark import (
     FOLD_INIT,
     CoefficientSpec,
@@ -18,6 +27,7 @@ from cimark.watermark import (
     similarity,
     split_coefficients,
 )
+from cimark.watermark import _KeyStream, _mixture, _strategy_seed
 
 KEY1, KEY2 = 0x1111AAAA, 0x2222BBBB
 
@@ -29,6 +39,32 @@ def fold_digest_reference(bits):
     for byte in data:
         d = (((d << 5) | (d >> 27)) & 0xFFFFFFFF) ^ byte
     return d
+
+
+def doubling_reference(s, m_total, count):
+    """U_0 .. U_{count-1}, one Python step at a time."""
+    out = []
+    u = 0
+    for k in range(count):
+        u = int(s[0]) % m_total if k == 0 else (int(s[k]) + 2 * u + (k - 1)) % m_total
+        out.append(u)
+    return out
+
+
+def distinct_addresses_reference(s, m_total, count):
+    """(first `count` distinct U_k over the strategy values s, index of the
+    last one); RuntimeError past U_cap, cap = 16 count + 4096."""
+    seen = set()
+    out = []
+    u = 0
+    for k in range(16 * count + 4096 + 1):
+        u = int(s[0]) % m_total if k == 0 else (int(s[k]) + 2 * u + (k - 1)) % m_total
+        if u not in seen:
+            seen.add(u)
+            out.append(u)
+            if len(out) == count:
+                return out, k
+    raise RuntimeError("address generation did not converge")
 
 
 class TestCoefficientSpec:
@@ -95,6 +131,20 @@ class TestFoldAndSeeds:
         for _ in range(20):
             bits = rng.integers(0, 2, size=int(rng.integers(8, 4096)), dtype=np.uint8)
             assert fold_digest(bits) == fold_digest_reference(bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nbits=st.integers(0, 4000), seed=st.integers(0, 2**32 - 1))
+    @example(nbits=0, seed=1)
+    @example(nbits=1, seed=2)
+    @example(nbits=255, seed=3)
+    @example(nbits=256, seed=4)
+    @example(nbits=257, seed=5)
+    @example(nbits=2048, seed=6)
+    @example(nbits=3840, seed=7)
+    @example(nbits=3999, seed=8)
+    def test_closed_form_equals_fold_loop(self, nbits, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, size=nbits, dtype=np.uint8)
+        assert fold_digest(bits) == fold_digest_reference(bits)
 
     def test_single_bit_changes_digest(self):
         rng = np.random.default_rng(24)
@@ -192,6 +242,98 @@ class TestEmbeddingSequence:
         s = rng.integers(0, 4096, size=4096)
         u = embedding_sequence(s, 196_608, 4096)
         assert (u >= 0).all() and (u < 196_608).all()
+
+    @pytest.mark.parametrize("m_total", [2**31 - 1, 2**31, 2**31 + 11, 2**40 + 3, 2**62 - 57])
+    def test_large_moduli_exact(self, m_total):
+        # 2^31 is the last modulus scanned in int64; larger ones use Python ints
+        s = np.random.default_rng(31).integers(-2**62, 2**62, size=3000)
+        got = embedding_sequence(s, m_total, 3000)
+        assert got.tolist() == doubling_reference(s, m_total, 3000)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 64, 1000, 1025])
+    def test_every_length_matches_reference(self, count):
+        s = np.random.default_rng(32).integers(0, 4096, size=1025)
+        assert embedding_sequence(s, 196_608, count).tolist() == \
+            doubling_reference(s, 196_608, count)
+
+
+class _ServeStream:
+    """Stand-in strategy source that serves a fixed sequence in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.uint32)
+        self.pos = 0
+
+    def fill(self, n):
+        out = self.values[self.pos:self.pos + n]
+        assert out.size == n, "served past the end of the sequence"
+        self.pos += n
+        return out
+
+
+class TestDistinctAddresses:
+    DERIVED = (0x1234567, 0x89ABCDE)
+
+    def strategy(self, n_mix, length):
+        return XorShift32(_strategy_seed(*self.DERIVED)).fill(length) % np.uint32(n_mix)
+
+    @pytest.mark.parametrize("n_mix, m_total, count, reach", [
+        (4096, 196_608, 4096, "prefix"),  # 64x64 watermark, 256x256 carrier
+        (7, 1, 1, "prefix"),
+        (3, 5, 4, "prefix"),
+        (64, 100, 100, "chain"),          # count == M
+        (1, 100, 100, "prefix"),          # constant strategy, count == M
+        (64, 64, 64, "chain"),            # count == M
+        (2, 64, 64, "source"),            # count == M
+    ])
+    def test_equals_first_distinct_reference(self, n_mix, m_total, count, reach):
+        want, last = distinct_addresses_reference(
+            self.strategy(n_mix, 16 * count + 4097), m_total, count)
+        got = _KeyStream(self.DERIVED, n_mix, m_total, count).addresses
+        assert got.tolist() == want
+        # which of the scanned prefixes first holds `count` distinct values
+        short = count + count // 8 + 64
+        _, chain, _ = _mixture(self.DERIVED, n_mix, extra=short)
+        assert reach == ("prefix" if last < short
+                         else "chain" if last < chain.size else "source")
+
+    @staticmethod
+    def pinned(length, m_total, hit):
+        """Strategy values that hold U_k = 0 for every k < length except
+        U_hit = 1."""
+        k = np.arange(length)
+        s = (1 - k) % m_total
+        s[0] = 0
+        s[hit] = (2 - hit) % m_total
+        if hit + 1 < length:
+            s[hit + 1] = (-hit - 2) % m_total
+        return s
+
+    @pytest.mark.parametrize("hit", [40, 150, 300, 4128, 4129])
+    def test_cap_boundary(self, hit):
+        # count 2 needs U_hit; U_cap (cap = 16 * 2 + 4096 = 4128) is the last
+        # value scanned. 200 values count as drawn, the rest come from the
+        # strategy source.
+        m_total, count, drawn = 1000, 2, 200
+        s = self.pinned(4130, m_total, hit)
+        ks = _KeyStream.__new__(_KeyStream)
+        ks.n_mix = m_total
+        ks._gen2 = _ServeStream(s[drawn:])
+        short = count + count // 8 + 64
+        if hit <= 4128:
+            want, last = distinct_addresses_reference(s, m_total, count)
+            assert (want, last) == ([0, 1], hit)
+            got = ks._distinct_addresses(s[:drawn], m_total, count, short)
+            assert got.tolist() == want
+        else:
+            with pytest.raises(RuntimeError):
+                distinct_addresses_reference(s, m_total, count)
+            with pytest.raises(RuntimeError):
+                ks._distinct_addresses(s[:drawn], m_total, count, short)
+
+    def test_capacity_checked_first(self):
+        with pytest.raises(ValueError):
+            _KeyStream(self.DERIVED, 16, 10, 11)
 
 
 class TestEmbedExtract:
@@ -318,3 +460,37 @@ class TestSweep:
         args = (synthetic_carrier(3), synthetic_watermark(0), KEY1, KEY2,
                 [("noise", 2)])
         assert robustness_sweep(*args) == robustness_sweep(*args)
+
+    def test_unknown_attack_rejected_before_any_work(self, monkeypatch):
+        import cimark.watermark as wmk
+
+        def no_embed(*a, **kw):
+            raise AssertionError("embedded before validating the grid")
+
+        monkeypatch.setattr(wmk, "embed", no_embed)
+        with pytest.raises(ValueError, match="shear"):
+            robustness_sweep(synthetic_carrier(3), synthetic_watermark(0),
+                             KEY1, KEY2, [("crop", 10), ("shear", 4)])
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_rows_equal_per_cell_loop(self, seed):
+        carrier = synthetic_carrier(seed)
+        wm = synthetic_watermark(seed)
+        grid = [("crop", 50), ("rotate", 5), ("jpeg", 10), ("noise", 2)]
+        noise_seed = 0x5EED + seed
+        attacks = {
+            "crop": lambda img, p: crop_attack(img, int(p)),
+            "rotate": lambda img, p: rotate_attack(img, p),
+            "jpeg": lambda img, p: jpeg_attack(img, p),
+            "noise": lambda img, p: gaussian_noise_attack(img, p, noise_seed),
+        }
+        want = []
+        for kind, param in grid:
+            for mode in ("unauth", "auth"):
+                key = EmbeddingKey(KEY1 ^ seed, KEY2, mode=mode)
+                marked = embed(carrier, wm, key)
+                recovered = extract(attacks[kind](marked, param), key, wm_dims=wm.shape)
+                want.append((kind, param, mode, similarity(wm, recovered)))
+        got = robustness_sweep(carrier, wm, KEY1 ^ seed, KEY2, iter(grid),
+                               noise_seed=noise_seed)
+        assert got == want
