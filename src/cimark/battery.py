@@ -32,6 +32,9 @@ from .source import BitStreamSource
 
 # popcount class probabilities of a random byte: <=2, 3, 4, 5, >=6 ones
 _LETTER_PROBS = np.array([37, 56, 70, 56, 37], dtype=np.float64) / 256.0
+# letter of each byte value: its popcount class 0..4
+_BYTE_LETTER = (np.clip(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                                      axis=1).sum(axis=1), 2, 6) - 2).astype(np.int64)
 
 # Knuth run-length quadratic form (runs of length 1..6+, n values)
 _RUNS_A = np.array([
@@ -53,6 +56,7 @@ class TestResult:
     samples: int
     labels: list = None
     note: str = ""
+    words: int = 0  # words drawn from the source; set by run_battery
 
 
 @dataclass
@@ -153,6 +157,7 @@ class TestReport:
                     "labels": r.labels,
                     "verdict": "pass" if r.passed else "fail",
                     "samples": r.samples,
+                    "words": r.words,
                     "note": r.note,
                 }
                 for i, r in enumerate(self.results)
@@ -249,13 +254,12 @@ def birthday_spacings_test(src: BitStreamSource, m: int = 512, nbits: int = 24,
 
 
 def _letters_from_bytes(b: np.ndarray) -> np.ndarray:
-    popcount = np.unpackbits(b[:, None], axis=1).sum(axis=1)
-    return np.clip(popcount, 2, 6) - 2  # classes: <=2,3,4,5,>=6 -> 0..4
+    """int64 popcount classes (<=2, 3, 4, 5, >=6 ones -> 0..4) of uint8 bytes."""
+    return _BYTE_LETTER[b]
 
 
 def _cto_statistic(letters: np.ndarray) -> tuple[float, int]:
-    n = letters.size
-    l64 = letters.astype(np.int64)
+    l64 = letters.astype(np.int64, copy=False)
     code4 = ((l64[:-3] * 5 + l64[1:-2]) * 5 + l64[2:-1]) * 5 + l64[3:]
     code5 = code4[:-1] * 5 + l64[4:]
     p4 = _LETTER_PROBS
@@ -310,11 +314,11 @@ def binary_rank_test(src: BitStreamSource, rows: int, cols: int,
     name = f"Binary Rank {rows}x{cols}"
     w = src.words(rows * samples, name).reshape(samples, rows)
     if (rows, cols) == (32, 32):
-        mats = w.astype(np.uint64)
+        mats = w
     elif (rows, cols) == (31, 31):
-        mats = (w >> np.uint32(1)).astype(np.uint64)
+        mats = w >> np.uint32(1)
     else:
-        mats = ((w >> np.uint32(8 * (3 - byte_index))) & np.uint32(0xFF)).astype(np.uint64)
+        mats = (w >> np.uint32(8 * (3 - byte_index))) & np.uint32(0xFF)
     ranks = gf2_rank_many(mats, rows, cols)
     n = min(rows, cols)
     if rows == cols:
@@ -341,20 +345,30 @@ def binary_rank_test(src: BitStreamSource, rows: int, cols: int,
 # ---------------------------------------------------------------------------
 
 
+def _drawing(src: BitStreamSource, test, *args) -> TestResult:
+    """Run one test and record on its result how many words it drew."""
+    before = src.consumed
+    result = test(src, *args)
+    result.words = src.consumed - before
+    return result
+
+
 def run_battery(src: BitStreamSource, config: BatteryConfig = None) -> TestReport:
     """Run every enabled test in fixed order on consecutive stream segments."""
     cfg = config or BatteryConfig()
     eps = cfg.epsilon
     results = [
-        overlapping_sums_test(src, cfg.osum_samples, eps),
-        runs_test(src, cfg.runs_samples, cfg.runs_length, eps),
-        birthday_spacings_test(src, cfg.birthday_m, cfg.birthday_bits,
-                               cfg.birthday_samples, cfg.birthday_window, eps),
-        count_the_ones_test(src, "stream", cfg.cto_letters, cfg.byte_index, eps),
-        binary_rank_test(src, 6, 8, cfg.rank68_samples, cfg.byte_index, eps),
-        binary_rank_test(src, 31, 31, cfg.rank31_samples, cfg.byte_index, eps),
-        binary_rank_test(src, 32, 32, cfg.rank32_samples, cfg.byte_index, eps),
-        count_the_ones_test(src, "bytes", cfg.cto_letters, cfg.byte_index, eps),
+        _drawing(src, overlapping_sums_test, cfg.osum_samples, eps),
+        _drawing(src, runs_test, cfg.runs_samples, cfg.runs_length, eps),
+        _drawing(src, birthday_spacings_test, cfg.birthday_m, cfg.birthday_bits,
+                 cfg.birthday_samples, cfg.birthday_window, eps),
+        _drawing(src, count_the_ones_test, "stream", cfg.cto_letters,
+                 cfg.byte_index, eps),
+        _drawing(src, binary_rank_test, 6, 8, cfg.rank68_samples, cfg.byte_index, eps),
+        _drawing(src, binary_rank_test, 31, 31, cfg.rank31_samples, cfg.byte_index, eps),
+        _drawing(src, binary_rank_test, 32, 32, cfg.rank32_samples, cfg.byte_index, eps),
+        _drawing(src, count_the_ones_test, "bytes", cfg.cto_letters,
+                 cfg.byte_index, eps),
     ]
     return TestReport(
         results=results,

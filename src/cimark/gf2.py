@@ -27,8 +27,9 @@ def gf2_rank(matrix: np.ndarray) -> int:
 
 
 def gf2_rank_many(packed: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
-    """Ranks of a batch of bit-packed matrices, shape (count, nrows)."""
-    return rank_batch(np.ascontiguousarray(packed, dtype=np.uint64), nrows, ncols)
+    """Ranks of a batch of bit-packed matrices, shape (count, nrows), of any
+    unsigned integer dtype; the input is left untouched."""
+    return rank_batch(packed, nrows, ncols)
 
 
 def rank_distribution(n: int, r: int) -> float:

@@ -1,36 +1,25 @@
 """Hot inner loops: XORshift chains, chaotic-iteration rounds, GF(2) ranks.
 
-Each kernel has a numba @njit version, used when numba is installed, and a
-vectorised numpy version, used otherwise or when CIMARK_DISABLE_NUMBA=1.
-Both emit bit-identical output.
+Every kernel is vectorised numpy; there is one implementation per job.
 
-The numpy XORshift fill jumps ahead with cached byte tables of the round
-matrix raised to powers of two and fills a chain of n words by doubling, in
-about log2(n) vector passes. The numpy generator kernel reads each emitted
-state off a prefix XOR of one-hot flip masks, in chunks of about 2^20
-flips, so its working memory beyond the output is bounded for any stream
-length. See the comment above the numpy kernels.
+The XORshift fill jumps ahead with cached byte tables of the round matrix
+raised to powers of two and fills a chain of n words by doubling, in about
+log2(n) vector passes. The generator kernel reads each emitted state off a
+prefix XOR of one-hot flip masks, in chunks of about 2^20 flips, so its
+working memory beyond the output is bounded for any stream length. The rank
+kernel eliminates one column at a time across the whole batch without row
+swaps. See the comment above the kernels and the rank kernel's docstring.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
 
-_env = os.environ.get("CIMARK_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _env in ("1", "true", "yes", "on")
-
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
+# No compiled kernels exist; the constant stays for callers that report
+# which kernel path ran.
+NUMBA_ENABLED = False
 
 
 def xorshift_step(word: int) -> int:
@@ -43,90 +32,7 @@ def xorshift_step(word: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _xorshift_fill_nb(state, out):
-        x = np.uint64(state)
-        mask = np.uint64(0xFFFFFFFF)
-        for i in range(out.size):
-            x ^= (x << np.uint64(13)) & mask
-            x ^= x >> np.uint64(17)
-            x ^= (x << np.uint64(5)) & mask
-            out[i] = np.uint32(x)
-        return x
-
-    @njit(cache=True)
-    def _ci_fill_nb(xbits, s1, s2, c, out):
-        n = xbits.size
-        rounds = out.size // n
-        a = np.uint64(s1)
-        b = np.uint64(s2)
-        mask = np.uint64(0xFFFFFFFF)
-        un = np.uint64(n)
-        pos = 0
-        for _ in range(rounds):
-            a ^= (a << np.uint64(13)) & mask
-            a ^= a >> np.uint64(17)
-            a ^= (a << np.uint64(5)) & mask
-            m = int(a & np.uint64(1)) + c
-            for _ in range(m):
-                b ^= (b << np.uint64(13)) & mask
-                b ^= b >> np.uint64(17)
-                b ^= (b << np.uint64(5)) & mask
-                s = int(b % un)
-                xbits[s] ^= 1
-            for j in range(n):
-                out[pos + j] = xbits[j]
-            pos += n
-        return a, b
-
-    @njit(cache=True)
-    def _xorshift_period_nb(seed):
-        x = np.uint64(seed)
-        mask = np.uint64(0xFFFFFFFF)
-        start = x
-        count = np.uint64(0)
-        while True:
-            x ^= (x << np.uint64(13)) & mask
-            x ^= x >> np.uint64(17)
-            x ^= (x << np.uint64(5)) & mask
-            count += np.uint64(1)
-            if x == start:
-                return count
-
-    @njit(cache=True)
-    def _rank_batch_nb(rows, nrows, ncols, out):
-        nmat = rows.shape[0]
-        for k in range(nmat):
-            r = 0
-            for col in range(ncols):
-                mask = np.uint64(1) << np.uint64(col)
-                piv = -1
-                for i in range(r, nrows):
-                    if rows[k, i] & mask:
-                        piv = i
-                        break
-                if piv < 0:
-                    continue
-                tmp = rows[k, r]
-                rows[k, r] = rows[k, piv]
-                rows[k, piv] = tmp
-                prow = rows[k, r]
-                for i in range(r + 1, nrows):
-                    if rows[k, i] & mask:
-                        rows[k, i] ^= prow
-                r += 1
-                if r == nrows:
-                    break
-            out[k] = r
-
-
-# ---------------------------------------------------------------------------
-# numpy kernels
+# kernels
 #
 # The XORshift round is a linear map T over GF(2)^32. Level k of the jump
 # cache holds T^(2^k) as four 256-entry byte tables: the image of a word is
@@ -264,48 +170,43 @@ def _ci_fill_np(xbits, s1, s2, c, out):
     return s1, s2
 
 
-def _rank_batch_np(rows, nrows, ncols):
-    nmat = rows.shape[0]
-    m = rows
-    rank = np.zeros(nmat, dtype=np.int64)
-    ptr = np.zeros(nmat, dtype=np.int64)
-    lanes = np.arange(nmat)
-    rowidx = np.arange(nrows)[None, :]
+def _rank_batch_np(m, ncols):
+    """Ranks of the matrices m[:, k] (one packed row per entry of column k
+    of the (nrows, count) array m), destroying m.
+
+    For each column c, one row holding bit c is the pivot (the largest, so
+    it is an elementwise max over the rows), and every row holding the bit,
+    the pivot included, is XORed with it. The pivot row becomes zero, which
+    is the same as dropping it, and dropping a pivot row leaves the rank of
+    the rest to be counted, so no row swaps or per-matrix row pointers are
+    needed. A matrix without the bit gets pivot 0 and neither counts nor
+    changes anything. Rows lie along axis 0 so that every step, the max
+    included, is one pass over contiguous lanes.
+    """
+    rank = np.zeros(m.shape[1], dtype=m.dtype)
+    hit = np.empty_like(m)
+    held = np.empty_like(m)
     for col in range(ncols):
-        mask = np.uint64(1 << col)
-        cand = ((m & mask) != 0) & (rowidx >= ptr[:, None])
-        piv = np.argmax(cand, axis=1)
-        found = cand[lanes, piv]
-        # swap pivot row up where found; exhausted lanes index a dummy row
-        p = np.minimum(ptr, nrows - 1)
-        src = np.where(found, piv, p)
-        tmp = m[lanes, src].copy()
-        m[lanes, src] = m[lanes, p]
-        m[lanes, p] = tmp
-        # eliminate the bit everywhere below the pivot row
-        prow = np.where(found, tmp, np.uint64(0))
-        hit = ((m & mask) != 0) & (rowidx > p[:, None]) & found[:, None]
-        m ^= hit * prow[:, None]
-        ptr += found
-        rank += found
-        if (ptr >= nrows).all():
-            break
-    return rank
+        np.right_shift(m, col, out=hit)
+        hit &= 1
+        np.negative(hit, out=hit)  # all ones where the row holds bit col
+        np.bitwise_and(hit, m, out=held)
+        prow = held.max(axis=0, initial=0)  # initial: a 0-row matrix has rank 0
+        rank += (prow >> col) & 1
+        hit &= prow
+        m ^= hit
+    return rank.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# entry points
 # ---------------------------------------------------------------------------
 
 
 def xorshift_fill(state: int, n: int) -> tuple[np.ndarray, int]:
     """Next n words of the XORshift chain starting after `state`."""
     out = np.empty(n, dtype=np.uint32)
-    if NUMBA_ENABLED:
-        new = _xorshift_fill_nb(state, out) if n else np.uint64(state)
-        return out, int(new)
-    new = _xorshift_fill_np(state, out)
-    return out, int(new)
+    return out, int(_xorshift_fill_np(state, out))
 
 
 def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[np.ndarray, int, int]:
@@ -314,31 +215,19 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
     Returns (emitted bits as uint8 array of rounds*n entries, new s1, new s2).
     """
     out = np.empty(rounds * xbits.size, dtype=np.uint8)
-    if NUMBA_ENABLED:
-        a, b = _ci_fill_nb(xbits, s1, s2, c, out)
-        return out, int(a), int(b)
     s1, s2 = _ci_fill_np(xbits, s1, s2, c, out)
     return out, s1, s2
 
 
 def rank_batch(rows: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
-    """GF(2) ranks of a batch of bit-packed matrices (one uint64 per row)."""
-    work = rows.copy()
-    if NUMBA_ENABLED:
-        out = np.empty(work.shape[0], dtype=np.int64)
-        _rank_batch_nb(work, nrows, ncols, out)
-        return out
-    return _rank_batch_np(work, nrows, ncols)
-
-
-def xorshift_cycle_length(seed: int) -> int:
-    """Steps until the chain returns to `seed` (full walk; needs the
-    compiled kernel to finish in seconds)."""
-    if NUMBA_ENABLED:
-        return int(_xorshift_period_nb(seed))
-    x = xorshift_step(seed)
-    count = 1
-    while x != seed:
-        x = xorshift_step(x)
-        count += 1
-    return count
+    """GF(2) ranks of a batch of bit-packed matrices, shape (count, nrows),
+    bit j of a row = column j. The input is left untouched: the kernel
+    works on one transposed copy, uint32 when ncols <= 32 and uint64
+    otherwise."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != nrows:
+        raise ValueError(f"expected shape (count, {nrows}), got {rows.shape}")
+    if not 0 <= ncols <= 64:
+        raise ValueError("between 0 and 64 columns supported")
+    work = rows.T.astype(np.uint32 if ncols <= 32 else np.uint64, order="C")
+    return _rank_batch_np(work, ncols)

@@ -8,6 +8,9 @@ a verdict.
 
 from __future__ import annotations
 
+import os
+import warnings
+
 import numpy as np
 
 
@@ -58,20 +61,40 @@ class BitStreamSource:
         return cls(description, pull, limit)
 
     @classmethod
-    def from_bytes(cls, data: bytes, description: str = "bytes"):
-        words = np.frombuffer(data[: len(data) - len(data) % 4], dtype=">u4")
-        words = words.astype(np.uint32)
+    def _from_words(cls, words: np.ndarray, description: str):
+        """Serve consecutive slices of a big-endian word array (in memory or
+        memory-mapped), converting only the slice each pull asks for."""
         state = {"pos": 0}
 
         def pull(n):
             start = state["pos"]
             state["pos"] = start + n
-            return words[start:start + n]
+            return words[start:start + n].astype(np.uint32)
 
         return cls(description, pull, limit=words.size)
 
     @classmethod
+    def from_bytes(cls, data: bytes, description: str = "bytes"):
+        _warn_partial_word(len(data), description)
+        return cls._from_words(np.frombuffer(data, dtype=">u4", count=len(data) // 4),
+                              description)
+
+    @classmethod
     def from_file(cls, path, description: str = None):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        return cls.from_bytes(data, description or str(path))
+        """Words of a packed-byte file, memory-mapped rather than read in.
+
+        The mapping lives as long as the source does."""
+        description = description or str(path)
+        size = os.path.getsize(path)
+        _warn_partial_word(size, description)
+        if size < 4:  # nothing to map: an empty mapping is an error
+            words = np.empty(0, dtype=">u4")
+        else:
+            words = np.memmap(path, dtype=">u4", mode="r", shape=(size // 4,))
+        return cls._from_words(words, description)
+
+
+def _warn_partial_word(nbytes: int, description: str) -> None:
+    if nbytes % 4:
+        warnings.warn(f"{description}: ignoring the last {nbytes % 4} byte(s), "
+                      f"which do not fill a 32-bit word", stacklevel=3)

@@ -73,16 +73,6 @@ class TestXorShift:
         x ^= (x << np.uint32(5))
         assert np.unique(x).size == seeds.size
 
-    @pytest.mark.nightly
-    def test_full_period(self):
-        # walks all 2^32 - 1 nonzero states; seconds with the compiled
-        # kernel, far too slow on the fallback
-        from cimark.kernels import NUMBA_ENABLED, xorshift_cycle_length
-
-        if not NUMBA_ENABLED:
-            pytest.skip("full-period walk needs the compiled kernel")
-        assert xorshift_cycle_length(1) == 2**32 - 1
-
 
 class TestVectorNegation:
     def test_complement(self):

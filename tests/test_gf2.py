@@ -8,27 +8,7 @@ from cimark.gf2 import (
     rank_distribution,
     rank_distribution_rect,
 )
-
-
-def naive_rank(matrix) -> int:
-    """Independent elimination oracle working directly on 0/1 cells."""
-    m = (np.array(matrix, dtype=np.uint8) & 1).copy()
-    nrows, ncols = m.shape
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for row in range(rank, nrows):
-            if m[row, col]:
-                piv = row
-                break
-        if piv is None:
-            continue
-        m[[rank, piv]] = m[[piv, rank]]
-        for row in range(nrows):
-            if row != rank and m[row, col]:
-                m[row] ^= m[rank]
-        rank += 1
-    return rank
+from gf2_oracle import naive_rank
 
 
 class TestRank:
@@ -37,6 +17,10 @@ class TestRank:
 
     def test_zero(self):
         assert gf2_rank(np.zeros((31, 31), dtype=np.uint8)) == 0
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_empty(self, shape):
+        assert gf2_rank(np.zeros(shape, dtype=np.uint8)) == 0
 
     def test_vs_oracle_10k_random_8x8(self):
         rng = np.random.default_rng(123)

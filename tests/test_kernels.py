@@ -1,18 +1,19 @@
 """Kernel checks against independent references: the scalar `xorshift_step`
-chain, the per-round `CiGenerator.round()` engine, and GF(2) matrix powers
-computed in pure Python."""
+chain, the per-round `CiGenerator.round()` engine, GF(2) matrix powers
+computed in pure Python, and cell-by-cell elimination for ranks."""
 
 import tracemalloc
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import cimark
 from cimark import kernels
 from cimark.generator import CiGenerator
+from cimark.gf2 import gf2_rank_many
 from cimark.kernels import (
     _mat_pow_gf2,
-    _rank_batch_np,
     _xorshift_fill_np,
     _xs_columns,
     ci_fill,
@@ -20,6 +21,7 @@ from cimark.kernels import (
     xorshift_fill,
     xorshift_step,
 )
+from gf2_oracle import naive_rank
 
 seeds = st.integers(min_value=1, max_value=2**32 - 1)
 # lengths around the doubling and block boundaries of the numpy fill
@@ -160,13 +162,47 @@ def test_jump_tables_match_matrix_powers():
         assert got == expected, k
 
 
-def test_rank_paths_agree():
-    rng = np.random.default_rng(7)
-    for nrows, ncols in [(32, 32), (31, 31), (6, 8)]:
-        mats = rng.integers(0, 1 << ncols, size=(500, nrows)).astype(np.uint64)
-        a = rank_batch(mats, nrows, ncols)
-        b = _rank_batch_np(mats.copy(), nrows, ncols)
-        assert np.array_equal(a, b)
+def deficient_batch(rng, count, nrows, ncols, weights):
+    """Random packed matrices whose rows are each, by `weights`, random,
+    zero, a repeat of an earlier row or the XOR of two earlier rows."""
+    mats = rng.integers(0, 1 << ncols, size=(count, nrows), dtype=np.uint64)
+    kinds = rng.choice(4, size=(count, nrows), p=np.asarray(weights) / sum(weights))
+    for k, i in zip(*np.nonzero(kinds)):
+        if kinds[k, i] == 1 or i == 0:
+            mats[k, i] = 0
+        elif kinds[k, i] == 2:
+            mats[k, i] = mats[k, rng.integers(i)]
+        else:
+            mats[k, i] = mats[k, rng.integers(i)] ^ mats[k, rng.integers(i)]
+    return mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(nrows=st.integers(1, 40),
+       ncols=st.one_of(st.sampled_from([31, 32, 33, 64]), st.integers(1, 64)),
+       count=st.sampled_from([1, 2, 9, 300]),
+       weights=st.tuples(*[st.integers(0, 4)] * 3).map(lambda w: (1,) + w),
+       narrow=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(nrows=32, ncols=32, count=300, weights=(1, 0, 0, 0), narrow=True, seed=1)
+@example(nrows=31, ncols=31, count=300, weights=(3, 1, 1, 1), narrow=False, seed=2)
+@example(nrows=40, ncols=33, count=300, weights=(1, 0, 0, 0), narrow=True, seed=3)
+@example(nrows=40, ncols=33, count=300, weights=(2, 1, 1, 1), narrow=False, seed=6)
+@example(nrows=6, ncols=8, count=1, weights=(1, 0, 0, 0), narrow=True, seed=4)
+@example(nrows=40, ncols=64, count=1, weights=(1, 1, 1, 4), narrow=False, seed=5)
+def test_rank_matches_oracle(nrows, ncols, count, weights, narrow, seed):
+    """gf2_rank_many equals cell-by-cell elimination on either side of the
+    32-column dtype switch, for uint32 and uint64 input, full-rank and
+    rank-deficient batches, and leaves its input untouched."""
+    mats = deficient_batch(np.random.default_rng(seed), count, nrows, ncols, weights)
+    if narrow and ncols <= 32:
+        mats = mats.astype(np.uint32)
+    snapshot = mats.copy()
+    cells = (mats[..., None] >> np.arange(ncols, dtype=mats.dtype)) & 1
+    expected = [naive_rank(m) for m in cells]
+    ranks = gf2_rank_many(mats, nrows, ncols)
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == expected
+    assert np.array_equal(mats, snapshot) and mats.dtype == snapshot.dtype
 
 
 def test_rank_batch_does_not_mutate_input():
@@ -178,4 +214,5 @@ def test_rank_batch_does_not_mutate_input():
 
 
 def test_numba_flag_reported():
-    assert isinstance(kernels.NUMBA_ENABLED, bool)
+    """No compiled kernels exist; the exported flag says so."""
+    assert cimark.NUMBA_ENABLED is False
