@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cimark.cli import BENCH_GRID
 from cimark.generator import XorShift32
 from cimark.imaging import (
     crop_attack,
@@ -494,3 +497,91 @@ class TestSweep:
         got = robustness_sweep(carrier, wm, KEY1 ^ seed, KEY2, iter(grid),
                                noise_seed=noise_seed)
         assert got == want
+
+
+# First 16 hex digits of the sha256 of (marked image, extract of the marked
+# image, of jpeg_attack(marked, 5), of crop_attack(marked, 100)), per
+# (seed, mode, mix, repetition); carrier and watermark are those of the
+# seed, the key is (KEY1 ^ seed, KEY2). Recorded from the key schedule built
+# of _mixture, _KeyStream and mix_watermark, so any rewrite of the mixture or
+# the address search must reproduce them bit for bit.
+GOLDEN_EMBED_EXTRACT = {
+    (1, 'unauth', 'ci', 1): ('2e7a10cba6aac316', '38854f0b0c701fca', '1823ddebe1003fc5', '47020c83cec45f65'),
+    (1, 'unauth', 'ci', 3): ('a2744d7bca9d84dc', '38854f0b0c701fca', 'e6fa3fbaa07c23a1', '7afa07e2e869a1dc'),
+    (1, 'unauth', 'xor', 1): ('4b4d538b182eb471', '38854f0b0c701fca', '4552ee6e9c4763d9', '473ad4749103ea47'),
+    (1, 'unauth', 'xor', 3): ('c8b15904bc623764', '38854f0b0c701fca', '162f92e046a02176', 'd5bef0f5b763e311'),
+    (1, 'auth', 'ci', 1): ('e28b5d8a4b2b8b0e', '38854f0b0c701fca', '49d7f13791f119da', 'a5478676dcdbfcb2'),
+    (1, 'auth', 'ci', 3): ('63ee45d5d4f5fd12', '38854f0b0c701fca', '04cbf8049c468201', 'ef52919817b82edc'),
+    (1, 'auth', 'xor', 1): ('f4b28fb28341e348', '38854f0b0c701fca', '6549556771798a46', '92f2d81d7ce536d0'),
+    (1, 'auth', 'xor', 3): ('a11c5642a7fc7afb', '38854f0b0c701fca', '37584e5246e47ad3', 'cb106374538af749'),
+    (2, 'unauth', 'ci', 1): ('6a46d70da5434b91', '8edfd6cda95aa377', '5d0a2af6f3ee1d0a', '0fe856ba0f19c827'),
+    (2, 'unauth', 'ci', 3): ('389f05676ee80ef0', '8edfd6cda95aa377', '3af4c80e6e81e6be', 'c085d65435f2153e'),
+    (2, 'unauth', 'xor', 1): ('08915ba96f91a5c7', '8edfd6cda95aa377', '70eacfc655e27719', 'aa8a4464152c84eb'),
+    (2, 'unauth', 'xor', 3): ('ab5b04e272b56290', '8edfd6cda95aa377', 'b8e19ce16f0dfe89', '5ad17240a3c80c97'),
+    (2, 'auth', 'ci', 1): ('7ce86baebd77a8cc', '8edfd6cda95aa377', '9d49dc52d9442831', 'c1a4ed9cc9f88cba'),
+    (2, 'auth', 'ci', 3): ('614a8a681c3fc278', '8edfd6cda95aa377', 'd96d517bf8073333', '2576909ec69aad36'),
+    (2, 'auth', 'xor', 1): ('6a0576fb85c39efa', '8edfd6cda95aa377', '3d9ca181c2cb0012', '2481ba13197a404f'),
+    (2, 'auth', 'xor', 3): ('d0b9e14deb12f63c', '8edfd6cda95aa377', '418c0e57d1d6e568', 'c0ff95558b7ce7a3'),
+    (3, 'unauth', 'ci', 1): ('19d573440a943bb0', 'f30e28152dd357c4', 'a922d8bfdd5b99b2', '4321d7d43725bd03'),
+    (3, 'unauth', 'ci', 3): ('2afeb86e8d464b05', 'f30e28152dd357c4', '549a85b0209a60af', 'd98b0af8045e0ede'),
+    (3, 'unauth', 'xor', 1): ('fed5e0e92e29d233', 'f30e28152dd357c4', 'ca4faada238dc0c8', '6f34cf8fc8e9e552'),
+    (3, 'unauth', 'xor', 3): ('f18cc022bbf4eaf3', 'f30e28152dd357c4', 'c5d7627f64b6a3e2', '8b99bd91c9e8beca'),
+    (3, 'auth', 'ci', 1): ('6b1a90cd6e97cb2d', 'f30e28152dd357c4', '73c04690c2870c10', 'b5ade8429486806e'),
+    (3, 'auth', 'ci', 3): ('a3634b9dbb89884d', 'f30e28152dd357c4', '4cc228e3cd0cd420', '57125f23f4fed7ab'),
+    (3, 'auth', 'xor', 1): ('45866254dd70f680', 'f30e28152dd357c4', '2ea3c33de040be33', 'e29ebde16611740f'),
+    (3, 'auth', 'xor', 3): ('5ff84b5023fc4305', 'f30e28152dd357c4', '58c8801448312c7b', 'd0ae84b7a4302659'),
+}
+
+# robustness_sweep over cli.BENCH_GRID on carrier 3 / watermark 0, keys
+# (KEY1, KEY2), noise seed 0x5EED; similarities as float.hex.
+GOLDEN_SWEEP = [
+    ('crop', 10, 'unauth', '0x1.8f83000000000p+6'),
+    ('crop', 10, 'auth', '0x1.93b6000000000p+5'),
+    ('crop', 50, 'unauth', '0x1.8975000000000p+6'),
+    ('crop', 50, 'auth', '0x1.82ea000000000p+5'),
+    ('crop', 100, 'unauth', '0x1.72b4000000000p+6'),
+    ('crop', 100, 'auth', '0x1.87cc000000000p+5'),
+    ('crop', 200, 'unauth', '0x1.17c9000000000p+6'),
+    ('crop', 200, 'auth', '0x1.87fe000000000p+5'),
+    ('rotate', 2, 'unauth', '0x1.8a88000000000p+6'),
+    ('rotate', 2, 'auth', '0x1.8f38000000000p+5'),
+    ('rotate', 5, 'unauth', '0x1.7ee9000000000p+6'),
+    ('rotate', 5, 'auth', '0x1.8d12000000000p+5'),
+    ('rotate', 10, 'unauth', '0x1.737c000000000p+6'),
+    ('rotate', 10, 'auth', '0x1.9f3c000000000p+5'),
+    ('rotate', 25, 'unauth', '0x1.5c25000000000p+6'),
+    ('rotate', 25, 'auth', '0x1.8f06000000000p+5'),
+    ('jpeg', 2, 'unauth', '0x1.656c000000000p+6'),
+    ('jpeg', 2, 'auth', '0x1.93b6000000000p+5'),
+    ('jpeg', 5, 'unauth', '0x1.1797000000000p+6'),
+    ('jpeg', 5, 'auth', '0x1.9096000000000p+5'),
+    ('jpeg', 10, 'unauth', '0x1.eb04000000000p+5'),
+    ('jpeg', 10, 'auth', '0x1.93b6000000000p+5'),
+    ('jpeg', 20, 'unauth', '0x1.bb8e000000000p+5'),
+    ('jpeg', 20, 'auth', '0x1.9320000000000p+5'),
+    ('noise', 1, 'unauth', '0x1.00a4000000000p+6'),
+    ('noise', 1, 'auth', '0x1.94e2000000000p+5'),
+    ('noise', 2, 'unauth', '0x1.b2c4000000000p+5'),
+    ('noise', 2, 'auth', '0x1.976c000000000p+5'),
+    ('noise', 3, 'unauth', '0x1.9514000000000p+5'),
+    ('noise', 3, 'auth', '0x1.8aba000000000p+5'),
+]
+
+
+def _sha16(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed, mode, mix, repetition", list(GOLDEN_EMBED_EXTRACT))
+def test_golden_embed_extract(seed, mode, mix, repetition):
+    key = EmbeddingKey(KEY1 ^ seed, KEY2, mode=mode, mix=mix, repetition=repetition)
+    marked = embed(synthetic_carrier(seed), synthetic_watermark(seed), key)
+    images = (marked, jpeg_attack(marked, 5), crop_attack(marked, 100))
+    got = (_sha16(marked),) + tuple(_sha16(extract(img, key)) for img in images)
+    assert got == GOLDEN_EMBED_EXTRACT[(seed, mode, mix, repetition)]
+
+
+def test_golden_sweep():
+    rows = robustness_sweep(synthetic_carrier(3), synthetic_watermark(0), KEY1, KEY2,
+                            BENCH_GRID, noise_seed=0x5EED)
+    assert [(k, p, m, float(s).hex()) for k, p, m, s in rows] == GOLDEN_SWEEP
