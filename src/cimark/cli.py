@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("attack", help="apply one attack, write image + sidecar")
     a.add_argument("--in", dest="infile", required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--attack", choices=("crop", "rotate", "jpeg", "noise"), required=True)
+    a.add_argument("--attack", choices=tuple(watermark.ATTACKS), required=True)
     a.add_argument("--param", type=float, required=True)
     a.add_argument("--noise-seed", type=_hex32, default=None)
 
@@ -227,16 +227,9 @@ def cmd_extract(args) -> int:
 
 def cmd_attack(args) -> int:
     img = imaging.load_pgm(args.infile)
-    if args.attack == "crop":
-        out = imaging.crop_attack(img, int(args.param))
-    elif args.attack == "rotate":
-        out = imaging.rotate_attack(img, args.param)
-    elif args.attack == "jpeg":
-        out = imaging.jpeg_attack(img, args.param)
-    else:
-        if args.noise_seed is None:
-            raise SystemExit2("noise attack requires an explicit --noise-seed")
-        out = imaging.gaussian_noise_attack(img, args.param, args.noise_seed)
+    if args.attack == "noise" and args.noise_seed is None:
+        raise SystemExit2("noise attack requires an explicit --noise-seed")
+    out = watermark.ATTACKS[args.attack](img, args.param, args.noise_seed)
     imaging.save_pgm(out, args.out)
     ratio = imaging.psnr(img, out)
     sidecar = {
@@ -309,18 +302,12 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (SystemExit2, ValueError, imaging.ImageFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except imaging.ImageFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

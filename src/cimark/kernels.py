@@ -1,4 +1,5 @@
-"""Hot inner loops: XORshift chains, chaotic-iteration rounds, GF(2) ranks.
+"""Hot inner loops of the generators: XORshift chains and chaotic-iteration
+rounds. (The GF(2) rank elimination lives in `gf2.gf2_rank_many`.)
 
 Every kernel is vectorised numpy; there is one implementation per job.
 
@@ -6,9 +7,8 @@ The XORshift fill jumps ahead with cached byte tables of the round matrix
 raised to powers of two and fills a chain of n words by doubling, in about
 log2(n) vector passes. The generator kernel reads each emitted state off a
 prefix XOR of one-hot flip masks, in chunks of about 2^20 flips, so its
-working memory beyond the output is bounded for any stream length. The rank
-kernel eliminates one column at a time across the whole batch without row
-swaps. See the comment above the kernels and the rank kernel's docstring.
+working memory beyond the output is bounded for any stream length. See the
+comment above the kernels.
 """
 
 from __future__ import annotations
@@ -170,34 +170,6 @@ def _ci_fill_np(xbits, s1, s2, c, out):
     return s1, s2
 
 
-def _rank_batch_np(m, ncols):
-    """Ranks of the matrices m[:, k] (one packed row per entry of column k
-    of the (nrows, count) array m), destroying m.
-
-    For each column c, one row holding bit c is the pivot (the largest, so
-    it is an elementwise max over the rows), and every row holding the bit,
-    the pivot included, is XORed with it. The pivot row becomes zero, which
-    is the same as dropping it, and dropping a pivot row leaves the rank of
-    the rest to be counted, so no row swaps or per-matrix row pointers are
-    needed. A matrix without the bit gets pivot 0 and neither counts nor
-    changes anything. Rows lie along axis 0 so that every step, the max
-    included, is one pass over contiguous lanes.
-    """
-    rank = np.zeros(m.shape[1], dtype=m.dtype)
-    hit = np.empty_like(m)
-    held = np.empty_like(m)
-    for col in range(ncols):
-        np.right_shift(m, col, out=hit)
-        hit &= 1
-        np.negative(hit, out=hit)  # all ones where the row holds bit col
-        np.bitwise_and(hit, m, out=held)
-        prow = held.max(axis=0, initial=0)  # initial: a 0-row matrix has rank 0
-        rank += (prow >> col) & 1
-        hit &= prow
-        m ^= hit
-    return rank.astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
@@ -217,17 +189,3 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
     out = np.empty(rounds * xbits.size, dtype=np.uint8)
     s1, s2 = _ci_fill_np(xbits, s1, s2, c, out)
     return out, s1, s2
-
-
-def rank_batch(rows: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
-    """GF(2) ranks of a batch of bit-packed matrices, shape (count, nrows),
-    bit j of a row = column j. The input is left untouched: the kernel
-    works on one transposed copy, uint32 when ncols <= 32 and uint64
-    otherwise."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != nrows:
-        raise ValueError(f"expected shape (count, {nrows}), got {rows.shape}")
-    if not 0 <= ncols <= 64:
-        raise ValueError("between 0 and 64 columns supported")
-    work = rows.T.astype(np.uint32 if ncols <= 32 else np.uint64, order="C")
-    return _rank_batch_np(work, ncols)

@@ -6,7 +6,9 @@ then written into LSC addresses produced by the doubling recurrence
 
     U_0 = S_0 (mod M),   U_{k+1} = S_{k+1} + 2 U_k + k (mod M)
 
-over the mixture-stage strategy sequence S. In authenticated mode the seeds
+over the mixture-stage strategy sequence S. One key schedule, `_key_stream`,
+yields both the mixing mask and the addresses; embed and extract XOR the
+watermark with the same mask. In authenticated mode the seeds
 are first combined with a digest of the MSC planes, so any MSC change
 re-keys both the mixture and the addresses and extraction collapses to
 coin-flip similarity.
@@ -137,8 +139,9 @@ def derive_strategy_seed(key: EmbeddingKey, msc) -> tuple:
             seed_word(key.seed2 ^ _rotl32(digest, 7)))
 
 
-def _doubling_scan(s, m_total: int) -> np.ndarray:
-    """U_0 .. U_{n-1} of the doubling recurrence over the n values `s`.
+def embedding_sequence(s_values, m_total: int, count: int) -> np.ndarray:
+    """U_0 .. U_{count-1} of the doubling recurrence over the strategy
+    values: U_0 = S_0 mod M and U_{k+1} = (S_{k+1} + 2 U_k + k) mod M.
 
     Step k >= 1 is the affine map u -> 2u + (S_k + k - 1) (mod M) and U_0 is
     the constant S_0 mod M. A log-depth (Hillis-Steele) scan composes the
@@ -146,27 +149,22 @@ def _doubling_scan(s, m_total: int) -> np.ndarray:
     the steps (i - d, i]. Once that window reaches step 0 the entry is U_i;
     otherwise (i >= d) its multiplier is exactly 2^d, so the pass
     u[i] += 2^d u[i - d] is one vector multiply-add. Moduli past int64
-    range run the same scan on Python integers.
+    range run the same scan on Python integers, so the result is exact for
+    any M.
     """
+    if m_total < 1:
+        raise ValueError("M must be >= 1")
+    s = np.asarray(s_values, dtype=np.int64)
+    if s.size < count:
+        raise ValueError("not enough strategy values")
     dtype = np.int64 if m_total <= _SCAN_INT64_MAX_M else object
-    u = np.asarray(s, dtype=np.int64).astype(dtype) % m_total
+    u = s[:count].astype(dtype) % m_total
     u[1:] = (u[1:] + np.arange(u.size - 1).astype(dtype)) % m_total
     d = 1
     while d < u.size:
         u[d:] = (u[d:] + pow(2, d, m_total) * u[:-d]) % m_total
         d *= 2
     return u.astype(np.int64)
-
-
-def embedding_sequence(s_values, m_total: int, count: int) -> np.ndarray:
-    """Exact doubling-recurrence evaluation: U_0 = S_0 mod M and
-    U_{k+1} = (S_{k+1} + 2 U_k + k) mod M."""
-    if m_total < 1:
-        raise ValueError("M must be >= 1")
-    s = np.asarray(s_values, dtype=np.int64)
-    if s.size < count:
-        raise ValueError("not enough strategy values")
-    return _doubling_scan(s[:count], m_total)
 
 
 def _strategy_seed(s1p: int, s2p: int) -> int:
@@ -176,91 +174,59 @@ def _strategy_seed(s1p: int, s2p: int) -> int:
     return seed_word(s2p ^ _rotl32(s1p, 16))
 
 
-def _mixture(derived, n: int, extra: int = 0, rounds: int = None):
-    """The chaotic mixture run over n cells: `rounds` chunks of 3n or 3n+1
-    flips (lengths drawn from seed 1), cells drawn from the strategy source.
+def _distinct_addresses(cells, draw, m_total: int, count: int) -> np.ndarray:
+    """First `count` distinct values of the doubling recurrence over the
+    strategy sequence `cells`, continued by `draw(k)` (the next k strategy
+    values) when it is too short. Revisited addresses are skipped so every
+    payload bit owns one LSC.
 
-    Returns (mask, cells, gen2): the flip-parity mask, the drawn cells (the
-    flips followed by `extra` further strategy values) and the strategy
-    source positioned after them.
+    The first count + count // 8 + 64 values almost always suffice;
+    otherwise the sequence is scanned once more up to U_cap, cap =
+    16 count + 4096. The recurrence is prefix-consistent, so a longer scan
+    keeps every address a shorter one found.
     """
+    for length in (count + count // 8 + 64, 16 * count + 4096 + 1):
+        if cells.size < length:
+            cells = np.concatenate([cells, draw(length - cells.size)])
+        u = embedding_sequence(cells, m_total, length)
+        _, first = np.unique(u, return_index=True)
+        if first.size >= count:
+            return u[np.sort(first)[:count]]
+    raise RuntimeError("address generation did not converge")
+
+
+def _key_stream(derived, mix: str, n: int, m_total: int, count: int):
+    """The key schedule: (mask, addresses) for an n-bit watermark written to
+    `count` of m_total LSCs, from the derived seeds (s1', s2').
+
+    One strategy sequence, drawn from the strategy source, feeds both. Its
+    first values are the chaotic mixture's flips over the n watermark cells:
+    ceil(4n / 3n) = 2 chunks of 3n or 3n+1 flips (the +1 drawn from seed
+    1), about 4 flips per cell. For mix "ci" the mask is the flip parity of
+    each cell; for "xor" it is the generator keystream of the derived
+    seeds. The addresses are the first `count` distinct terms of the
+    doubling recurrence over the same sequence, from its first flip on.
+    XORing with the mask mixes the watermark and unmixes it again.
+    """
+    if n < 1:
+        raise ValueError("the watermark must hold at least one bit")
+    if count > m_total:  # checked before any strategy value is drawn
+        raise ValueError(f"watermark needs {count} LSCs, image has {m_total}")
     s1p, s2p = derived
-    c_mix = 3 * n
-    if rounds is None:
-        rounds = -(-4 * n // c_mix)  # total flips ~ 4 per cell
     g1 = XorShift32(s1p)
-    total_flips = sum((g1.next_word() & 1) + c_mix for _ in range(rounds))
+    flips = sum(3 * n + (g1.next_word() & 1) for _ in range(2))
     gen2 = XorShift32(_strategy_seed(s1p, s2p))
-    cells = gen2.fill(total_flips + extra) % np.uint32(n)
-    mask = (np.bincount(cells[:total_flips], minlength=n) & 1).astype(np.uint8)
-    return mask, cells, gen2
 
+    def draw(k):
+        return gen2.fill(k) % np.uint32(n)
 
-class _KeyStream:
-    """Derived-key material: mixture mask and distinct LSC addresses, both
-    fed by the same strategy sequence."""
-
-    def __init__(self, derived, n_mix: int, m_total: int, count: int):
-        self.n_mix = n_mix
-        short = count + count // 8 + 64
-        self.mix_mask, cells, self._gen2 = _mixture(derived, n_mix, extra=short)
-        self.addresses = self._distinct_addresses(cells, m_total, count, short)
-
-    def _distinct_addresses(self, cells, m_total, count, short):
-        """First `count` distinct values of the doubling recurrence over the
-        strategy sequence; revisited addresses are skipped so every payload
-        bit owns one LSC.
-
-        The first `short` strategy values almost always suffice. Otherwise
-        the scan is redone over the whole drawn chain and then over the
-        strategy source's continuation, up to U_cap.
-        """
-        if count > m_total:
-            raise ValueError("payload exceeds LSC capacity")
-        cap = 16 * count + 4096
-        for s in self._strategy_prefixes(cells, short, cap + 1):
-            u = _doubling_scan(s, m_total)
-            _, first = np.unique(u, return_index=True)
-            if first.size >= count:
-                return u[np.sort(first)[:count]]
-        raise RuntimeError("address generation did not converge")
-
-    def _strategy_prefixes(self, cells, short: int, longest: int):
-        """Strategy prefixes to scan, each longer than the last: `short`
-        values, the whole drawn chain, then the chain continued from the
-        strategy source to `longest` values."""
-        yield cells[:short]
-        yield cells[:longest]
-        if cells.size < longest:
-            more = self._gen2.fill(longest - cells.size) % np.uint32(self.n_mix)
-            yield np.concatenate([cells, more])
-
-
-def mix_watermark(wm_bits, key: EmbeddingKey, derived=None, rounds: int = None):
-    """Invertible watermark mixture. "ci" XORs the flip-parity mask of the
-    chaotic iteration run over the watermark cells (replaying the identical
-    strategy restores the input); "xor" uses the generator keystream."""
-    bits = np.asarray(wm_bits, dtype=np.uint8).reshape(-1)
-    n = bits.size
-    if derived is None:
-        derived = (seed_word(key.seed1), seed_word(key.seed2))
-    if key.mix == "xor":
-        ks = CiGenerator.from_seeds(derived[0], derived[1]).bits(n)
-        return bits ^ ks
-    mask, _, _ = _mixture(derived, n, rounds=rounds)
-    return bits ^ mask
-
-
-def mix_with_strategy(wm_bits, strategy) -> np.ndarray:
-    """Mixture primitive with an injected 1-based strategy: flip each named
-    cell once per occurrence."""
-    bits = np.asarray(wm_bits, dtype=np.uint8).copy()
-    for s in strategy:
-        s = int(s)
-        if not 1 <= s <= bits.size:
-            raise ValueError(f"strategy index {s} outside [1, {bits.size}]")
-        bits[s - 1] ^= 1
-    return bits
+    cells = draw(flips)
+    addresses = _distinct_addresses(cells, draw, m_total, count)
+    if mix == "xor":
+        mask = CiGenerator.from_seeds(s1p, s2p).bits(n)
+    else:
+        mask = (np.bincount(cells, minlength=n) & 1).astype(np.uint8)
+    return mask, addresses
 
 
 def embed(carrier, wm, key: EmbeddingKey,
@@ -270,17 +236,11 @@ def embed(carrier, wm, key: EmbeddingKey,
     wm_bits = np.asarray(wm, dtype=np.uint8).reshape(-1) & 1
     n = wm_bits.size
     msc, lsc = split_coefficients(carrier, spec)
-    m_total = lsc.size
     r = key.repetition
-    if r * n > m_total:
-        raise ValueError(f"watermark needs {r * n} LSCs, image has {m_total}")
     derived = derive_strategy_seed(key, msc)
-    stream = _KeyStream(derived, n, m_total, r * n)
-    mixed = wm_bits ^ stream.mix_mask if key.mix == "ci" \
-        else mix_watermark(wm_bits, key, derived)
-    payload = np.tile(mixed, r)
+    mask, addresses = _key_stream(derived, key.mix, n, lsc.size, r * n)
     out_lsc = lsc.copy()
-    out_lsc[stream.addresses] = payload
+    out_lsc[addresses] = np.tile(wm_bits ^ mask, r)
     return merge_coefficients(msc, out_lsc, spec, carrier)
 
 
@@ -289,19 +249,16 @@ def extract(img, key: EmbeddingKey, spec: CoefficientSpec = CoefficientSpec(),
     """Recover the watermark: re-derive the strategy from the image's MSCs,
     re-generate the addresses, read, majority-vote repeats, unmix."""
     h, w = wm_dims
+    if h < 1 or w < 1:
+        raise ValueError(f"watermark dimensions must be positive, got {w}x{h}")
     n = h * w
     msc, lsc = split_coefficients(img, spec)
     r = key.repetition
     derived = derive_strategy_seed(key, msc)
-    stream = _KeyStream(derived, n, lsc.size, r * n)
-    reads = lsc[stream.addresses].reshape(r, n)
-    votes = reads.sum(axis=0)
+    mask, addresses = _key_stream(derived, key.mix, n, lsc.size, r * n)
+    votes = lsc[addresses].reshape(r, n).sum(axis=0)
     mixed = (2 * votes >= r).astype(np.uint8)
-    if key.mix == "ci":
-        bits = mixed ^ stream.mix_mask
-    else:
-        bits = mixed ^ mix_watermark(np.zeros(n, np.uint8), key, derived)
-    return bits.reshape(h, w)
+    return (mixed ^ mask).reshape(h, w)
 
 
 def similarity(a, b) -> float:
@@ -313,7 +270,8 @@ def similarity(a, b) -> float:
     return 100.0 * float((x == y).mean())
 
 
-_ATTACKS = {
+# kind -> attack(image, parameter, noise_seed); only noise uses the seed.
+ATTACKS = {
     "crop": lambda img, p, seed: crop_attack(img, int(p)),
     "rotate": lambda img, p, seed: rotate_attack(img, p),
     "jpeg": lambda img, p, seed: jpeg_attack(img, p),
@@ -334,7 +292,7 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     wm = np.asarray(wm, dtype=np.uint8) & 1
     attacks = list(attacks)
     for kind, _ in attacks:
-        if kind not in _ATTACKS:
+        if kind not in ATTACKS:
             raise ValueError(f"unknown attack {kind!r}")
     if not attacks:
         return []
@@ -343,7 +301,7 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     rows = []
     for kind, param in attacks:
         for key, image in zip(keys, marked):
-            attacked = _ATTACKS[kind](image, param, noise_seed)
+            attacked = ATTACKS[kind](image, param, noise_seed)
             recovered = extract(attacked, key, spec, wm.shape)
             rows.append((kind, param, key.mode, similarity(wm, recovered)))
     return rows

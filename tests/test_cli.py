@@ -189,6 +189,25 @@ class TestWatermarkCommands:
                      "--out", str(tmp_path / "x.pgm"), "--seed1", "1",
                      "--seed2", "2"]) == 2
 
+    def test_empty_watermark_rejected(self, tmp_path, images, capsys):
+        carrier, _ = images
+        empty = tmp_path / "empty.pbm"
+        empty.write_bytes(b"P4\n0 0\n")
+        assert main(["embed", "--carrier", str(carrier), "--watermark", str(empty),
+                     "--out", str(tmp_path / "x.pgm"), "--seed1", "1",
+                     "--seed2", "2"]) == 2
+        assert "error: the watermark must hold at least one bit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width, height", [("0", "64"), ("64", "0"), ("-3", "64")])
+    def test_extract_rejects_non_positive_dims(self, tmp_path, images, capsys,
+                                               width, height):
+        carrier, _ = images
+        assert main(["extract", "--in", str(carrier), "--out", str(tmp_path / "o.pbm"),
+                     "--seed1", "1", "--seed2", "2", "--wm-width", width,
+                     "--wm-height", height]) == 2
+        assert (f"error: watermark dimensions must be positive, got {width}x{height}"
+                in capsys.readouterr().err)
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["extract", "--in", str(tmp_path / "nope.pgm"),
                      "--out", str(tmp_path / "o.pbm"),

@@ -61,6 +61,12 @@ class TestRank:
             added[i] ^= added[j]
             assert gf2_rank(added) == base
 
+    @pytest.mark.parametrize("shape, nrows, ncols", [
+        ((4, 8), 6, 8), ((8,), 8, 8), ((4, 8, 1), 8, 8), ((4, 8), 8, 65), ((4, 8), 8, -1)])
+    def test_rank_many_rejects_bad_layout(self, shape, nrows, ncols):
+        with pytest.raises(ValueError):
+            gf2_rank_many(np.zeros(shape, dtype=np.uint64), nrows, ncols)
+
     def test_rectangular(self):
         m = np.zeros((6, 8), dtype=np.uint8)
         m[0, 0] = m[1, 3] = m[2, 7] = 1

@@ -17,7 +17,6 @@ from cimark.kernels import (
     _xorshift_fill_np,
     _xs_columns,
     ci_fill,
-    rank_batch,
     xorshift_fill,
     xorshift_step,
 )
@@ -203,14 +202,6 @@ def test_rank_matches_oracle(nrows, ncols, count, weights, narrow, seed):
     assert ranks.dtype == np.int64
     assert ranks.tolist() == expected
     assert np.array_equal(mats, snapshot) and mats.dtype == snapshot.dtype
-
-
-def test_rank_batch_does_not_mutate_input():
-    rng = np.random.default_rng(8)
-    mats = rng.integers(0, 1 << 32, size=(10, 32)).astype(np.uint64)
-    snapshot = mats.copy()
-    rank_batch(mats, 32, 32)
-    assert np.array_equal(mats, snapshot)
 
 
 def test_numba_flag_reported():

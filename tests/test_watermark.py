@@ -1,11 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cimark.cli import BENCH_GRID
-from cimark.generator import XorShift32
+from cimark.generator import CiGenerator, XorShift32
 from cimark.imaging import (
     crop_attack,
     gaussian_noise_attack,
@@ -24,13 +25,11 @@ from cimark.watermark import (
     extract,
     fold_digest,
     merge_coefficients,
-    mix_watermark,
-    mix_with_strategy,
     robustness_sweep,
     similarity,
     split_coefficients,
 )
-from cimark.watermark import _KeyStream, _mixture, _strategy_seed
+from cimark.watermark import _distinct_addresses, _key_stream, _strategy_seed
 
 KEY1, KEY2 = 0x1111AAAA, 0x2222BBBB
 
@@ -181,35 +180,18 @@ class TestFoldAndSeeds:
 
 
 class TestMixture:
-    def test_involution_ci(self):
-        rng = np.random.default_rng(26)
-        key = EmbeddingKey(KEY1, KEY2)
-        for _ in range(5):
-            bits = rng.integers(0, 2, size=4096, dtype=np.uint8)
-            mixed = mix_watermark(bits, key)
-            assert not np.array_equal(mixed, bits)
-            assert np.array_equal(mix_watermark(mixed, key), bits)
-
-    def test_involution_xor(self):
-        rng = np.random.default_rng(27)
-        key = EmbeddingKey(KEY1, KEY2, mix="xor")
-        bits = rng.integers(0, 2, size=4096, dtype=np.uint8)
-        assert np.array_equal(mix_watermark(mix_watermark(bits, key), key), bits)
-
-    def test_injected_strategy_example(self):
-        # two hits on cell 1 cancel, one hit on cell 2 flips
-        out = mix_with_strategy(np.zeros(8, dtype=np.uint8), (1, 1, 2))
-        assert out.tolist() == [0, 1, 0, 0, 0, 0, 0, 0]
-
-    def test_injected_strategy_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            mix_with_strategy(np.zeros(8, dtype=np.uint8), (9,))
+    DERIVED = (KEY1, KEY2)
 
     def test_mixture_decorrelates(self):
-        key = EmbeddingKey(KEY1, KEY2)
-        bits = np.zeros(4096, dtype=np.uint8)
-        mixed = mix_watermark(bits, key)
-        assert 0.35 < mixed.mean() < 0.65
+        for mix in ("ci", "xor"):
+            mask, _ = _key_stream(self.DERIVED, mix, 4096, 196_608, 4096)
+            assert mask.dtype == np.uint8 and mask.shape == (4096,)
+            assert 0.35 < mask.mean() < 0.65
+
+    def test_xor_mask_is_generator_keystream(self):
+        for n in (1, 7, 4096):
+            mask, _ = _key_stream(self.DERIVED, "xor", n, 196_608, n)
+            assert np.array_equal(mask, CiGenerator.from_seeds(*self.DERIVED).bits(n))
 
 
 class TestEmbeddingSequence:
@@ -284,21 +266,37 @@ class TestDistinctAddresses:
         (4096, 196_608, 4096, "prefix"),  # 64x64 watermark, 256x256 carrier
         (7, 1, 1, "prefix"),
         (3, 5, 4, "prefix"),
-        (64, 100, 100, "chain"),          # count == M
+        (64, 100, 100, "rescan"),         # count == M
         (1, 100, 100, "prefix"),          # constant strategy, count == M
-        (64, 64, 64, "chain"),            # count == M
-        (2, 64, 64, "source"),            # count == M
+        (64, 64, 64, "rescan"),           # count == M
+        (2, 64, 64, "rescan"),            # count == M
     ])
     def test_equals_first_distinct_reference(self, n_mix, m_total, count, reach):
         want, last = distinct_addresses_reference(
             self.strategy(n_mix, 16 * count + 4097), m_total, count)
-        got = _KeyStream(self.DERIVED, n_mix, m_total, count).addresses
+        _, got = _key_stream(self.DERIVED, "ci", n_mix, m_total, count)
         assert got.tolist() == want
-        # which of the scanned prefixes first holds `count` distinct values
-        short = count + count // 8 + 64
-        _, chain, _ = _mixture(self.DERIVED, n_mix, extra=short)
-        assert reach == ("prefix" if last < short
-                         else "chain" if last < chain.size else "source")
+        # whether the first scan, of count + count // 8 + 64 values, suffices
+        assert reach == ("prefix" if last < count + count // 8 + 64 else "rescan")
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 40), m_total=st.integers(1, 300), count=st.integers(1, 300),
+           mix=st.sampled_from(["ci", "xor"]),
+           derived=st.tuples(st.integers(1, 2**32 - 1), st.integers(1, 2**32 - 1)))
+    @example(n=1, m_total=100, count=100, mix="ci", derived=(1, 2))
+    @example(n=2, m_total=64, count=64, mix="xor", derived=(0x1234567, 0x89ABCDE))
+    def test_addresses_equal_first_distinct_reference(self, n, m_total, count, mix,
+                                                      derived):
+        count = min(count, m_total)  # count == m_total about half the time
+        strategy = XorShift32(_strategy_seed(*derived)).fill(16 * count + 4097) % np.uint32(n)
+        try:
+            want, _ = distinct_addresses_reference(strategy, m_total, count)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                _key_stream(derived, mix, n, m_total, count)
+            return
+        _, got = _key_stream(derived, mix, n, m_total, count)
+        assert got.tolist() == want
 
     @staticmethod
     def pinned(length, m_total, hit):
@@ -315,28 +313,24 @@ class TestDistinctAddresses:
     @pytest.mark.parametrize("hit", [40, 150, 300, 4128, 4129])
     def test_cap_boundary(self, hit):
         # count 2 needs U_hit; U_cap (cap = 16 * 2 + 4096 = 4128) is the last
-        # value scanned. 200 values count as drawn, the rest come from the
-        # strategy source.
-        m_total, count, drawn = 1000, 2, 200
+        # value scanned. 200 values are held, the rest are drawn.
+        m_total, count, held = 1000, 2, 200
         s = self.pinned(4130, m_total, hit)
-        ks = _KeyStream.__new__(_KeyStream)
-        ks.n_mix = m_total
-        ks._gen2 = _ServeStream(s[drawn:])
-        short = count + count // 8 + 64
+        draw = _ServeStream(s[held:]).fill
         if hit <= 4128:
             want, last = distinct_addresses_reference(s, m_total, count)
             assert (want, last) == ([0, 1], hit)
-            got = ks._distinct_addresses(s[:drawn], m_total, count, short)
+            got = _distinct_addresses(s[:held], draw, m_total, count)
             assert got.tolist() == want
         else:
             with pytest.raises(RuntimeError):
                 distinct_addresses_reference(s, m_total, count)
             with pytest.raises(RuntimeError):
-                ks._distinct_addresses(s[:drawn], m_total, count, short)
+                _distinct_addresses(s[:held], draw, m_total, count)
 
     def test_capacity_checked_first(self):
         with pytest.raises(ValueError):
-            _KeyStream(self.DERIVED, 16, 10, 11)
+            _key_stream(self.DERIVED, "ci", 16, 10, 11)
 
 
 class TestEmbedExtract:
@@ -380,6 +374,19 @@ class TestEmbedExtract:
         wm = synthetic_watermark(0)  # 4096 bits
         with pytest.raises(ValueError, match="capacity|LSC"):
             embed(car, wm, EmbeddingKey(KEY1, KEY2))
+
+    def test_oversized_extract_rejected_before_drawing(self):
+        # 10^6 watermark bits cannot fit 196,608 LSCs, so no strategy value
+        # (4 bytes each, about 6 per bit) may be drawn for them
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="LSCs"):
+                extract(synthetic_carrier(8), EmbeddingKey(KEY1, KEY2),
+                        wm_dims=(1000, 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_key_sensitivity_one_bit(self):
         car = synthetic_carrier(9)
