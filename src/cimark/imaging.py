@@ -124,11 +124,12 @@ def save_pbm(img, path) -> None:
 
 def crop_attack(img, side: int) -> np.ndarray:
     """Zero out the side-by-side square at the image center; dimensions and
-    all other pixels are untouched."""
+    all other pixels are untouched. A fractional side is truncated."""
     a = _check_gray(img)
     h, w = a.shape
-    if side < 0 or side > min(h, w):
-        raise ValueError(f"crop side {side} exceeds image size {w}x{h}")
+    if not (math.isfinite(side) and 0 <= int(side) <= min(h, w)):
+        raise ValueError(f"crop side {side} is not in [0, {min(h, w)}]")
+    side = int(side)
     out = a.copy()
     top = (h - side) // 2
     left = (w - side) // 2
@@ -213,8 +214,8 @@ def jpeg_attack(img, level: float) -> np.ndarray:
     multiples of 8 are padded by edge replication and cropped back.
     """
     a = _check_gray(img)
-    if level <= 0:
-        raise ValueError("level must be positive")
+    if not (math.isfinite(level) and level > 0):
+        raise ValueError(f"level must be positive and finite, got {level}")
     h, w = a.shape
     ph, pw = (-h) % 8, (-w) % 8
     padded = np.pad(a, ((0, ph), (0, pw)), mode="edge").astype(np.float64) - 128.0
@@ -233,8 +234,8 @@ def gaussian_noise_attack(img, sigma: float, seed: int) -> np.ndarray:
     """Add independent N(0, sigma^2) per pixel, round half away from zero,
     clamp to [0, 255]. Deterministic for a given seed."""
     a = _check_gray(img)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=a.shape)
     bumped = a.astype(np.float64) + np.sign(noise) * np.floor(np.abs(noise) + 0.5)

@@ -4,11 +4,11 @@ rounds. (The GF(2) rank elimination lives in `gf2.gf2_rank_many`.)
 Every kernel is vectorised numpy; there is one implementation per job.
 
 The XORshift fill jumps ahead with cached byte tables of the round matrix
-raised to powers of two and fills a chain of n words by doubling, in about
-log2(n) vector passes. The generator kernel reads each emitted state off a
-prefix XOR of one-hot flip masks, in chunks of about 2^20 flips, so its
-working memory beyond the output is bounded for any stream length. See the
-comment above the kernels.
+raised to powers of two: short chains by doubling, long ones by stepping
+64-word lanes, whose starts the tables jump to, as one vector. The
+generator kernel XOR-reduces one-hot flip masks per round and accumulates
+the rounds, in chunks of about 2^20 flips, so its working memory beyond
+the output is bounded for any stream length. See the comment above them.
 """
 
 from __future__ import annotations
@@ -38,49 +38,32 @@ def xorshift_step(word: int) -> int:
 # cache holds T^(2^k) as four 256-entry byte tables: the image of a word is
 # the XOR of one table lookup per byte. Level k+1 is found by applying level
 # k to its own columns, so the cache is built in about a millisecond and
-# only up to the level a call needs. A chain of n words is then filled by
-# doubling: out[0] is one scalar round, and while h < n words are known,
-# out[h:2h] = T^h(out[:h]).
+# only up to the level a call needs. A chain from a given out[0] is filled
+# by doubling: while h words are known, out[h:2h] = T^h(out[:h]).
 #
-# A generator round flips m cells and emits the state, so each emitted
+# Fills of _LANE_MIN words or more run in blocks of _LANE_BLOCK words, each
+# split into K = ceil(len/64) lanes of 64 words. The lane starts are a T^64
+# chain filled by doubling with levels k+6, as (T^64)^(2^k) = T^(2^(k+6)).
+# The K lanes take 64 plain rounds as one uint32 vector, into a (64, K)
+# buffer whose transpose is the block. Shorter fills are faster by doubling.
+#
+# A generator round flips m >= 1 cells and emits the state, so each emitted
 # state is the initial state XOR the prefix XOR of one-hot flip masks
-# (1 << (63 - cell mod 64) in the state word cell // 64), read at the
-# round's last flip. Rounds are processed in chunks of about _CHUNK_FLIPS
-# flips, so working memory beyond the rounds * N output is bounded by the
-# chunk, whatever the stream length.
+# (1 << (63 - cell mod 64) in the state word cell // 64), XOR-reduced per
+# round (reduceat at each round's first flip) and then accumulated over
+# rounds. Chunks of about _CHUNK_FLIPS flips, in buffers allocated once per
+# call, bound the working memory beyond the rounds * N output.
 # ---------------------------------------------------------------------------
 
 _CHUNK_FLIPS = 1 << 20
-_APPLY_BLOCK = 1 << 16  # words per table application; bounds its temporaries
+_LANE_MIN = 1 << 16  # shortest fill that steps lanes
+_LANE_BLOCK = 1 << 18  # words per lane block; keeps the transpose in cache
 _JUMP = ()  # _JUMP[k]: (4, 256) uint32 byte tables of T^(2^k)
 
 
 def _xs_columns():
     """Columns of the round matrix: image of each basis vector."""
     return [xorshift_step(1 << j) for j in range(32)]
-
-
-def _mat_mul_gf2(a, b):
-    out = []
-    for j in range(32):
-        v = b[j]
-        acc = 0
-        for i in range(32):
-            if (v >> i) & 1:
-                acc ^= a[i]
-        out.append(acc)
-    return out
-
-
-def _mat_pow_gf2(a, e):
-    result = [1 << j for j in range(32)]  # identity
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _mat_mul_gf2(base, result)
-        base = _mat_mul_gf2(base, base)
-        e >>= 1
-    return result
 
 
 def _byte_tables(cols):
@@ -119,20 +102,41 @@ def _jump_tables(levels):
     return tabs
 
 
+def _jump_chain(out, shift):
+    """out[i] = T^(i << shift)(out[0]) for i >= 1, by doubling."""
+    n = out.size
+    levels = (n - 1).bit_length()  # doublings from 1 word to n
+    h = 1
+    for tab in _jump_tables(shift + levels)[shift:shift + levels]:
+        t = min(h, n - h)
+        _apply_tables(tab, out[:t], out[h:h + t])
+        h += t
+
+
 def _xorshift_fill_np(state, out):
     n = out.size
     if n == 0:
         return state
-    out[0] = xorshift_step(int(state))
-    levels = (n - 1).bit_length()  # doublings from 1 word to n
-    h = 1
-    for tab in _jump_tables(levels)[:levels]:
-        t = min(h, n - h)
-        for s in range(0, t, _APPLY_BLOCK):
-            e = min(t, s + _APPLY_BLOCK)
-            _apply_tables(tab, out[s:e], out[h + s:h + e])
-        h += t
-    return int(out[n - 1])
+    if n < _LANE_MIN:
+        out[0] = xorshift_step(int(state))
+        _jump_chain(out, 0)
+        return int(out[-1])
+    buf = np.empty((64, -(-min(n, _LANE_BLOCK) // 64)), dtype=np.uint32)
+    for s in range(0, n, _LANE_BLOCK):
+        e = min(n, s + _LANE_BLOCK)
+        full, lanes = (e - s) // 64, buf[:, :-(-(e - s) // 64)]
+        prev = np.full(lanes.shape[1], state, dtype=np.uint32)
+        _jump_chain(prev, 6)  # lane starts
+        for row in lanes:
+            np.left_shift(prev, 13, out=row)
+            row ^= prev
+            row ^= row >> 17
+            row ^= row << 5
+            prev = row
+        out[s:s + 64 * full].reshape(full, 64)[...] = lanes[:, :full].T
+        out[s + 64 * full:e] = lanes[:e - s - 64 * full, full:].ravel()
+        state = int(out[e - 1])
+    return state
 
 
 def _ci_fill_np(xbits, s1, s2, c, out):
@@ -145,26 +149,29 @@ def _ci_fill_np(xbits, s1, s2, c, out):
     packed[:-(-n // 8)] = np.packbits(xbits)
     carry = packed.view(">u8").astype(np.uint64)
     rows = out.reshape(rounds, n)
-    per_chunk = max(1, _CHUNK_FLIPS // (c + 1))
+    per_chunk = min(rounds, max(1, _CHUNK_FLIPS // (c + 1)))
+    cells = np.empty(per_chunk * (c + 1), dtype=np.uint32)
+    masks = np.empty(cells.size, dtype=np.uint64)
     for r0 in range(0, rounds, per_chunk):
         r1 = min(rounds, r0 + per_chunk)
-        a = np.empty(r1 - r0, dtype=np.uint32)
-        s1 = _xorshift_fill_np(s1, a)
-        last = np.cumsum((a & np.uint32(1)).astype(np.int64) + c) - 1
-        b = np.empty(int(last[-1]) + 1, dtype=np.uint32)
-        s2 = _xorshift_fill_np(s2, b)
-        cell = np.remainder(b, np.uint32(n), out=b)
-        masks = np.empty(cell.size, dtype=np.uint64)
-        states = np.empty((r1 - r0, nw), dtype=np.uint64)
+        a, s1 = xorshift_fill(s1, r1 - r0)
+        m = (a & np.uint32(1)).astype(np.int64) + c
+        first = np.cumsum(m) - m  # each round's first flip
+        flips = int(first[-1] + m[-1])
+        cell, mask = cells[:flips], masks[:flips]
+        s2 = _xorshift_fill_np(s2, cell)
+        np.remainder(cell, np.uint32(n), out=cell)
+        states = np.empty((nw, r1 - r0), dtype=np.uint64)
         for w in range(nw):
             # a shift of 64 or more (or a wrapped negative one) gives 0, so
             # cells outside word w contribute nothing
-            np.subtract(np.uint64(64 * w + 63), cell, out=masks)
-            np.left_shift(np.uint64(1), masks, out=masks)
-            np.bitwise_xor.accumulate(masks, out=masks)
-            np.bitwise_xor(masks[last], carry[w], out=states[:, w])
-        carry = states[-1].copy()
-        rows[r0:r1] = np.unpackbits(states.astype(">u8").view(np.uint8),
+            np.subtract(np.uint64(64 * w + 63), cell, out=mask)
+            np.left_shift(np.uint64(1), mask, out=mask)
+            np.bitwise_xor.reduceat(mask, first, out=states[w])
+            np.bitwise_xor.accumulate(states[w], out=states[w])
+            states[w] ^= carry[w]
+        carry = states[:, -1].copy()
+        rows[r0:r1] = np.unpackbits(states.T.astype(">u8", order="C").view(np.uint8),
                                     axis=1, count=n)
     xbits[:] = rows[-1]
     return s1, s2
@@ -186,6 +193,8 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
 
     Returns (emitted bits as uint8 array of rounds*n entries, new s1, new s2).
     """
+    if c < 1:
+        raise ValueError(f"c must be at least 1, got {c}")
     out = np.empty(rounds * xbits.size, dtype=np.uint8)
     s1, s2 = _ci_fill_np(xbits, s1, s2, c, out)
     return out, s1, s2

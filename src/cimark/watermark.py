@@ -272,7 +272,7 @@ def similarity(a, b) -> float:
 
 # kind -> attack(image, parameter, noise_seed); only noise uses the seed.
 ATTACKS = {
-    "crop": lambda img, p, seed: crop_attack(img, int(p)),
+    "crop": lambda img, p, seed: crop_attack(img, p),
     "rotate": lambda img, p, seed: rotate_attack(img, p),
     "jpeg": lambda img, p, seed: jpeg_attack(img, p),
     "noise": lambda img, p, seed: gaussian_noise_attack(img, p, seed),

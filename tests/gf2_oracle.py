@@ -1,4 +1,5 @@
-"""Reference GF(2) rank shared by the gf2 and kernel tests."""
+"""GF(2) references shared by the gf2 and kernel tests: cell-by-cell rank,
+and 32x32 matrix products and powers on lists of column words."""
 
 import numpy as np
 
@@ -22,3 +23,28 @@ def naive_rank(matrix) -> int:
                 m[row] ^= m[rank]
         rank += 1
     return rank
+
+
+def mat_mul_gf2(a, b):
+    """Product a*b of 32x32 GF(2) matrices given as lists of column words."""
+    out = []
+    for j in range(32):
+        v = b[j]
+        acc = 0
+        for i in range(32):
+            if (v >> i) & 1:
+                acc ^= a[i]
+        out.append(acc)
+    return out
+
+
+def mat_pow_gf2(a, e):
+    """a^e by square-and-multiply, for a 32x32 GF(2) matrix of column words."""
+    result = [1 << j for j in range(32)]  # identity
+    base = list(a)
+    while e:
+        if e & 1:
+            result = mat_mul_gf2(base, result)
+        base = mat_mul_gf2(base, base)
+        e >>= 1
+    return result

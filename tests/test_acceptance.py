@@ -57,7 +57,7 @@ def timed(fn):
 
 @pytest.fixture(scope="module")
 def warm_kernels():
-    # first call pays the JIT compilation; exclude it from timing
+    # first calls build the XORshift jump tables; exclude that from timing
     CiGenerator.from_seeds(1, 2).bits(64)
     XorShift32(1).fill(8)
 

@@ -239,6 +239,22 @@ class TestWatermarkCommands:
         sidecar = json.loads((tmp_path / "n.pgm.json").read_text())
         assert sidecar["noise_seed"] == 0x5EED
 
+    @pytest.mark.parametrize("kind, param", [
+        ("jpeg", "nan"), ("jpeg", "inf"), ("jpeg", "-inf"),
+        ("noise", "nan"), ("noise", "inf"),
+        ("crop", "nan"), ("crop", "inf"), ("crop", "-inf"),
+        ("rotate", "nan"), ("rotate", "inf"),
+    ])
+    def test_non_finite_param_rejected(self, tmp_path, images, capsys, kind, param):
+        """NaN and infinite parameters exit 2 with a message and write no
+        image (jpeg and noise used to write an all-zero one, crop to exit 5)."""
+        carrier, _ = images
+        out = tmp_path / "o.pgm"
+        assert main(["attack", "--in", str(carrier), "--out", str(out),
+                     "--attack", kind, f"--param={param}", "--noise-seed", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_malformed_image_rejected(self, tmp_path):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\n8 8\n255\nxx")

@@ -6,6 +6,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cimark
@@ -13,18 +14,25 @@ from cimark import kernels
 from cimark.generator import CiGenerator
 from cimark.gf2 import gf2_rank_many
 from cimark.kernels import (
-    _mat_pow_gf2,
     _xorshift_fill_np,
     _xs_columns,
     ci_fill,
     xorshift_fill,
     xorshift_step,
 )
-from gf2_oracle import naive_rank
+from gf2_oracle import mat_pow_gf2, naive_rank
 
 seeds = st.integers(min_value=1, max_value=2**32 - 1)
-# lengths around the doubling and block boundaries of the numpy fill
-edge_lengths = sorted({0, 1} | {(1 << k) + d for k in range(1, 19) for d in (-1, 0, 1)})
+# lengths around the doubling boundaries of the fill, around the lane
+# threshold, around multiples of the 64-word lane length on the lane path,
+# and around the lane block size and its multiples
+_LANE_MIN, _LANE_BLOCK = kernels._LANE_MIN, kernels._LANE_BLOCK
+edge_lengths = sorted(
+    {0, 1}
+    | {(1 << k) + d for k in range(1, 19) for d in (-1, 0, 1)}
+    | {_LANE_MIN + d for d in (-1, 0, 1)}
+    | {64 * j + d for j in (_LANE_MIN // 64 + 1, 1500, _LANE_BLOCK // 64 + 1) for d in (-1, 1)}
+    | {_LANE_BLOCK * j + d for j in (1, 2, 3) for d in (-1, 0, 1)})
 
 
 def scalar_chain(state, n):
@@ -46,7 +54,7 @@ def test_xorshift_fallback_matches_scalar():
 
 
 def test_xorshift_paths_agree():
-    """xorshift_fill equals the scalar chain at every doubling edge."""
+    """xorshift_fill equals the scalar chain at every doubling and lane edge."""
     ref = scalar_chain(0xCAFEBABE, edge_lengths[-1])
     for n in edge_lengths:
         words, end = xorshift_fill(0xCAFEBABE, n)
@@ -67,6 +75,18 @@ def test_xorshift_fill_resumes_like_scalar(seed, sizes):
     assert state == (int(ref[-1]) if pos else seed)
 
 
+def test_xorshift_fill_memory_bounded():
+    """A lane-stepped fill works in blocks: beyond its 16 MB output, a
+    2^22-word fill needs about one block's buffer (1 MB)."""
+    tracemalloc.start()
+    try:
+        out, _ = xorshift_fill(0x9E3779B9, 1 << 22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 4 * 2**20
+
+
 def scalar_sources(s1, s2, c, n):
     """Injected m and (1-based) s sequences drawn from scalar XORshift
     chains, plus a record of the chains' current words."""
@@ -85,16 +105,23 @@ def scalar_sources(s1, s2, c, n):
     return m_source(), s_source(), words
 
 
+# (_LANE_MIN, _LANE_BLOCK) patched so that fills of a few hundred flips take
+# the lane path, with blocks that are and are not multiples of 64 words
+lane_settings = st.sampled_from([None, (1, 128), (64, 200), (300, 1000)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([2, 5, 24, 31, 32, 33, 64, 65, 130]),
        c_scale=st.sampled_from([None, 1, 2]),
        rounds=st.integers(min_value=0, max_value=40),
        s1=seeds, s2=seeds,
        chunk=st.integers(min_value=100, max_value=600),
+       lanes=lane_settings,
        data=st.data())
-def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, data):
+def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, data):
     """ci_fill equals round-by-round iteration driven by scalar chains,
-    across many chunk boundaries of the numpy kernel."""
+    across many chunk boundaries of the numpy kernel and on either side of
+    the lane threshold of its strategy fills."""
     c = 3 * n if c_scale is None else c_scale
     x0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                   dtype=np.uint8)
@@ -102,14 +129,42 @@ def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, data):
     ref = CiGenerator(x0, c=c, m_source=m_src, s_source=s_src)
     expected = [ref.round() for _ in range(rounds)]
 
+    lane_min, lane_block = lanes or (_LANE_MIN, _LANE_BLOCK)
     xbits = x0.copy()
-    with mock.patch.object(kernels, "_CHUNK_FLIPS", chunk):
+    with mock.patch.multiple(kernels, _CHUNK_FLIPS=chunk, _LANE_MIN=lane_min,
+                             _LANE_BLOCK=lane_block):
         out, a, b = ci_fill(xbits, s1, s2, c, rounds)
     assert out.dtype == np.uint8 and out.size == rounds * n
     assert np.array_equal(out.reshape(rounds, n),
                           np.array(expected, dtype=np.uint8).reshape(rounds, n))
     assert np.array_equal(xbits, ref.x)
     assert (a, b) == (words["a"], words["b"])
+
+
+def test_ci_fill_lane_path_matches_rounds():
+    """With the module's own thresholds, one call whose strategy fill takes
+    the lane path across a block boundary equals round-by-round iteration."""
+    n, c, rounds, s1, s2 = 32, 96, 3000, 0x13579BDF, 0x2468ACE0
+    assert _LANE_BLOCK < rounds * c < kernels._CHUNK_FLIPS  # one chunk, two blocks
+    m_src, s_src, words = scalar_sources(s1, s2, c, n)
+    x0 = np.arange(n, dtype=np.uint8) % 3 % 2
+    ref = CiGenerator(x0, c=c, m_source=m_src, s_source=s_src)
+    expected = np.array([ref.round() for _ in range(rounds)], dtype=np.uint8)
+    xbits = x0.copy()
+    out, a, b = ci_fill(xbits, s1, s2, c, rounds)
+    assert np.array_equal(out.reshape(rounds, n), expected)
+    assert np.array_equal(xbits, ref.x)
+    assert (a, b) == (words["a"], words["b"])
+
+
+@pytest.mark.parametrize("c", [0, -1])
+def test_ci_fill_rejects_c_below_one(c):
+    """A round must flip at least one cell: the per-round reduction cannot
+    represent an empty round."""
+    xbits = np.ones(8, dtype=np.uint8)
+    with pytest.raises(ValueError, match="c must be at least 1"):
+        ci_fill(xbits, 1, 2, c, 4)
+    assert xbits.all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -145,18 +200,19 @@ def test_xorshift_full_period():
     order = 2**32 - 1
     cols = _xs_columns()
     identity = [1 << j for j in range(32)]
-    assert _mat_pow_gf2(cols, order) == identity
+    assert mat_pow_gf2(cols, order) == identity
     for p in (3, 5, 17, 257, 65537):
         assert order % p == 0
-        assert _mat_pow_gf2(cols, order // p) != identity
+        assert mat_pow_gf2(cols, order // p) != identity
 
 
 def test_jump_tables_match_matrix_powers():
-    """Level k of the jump cache is T^(2^k)."""
+    """Level k of the jump cache is T^(2^k), including the levels k+6 that
+    jump lane starts by (T^64)^(2^k)."""
     tabs = kernels._jump_tables(25)
     cols = _xs_columns()
-    for k in (0, 1, 2, 7, 16, 24):
-        expected = _mat_pow_gf2(cols, 1 << k)
+    for k in (0, 1, 2, 6, 7, 12, 16, 18, 24):
+        expected = mat_pow_gf2(cols, 1 << k)
         got = [int(tabs[k][j // 8, 1 << (j % 8)]) for j in range(32)]
         assert got == expected, k
 
