@@ -55,7 +55,6 @@ class TestResult:
     passed: bool
     samples: int
     labels: list = None
-    note: str = ""
     words: int = 0  # words drawn from the source; set by run_battery
 
 
@@ -64,10 +63,10 @@ class BatteryConfig:
     """Sample sizes and conventions for one battery run.
 
     Defaults are the desk profile; canonical() restores full-size counts.
-    byte_index selects which big-endian byte of each word feeds the
-    count-the-ones byte variant and the 6x8 rank rows (3 = least
-    significant byte). rank31 rows use the 31 most significant bits of a
-    word; birthday_window picks which end of the word supplies birthdays.
+    The count-the-ones byte variant and the 6x8 rank rows read the least
+    significant byte of each word, rank31 rows its 31 most significant
+    bits, and birthdays its low birthday_bits bits. epsilon must lie in
+    (0, 0.5): outside it the two-tailed rule fails nothing or everything.
     """
 
     epsilon: float = DEFAULT_EPSILON
@@ -81,8 +80,10 @@ class BatteryConfig:
     rank68_samples: int = 25_000
     rank31_samples: int = 10_000
     rank32_samples: int = 10_000
-    byte_index: int = 3
-    birthday_window: str = "low"
+
+    def __post_init__(self):
+        if not 0 < self.epsilon < 0.5:  # also refuses NaN and infinities
+            raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
 
     @classmethod
     def canonical(cls, **overrides) -> "BatteryConfig":
@@ -158,7 +159,6 @@ class TestReport:
                     "verdict": "pass" if r.passed else "fail",
                     "samples": r.samples,
                     "words": r.words,
-                    "note": r.note,
                 }
                 for i, r in enumerate(self.results)
             ],
@@ -224,18 +224,14 @@ def runs_test(src: BitStreamSource, samples: int = 10, length: int = 10_000,
 
 def birthday_spacings_test(src: BitStreamSource, m: int = 512, nbits: int = 24,
                            samples: int = 200,
-                           window: str = "low",
                            epsilon: float = DEFAULT_EPSILON) -> TestResult:
     """Duplicate spacings among m birthdays on 2^nbits days are asymptotically
-    Poisson with mean m^3 / 2^(nbits+2); chi-square over `samples` trials."""
+    Poisson with mean m^3 / 2^(nbits+2); chi-square over `samples` trials.
+    A birthday is the low nbits bits of a word."""
     lam = m ** 3 / 2.0 ** (nbits + 2)
     dups = np.empty(samples, dtype=np.int64)
     for t in range(samples):
-        w = src.words(m, "Birthday Spacing")
-        if window == "low":
-            days = w & np.uint32((1 << nbits) - 1)
-        else:
-            days = w >> np.uint32(32 - nbits)
+        days = src.words(m, "Birthday Spacing") & np.uint32((1 << nbits) - 1)
         spacings = np.sort(np.diff(np.sort(days)))
         dups[t] = spacings.size - np.unique(spacings).size
     # bin against the Poisson pmf, merging the tail to keep expected >= 5
@@ -274,14 +270,13 @@ def _cto_statistic(letters: np.ndarray) -> tuple[float, int]:
 
 
 def count_the_ones_test(src: BitStreamSource, variant: str = "stream",
-                        letters: int = 256_000, byte_index: int = 3,
+                        letters: int = 256_000,
                         epsilon: float = DEFAULT_EPSILON) -> TestResult:
     """Byte popcounts mapped to five letters; chi-square of overlapping
     5-letter minus 4-letter word counts.
 
     variant="stream": every byte of the word stream (big-endian order).
-    variant="bytes": one fixed byte of each word (byte_index, 0 = most
-    significant).
+    variant="bytes": the least significant byte of each word.
     """
     if variant == "stream":
         nwords = -(-letters // 4)
@@ -290,7 +285,7 @@ def count_the_ones_test(src: BitStreamSource, variant: str = "stream",
         name = "Count the ones 1"
     elif variant == "bytes":
         w = src.words(letters, "Count the ones 2")
-        b = ((w >> np.uint32(8 * (3 - byte_index))) & np.uint32(0xFF)).astype(np.uint8)
+        b = (w & np.uint32(0xFF)).astype(np.uint8)
         name = "Count the ones 2"
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -301,13 +296,13 @@ def count_the_ones_test(src: BitStreamSource, variant: str = "stream",
 
 
 def binary_rank_test(src: BitStreamSource, rows: int, cols: int,
-                     samples: int, byte_index: int = 3,
+                     samples: int,
                      epsilon: float = DEFAULT_EPSILON) -> TestResult:
     """GF(2) ranks of matrices built from consecutive words, chi-squared
     against the exact rank distribution.
 
     (32,32): full words as rows. (31,31): the 31 most significant bits of
-    each word. (6,8): one fixed byte of each of six words.
+    each word. (6,8): the least significant byte of each of six words.
     """
     if (rows, cols) not in ((6, 8), (31, 31), (32, 32)):
         raise ValueError("supported shapes: (6,8), (31,31), (32,32)")
@@ -318,7 +313,7 @@ def binary_rank_test(src: BitStreamSource, rows: int, cols: int,
     elif (rows, cols) == (31, 31):
         mats = w >> np.uint32(1)
     else:
-        mats = (w >> np.uint32(8 * (3 - byte_index))) & np.uint32(0xFF)
+        mats = w & np.uint32(0xFF)
     ranks = gf2_rank_many(mats, rows, cols)
     n = min(rows, cols)
     if rows == cols:
@@ -345,31 +340,40 @@ def binary_rank_test(src: BitStreamSource, rows: int, cols: int,
 # ---------------------------------------------------------------------------
 
 
-def _drawing(src: BitStreamSource, test, *args) -> TestResult:
-    """Run one test and record on its result how many words it drew."""
-    before = src.consumed
-    result = test(src, *args)
-    result.words = src.consumed - before
-    return result
+# The battery in run order, one row per test: the test's module-level name,
+# the words it draws from the source, and its arguments. Tests are looked up
+# by name when the battery runs, so a wrapper installed on the module sees
+# every call.
+_BATTERY = (
+    ("overlapping_sums_test", lambda c: c.osum_samples * 199,
+     lambda c: dict(samples=c.osum_samples)),
+    ("runs_test", lambda c: c.runs_samples * c.runs_length,
+     lambda c: dict(samples=c.runs_samples, length=c.runs_length)),
+    ("birthday_spacings_test", lambda c: c.birthday_samples * c.birthday_m,
+     lambda c: dict(m=c.birthday_m, nbits=c.birthday_bits,
+                    samples=c.birthday_samples)),
+    ("count_the_ones_test", lambda c: -(-c.cto_letters // 4),
+     lambda c: dict(variant="stream", letters=c.cto_letters)),
+    ("binary_rank_test", lambda c: c.rank68_samples * 6,
+     lambda c: dict(rows=6, cols=8, samples=c.rank68_samples)),
+    ("binary_rank_test", lambda c: c.rank31_samples * 31,
+     lambda c: dict(rows=31, cols=31, samples=c.rank31_samples)),
+    ("binary_rank_test", lambda c: c.rank32_samples * 32,
+     lambda c: dict(rows=32, cols=32, samples=c.rank32_samples)),
+    ("count_the_ones_test", lambda c: c.cto_letters,
+     lambda c: dict(variant="bytes", letters=c.cto_letters)),
+)
 
 
 def run_battery(src: BitStreamSource, config: BatteryConfig = None) -> TestReport:
-    """Run every enabled test in fixed order on consecutive stream segments."""
+    """Run every test of the battery in order on consecutive stream segments."""
     cfg = config or BatteryConfig()
-    eps = cfg.epsilon
-    results = [
-        _drawing(src, overlapping_sums_test, cfg.osum_samples, eps),
-        _drawing(src, runs_test, cfg.runs_samples, cfg.runs_length, eps),
-        _drawing(src, birthday_spacings_test, cfg.birthday_m, cfg.birthday_bits,
-                 cfg.birthday_samples, cfg.birthday_window, eps),
-        _drawing(src, count_the_ones_test, "stream", cfg.cto_letters,
-                 cfg.byte_index, eps),
-        _drawing(src, binary_rank_test, 6, 8, cfg.rank68_samples, cfg.byte_index, eps),
-        _drawing(src, binary_rank_test, 31, 31, cfg.rank31_samples, cfg.byte_index, eps),
-        _drawing(src, binary_rank_test, 32, 32, cfg.rank32_samples, cfg.byte_index, eps),
-        _drawing(src, count_the_ones_test, "bytes", cfg.cto_letters,
-                 cfg.byte_index, eps),
-    ]
+    results = []
+    for name, _, args in _BATTERY:
+        before = src.consumed
+        result = globals()[name](src, epsilon=cfg.epsilon, **args(cfg))
+        result.words = src.consumed - before
+        results.append(result)
     return TestReport(
         results=results,
         source_description=src.description,
@@ -381,13 +385,4 @@ def run_battery(src: BitStreamSource, config: BatteryConfig = None) -> TestRepor
 
 def battery_word_budget(cfg: BatteryConfig) -> int:
     """Words one battery run consumes (for sizing file inputs)."""
-    return (
-        cfg.osum_samples * 199
-        + cfg.runs_samples * cfg.runs_length
-        + cfg.birthday_samples * cfg.birthday_m
-        + -(-cfg.cto_letters // 4)
-        + cfg.rank68_samples * 6
-        + cfg.rank31_samples * 31
-        + cfg.rank32_samples * 32
-        + cfg.cto_letters
-    )
+    return sum(words(cfg) for _, words, _ in _BATTERY)

@@ -182,6 +182,9 @@ def cmd_gen(args) -> int:
 def cmd_test(args) -> int:
     if (args.infile is None) == (args.gen is None):
         raise SystemExit2("exactly one of --in/--gen is required")
+    cfg_cls = bat.BatteryConfig.canonical if args.scale == "canonical" \
+        else bat.BatteryConfig.desk
+    cfg = cfg_cls(epsilon=args.epsilon)  # rejects a bad epsilon before any read
     if args.infile:
         src = BitStreamSource.from_file(args.infile)
     elif args.gen == "ci":
@@ -190,9 +193,7 @@ def cmd_test(args) -> int:
     else:
         src = BitStreamSource.from_generator(
             _make_generator(args, want_raw=True), f"xorshift(seed={args.seed1:#x})")
-    cfg_cls = bat.BatteryConfig.canonical if args.scale == "canonical" \
-        else bat.BatteryConfig.desk
-    report = bat.run_battery(src, cfg_cls(epsilon=args.epsilon))
+    report = bat.run_battery(src, cfg)
     if args.format == "table":
         print(report.render_table())
     elif args.format == "csv":

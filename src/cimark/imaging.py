@@ -137,9 +137,9 @@ def crop_attack(img, side: int) -> np.ndarray:
     return out
 
 
-def _rotate_once(a: np.ndarray, theta_deg: float, interpolation: str) -> np.ndarray:
-    """Rotate by theta about the pixel-coordinate center (w/2, h/2); samples
-    falling outside the frame read as 0."""
+def _rotate_once(a: np.ndarray, theta_deg: float) -> np.ndarray:
+    """Rotate by theta about the pixel-coordinate center (w/2, h/2) with
+    nearest-neighbor sampling; samples falling outside the frame read as 0."""
     h, w = a.shape
     cy, cx = h / 2.0, w / 2.0
     th = math.radians(theta_deg)
@@ -148,44 +148,26 @@ def _rotate_once(a: np.ndarray, theta_deg: float, interpolation: str) -> np.ndar
     dx = xx - cx
     dy = yy - cy
     # inverse map: source coordinates that land on this output pixel
-    sx = cos_t * dx + sin_t * dy + cx
-    sy = -sin_t * dx + cos_t * dy + cy
-    if interpolation == "nearest":
-        px = np.floor(sx + 0.5).astype(np.int64)
-        py = np.floor(sy + 0.5).astype(np.int64)
-        inside = (px >= 0) & (px < w) & (py >= 0) & (py < h)
-        vals = a[np.clip(py, 0, h - 1), np.clip(px, 0, w - 1)]
-        return np.where(inside, vals, 0).astype(np.uint8)
-    if interpolation != "bilinear":
-        raise ValueError(f"unknown interpolation {interpolation!r}")
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    fx = sx - x0
-    fy = sy - y0
-    acc = np.zeros((h, w), dtype=np.float64)
-    for oy, wy in ((0, 1.0 - fy), (1, fy)):
-        for ox, wx in ((0, 1.0 - fx), (1, fx)):
-            px = x0 + ox
-            py = y0 + oy
-            inside = (px >= 0) & (px < w) & (py >= 0) & (py < h)
-            vals = np.where(inside, a[np.clip(py, 0, h - 1), np.clip(px, 0, w - 1)], 0)
-            acc += wy * wx * vals
-    return np.clip(np.floor(acc + 0.5), 0, 255).astype(np.uint8)
+    px = np.floor(cos_t * dx + sin_t * dy + cx + 0.5).astype(np.int64)
+    py = np.floor(-sin_t * dx + cos_t * dy + cy + 0.5).astype(np.int64)
+    inside = (px >= 0) & (px < w) & (py >= 0) & (py < h)
+    vals = a[np.clip(py, 0, h - 1), np.clip(px, 0, w - 1)]
+    return np.where(inside, vals, 0).astype(np.uint8)
 
 
-def rotate_attack(img, theta: float, interpolation: str = "nearest") -> np.ndarray:
+def rotate_attack(img, theta: float) -> np.ndarray:
     """Rotate by theta degrees then back by -theta (both resampled), the
     round trip used in the robustness evaluation.
 
-    Nearest-neighbor resampling is the default: interpolation that averages
-    neighboring pixels wipes the low bit planes wholesale, which flattens
-    the watermark similarity the benchmark is meant to expose; nearest keeps
-    the attack geometric. Bilinear is available for the smoother variant.
+    Resampling is nearest-neighbor: interpolation that averages neighboring
+    pixels wipes the low bit planes wholesale, which flattens the watermark
+    similarity the benchmark is meant to expose; nearest keeps the attack
+    geometric.
     """
     a = _check_gray(img)
     if not 0 < theta < 90:
         raise ValueError("theta must be in (0, 90) degrees")
-    return _rotate_once(_rotate_once(a, theta, interpolation), -theta, interpolation)
+    return _rotate_once(_rotate_once(a, theta), -theta)
 
 
 def _dct_matrix() -> np.ndarray:

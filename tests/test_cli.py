@@ -168,6 +168,18 @@ class TestTest:
     def test_requires_exactly_one_source(self):
         assert main(["test"]) == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1", "0.5"])
+    def test_bad_epsilon_rejected_before_drawing(self, monkeypatch, capsys, eps):
+        """An epsilon outside (0, 0.5) used to fail nothing (NaN, 0, -1) or
+        everything; it now exits 2 before a single word is drawn."""
+        def no_draw(*_):
+            raise AssertionError("drew words")
+
+        monkeypatch.setattr("cimark.source.BitStreamSource.words", no_draw)
+        assert main(["test", "--gen", "xorshift", "--seed1", "13579BDF",
+                     f"--epsilon={eps}"]) == 2
+        assert "epsilon must be in (0, 0.5)" in capsys.readouterr().err
+
 
 class TestWatermarkCommands:
     def test_embed_extract_roundtrip(self, tmp_path, images):

@@ -123,14 +123,6 @@ class TestRotate:
         img = synthetic_carrier(2)
         assert np.array_equal(rotate_attack(img, 1e-3), img)
 
-    def test_bilinear_variant_available(self):
-        img = synthetic_carrier(2)
-        out = rotate_attack(img, 5, interpolation="bilinear")
-        assert out.shape == img.shape
-        assert not np.array_equal(out, img)
-        with pytest.raises(ValueError):
-            rotate_attack(img, 5, interpolation="cubic")
-
     def test_small_angle_band(self):
         img = synthetic_carrier(0)
         out = rotate_attack(img, 2)
