@@ -229,6 +229,7 @@ class CiGenerator:
                                         self.c, rounds)
                 self.gen1.word, self.gen2.word = a, b
                 parts.append(emitted)
+        parts = [p for p in parts if p.size] or parts  # fresh rounds alone: no copy
         stream = np.concatenate(parts) if len(parts) > 1 else parts[0]
         # a copy, so the carried tail does not pin the whole stream
         self._pending = stream[nbits:].copy()

@@ -5,9 +5,9 @@ Every kernel is vectorised numpy; there is one implementation per job.
 
 The XORshift fill jumps ahead with cached byte tables of the round matrix
 raised to powers of two: short chains by doubling, long ones by stepping
-64-word lanes, whose starts the tables jump to, as one vector. The
+32-word lanes, whose starts the tables jump to, as one vector. The
 generator kernel XOR-reduces one-hot flip masks per round and accumulates
-the rounds, in chunks of about 2^20 flips, so its working memory beyond
+the rounds, in chunks of about 2^19 flips, so its working memory beyond
 the output is bounded for any stream length. See the comment above them.
 """
 
@@ -42,20 +42,25 @@ def xorshift_step(word: int) -> int:
 # by doubling: while h words are known, out[h:2h] = T^h(out[:h]).
 #
 # Fills of _LANE_MIN words or more run in blocks of _LANE_BLOCK words, each
-# split into K = ceil(len/64) lanes of 64 words. The lane starts are a T^64
-# chain filled by doubling with levels k+6, as (T^64)^(2^k) = T^(2^(k+6)).
-# The K lanes take 64 plain rounds as one uint32 vector, into a (64, K)
-# buffer whose transpose is the block. Shorter fills are faster by doubling.
+# split into K = ceil(len/L) lanes of L = _LANE words. The lane starts are a
+# T^L chain filled by doubling with levels k + log2(L), as
+# (T^L)^(2^k) = T^(2^(k + log2 L)). The K lanes take L plain rounds as one
+# uint32 vector, into an (L, K) buffer whose transpose is the block. Shorter
+# fills are faster by doubling.
 #
 # A generator round flips m >= 1 cells and emits the state, so each emitted
 # state is the initial state XOR the prefix XOR of one-hot flip masks
 # (1 << (63 - cell mod 64) in the state word cell // 64), XOR-reduced per
 # round (reduceat at each round's first flip) and then accumulated over
-# rounds. Chunks of about _CHUNK_FLIPS flips, in buffers allocated once per
-# call, bound the working memory beyond the rounds * N output.
+# rounds. The strategy word mod N is w - (w // N) * N: numpy floor-divides
+# by a scalar with libdivide (a multiply and shifts per element), which
+# makes the three passes about twice as fast as np.remainder. Chunks of
+# about _CHUNK_FLIPS flips, in buffers allocated once per call, bound the
+# working memory beyond the rounds * N output.
 # ---------------------------------------------------------------------------
 
-_CHUNK_FLIPS = 1 << 20
+_CHUNK_FLIPS = 1 << 19
+_LANE = 32  # words per lane, a power of two
 _LANE_MIN = 1 << 16  # shortest fill that steps lanes
 _LANE_BLOCK = 1 << 18  # words per lane block; keeps the transpose in cache
 _JUMP = ()  # _JUMP[k]: (4, 256) uint32 byte tables of T^(2^k)
@@ -121,20 +126,25 @@ def _xorshift_fill_np(state, out):
         out[0] = xorshift_step(int(state))
         _jump_chain(out, 0)
         return int(out[-1])
-    buf = np.empty((64, -(-min(n, _LANE_BLOCK) // 64)), dtype=np.uint32)
+    ln = _LANE
+    buf = np.empty((ln, -(-min(n, _LANE_BLOCK) // ln)), dtype=np.uint32)
+    tmp = np.empty(buf.shape[1], dtype=np.uint32)
     for s in range(0, n, _LANE_BLOCK):
         e = min(n, s + _LANE_BLOCK)
-        full, lanes = (e - s) // 64, buf[:, :-(-(e - s) // 64)]
-        prev = np.full(lanes.shape[1], state, dtype=np.uint32)
-        _jump_chain(prev, 6)  # lane starts
+        full, lanes = (e - s) // ln, buf[:, :-(-(e - s) // ln)]
+        t = tmp[:lanes.shape[1]]
+        prev = np.full(t.size, state, dtype=np.uint32)
+        _jump_chain(prev, ln.bit_length() - 1)  # lane starts
         for row in lanes:
             np.left_shift(prev, 13, out=row)
             row ^= prev
-            row ^= row >> 17
-            row ^= row << 5
+            np.right_shift(row, 17, out=t)
+            row ^= t
+            np.left_shift(row, 5, out=t)
+            row ^= t
             prev = row
-        out[s:s + 64 * full].reshape(full, 64)[...] = lanes[:, :full].T
-        out[s + 64 * full:e] = lanes[:e - s - 64 * full, full:].ravel()
+        out[s:s + ln * full].reshape(full, ln)[...] = lanes[:, :full].T
+        out[s + ln * full:e] = lanes[:e - s - ln * full, full:].ravel()
         state = int(out[e - 1])
     return state
 
@@ -160,7 +170,10 @@ def _ci_fill_np(xbits, s1, s2, c, out):
         flips = int(first[-1] + m[-1])
         cell, mask = cells[:flips], masks[:flips]
         s2 = _xorshift_fill_np(s2, cell)
-        np.remainder(cell, np.uint32(n), out=cell)
+        quot = masks.view(np.uint32)[:flips]  # free until the masks are made
+        np.floor_divide(cell, np.uint32(n), out=quot)
+        quot *= np.uint32(n)
+        cell -= quot
         states = np.empty((nw, r1 - r0), dtype=np.uint64)
         for w in range(nw):
             # a shift of 64 or more (or a wrapped negative one) gives 0, so

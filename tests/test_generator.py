@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,32 @@ class TestCiGenerator:
         ref = CiGenerator.from_seeds(0xDEADBEEF, 0xC0FFEE11, n_cells=n_cells)
         ref.bits(6_400_000)
         assert np.array_equal(g.bits(100), ref.bits(100))
+
+    def test_words_peak_is_stream_plus_chunk(self):
+        # words(500_000) at N = 32 emits 16M bits, one byte each, with no
+        # carried tail; beyond them only one ci_fill chunk's working set
+        # (about 7 MB) is live. One more copy of the stream would add 15 MB.
+        g = CiGenerator.from_seeds(0xDEADBEEF, 0xC0FFEE11, n_cells=32)
+        tracemalloc.start()
+        try:
+            words = g.words(500_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert words.size == 500_000 and g._pending.size == 0
+        assert peak - 32 * words.size < 9 * 2**20
+
+    @pytest.mark.parametrize("lead", [0, 64, 70])
+    def test_zero_bits_keeps_tail(self, lead):
+        # lead 0 and 64 leave no tail at N = 32; lead 70 leaves 26 bits
+        g = CiGenerator.from_seeds(0xABCD1234, 0x5678EF01, n_cells=32)
+        g.bits(lead)
+        tail = g._pending.copy()
+        none = g.bits(0)
+        assert none.dtype == np.uint8 and none.size == 0
+        assert np.array_equal(g._pending, tail) and tail.size == -lead % 32
+        ref = CiGenerator.from_seeds(0xABCD1234, 0x5678EF01, n_cells=32)
+        assert np.array_equal(g.bits(100), ref.bits(lead + 100)[lead:])
 
 
 class TestKthBitOracle:

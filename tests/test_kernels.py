@@ -24,14 +24,15 @@ from gf2_oracle import mat_pow_gf2, naive_rank
 
 seeds = st.integers(min_value=1, max_value=2**32 - 1)
 # lengths around the doubling boundaries of the fill, around the lane
-# threshold, around multiples of the 64-word lane length on the lane path,
-# and around the lane block size and its multiples
-_LANE_MIN, _LANE_BLOCK = kernels._LANE_MIN, kernels._LANE_BLOCK
+# threshold, around multiples of the lane length on the lane path, and
+# around the lane block size and its multiples
+_LANE, _LANE_MIN, _LANE_BLOCK = kernels._LANE, kernels._LANE_MIN, kernels._LANE_BLOCK
 edge_lengths = sorted(
     {0, 1}
     | {(1 << k) + d for k in range(1, 19) for d in (-1, 0, 1)}
     | {_LANE_MIN + d for d in (-1, 0, 1)}
-    | {64 * j + d for j in (_LANE_MIN // 64 + 1, 1500, _LANE_BLOCK // 64 + 1) for d in (-1, 1)}
+    | {_LANE * j + d for j in (_LANE_MIN // _LANE + 1, 3001, _LANE_BLOCK // _LANE + 1)
+       for d in (-1, 1)}
     | {_LANE_BLOCK * j + d for j in (1, 2, 3) for d in (-1, 0, 1)})
 
 
@@ -106,8 +107,10 @@ def scalar_sources(s1, s2, c, n):
 
 
 # (_LANE_MIN, _LANE_BLOCK) patched so that fills of a few hundred flips take
-# the lane path, with blocks that are and are not multiples of 64 words
-lane_settings = st.sampled_from([None, (1, 128), (64, 200), (300, 1000)])
+# the lane path, with blocks that are and are not multiples of the lane
+# length, and _LANE patched to other powers of two
+lane_settings = st.tuples(st.sampled_from([None, (1, 128), (64, 200), (300, 1000)]),
+                          st.sampled_from([8, 32, 64]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,8 +123,8 @@ lane_settings = st.sampled_from([None, (1, 128), (64, 200), (300, 1000)])
        data=st.data())
 def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, data):
     """ci_fill equals round-by-round iteration driven by scalar chains,
-    across many chunk boundaries of the numpy kernel and on either side of
-    the lane threshold of its strategy fills."""
+    across many chunk boundaries of the numpy kernel, on either side of the
+    lane threshold of its strategy fills and for any lane length."""
     c = 3 * n if c_scale is None else c_scale
     x0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                   dtype=np.uint8)
@@ -129,9 +132,10 @@ def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, data):
     ref = CiGenerator(x0, c=c, m_source=m_src, s_source=s_src)
     expected = [ref.round() for _ in range(rounds)]
 
-    lane_min, lane_block = lanes or (_LANE_MIN, _LANE_BLOCK)
+    thresholds, lane = lanes
+    lane_min, lane_block = thresholds or (_LANE_MIN, _LANE_BLOCK)
     xbits = x0.copy()
-    with mock.patch.multiple(kernels, _CHUNK_FLIPS=chunk, _LANE_MIN=lane_min,
+    with mock.patch.multiple(kernels, _CHUNK_FLIPS=chunk, _LANE=lane, _LANE_MIN=lane_min,
                              _LANE_BLOCK=lane_block):
         out, a, b = ci_fill(xbits, s1, s2, c, rounds)
     assert out.dtype == np.uint8 and out.size == rounds * n
@@ -182,7 +186,9 @@ def test_bits_split_equals_whole(n, a, b, s1, s2):
 
 def test_ci_fill_memory_bounded():
     """Working memory beyond the rounds * N output stays within one chunk's
-    arrays on a 300k-word stream (about 29M flips)."""
+    arrays on a 300k-word stream (about 29M flips): 2^19 flips of uint32
+    strategy words and uint64 masks (6 MB, the cell quotient reusing the
+    mask memory) and a 1 MB lane buffer."""
     rounds = 300_000
     tracemalloc.start()
     try:
@@ -191,7 +197,7 @@ def test_ci_fill_memory_bounded():
     finally:
         tracemalloc.stop()
     assert out.nbytes == rounds * 32
-    assert peak - out.nbytes < 48 * 2**20
+    assert peak - out.nbytes < 9 * 2**20
 
 
 def test_xorshift_full_period():
@@ -207,11 +213,13 @@ def test_xorshift_full_period():
 
 
 def test_jump_tables_match_matrix_powers():
-    """Level k of the jump cache is T^(2^k), including the levels k+6 that
-    jump lane starts by (T^64)^(2^k)."""
+    """Level k of the jump cache is T^(2^k), including every level
+    k + log2(_LANE) that jumps the lane starts of a block by (T^_LANE)^(2^k)."""
     tabs = kernels._jump_tables(25)
     cols = _xs_columns()
-    for k in (0, 1, 2, 6, 7, 12, 16, 18, 24):
+    shift = _LANE.bit_length() - 1
+    lane_levels = range(shift, shift + (_LANE_BLOCK // _LANE - 1).bit_length())
+    for k in sorted({0, 1, 2, 6, 7, 12, 16, 18, 24} | set(lane_levels)):
         expected = mat_pow_gf2(cols, 1 << k)
         got = [int(tabs[k][j // 8, 1 << (j % 8)]) for j in range(32)]
         assert got == expected, k
