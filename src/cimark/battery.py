@@ -55,7 +55,19 @@ class TestResult:
     passed: bool
     samples: int
     labels: list = None
-    words: int = 0  # words drawn from the source; set by run_battery
+    # set by run_battery: words drawn from the source, seconds spent drawing
+    # them, and seconds of the test's own work
+    words: int = 0
+    generate_seconds: float = 0.0
+    seconds: float = 0.0
+
+
+# Smallest count each test can run on: one sample or matrix, one 5-letter
+# word, one comparison between two reals, one spacing between two birthdays.
+_SMALLEST = dict(osum_samples=1, runs_samples=1, runs_length=2,
+                 birthday_samples=1, birthday_m=2, birthday_bits=1,
+                 cto_letters=5, rank68_samples=1, rank31_samples=1,
+                 rank32_samples=1)
 
 
 @dataclass
@@ -67,6 +79,8 @@ class BatteryConfig:
     significant byte of each word, rank31 rows its 31 most significant
     bits, and birthdays its low birthday_bits bits. epsilon must lie in
     (0, 0.5): outside it the two-tailed rule fails nothing or everything.
+    Every count is refused below the smallest value its test can run on
+    (`_SMALLEST`), before any word is drawn.
     """
 
     epsilon: float = DEFAULT_EPSILON
@@ -84,6 +98,13 @@ class BatteryConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < 0.5:  # also refuses NaN and infinities
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
+        for field, smallest in _SMALLEST.items():
+            if not getattr(self, field) >= smallest:
+                raise ValueError(f"{field} must be at least {smallest}, "
+                                 f"got {getattr(self, field)}")
+        if not self.birthday_bits <= 32:  # birthdays are bits of a 32-bit word
+            raise ValueError(f"birthday_bits must be at most 32, "
+                             f"got {self.birthday_bits}")
 
     @classmethod
     def canonical(cls, **overrides) -> "BatteryConfig":
@@ -129,19 +150,27 @@ class TestReport:
             f"epsilon={self.config.epsilon:g}  words={self.words_consumed}"
             + (f"  time={self.timestamp}" if self.timestamp else ""),
             "",
-            f"{'No.':<5}{'Test name':<28}{'p-value':<14}{'Verdict':<8}",
+            f"{'No.':<5}{'Test name':<28}{'p-value':<14}{'Verdict':<8}"
+            f"{'Generate s':>11}{'Test s':>9}",
         ]
         for i, name, p, res, _ in self.rows():
-            lines.append(f"{i:<5}{name:<28}{p:<14.6f}{res:<8}")
+            r = self.results[i - 1]
+            lines.append(f"{i:<5}{name:<28}{p:<14.6f}{res:<8}"
+                         f"{r.generate_seconds:>11.3f}{r.seconds:>9.3f}")
         passed = sum(r.passed for r in self.results)
+        generate = sum(r.generate_seconds for r in self.results)
+        test = sum(r.seconds for r in self.results)
         lines.append("")
         lines.append(f"Number of tests passed: {passed} / {len(self.results)}")
+        lines.append(f"Time: generate {generate:.2f} s, test {test:.2f} s")
         return "\n".join(lines)
 
     def render_csv(self) -> str:
-        lines = ["test,name,p_value,verdict,samples"]
+        lines = ["test,name,p_value,verdict,samples,generate_seconds,seconds"]
         for i, name, p, res, samples in self.rows():
-            lines.append(f"{i},{name},{p:.10g},{res},{samples}")
+            r = self.results[i - 1]
+            lines.append(f"{i},{name},{p:.10g},{res},{samples},"
+                         f"{r.generate_seconds:.6f},{r.seconds:.6f}")
         return "\n".join(lines)
 
     def to_json(self) -> str:
@@ -159,6 +188,8 @@ class TestReport:
                     "verdict": "pass" if r.passed else "fail",
                     "samples": r.samples,
                     "words": r.words,
+                    "generate_seconds": r.generate_seconds,
+                    "seconds": r.seconds,
                 }
                 for i, r in enumerate(self.results)
             ],
@@ -179,8 +210,8 @@ def overlapping_sums_test(src: BitStreamSource, samples: int = 100,
     cov = (window - np.abs(np.subtract.outer(np.arange(window), np.arange(window)))) / 12.0
     chol = np.linalg.cholesky(cov)
     trial_ps = []
-    for _ in range(samples):
-        u = src.reals(2 * window - 1, "Overlapping Sum")
+    reals = src.reals(samples * (2 * window - 1), "Overlapping Sum")
+    for u in reals.reshape(samples, -1):
         sums = np.convolve(u, np.ones(window), mode="valid")  # 100 overlapping sums
         z = np.linalg.solve(chol, sums - window / 2.0)
         probs = normal_cdf(z)
@@ -211,8 +242,7 @@ def runs_test(src: BitStreamSource, samples: int = 10, length: int = 10_000,
     """Run-length counts of ascending and descending runs, Knuth quadratic
     form per sequence, KS over the per-sequence p-values."""
     ups, downs = [], []
-    for _ in range(samples):
-        u = src.reals(length, "Runs")
+    for u in src.reals(samples * length, "Runs").reshape(samples, length):
         for direction, sink in (("up", ups), ("down", downs)):
             v = _runs_statistic(_run_length_counts(u, direction), length)
             sink.append(chi_square_pvalue(v, 6))
@@ -222,6 +252,13 @@ def runs_test(src: BitStreamSource, samples: int = 10, length: int = 10_000,
                       samples, labels=["Up 1", "Down 1"])
 
 
+def _duplicate_spacings(days: np.ndarray) -> np.ndarray:
+    """Per row of `days`, the spacings between its sorted birthdays that
+    repeat an equal spacing: their count less the count of distinct ones."""
+    spacings = np.sort(np.diff(np.sort(days, axis=1), axis=1), axis=1)
+    return (spacings[:, 1:] == spacings[:, :-1]).sum(axis=1)
+
+
 def birthday_spacings_test(src: BitStreamSource, m: int = 512, nbits: int = 24,
                            samples: int = 200,
                            epsilon: float = DEFAULT_EPSILON) -> TestResult:
@@ -229,11 +266,8 @@ def birthday_spacings_test(src: BitStreamSource, m: int = 512, nbits: int = 24,
     Poisson with mean m^3 / 2^(nbits+2); chi-square over `samples` trials.
     A birthday is the low nbits bits of a word."""
     lam = m ** 3 / 2.0 ** (nbits + 2)
-    dups = np.empty(samples, dtype=np.int64)
-    for t in range(samples):
-        days = src.words(m, "Birthday Spacing") & np.uint32((1 << nbits) - 1)
-        spacings = np.sort(np.diff(np.sort(days)))
-        dups[t] = spacings.size - np.unique(spacings).size
+    words = src.words(samples * m, "Birthday Spacing").reshape(samples, m)
+    dups = _duplicate_spacings(words & np.uint32((1 << nbits) - 1))
     # bin against the Poisson pmf, merging the tail to keep expected >= 5
     kmax = int(dups.max()) + 1
     probs = [math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) for k in range(kmax)]
@@ -341,9 +375,9 @@ def binary_rank_test(src: BitStreamSource, rows: int, cols: int,
 
 
 # The battery in run order, one row per test: the test's module-level name,
-# the words it draws from the source, and its arguments. Tests are looked up
-# by name when the battery runs, so a wrapper installed on the module sees
-# every call.
+# the words it draws from the source in one pull, and its arguments. Tests
+# are looked up by name when the battery runs, so a wrapper installed on the
+# module sees every call.
 _BATTERY = (
     ("overlapping_sums_test", lambda c: c.osum_samples * 199,
      lambda c: dict(samples=c.osum_samples)),
@@ -370,9 +404,13 @@ def run_battery(src: BitStreamSource, config: BatteryConfig = None) -> TestRepor
     cfg = config or BatteryConfig()
     results = []
     for name, _, args in _BATTERY:
-        before = src.consumed
+        consumed, pulled = src.consumed, src.pull_seconds
+        start = time.perf_counter()
         result = globals()[name](src, epsilon=cfg.epsilon, **args(cfg))
-        result.words = src.consumed - before
+        elapsed = time.perf_counter() - start
+        result.words = src.consumed - consumed
+        result.generate_seconds = src.pull_seconds - pulled
+        result.seconds = elapsed - result.generate_seconds
         results.append(result)
     return TestReport(
         results=results,

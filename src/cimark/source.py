@@ -9,6 +9,7 @@ a verdict.
 from __future__ import annotations
 
 import os
+import time
 import warnings
 
 import numpy as np
@@ -32,11 +33,14 @@ class BitStreamSource:
         self._pull = pull  # callable: n -> np.uint32 array of length <= n
         self._limit = limit
         self.consumed = 0
+        self.pull_seconds = 0.0  # time spent inside `pull`
 
     def words(self, n: int, test_name: str = "test") -> np.ndarray:
         if self._limit is not None and self.consumed + n > self._limit:
             raise InsufficientDataError(test_name, n, self._limit - self.consumed)
+        start = time.perf_counter()
         out = self._pull(n)
+        self.pull_seconds += time.perf_counter() - start
         if out.size < n:
             raise InsufficientDataError(test_name, n, self.consumed + out.size)
         self.consumed += n

@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cimark.battery import (
     BatteryConfig,
     _BATTERY,
+    _SMALLEST,
+    _duplicate_spacings,
     _letters_from_bytes,
     battery_word_budget,
     binary_rank_test,
@@ -27,6 +30,11 @@ def reference_source(seed=0, limit=None):
         lambda n: rng.integers(0, 2**32, size=n, dtype=np.uint32),
         limit=limit,
     )
+
+
+def untimed(csv: str) -> list:
+    """CSV rows without their two timing columns."""
+    return [row.rsplit(",", 2)[0] for row in csv.splitlines()]
 
 
 def constant_source(word, limit=None):
@@ -68,6 +76,21 @@ class TestIndividualTests:
 
     def test_birthday_reference_passes(self):
         assert birthday_spacings_test(reference_source(3), samples=200).passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(nbits=st.integers(min_value=1, max_value=8),
+           m=st.integers(min_value=2, max_value=40),
+           samples=st.integers(min_value=1, max_value=6),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_duplicate_spacings_match_unique(self, nbits, m, samples, seed):
+        # few days and many birthdays, so that equal spacings are common
+        rng = np.random.Generator(np.random.PCG64(seed))
+        days = rng.integers(0, 2**nbits, size=(samples, m), dtype=np.uint32)
+        expected = []
+        for row in days:
+            spacings = np.sort(np.diff(np.sort(row)))
+            expected.append(spacings.size - np.unique(spacings).size)
+        assert _duplicate_spacings(days).tolist() == expected
 
     def test_birthday_constant_fails(self):
         r = birthday_spacings_test(constant_source(0xAAAAAAAA), samples=100)
@@ -181,19 +204,33 @@ class TestBattery:
         data = rng.integers(0, 2**32, size=budget, dtype=np.uint32).astype(">u4").tobytes()
         rep1 = run_battery(BitStreamSource.from_bytes(data, "blob"))
         rep2 = run_battery(BitStreamSource.from_bytes(data, "blob"))
-        assert rep1.render_csv() == rep2.render_csv()
+        assert untimed(rep1.render_csv()) == untimed(rep2.render_csv())
 
     def test_report_counts_and_renderings(self):
         report = run_battery(reference_source(10))
         assert len(report.results) == 8
         assert all(0.0 <= p <= 1.0 for r in report.results for p in r.p_values)
+        # every test spent time on its pull and on its own work
+        assert all(r.generate_seconds > 0 and r.seconds > 0 for r in report.results)
+        generate = sum(r.generate_seconds for r in report.results)
+        test = sum(r.seconds for r in report.results)
         table = report.render_table()
         assert "Number of tests passed: 8 / 8" in table
+        assert table.splitlines()[-1] == \
+            f"Time: generate {generate:.2f} s, test {test:.2f} s"
+        first = report.results[0]
+        assert table.splitlines()[4].endswith(
+            f"{first.generate_seconds:>11.3f}{first.seconds:>9.3f}")
         csv = report.render_csv()
-        assert csv.splitlines()[0] == "test,name,p_value,verdict,samples"
+        assert csv.splitlines()[0] == \
+            "test,name,p_value,verdict,samples,generate_seconds,seconds"
         assert len(csv.splitlines()) == 1 + 9  # runs contributes two rows
+        assert csv.splitlines()[1].endswith(
+            f",{first.generate_seconds:.6f},{first.seconds:.6f}")
         payload = json.loads(report.to_json())
         assert payload["results"][0]["name"] == "Overlapping Sum"
+        assert [(r["generate_seconds"], r["seconds"]) for r in payload["results"]] \
+            == [(r.generate_seconds, r.seconds) for r in report.results]
         assert payload["config"]["epsilon"] == 1e-4
 
     def test_word_budget_matches_consumption(self):
@@ -213,11 +250,23 @@ class TestBattery:
                           "rank32_samples")})
         else:
             cfg = getattr(BatteryConfig, profile)()
-        report = run_battery(BitStreamSource.from_generator(XorShift32(0x2468ACE0)), cfg)
+        gen = XorShift32(0x2468ACE0)
+        pulled = []  # (array handed out, a copy of it)
+
+        def pull(n):
+            out = gen.fill(n)
+            pulled.append((out, out.copy()))
+            return out
+
+        report = run_battery(BitStreamSource("recording", pull), cfg)
         words = [r.words for r in report.results]
         assert all(w > 0 for w in words)
-        # each test drew exactly its own row's budget, not only the total
+        # each test drew exactly its own row's budget, not only the total,
+        # in one pull
         assert words == [budget(cfg) for _, budget, _ in _BATTERY]
+        assert [out.size for out, _ in pulled] == words
+        # no test wrote to the words it was handed
+        assert all(np.array_equal(out, copy) for out, copy in pulled)
         assert sum(words) == report.words_consumed == battery_word_budget(cfg)
         payload = json.loads(report.to_json())
         assert [r["words"] for r in payload["results"]] == words
@@ -244,6 +293,24 @@ class TestBattery:
             BatteryConfig(epsilon=eps)
         with pytest.raises(ValueError):
             BatteryConfig.canonical(epsilon=eps)
+
+    @pytest.mark.parametrize("field", sorted(_SMALLEST))
+    def test_counts_below_smallest_rejected(self, field):
+        # zero samples used to fail after drawing words, or to give NaN "fail"s
+        for value in (_SMALLEST[field] - 1, 0, -1):
+            with pytest.raises(ValueError, match=f"{field} must be at least"):
+                BatteryConfig(**{field: value})
+            with pytest.raises(ValueError, match=f"{field} must be at least"):
+                BatteryConfig.canonical(**{field: value})
+
+    def test_birthday_bits_above_word_rejected(self):
+        with pytest.raises(ValueError, match="birthday_bits must be at most 32"):
+            BatteryConfig(birthday_bits=33)
+
+    def test_smallest_counts_run(self):
+        report = run_battery(reference_source(12), BatteryConfig(**_SMALLEST))
+        assert all(np.isfinite(p) for r in report.results for p in r.p_values)
+        assert report.words_consumed == 199 + 2 + 2 + 2 + 6 + 31 + 32 + 5
 
 
 class TestFileSource:
