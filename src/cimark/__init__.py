@@ -12,7 +12,6 @@ from .generator import (
 from .battery import BatteryConfig, TestReport, TestResult, run_battery
 from .source import BitStreamSource, InsufficientDataError
 from .watermark import (
-    CoefficientSpec,
     EmbeddingKey,
     embed,
     extract,
@@ -27,7 +26,6 @@ __all__ = [
     "BatteryConfig",
     "BitStreamSource",
     "CiGenerator",
-    "CoefficientSpec",
     "EmbeddingKey",
     "InsufficientDataError",
     "NUMBA_ENABLED",

@@ -283,11 +283,6 @@ def birthday_spacings_test(src: BitStreamSource, m: int = 512, nbits: int = 24,
     return TestResult("Birthday Spacing", [p], verdict([p], epsilon), samples)
 
 
-def _letters_from_bytes(b: np.ndarray) -> np.ndarray:
-    """int64 popcount classes (<=2, 3, 4, 5, >=6 ones -> 0..4) of uint8 bytes."""
-    return _BYTE_LETTER[b]
-
-
 def _cto_statistic(letters: np.ndarray) -> tuple[float, int]:
     l64 = letters.astype(np.int64, copy=False)
     code4 = ((l64[:-3] * 5 + l64[1:-2]) * 5 + l64[2:-1]) * 5 + l64[3:]
@@ -323,7 +318,7 @@ def count_the_ones_test(src: BitStreamSource, variant: str = "stream",
         name = "Count the ones 2"
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    stat, dof = _cto_statistic(_letters_from_bytes(b))
+    stat, dof = _cto_statistic(_BYTE_LETTER[b])
     # Q5-Q4 can come out slightly negative on clean data; clamp for the tail
     p = chi_square_pvalue(max(stat, 0.0), dof)
     return TestResult(name, [p], verdict([p], epsilon), letters)

@@ -157,10 +157,9 @@ class CiGenerator:
             raise ValueError("need seed2 or an injected s_source")
 
     @classmethod
-    def from_seeds(cls, seed1: int, seed2: int, n_cells: int = 32, c: int = None,
-                   x0=None, emit_seed_first: bool = False) -> "CiGenerator":
-        return cls(x0, seed1, seed2, n_cells=n_cells if x0 is None else None,
-                   c=c, emit_seed_first=emit_seed_first)
+    def from_seeds(cls, seed1: int, seed2: int, n_cells: int = 32,
+                   c: int = None) -> "CiGenerator":
+        return cls(None, seed1, seed2, n_cells=n_cells, c=c)
 
     @property
     def injected(self) -> bool:

@@ -1,6 +1,7 @@
 """Bit-plane watermarking driven by the chaotic-iterations machinery.
 
-The carrier is split into most/least significant bit planes (MSCs/LSCs).
+The carrier is split into most/least significant bit planes (MSCs, bits
+7-4; LSCs, bits 2-0).
 The watermark is mixed by chaotic iterations keyed by two XORshift seeds,
 then written into LSC addresses produced by the doubling recurrence
 
@@ -28,21 +29,10 @@ FOLD_INIT = 0x811C9DC5  # nonzero so the all-zero MSC plane still digests
 # Largest modulus whose address scan stays in int64: (M - 1) + (M - 1)^2 < 2^63.
 _SCAN_INT64_MAX_M = 1 << 31
 
-
-@dataclass(frozen=True)
-class CoefficientSpec:
-    """Which bit planes are authenticated content (MSCs) and which carry the
-    payload (LSCs). Planes are bit indices, 7 = most significant."""
-
-    msc_bits: tuple = (7, 6, 5, 4)
-    lsc_bits: tuple = (2, 1, 0)
-
-    def __post_init__(self):
-        if set(self.msc_bits) & set(self.lsc_bits):
-            raise ValueError("a bit plane cannot be both MSC and LSC")
-        for b in self.msc_bits + self.lsc_bits:
-            if not 0 <= b <= 7:
-                raise ValueError("bit planes must be in [0, 7]")
+# Bit planes, 7 = most significant. The MSCs are the authenticated content,
+# the LSCs carry the payload, and plane 3 passes through untouched.
+MSC_BITS = (7, 6, 5, 4)
+LSC_BITS = (2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -72,7 +62,7 @@ class EmbeddingKey:
             raise ValueError("repetition must be >= 1")
 
 
-def split_coefficients(img, spec: CoefficientSpec = CoefficientSpec()):
+def split_coefficients(img):
     """Linearize the MSC and LSC planes: pixels in row-major order, selected
     bits most significant first within each pixel."""
     a = np.asarray(img)
@@ -81,30 +71,19 @@ def split_coefficients(img, spec: CoefficientSpec = CoefficientSpec()):
     flat = a.reshape(-1)
 
     def planes(bits):
-        cols = [(flat >> np.uint8(b)) & np.uint8(1) for b in sorted(bits, reverse=True)]
+        cols = [(flat >> np.uint8(b)) & np.uint8(1) for b in bits]
         return np.stack(cols, axis=1).reshape(-1)
 
-    return planes(spec.msc_bits), planes(spec.lsc_bits)
+    return planes(MSC_BITS), planes(LSC_BITS)
 
 
-def merge_coefficients(msc, lsc, spec: CoefficientSpec, base):
-    """Exact inverse of split_coefficients: writes the MSC/LSC planes back
-    over `base`, whose untouched bit planes carry through unchanged."""
+def merge_coefficients(lsc, base):
+    """Inverse of split_coefficients on the LSC planes: writes `lsc` into
+    bits 2-0 of `base`, whose MSCs and plane 3 carry through unchanged."""
     a = np.asarray(base)
-    h, w = a.shape
-    keep = 0xFF
-    for b in spec.msc_bits + spec.lsc_bits:
-        keep &= ~(1 << b)
-    out = a.reshape(-1) & np.uint8(keep)
-
-    def scatter(seq, bits):
-        cols = np.asarray(seq, dtype=np.uint8).reshape(h * w, len(bits))
-        for i, b in enumerate(sorted(bits, reverse=True)):
-            np.bitwise_or(out, cols[:, i] << np.uint8(b), out=out)
-
-    scatter(msc, spec.msc_bits)
-    scatter(lsc, spec.lsc_bits)
-    return out.reshape(h, w)
+    bits = np.asarray(lsc, dtype=np.uint8).reshape(-1, 3)
+    payload = bits[:, 0] << 2 | bits[:, 1] << 1 | bits[:, 2]
+    return ((a.reshape(-1) & np.uint8(0xF8)) | payload).reshape(a.shape)
 
 
 def fold_digest(bits) -> int:
@@ -229,30 +208,27 @@ def _key_stream(derived, mix: str, n: int, m_total: int, count: int):
     return mask, addresses
 
 
-def embed(carrier, wm, key: EmbeddingKey,
-          spec: CoefficientSpec = CoefficientSpec()) -> np.ndarray:
+def embed(carrier, wm, key: EmbeddingKey) -> np.ndarray:
     """Write the mixed watermark into key-addressed LSCs. MSC planes are
     bit-identical to the carrier's afterwards."""
     wm_bits = np.asarray(wm, dtype=np.uint8).reshape(-1) & 1
     n = wm_bits.size
-    msc, lsc = split_coefficients(carrier, spec)
+    msc, lsc = split_coefficients(carrier)
     r = key.repetition
     derived = derive_strategy_seed(key, msc)
     mask, addresses = _key_stream(derived, key.mix, n, lsc.size, r * n)
-    out_lsc = lsc.copy()
-    out_lsc[addresses] = np.tile(wm_bits ^ mask, r)
-    return merge_coefficients(msc, out_lsc, spec, carrier)
+    lsc[addresses] = np.tile(wm_bits ^ mask, r)
+    return merge_coefficients(lsc, carrier)
 
 
-def extract(img, key: EmbeddingKey, spec: CoefficientSpec = CoefficientSpec(),
-            wm_dims: tuple = (64, 64)) -> np.ndarray:
+def extract(img, key: EmbeddingKey, wm_dims: tuple = (64, 64)) -> np.ndarray:
     """Recover the watermark: re-derive the strategy from the image's MSCs,
     re-generate the addresses, read, majority-vote repeats, unmix."""
     h, w = wm_dims
     if h < 1 or w < 1:
         raise ValueError(f"watermark dimensions must be positive, got {w}x{h}")
     n = h * w
-    msc, lsc = split_coefficients(img, spec)
+    msc, lsc = split_coefficients(img)
     r = key.repetition
     derived = derive_strategy_seed(key, msc)
     mask, addresses = _key_stream(derived, key.mix, n, lsc.size, r * n)
@@ -280,7 +256,6 @@ ATTACKS = {
 
 
 def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
-                     spec: CoefficientSpec = CoefficientSpec(),
                      noise_seed: int = 0x5EED) -> list:
     """Embed, attack, extract, and score every attack cell in both modes.
 
@@ -297,11 +272,11 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     if not attacks:
         return []
     keys = [EmbeddingKey(seed1, seed2, mode=mode) for mode in ("unauth", "auth")]
-    marked = [embed(carrier, wm, key, spec) for key in keys]
+    marked = [embed(carrier, wm, key) for key in keys]
     rows = []
     for kind, param in attacks:
         for key, image in zip(keys, marked):
             attacked = ATTACKS[kind](image, param, noise_seed)
-            recovered = extract(attacked, key, spec, wm.shape)
+            recovered = extract(attacked, key, wm.shape)
             rows.append((kind, param, key.mode, similarity(wm, recovered)))
     return rows

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from cimark.battery import (
     BatteryConfig,
     _BATTERY,
+    _BYTE_LETTER,
     _SMALLEST,
     _duplicate_spacings,
-    _letters_from_bytes,
     battery_word_budget,
     binary_rank_test,
     birthday_spacings_test,
@@ -107,7 +107,7 @@ class TestIndividualTests:
     def test_letters_match_popcount_classes(self):
         b = np.arange(256, dtype=np.uint8)
         popcount = np.array([bin(v).count("1") for v in range(256)])
-        assert np.array_equal(_letters_from_bytes(b), np.clip(popcount, 2, 6) - 2)
+        assert np.array_equal(_BYTE_LETTER[b], np.clip(popcount, 2, 6) - 2)
 
     def test_cto_rejects_unknown_variant(self):
         with pytest.raises(ValueError):

@@ -111,13 +111,6 @@ class TestGen:
 
 
 class TestTest:
-    def test_ci_generator_passes(self, capsys):
-        rc = main(["test", "--gen", "ci", "--seed1", "13579BDF",
-                   "--seed2", "2468ACE0"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "Number of tests passed: 8 / 8" in out
-
     def test_xorshift_fails_named_rows(self, capsys):
         rc = main(["test", "--gen", "xorshift", "--seed1", "13579BDF",
                    "--format", "csv"])

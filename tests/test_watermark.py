@@ -17,7 +17,6 @@ from cimark.imaging import (
 )
 from cimark.watermark import (
     FOLD_INIT,
-    CoefficientSpec,
     EmbeddingKey,
     derive_strategy_seed,
     embed,
@@ -69,21 +68,6 @@ def distinct_addresses_reference(s, m_total, count):
     raise RuntimeError("address generation did not converge")
 
 
-class TestCoefficientSpec:
-    def test_default_planes(self):
-        spec = CoefficientSpec()
-        assert spec.msc_bits == (7, 6, 5, 4)
-        assert spec.lsc_bits == (2, 1, 0)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            CoefficientSpec(msc_bits=(7, 6, 5), lsc_bits=(5, 1, 0))
-
-    def test_bad_plane_rejected(self):
-        with pytest.raises(ValueError):
-            CoefficientSpec(msc_bits=(8,), lsc_bits=(0,))
-
-
 class TestSplitMerge:
     def test_lsc_count_for_256_image(self):
         img = synthetic_carrier(0)
@@ -99,26 +83,24 @@ class TestSplitMerge:
 
     def test_split_merge_identity_100_random(self):
         rng = np.random.default_rng(21)
-        spec = CoefficientSpec()
         for _ in range(100):
             h = int(rng.integers(1, 24))
             w = int(rng.integers(1, 24))
             img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-            msc, lsc = split_coefficients(img, spec)
-            assert np.array_equal(merge_coefficients(msc, lsc, spec, img), img)
+            _, lsc = split_coefficients(img)
+            assert np.array_equal(merge_coefficients(lsc, img), img)
 
     def test_merge_overwrites_covered_planes_only(self):
         rng = np.random.default_rng(22)
-        spec = CoefficientSpec()
         img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        msc, lsc = split_coefficients(img, spec)
+        _, lsc = split_coefficients(img)
         other = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        merged = merge_coefficients(msc, lsc, spec, other)
-        # plane 3 comes from the base image, everything else from the planes
-        assert np.array_equal(merged & np.uint8(0b00001000),
-                              other & np.uint8(0b00001000))
-        assert np.array_equal(merged & np.uint8(0b11110111),
-                              img & np.uint8(0b11110111))
+        merged = merge_coefficients(lsc, other)
+        # MSCs and plane 3 come from the base image, the LSCs from `lsc`
+        assert np.array_equal(merged & np.uint8(0b11111000),
+                              other & np.uint8(0b11111000))
+        assert np.array_equal(merged & np.uint8(0b00000111),
+                              img & np.uint8(0b00000111))
 
 
 class TestFoldAndSeeds:
