@@ -2,7 +2,6 @@
 
 from .generator import (
     CiGenerator,
-    StrategyTrace,
     XorShift32,
     chaotic_iterate,
     kth_bit_oracle,
@@ -29,7 +28,6 @@ __all__ = [
     "EmbeddingKey",
     "InsufficientDataError",
     "NUMBA_ENABLED",
-    "StrategyTrace",
     "TestReport",
     "TestResult",
     "XorShift32",

@@ -19,11 +19,15 @@ import numpy as np
 
 from . import battery as bat
 from . import imaging, watermark
-from .generator import CiGenerator, XorShift32, seed_from_time
+from .generator import (CiGenerator, XorShift32, chaotic_iterate, seed_from_time,
+                        vector_negation)
 from .source import BitStreamSource, InsufficientDataError
 
-_EXAMPLE_M = (4, 5, 4)
+# The paper's worked example: x^0 and the strategy S, read at x^0 and after
+# each chunk of m = 4, 5, 4 flips.
+_EXAMPLE_X0 = (1, 0, 1, 0, 0)
 _EXAMPLE_S = (2, 4, 2, 2, 5, 1, 1, 5, 5, 3, 2, 3, 3)
+_EXAMPLE_READS = (0, 4, 9, 13)
 
 # `gen` produces and writes its output in pieces of this many bits (a
 # multiple of 32, so raw XORshift words and packed bytes never straddle two
@@ -158,9 +162,8 @@ def _gen_chunk(gen, nbits: int, raw: bool) -> bytes:
 
 def cmd_gen(args) -> int:
     if args.example_trace:
-        gen = CiGenerator((1, 0, 1, 0, 0), emit_seed_first=True,
-                          m_source=_EXAMPLE_M, s_source=_EXAMPLE_S)
-        print("".join(map(str, gen.bits(20))))
+        states = chaotic_iterate(_EXAMPLE_X0, vector_negation, _EXAMPLE_S, len(_EXAMPLE_S))
+        print("".join(str(b) for t in _EXAMPLE_READS for b in states[t]))
         return 0
     if (args.bits is None) == (args.nbytes is None):
         raise SystemExit2("exactly one of --bits/--bytes is required")

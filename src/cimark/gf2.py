@@ -5,24 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def pack_rows(matrix: np.ndarray) -> np.ndarray:
-    """Pack a 2-D 0/1 matrix into one uint64 per row (bit j = column j)."""
-    m = np.asarray(matrix)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    rows, cols = m.shape
-    if cols > 64:
-        raise ValueError("at most 64 columns supported")
-    weights = (np.uint64(1) << np.arange(cols, dtype=np.uint64))
-    return ((m.astype(np.uint64) & 1) * weights).sum(axis=1, dtype=np.uint64)
-
-
-def gf2_rank(matrix: np.ndarray) -> int:
-    """Rank of a 0/1 matrix over GF(2); the input is left untouched."""
-    m = np.asarray(matrix)
-    return int(gf2_rank_many(pack_rows(m)[None, :], m.shape[0], m.shape[1])[0])
-
-
 def gf2_rank_many(packed: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
     """GF(2) ranks of a batch of bit-packed matrices, shape (count, nrows),
     of any unsigned integer dtype; bit j of a row = column j. The input is

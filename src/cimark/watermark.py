@@ -62,23 +62,19 @@ class EmbeddingKey:
             raise ValueError("repetition must be >= 1")
 
 
-def split_coefficients(img):
-    """Linearize the MSC and LSC planes: pixels in row-major order, selected
-    bits most significant first within each pixel."""
+def coefficient_planes(img, bits):
+    """Linearize the bit planes `bits` (MSC_BITS or LSC_BITS): pixels in
+    row-major order, selected bits most significant first within each pixel."""
     a = np.asarray(img)
     if a.ndim != 2 or a.dtype != np.uint8:
         raise ValueError("expected a 2-D uint8 image")
     flat = a.reshape(-1)
-
-    def planes(bits):
-        cols = [(flat >> np.uint8(b)) & np.uint8(1) for b in bits]
-        return np.stack(cols, axis=1).reshape(-1)
-
-    return planes(MSC_BITS), planes(LSC_BITS)
+    cols = [(flat >> np.uint8(b)) & np.uint8(1) for b in bits]
+    return np.stack(cols, axis=1).reshape(-1)
 
 
 def merge_coefficients(lsc, base):
-    """Inverse of split_coefficients on the LSC planes: writes `lsc` into
+    """Inverse of coefficient_planes(base, LSC_BITS): writes `lsc` into
     bits 2-0 of `base`, whose MSCs and plane 3 carry through unchanged."""
     a = np.asarray(base)
     bits = np.asarray(lsc, dtype=np.uint8).reshape(-1, 3)
@@ -107,8 +103,8 @@ def fold_digest(bits) -> int:
 
 def derive_strategy_seed(key: EmbeddingKey, msc) -> tuple:
     """Seeds actually driving mixture and addressing. Unauthenticated mode
-    passes the key seeds through; authenticated mode folds in the MSC
-    digest so both seeds move when any MSC bit does."""
+    passes the key seeds through and never reads `msc`; authenticated mode
+    folds in the MSC digest so both seeds move when any MSC bit does."""
     if key.mode == "unauth":
         return seed_word(key.seed1), seed_word(key.seed2)
     digest = fold_digest(msc)
@@ -208,14 +204,20 @@ def _key_stream(derived, mix: str, n: int, m_total: int, count: int):
     return mask, addresses
 
 
+def _read_carrier(img, key: EmbeddingKey) -> tuple:
+    """The LSC planes of `img` and the seeds of its key schedule. Only
+    authenticated mode builds the MSC planes, to digest them."""
+    msc = coefficient_planes(img, MSC_BITS) if key.mode == "auth" else None
+    return coefficient_planes(img, LSC_BITS), derive_strategy_seed(key, msc)
+
+
 def embed(carrier, wm, key: EmbeddingKey) -> np.ndarray:
     """Write the mixed watermark into key-addressed LSCs. MSC planes are
     bit-identical to the carrier's afterwards."""
     wm_bits = np.asarray(wm, dtype=np.uint8).reshape(-1) & 1
     n = wm_bits.size
-    msc, lsc = split_coefficients(carrier)
+    lsc, derived = _read_carrier(carrier, key)
     r = key.repetition
-    derived = derive_strategy_seed(key, msc)
     mask, addresses = _key_stream(derived, key.mix, n, lsc.size, r * n)
     lsc[addresses] = np.tile(wm_bits ^ mask, r)
     return merge_coefficients(lsc, carrier)
@@ -228,9 +230,8 @@ def extract(img, key: EmbeddingKey, wm_dims: tuple = (64, 64)) -> np.ndarray:
     if h < 1 or w < 1:
         raise ValueError(f"watermark dimensions must be positive, got {w}x{h}")
     n = h * w
-    msc, lsc = split_coefficients(img)
+    lsc, derived = _read_carrier(img, key)
     r = key.repetition
-    derived = derive_strategy_seed(key, msc)
     mask, addresses = _key_stream(derived, key.mix, n, lsc.size, r * n)
     votes = lsc[addresses].reshape(r, n).sum(axis=0)
     mixed = (2 * votes >= r).astype(np.uint8)

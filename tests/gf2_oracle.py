@@ -1,7 +1,10 @@
-"""GF(2) references shared by the gf2 and kernel tests: cell-by-cell rank,
-and 32x32 matrix products and powers on lists of column words."""
+"""GF(2) references shared by the gf2, kernel and acceptance tests:
+cell-by-cell rank, 32x32 matrix products and powers on lists of column
+words, and a one-matrix front end to `gf2_rank_many`."""
 
 import numpy as np
+
+from cimark.gf2 import gf2_rank_many
 
 
 def naive_rank(matrix) -> int:
@@ -48,3 +51,21 @@ def mat_pow_gf2(a, e):
         base = mat_mul_gf2(base, base)
         e >>= 1
     return result
+
+
+def pack_rows(matrix: np.ndarray) -> np.ndarray:
+    """Pack a 2-D 0/1 matrix into one uint64 per row (bit j = column j)."""
+    m = np.asarray(matrix)
+    if m.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    rows, cols = m.shape
+    if cols > 64:
+        raise ValueError("at most 64 columns supported")
+    weights = (np.uint64(1) << np.arange(cols, dtype=np.uint64))
+    return ((m.astype(np.uint64) & 1) * weights).sum(axis=1, dtype=np.uint64)
+
+
+def gf2_rank(matrix: np.ndarray) -> int:
+    """Rank of a 0/1 matrix over GF(2); the input is left untouched."""
+    m = np.asarray(matrix)
+    return int(gf2_rank_many(pack_rows(m)[None, :], m.shape[0], m.shape[1])[0])

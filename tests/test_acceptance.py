@@ -10,8 +10,14 @@ import numpy as np
 import pytest
 
 from cimark.battery import BatteryConfig, run_battery
-from cimark.generator import CiGenerator, XorShift32, kth_bit_oracle, vector_negation
-from cimark.gf2 import gf2_rank, rank_distribution
+from cimark.generator import (
+    CiGenerator,
+    XorShift32,
+    chaotic_iterate,
+    kth_bit_oracle,
+    vector_negation,
+)
+from cimark.gf2 import rank_distribution
 from cimark.imaging import (
     load_pbm,
     load_pgm,
@@ -20,6 +26,7 @@ from cimark.imaging import (
     synthetic_carrier,
     synthetic_watermark,
 )
+from cimark.kernels import ci_fill, xorshift_step
 from cimark.source import BitStreamSource
 from cimark.watermark import (
     EmbeddingKey,
@@ -29,10 +36,13 @@ from cimark.watermark import (
     robustness_sweep,
     similarity,
 )
+from gf2_oracle import gf2_rank, naive_rank
 
+# The paper's worked example: m = 4, 5, 4, so the states are read at x^0
+# and after each chunk, at x^4, x^9 and x^13.
 EXAMPLE_X0 = (1, 0, 1, 0, 0)
-EXAMPLE_M = (4, 5, 4)
 EXAMPLE_S = (2, 4, 2, 2, 5, 1, 1, 5, 5, 3, 2, 3, 3)
+EXAMPLE_READS = (0, 4, 9, 13)
 
 SWEEP_KEY1, SWEEP_KEY2 = 0x1111AAAA, 0x2222BBBB
 SWEEP_NOISE_SEED = 0x5EED
@@ -70,16 +80,17 @@ def sweep_rows():
     return {(kind, param, mode): sim for kind, param, mode, sim in rows}
 
 
-def make_example():
-    return CiGenerator(EXAMPLE_X0, emit_seed_first=True,
-                       m_source=EXAMPLE_M, s_source=EXAMPLE_S)
+def example_states():
+    """The worked example's chunk-end states x^4, x^9, x^13, after x^0."""
+    states = chaotic_iterate(EXAMPLE_X0, vector_negation, EXAMPLE_S, len(EXAMPLE_S))
+    return [states[t] for t in EXAMPLE_READS]
 
 
 class TestCriterion1WorkedExample:
     def test_bit_exact_output(self, warm_kernels):
-        make_example().bits(20)  # warm python path
-        (bits, elapsed) = timed(lambda: make_example().bits(20))
-        text = "".join(map(str, bits))
+        example_states()  # warm python path
+        (states, elapsed) = timed(example_states)
+        text = "".join(str(b) for state in states for b in state)
         ok = text == "10100111101111110011" and elapsed < 1e-3
         assert report(1, ok, f"worked-example bits {text} ({elapsed * 1e3:.3f} ms < 1 ms)")
 
@@ -87,8 +98,7 @@ class TestCriterion1WorkedExample:
 class TestCriterion2IntermediateStates:
     def test_states_exact(self, warm_kernels):
         def run():
-            g = make_example()
-            return [g.round() for _ in range(3)]
+            return example_states()[1:]
 
         run()
         states, elapsed = timed(run)
@@ -223,24 +233,33 @@ class TestCriterion7PropertySuites:
                       f"round parity over 10^4 rounds ({elapsed:.1f} s < 60 s)")
 
     def test_formal_engine_equivalence(self, warm_kernels):
+        def chain(word, count):
+            out = []
+            for _ in range(count):
+                word = xorshift_step(word)
+                out.append(word)
+            return np.array(out, dtype=np.int64)
+
         def run():
             rng = np.random.default_rng(7)
-            from cimark.generator import chaotic_iterate
-
             for _ in range(1000):
                 n = int(rng.integers(2, 17))
-                m = int(rng.integers(1, 64))
+                c = int(rng.integers(1, 64))
+                rounds = int(rng.integers(1, 4))
+                s1, s2 = (int(v) for v in rng.integers(1, 2**32, size=2))
                 x0 = rng.integers(0, 2, size=n, dtype=np.uint8)
-                strat = rng.integers(1, n + 1, size=m)
-                ref = chaotic_iterate(x0, vector_negation, strat, m)[-1]
-                got = CiGenerator(x0, m_source=(m,), s_source=strat).round()
+                ends = np.cumsum((chain(s1, rounds) & 1) + c)
+                strat = chain(s2, int(ends[-1])) % n + 1
+                states = chaotic_iterate(x0, vector_negation, strat, len(strat))
+                ref = np.concatenate([states[t] for t in ends])
+                got, _, _ = ci_fill(x0.copy(), s1, s2, c, rounds)
                 if not np.array_equal(got, ref):
                     return False
             return True
 
         ok, elapsed = timed(run)
         assert report(7, ok and elapsed < 60,
-                      f"chaotic_iterate == ci_round, 10^3 trials ({elapsed:.1f} s < 60 s)")
+                      f"chaotic_iterate == ci_fill, 10^3 trials ({elapsed:.1f} s < 60 s)")
 
     def test_kth_bit_oracle_sweep(self, warm_kernels):
         def run():
@@ -276,25 +295,6 @@ class TestCriterion7PropertySuites:
                       f"({elapsed:.1f} s < 60 s)")
 
     def test_rank_oracle_10k_matrices(self, warm_kernels):
-        def naive_rank(matrix):
-            m = matrix.copy()
-            nrows, ncols = m.shape
-            rank = 0
-            for col in range(ncols):
-                piv = None
-                for row in range(rank, nrows):
-                    if m[row, col]:
-                        piv = row
-                        break
-                if piv is None:
-                    continue
-                m[[rank, piv]] = m[[piv, rank]]
-                for row in range(nrows):
-                    if row != rank and m[row, col]:
-                        m[row] ^= m[rank]
-                rank += 1
-            return rank
-
         def run():
             rng = np.random.default_rng(9)
             mats = rng.integers(0, 2, size=(10_000, 8, 8), dtype=np.uint8)

@@ -101,6 +101,9 @@ class TestGen:
                      "--seed-from-time", "484084", "--emit-seed-first",
                      "--bits", "8", "--out", str(out)]) == 0
         assert "x0=10100" in capsys.readouterr().err
+        bits = np.unpackbits(np.frombuffer(out.read_bytes(), dtype=np.uint8))
+        assert "".join(map(str, bits[:5])) == "10100"
+        assert np.array_equal(bits[5:], CiGenerator((1, 0, 1, 0, 0), 1, 2).bits(3))
 
     def test_bits_and_bytes_exclusive(self):
         assert main(["gen", "--seed1", "1", "--seed2", "2",

@@ -5,7 +5,6 @@ import pytest
 
 from cimark.generator import (
     CiGenerator,
-    StrategyTrace,
     XorShift32,
     ZERO_SEED_FALLBACK,
     chaotic_iterate,
@@ -17,17 +16,26 @@ from cimark.generator import (
 )
 from cimark.kernels import xorshift_step
 
-# Reference worked example: N=5, chunk lengths and flip targets below,
-# initial state 10100, output starts with the seed state.
+# Reference worked example: N=5, chunk lengths m = 4, 5, 4 and the flip
+# targets below, initial state 10100; the output starts with the seed state.
 EXAMPLE_X0 = (1, 0, 1, 0, 0)
-EXAMPLE_M = (4, 5, 4)
 EXAMPLE_S = (2, 4, 2, 2, 5, 1, 1, 5, 5, 3, 2, 3, 3)
+EXAMPLE_READS = (0, 4, 9, 13)
 EXAMPLE_OUTPUT = "10100111101111110011"
+EXAMPLE_SEEDS = (0xABCD1234, 0x5678EF01)
 
 
-def make_example(emit_seed_first=True):
-    return CiGenerator(EXAMPLE_X0, emit_seed_first=emit_seed_first,
-                       m_source=EXAMPLE_M, s_source=EXAMPLE_S)
+def example_states():
+    return chaotic_iterate(EXAMPLE_X0, vector_negation, EXAMPLE_S, len(EXAMPLE_S))
+
+
+def seeded_example(emit_seed_first=True):
+    """The worked example's x^0 with seeded length and strategy sources."""
+    return CiGenerator(EXAMPLE_X0, *EXAMPLE_SEEDS, emit_seed_first=emit_seed_first)
+
+
+def as_text(bits):
+    return "".join(map(str, bits))
 
 
 class TestXorShift:
@@ -111,55 +119,56 @@ class TestChaoticIterate:
             chaotic_iterate((1, 0, 1), vector_negation, (0,), 1)
 
     def test_equals_production_round(self):
-        # formal definition vs the round implementation, random small systems
+        # formal definition vs the seeded generator on random small systems:
+        # the strategy is the generator's own draws, cell w mod N (1-based)
         rng = np.random.default_rng(2)
         for _ in range(200):
             n = int(rng.integers(2, 17))
-            m = int(rng.integers(1, 40))
+            c = int(rng.integers(1, 40))
+            s1, s2 = (int(v) for v in rng.integers(1, 2**32, size=2))
             x0 = rng.integers(0, 2, size=n, dtype=np.uint8)
-            strat = rng.integers(1, n + 1, size=m)
+            m = (xorshift_step(s1) & 1) + c
+            strat = XorShift32(s2).fill(m) % n + 1
             ref = chaotic_iterate(x0, vector_negation, strat, m)[-1]
-            g = CiGenerator(x0, m_source=(m,), s_source=strat)
-            assert np.array_equal(g.round(), ref)
+            assert np.array_equal(CiGenerator(x0, s1, s2, c=c).bits(n), ref)
 
 
 class TestWorkedExample:
     def test_output_string(self):
-        bits = make_example().bits(20)
-        assert "".join(map(str, bits)) == EXAMPLE_OUTPUT
+        states = example_states()
+        assert as_text(np.concatenate([states[t] for t in EXAMPLE_READS])) == EXAMPLE_OUTPUT
 
     def test_intermediate_states(self):
-        g = make_example()
-        trace = StrategyTrace()
-        for _ in range(3):
-            g.round(trace)
-        assert np.array_equal(trace.states[0], [1, 1, 1, 1, 0])  # x^4
-        assert np.array_equal(trace.states[1], [1, 1, 1, 1, 1])  # x^9
-        assert np.array_equal(trace.states[2], [1, 0, 0, 1, 1])  # x^13
-        assert trace.m_seq == [4, 5, 4]
+        states = example_states()
+        assert np.array_equal(states[4], [1, 1, 1, 1, 0])
+        assert np.array_equal(states[9], [1, 1, 1, 1, 1])
+        assert np.array_equal(states[13], [1, 0, 0, 1, 1])
 
-    def test_trace_records_consumed_strategy(self):
-        g = make_example()
-        trace = StrategyTrace()
-        g.round(trace)
-        assert trace.s_seq == [[2, 4, 2, 2]]
+    # the bits API on the worked example's x^0, which emit_seed_first
+    # hands out before the first round
 
     def test_prefix_property(self):
-        a = make_example().bits(7)
-        b = make_example().bits(20)[:7]
+        a = seeded_example().bits(7)
+        b = seeded_example().bits(20)[:7]
         assert np.array_equal(a, b)
 
     def test_zero_bits(self):
-        assert make_example().bits(0).size == 0
+        g = seeded_example()
+        assert g.bits(0).size == 0
+        assert as_text(g.bits(5)) == EXAMPLE_OUTPUT[:5]
 
     def test_contiguous_calls(self):
-        g = make_example()
-        joined = np.concatenate([g.bits(7), g.bits(9), g.bits(4)])
-        assert "".join(map(str, joined)) == EXAMPLE_OUTPUT
+        g = seeded_example()
+        joined = np.concatenate([g.bits(3), g.bits(9), g.bits(8)])
+        assert as_text(joined[:5]) == EXAMPLE_OUTPUT[:5]
+        assert np.array_equal(joined, seeded_example().bits(20))
 
     def test_seed_not_emitted_by_default(self):
-        bits = make_example(emit_seed_first=False).bits(5)
-        assert "".join(map(str, bits)) == EXAMPLE_OUTPUT[5:10]
+        # emit_seed_first: x^0 followed by the default stream
+        for n, k in [(5, 0), (5, 37), (24, 100), (32, 64)]:
+            x0 = derive_initial_state(9, 10, n)
+            first = CiGenerator(x0, 9, 10, emit_seed_first=True).bits(n + k)
+            assert np.array_equal(first, np.concatenate([x0, CiGenerator(x0, 9, 10).bits(k)]))
 
 
 class TestSeedFromTime:
@@ -175,25 +184,6 @@ class TestSeedFromTime:
 
 
 class TestCiGenerator:
-    def test_round_parity_invariant(self):
-        # Hamming distance between consecutive states == m (mod 2)
-        g = CiGenerator.from_seeds(0xDEADBEEF, 0xC0FFEE11, n_cells=32, c=96)
-        prev = g.x.copy()
-        trace = StrategyTrace()
-        for _ in range(300):
-            cur = g.round(trace)
-            dist = int((prev ^ cur).sum())
-            assert dist % 2 == trace.m_seq[-1] % 2
-            prev = cur
-
-    def test_bulk_matches_python_rounds(self):
-        # kernel path vs the per-round python path, same seeds
-        ref = CiGenerator.from_seeds(42, 43, n_cells=8, c=24)
-        chunks = [ref.round() for _ in range(50)]
-        expected = np.concatenate(chunks)
-        fast = CiGenerator.from_seeds(42, 43, n_cells=8, c=24)
-        assert np.array_equal(fast.bits(400), expected)
-
     def test_determinism(self):
         a = CiGenerator.from_seeds(7, 11).bytes(4096)
         b = CiGenerator.from_seeds(7, 11).bytes(4096)
@@ -206,15 +196,15 @@ class TestCiGenerator:
         assert np.array_equal(g.bits(500), h.bits(500))
 
     def test_m_in_c_c_plus_one(self):
-        g = CiGenerator.from_seeds(1, 2, n_cells=16, c=48)
-        trace = StrategyTrace()
-        for _ in range(200):
-            g.round(trace)
-        assert set(trace.m_seq) <= {48, 49}
-
-    def test_even_flips_on_one_cell_is_identity(self):
-        g = CiGenerator((1, 0, 1, 1, 0), m_source=(4,), s_source=(3, 3, 3, 3))
-        assert np.array_equal(g.round(), [1, 0, 1, 1, 0])
+        # at c = 1 a round flips one cell or two, so consecutive states
+        # differ in at most 2 cells, in exactly 1 when m = 1 is drawn
+        g = CiGenerator.from_seeds(1, 2, n_cells=16, c=1)
+        x0 = g.x.copy()
+        m = (g.gen1.clone().fill(200) & 1) + 1
+        states = g.bits(200 * 16).reshape(200, 16)
+        dist = (states ^ np.vstack([x0, states[:-1]])).sum(axis=1)
+        assert set(dist[m == 1].tolist()) == {1}
+        assert set(dist[m == 2].tolist()) == {0, 2}
 
     def test_default_c_follows_recommendation(self):
         g = CiGenerator.from_seeds(1, 2, n_cells=32)
@@ -244,7 +234,6 @@ class TestCiGenerator:
         h = CiGenerator.from_seeds(3, 4)
         words = g.words(10)
         bits = h.bits(320)
-        expected = np.packbits(bits).view(">u4" if False else np.uint8)
         expected = np.frombuffer(np.packbits(bits).tobytes(), dtype=">u4")
         assert np.array_equal(words, expected.astype(np.uint32))
 
@@ -291,12 +280,31 @@ class TestCiGenerator:
 
 class TestKthBitOracle:
     def test_worked_example_k0(self):
-        assert kth_bit_oracle(lambda: make_example(emit_seed_first=False), 0) == 1
+        assert kth_bit_oracle(seeded_example, 0) == 1
 
     def test_first_two_chunks(self):
-        for k in range(10):
-            got = kth_bit_oracle(lambda: make_example(emit_seed_first=False), k)
-            assert got == int(EXAMPLE_OUTPUT[5 + k])
+        # x^0 from the carried bits, then the first two chunk states
+        stream = seeded_example().bits(15)
+        for k in range(15):
+            assert kth_bit_oracle(seeded_example, k) == stream[k]
+
+    def test_emit_seed_first_at_n24(self):
+        def fresh():
+            return CiGenerator(None, 5, 9, n_cells=24, emit_seed_first=True)
+
+        stream = fresh().bits(6_000)
+        for k in [*range(30), *range(30, 6_000, 15)]:
+            assert kth_bit_oracle(fresh, k) == stream[k]
+
+    def test_clone_with_carried_tail(self):
+        # words(1001) at N = 24 leaves an 8-bit tail in the clone
+        g = CiGenerator.from_seeds(0x1234, 0x5678, n_cells=24)
+        g.words(1001)
+        snap = g.clone()
+        assert snap._pending.size == 8
+        stream = g.bits(3_000)
+        for k in [*range(10), *range(10, 3_000, 17)]:
+            assert kth_bit_oracle(lambda: snap, k) == stream[k]
 
     def test_agrees_with_stream(self):
         def fresh():

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from cimark.gf2 import (
-    gf2_rank,
-    gf2_rank_many,
-    pack_rows,
-    rank_distribution,
-    rank_distribution_rect,
-)
-from gf2_oracle import naive_rank
+from cimark.gf2 import gf2_rank_many, rank_distribution, rank_distribution_rect
+from gf2_oracle import gf2_rank, naive_rank, pack_rows
 
 
 class TestRank:

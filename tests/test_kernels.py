@@ -1,6 +1,6 @@
 """Kernel checks against independent references: the scalar `xorshift_step`
-chain, the per-round `CiGenerator.round()` engine, GF(2) matrix powers
-computed in pure Python, and cell-by-cell elimination for ranks."""
+chain, a per-flip loop over the chaotic-iterations rounds, GF(2) matrix
+powers computed in pure Python, and cell-by-cell elimination for ranks."""
 
 import tracemalloc
 from unittest import mock
@@ -88,22 +88,20 @@ def test_xorshift_fill_memory_bounded():
     assert peak - out.nbytes < 4 * 2**20
 
 
-def scalar_sources(s1, s2, c, n):
-    """Injected m and (1-based) s sequences drawn from scalar XORshift
-    chains, plus a record of the chains' current words."""
-    words = {"a": s1, "b": s2}
-
-    def m_source():
-        while True:
-            words["a"] = xorshift_step(words["a"])
-            yield (words["a"] & 1) + c
-
-    def s_source():
-        while True:
-            words["b"] = xorshift_step(words["b"])
-            yield words["b"] % n + 1
-
-    return m_source(), s_source(), words
+def reference_rounds(x0, s1, s2, c, rounds):
+    """Per-flip reference: each round draws m = (w & 1) + c from the scalar
+    chain of s1, flips the m cells w mod N drawn from the chain of s2 and
+    emits the state. Returns the (rounds, N) states, the final state and
+    both chains' last words."""
+    x, a, b = [int(v) for v in x0], s1, s2
+    states = []
+    for _ in range(rounds):
+        a = xorshift_step(a)
+        for _ in range((a & 1) + c):
+            b = xorshift_step(b)
+            x[b % len(x)] ^= 1
+        states.append(list(x))
+    return np.array(states, dtype=np.uint8).reshape(rounds, len(x)), x, a, b
 
 
 # (_LANE_MIN, _LANE_BLOCK) patched so that fills of a few hundred flips take
@@ -128,9 +126,7 @@ def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, data):
     c = 3 * n if c_scale is None else c_scale
     x0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                   dtype=np.uint8)
-    m_src, s_src, words = scalar_sources(s1, s2, c, n)
-    ref = CiGenerator(x0, c=c, m_source=m_src, s_source=s_src)
-    expected = [ref.round() for _ in range(rounds)]
+    expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
 
     thresholds, lane = lanes
     lane_min, lane_block = thresholds or (_LANE_MIN, _LANE_BLOCK)
@@ -139,10 +135,9 @@ def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, data):
                              _LANE_BLOCK=lane_block):
         out, a, b = ci_fill(xbits, s1, s2, c, rounds)
     assert out.dtype == np.uint8 and out.size == rounds * n
-    assert np.array_equal(out.reshape(rounds, n),
-                          np.array(expected, dtype=np.uint8).reshape(rounds, n))
-    assert np.array_equal(xbits, ref.x)
-    assert (a, b) == (words["a"], words["b"])
+    assert np.array_equal(out.reshape(rounds, n), expected)
+    assert np.array_equal(xbits, x_end)
+    assert (a, b) == (a_end, b_end)
 
 
 def test_ci_fill_lane_path_matches_rounds():
@@ -150,15 +145,13 @@ def test_ci_fill_lane_path_matches_rounds():
     the lane path across a block boundary equals round-by-round iteration."""
     n, c, rounds, s1, s2 = 32, 96, 3000, 0x13579BDF, 0x2468ACE0
     assert _LANE_BLOCK < rounds * c < kernels._CHUNK_FLIPS  # one chunk, two blocks
-    m_src, s_src, words = scalar_sources(s1, s2, c, n)
     x0 = np.arange(n, dtype=np.uint8) % 3 % 2
-    ref = CiGenerator(x0, c=c, m_source=m_src, s_source=s_src)
-    expected = np.array([ref.round() for _ in range(rounds)], dtype=np.uint8)
+    expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
     xbits = x0.copy()
     out, a, b = ci_fill(xbits, s1, s2, c, rounds)
     assert np.array_equal(out.reshape(rounds, n), expected)
-    assert np.array_equal(xbits, ref.x)
-    assert (a, b) == (words["a"], words["b"])
+    assert np.array_equal(xbits, x_end)
+    assert (a, b) == (a_end, b_end)
 
 
 @pytest.mark.parametrize("c", [0, -1])

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from cimark.imaging import (
 )
 from cimark.watermark import (
     FOLD_INIT,
+    LSC_BITS,
+    MSC_BITS,
     EmbeddingKey,
+    coefficient_planes,
     derive_strategy_seed,
     embed,
     embedding_sequence,
@@ -26,7 +30,6 @@ from cimark.watermark import (
     merge_coefficients,
     robustness_sweep,
     similarity,
-    split_coefficients,
 )
 from cimark.watermark import _distinct_addresses, _key_stream, _strategy_seed
 
@@ -71,13 +74,13 @@ def distinct_addresses_reference(s, m_total, count):
 class TestSplitMerge:
     def test_lsc_count_for_256_image(self):
         img = synthetic_carrier(0)
-        msc, lsc = split_coefficients(img)
+        msc, lsc = coefficient_planes(img, MSC_BITS), coefficient_planes(img, LSC_BITS)
         assert lsc.size == 256 * 256 * 3 == 196_608
         assert msc.size == 256 * 256 * 4
 
     def test_single_pixel_msc_bits(self):
         img = np.array([[0b10110010]], dtype=np.uint8)
-        msc, lsc = split_coefficients(img)
+        msc, lsc = coefficient_planes(img, MSC_BITS), coefficient_planes(img, LSC_BITS)
         assert msc.tolist() == [1, 0, 1, 1]
         assert lsc.tolist() == [0, 1, 0]
 
@@ -87,13 +90,13 @@ class TestSplitMerge:
             h = int(rng.integers(1, 24))
             w = int(rng.integers(1, 24))
             img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-            _, lsc = split_coefficients(img)
+            lsc = coefficient_planes(img, LSC_BITS)
             assert np.array_equal(merge_coefficients(lsc, img), img)
 
     def test_merge_overwrites_covered_planes_only(self):
         rng = np.random.default_rng(22)
         img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        _, lsc = split_coefficients(img)
+        lsc = coefficient_planes(img, LSC_BITS)
         other = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
         merged = merge_coefficients(lsc, other)
         # MSCs and plane 3 come from the base image, the LSCs from `lsc`
@@ -143,6 +146,16 @@ class TestFoldAndSeeds:
         key = EmbeddingKey(KEY1, KEY2, mode="unauth")
         msc = np.ones(64, dtype=np.uint8)
         assert derive_strategy_seed(key, msc) == (KEY1, KEY2)
+
+    @pytest.mark.parametrize("mode, planes", [("unauth", [LSC_BITS]),
+                                              ("auth", [MSC_BITS, LSC_BITS])])
+    def test_msc_planes_built_in_auth_mode_only(self, mode, planes):
+        key = EmbeddingKey(KEY1, KEY2, mode=mode)
+        car, wm = synthetic_carrier(3), synthetic_watermark(0)
+        with mock.patch("cimark.watermark.coefficient_planes",
+                        wraps=coefficient_planes) as spy:
+            assert similarity(wm, extract(embed(car, wm, key), key)) == 100.0
+        assert [call.args[1] for call in spy.call_args_list] == planes * 2
 
     def test_auth_mode_single_msc_bit_changes_seeds(self):
         key = EmbeddingKey(KEY1, KEY2, mode="auth")
@@ -342,8 +355,8 @@ class TestEmbedExtract:
         wm = synthetic_watermark(3)
         for mode in ("unauth", "auth"):
             marked = embed(car, wm, EmbeddingKey(KEY1, KEY2, mode=mode))
-            assert np.array_equal(split_coefficients(marked)[0],
-                                  split_coefficients(car)[0])
+            assert np.array_equal(coefficient_planes(marked, MSC_BITS),
+                                  coefficient_planes(car, MSC_BITS))
 
     def test_pixel_change_bounded_by_lsc_planes(self):
         car = synthetic_carrier(7)
