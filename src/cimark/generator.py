@@ -47,11 +47,6 @@ class XorShift32:
         out, self.word = xorshift_fill(self.word, n)
         return out
 
-    def clone(self) -> "XorShift32":
-        c = XorShift32(1)
-        c.word = self.word
-        return c
-
 
 def vector_negation(bits) -> np.ndarray:
     """Complement every cell of a boolean state vector."""
@@ -91,10 +86,8 @@ def seed_from_time(t: int, n: int) -> np.ndarray:
 def derive_initial_state(seed1: int, seed2: int, n: int) -> np.ndarray:
     """Default x^0 when none is given: bits drawn from an auxiliary XORshift
     seeded by folding the two user seeds together."""
-    aux = XorShift32(seed1 ^ _rotl32(seed2, 16))
-    words = aux.fill((n + 31) // 32)
-    bits = np.unpackbits(words.astype(">u4").view(np.uint8))
-    return bits[:n].copy()
+    words, _ = xorshift_fill(seed_word(seed1 ^ _rotl32(seed2, 16)), (n + 31) // 32)
+    return np.unpackbits(words.astype(">u4").view(np.uint8), count=n)
 
 
 def _rotl32(v: int, k: int) -> int:
@@ -108,7 +101,8 @@ class CiGenerator:
 
     One XORshift source draws the chunk length m in {c, c+1}, the other draws
     the cells to flip. After m flips the whole N-bit state is emitted; the
-    rounds run in the `ci_fill` kernel. When emit_seed_first is set, the
+    rounds run in the `ci_fill` kernel, and the last `_unread` cells of x
+    are the emitted bits not yet handed out. When emit_seed_first is set, the
     initial state is emitted before the first round (the convention of the
     reference worked example).
     """
@@ -129,10 +123,9 @@ class CiGenerator:
         self.c = 3 * self.n_cells if c is None else int(c)
         if self.c < 1:
             raise ValueError("c must be positive")
-        self.gen1 = XorShift32(seed1)
-        self.gen2 = XorShift32(seed2)
-        # output bits already produced but not yet handed out
-        self._pending = self.x.copy() if emit_seed_first else np.empty(0, dtype=np.uint8)
+        self.s1 = seed_word(seed1)
+        self.s2 = seed_word(seed2)
+        self._unread = self.n_cells if emit_seed_first else 0
 
     @classmethod
     def from_seeds(cls, seed1: int, seed2: int, n_cells: int = 32,
@@ -142,49 +135,56 @@ class CiGenerator:
     def clone(self) -> "CiGenerator":
         return copy.deepcopy(self)
 
+    def _packed(self, nbits: int) -> np.ndarray:
+        """The next nbits output bits packed most significant bit first into
+        ceil(nbits/8) bytes; bits past nbits in the last byte are unspecified."""
+        if nbits < 0:
+            raise ValueError("nbits must be nonnegative")
+        n, unread = self.n_cells, self._unread
+        prev = np.packbits(self.x)  # x before ci_fill overwrites it
+        rounds = max(0, -(-(nbits - unread) // n))
+        rows, self.s1, self.s2 = ci_fill(self.x, self.s1, self.s2, self.c, rounds)
+        self._unread = unread + rounds * n - nbits
+        if n % 8 or unread % 8:
+            # states straddle byte boundaries: join them as bits
+            bits = np.unpackbits(np.vstack((prev, rows)), axis=1, count=n).reshape(-1)
+            return np.packbits(bits[n - unread:n - unread + nbits])
+        stream = rows.reshape(-1)
+        if unread:
+            stream = np.concatenate((prev[(n - unread) // 8:], stream))
+        return stream[:-(-nbits // 8)]
+
     def bits(self, nbits: int) -> np.ndarray:
         """The next nbits output bits as a uint8 array. Successive calls are
         contiguous: bits(a) followed by bits(b) equals bits(a+b)."""
-        if nbits < 0:
-            raise ValueError("nbits must be nonnegative")
-        stream = self._pending
-        if nbits > stream.size:
-            rounds = -(-(nbits - stream.size) // self.n_cells)
-            emitted, a, b = ci_fill(self.x, self.gen1.word, self.gen2.word,
-                                    self.c, rounds)
-            self.gen1.word, self.gen2.word = a, b
-            # fresh rounds alone need no copy
-            stream = np.concatenate((stream, emitted)) if stream.size else emitted
-        # a copy, so the carried tail does not pin the whole stream
-        self._pending = stream[nbits:].copy()
-        return stream[:nbits]
+        return np.unpackbits(self._packed(nbits), count=nbits)
 
     def bytes(self, nbytes: int) -> bytes:
         """Bit stream packed most-significant-bit-first into bytes."""
-        return np.packbits(self.bits(8 * nbytes)).tobytes()
+        return self._packed(8 * nbytes).tobytes()
 
     def words(self, n: int) -> np.ndarray:
         """Output stream regrouped into big-endian 32-bit words."""
-        return np.frombuffer(self.bytes(4 * n), dtype=">u4").astype(np.uint32)
+        return self._packed(32 * n).view(">u4").astype(np.uint32)
 
 
 def kth_bit_oracle(make_generator, k: int) -> int:
     """Direct evaluation of output bit k of the generator that
-    make_generator() returns. The bits it carries come first; past them,
+    make_generator() returns. Its unread bits come first; past them,
     bit k is component (k mod N) of the state reached after chunks
     0 .. floor(k/N), i.e. after the first m_0 + ... + m_{floor(k/N)} flips.
     Computed from flip parity on the one relevant cell, not by streaming."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     g = make_generator()
-    if k < g._pending.size:
-        return int(g._pending[k])
-    k -= g._pending.size
     n = g.n_cells
+    if k < g._unread:
+        return int(g.x[n - g._unread + k])
+    k -= g._unread
     chunks = k // n + 1
     cell = k % n
-    m_words, _ = xorshift_fill(g.gen1.word, chunks)
+    m_words, _ = xorshift_fill(g.s1, chunks)
     total = int(((m_words & np.uint32(1)).astype(np.int64) + g.c).sum())
-    s_words, _ = xorshift_fill(g.gen2.word, total)
+    s_words, _ = xorshift_fill(g.s2, total)
     flips = int(((s_words % np.uint32(n)) == cell).sum())
     return int(g.x[cell]) ^ (flips & 1)

@@ -54,9 +54,10 @@ def xorshift_step(word: int) -> int:
 # round (reduceat at each round's first flip) and then accumulated over
 # rounds. The strategy word mod N is w - (w // N) * N: numpy floor-divides
 # by a scalar with libdivide (a multiply and shifts per element), which
-# makes the three passes about twice as fast as np.remainder. Chunks of
-# about _CHUNK_FLIPS flips, in buffers allocated once per call, bound the
-# working memory beyond the rounds * N output.
+# makes the three passes about twice as fast as np.remainder. A round's
+# output row is the leading ceil(N/8) big-endian bytes of its state words.
+# Chunks of about _CHUNK_FLIPS flips, in buffers allocated once per call,
+# bound the working memory beyond the output.
 # ---------------------------------------------------------------------------
 
 _CHUNK_FLIPS = 1 << 19
@@ -149,16 +150,15 @@ def _xorshift_fill_np(state, out):
     return state
 
 
-def _ci_fill_np(xbits, s1, s2, c, out):
+def _ci_fill_np(xbits, s1, s2, c, rows):
     n = xbits.size
-    rounds = out.size // n
+    rounds, nb = rows.shape
     if rounds == 0:
         return s1, s2
     nw = -(-n // 64)  # 64-cell state words, cell 64w + j at bit 63 - j
     packed = np.zeros(8 * nw, dtype=np.uint8)
-    packed[:-(-n // 8)] = np.packbits(xbits)
+    packed[:nb] = np.packbits(xbits)
     carry = packed.view(">u8").astype(np.uint64)
-    rows = out.reshape(rounds, n)
     per_chunk = min(rounds, max(1, _CHUNK_FLIPS // (c + 1)))
     cells = np.empty(per_chunk * (c + 1), dtype=np.uint32)
     masks = np.empty(cells.size, dtype=np.uint64)
@@ -184,9 +184,8 @@ def _ci_fill_np(xbits, s1, s2, c, out):
             np.bitwise_xor.accumulate(states[w], out=states[w])
             states[w] ^= carry[w]
         carry = states[:, -1].copy()
-        rows[r0:r1] = np.unpackbits(states.T.astype(">u8", order="C").view(np.uint8),
-                                    axis=1, count=n)
-    xbits[:] = rows[-1]
+        rows[r0:r1] = states.T.astype(">u8", order="C").view(np.uint8)[:, :nb]
+    xbits[:] = np.unpackbits(rows[-1], count=n)
     return s1, s2
 
 
@@ -204,10 +203,10 @@ def xorshift_fill(state: int, n: int) -> tuple[np.ndarray, int]:
 def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[np.ndarray, int, int]:
     """Run `rounds` generator rounds, mutating xbits in place.
 
-    Returns (emitted bits as uint8 array of rounds*n entries, new s1, new s2).
+    Returns (states as MSB-first packed uint8 rows of ceil(n/8) bytes, new s1, new s2).
     """
     if c < 1:
         raise ValueError(f"c must be at least 1, got {c}")
-    out = np.empty(rounds * xbits.size, dtype=np.uint8)
+    out = np.empty((rounds, -(-xbits.size // 8)), dtype=np.uint8)
     s1, s2 = _ci_fill_np(xbits, s1, s2, c, out)
     return out, s1, s2

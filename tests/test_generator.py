@@ -14,7 +14,7 @@ from cimark.generator import (
     seed_word,
     vector_negation,
 )
-from cimark.kernels import xorshift_step
+from cimark.kernels import xorshift_fill, xorshift_step
 
 # Reference worked example: N=5, chunk lengths m = 4, 5, 4 and the flip
 # targets below, initial state 10100; the output starts with the seed state.
@@ -200,7 +200,7 @@ class TestCiGenerator:
         # differ in at most 2 cells, in exactly 1 when m = 1 is drawn
         g = CiGenerator.from_seeds(1, 2, n_cells=16, c=1)
         x0 = g.x.copy()
-        m = (g.gen1.clone().fill(200) & 1) + 1
+        m = (xorshift_fill(g.s1, 200)[0] & 1) + 1
         states = g.bits(200 * 16).reshape(200, 16)
         dist = (states ^ np.vstack([x0, states[:-1]])).sum(axis=1)
         assert set(dist[m == 1].tolist()) == {1}
@@ -239,41 +239,38 @@ class TestCiGenerator:
 
     @pytest.mark.parametrize("n_cells", [24, 32])
     def test_carried_tail_owns_little_memory(self, n_cells):
-        # 6.4M bits; 24-cell rounds leave a 16-bit tail, 32-cell rounds none
+        # 6.4M bits; 24-cell rounds leave 16 unread bits at the end of x,
+        # 32-cell rounds none
         g = CiGenerator.from_seeds(0xDEADBEEF, 0xC0FFEE11, n_cells=n_cells)
         g.words(200_000)
-        tail = g._pending
-        owner = tail if tail.base is None else tail.base
-        assert tail.size < n_cells
-        assert owner.nbytes <= n_cells
-        # the carried tail still continues the stream
+        assert g._unread == -6_400_000 % n_cells < n_cells
         ref = CiGenerator.from_seeds(0xDEADBEEF, 0xC0FFEE11, n_cells=n_cells)
         ref.bits(6_400_000)
         assert np.array_equal(g.bits(100), ref.bits(100))
 
-    def test_words_peak_is_stream_plus_chunk(self):
-        # words(500_000) at N = 32 emits 16M bits, one byte each, with no
-        # carried tail; beyond them only one ci_fill chunk's working set
-        # (about 7 MB) is live. One more copy of the stream would add 15 MB.
-        g = CiGenerator.from_seeds(0xDEADBEEF, 0xC0FFEE11, n_cells=32)
+    @pytest.mark.parametrize("n_cells", [24, 32])
+    def test_words_peak_is_stream_plus_chunk(self, n_cells):
+        # words(500_000) emits 16M bits, packed 8 to a byte; beyond them only
+        # one ci_fill chunk's working set (about 7 MB) is live. One byte per
+        # bit would add 15 MB.
+        g = CiGenerator.from_seeds(0xDEADBEEF, 0xC0FFEE11, n_cells=n_cells)
         tracemalloc.start()
         try:
             words = g.words(500_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert words.size == 500_000 and g._pending.size == 0
-        assert peak - 32 * words.size < 9 * 2**20
+        assert words.size == 500_000 and g._unread == -16_000_000 % n_cells
+        assert peak - 4 * words.size < 9 * 2**20
 
     @pytest.mark.parametrize("lead", [0, 64, 70])
     def test_zero_bits_keeps_tail(self, lead):
         # lead 0 and 64 leave no tail at N = 32; lead 70 leaves 26 bits
         g = CiGenerator.from_seeds(0xABCD1234, 0x5678EF01, n_cells=32)
         g.bits(lead)
-        tail = g._pending.copy()
         none = g.bits(0)
         assert none.dtype == np.uint8 and none.size == 0
-        assert np.array_equal(g._pending, tail) and tail.size == -lead % 32
+        assert g._unread == -lead % 32
         ref = CiGenerator.from_seeds(0xABCD1234, 0x5678EF01, n_cells=32)
         assert np.array_equal(g.bits(100), ref.bits(lead + 100)[lead:])
 
@@ -301,7 +298,7 @@ class TestKthBitOracle:
         g = CiGenerator.from_seeds(0x1234, 0x5678, n_cells=24)
         g.words(1001)
         snap = g.clone()
-        assert snap._pending.size == 8
+        assert snap._unread == 8
         stream = g.bits(3_000)
         for k in [*range(10), *range(10, 3_000, 17)]:
             assert kth_bit_oracle(lambda: snap, k) == stream[k]

@@ -134,8 +134,8 @@ def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, data):
     with mock.patch.multiple(kernels, _CHUNK_FLIPS=chunk, _LANE=lane, _LANE_MIN=lane_min,
                              _LANE_BLOCK=lane_block):
         out, a, b = ci_fill(xbits, s1, s2, c, rounds)
-    assert out.dtype == np.uint8 and out.size == rounds * n
-    assert np.array_equal(out.reshape(rounds, n), expected)
+    assert out.dtype == np.uint8 and out.shape == (rounds, -(-n // 8))
+    assert np.array_equal(out, np.packbits(expected, axis=1))
     assert np.array_equal(xbits, x_end)
     assert (a, b) == (a_end, b_end)
 
@@ -149,7 +149,7 @@ def test_ci_fill_lane_path_matches_rounds():
     expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
     xbits = x0.copy()
     out, a, b = ci_fill(xbits, s1, s2, c, rounds)
-    assert np.array_equal(out.reshape(rounds, n), expected)
+    assert np.array_equal(out, np.packbits(expected, axis=1))
     assert np.array_equal(xbits, x_end)
     assert (a, b) == (a_end, b_end)
 
@@ -168,17 +168,27 @@ def test_ci_fill_rejects_c_below_one(c):
 @given(n=st.sampled_from([2, 5, 24, 32, 65]),
        a=st.integers(min_value=0, max_value=3000),
        b=st.integers(min_value=0, max_value=3000),
+       first=st.sampled_from(["bits", "bytes", "words"]),
        s1=seeds, s2=seeds)
-def test_bits_split_equals_whole(n, a, b, s1, s2):
+def test_bits_split_equals_whole(n, a, b, first, s1, s2):
+    """A bits, bytes or words call followed by bits(b) equals the matching
+    slice of one bits stream: at N = 24 and 32 the second call starts on
+    and off a byte boundary of x, at N = 2, 5 and 65 states straddle bytes."""
     with mock.patch.object(kernels, "_CHUNK_FLIPS", 300):
         g1 = CiGenerator.from_seeds(s1, s2, n_cells=n)
         g2 = CiGenerator.from_seeds(s1, s2, n_cells=n)
-        split = np.concatenate([g1.bits(a), g1.bits(b)])
-        assert np.array_equal(split, g2.bits(a + b))
+        if first == "bits":
+            lead = g1.bits(a)
+        elif first == "bytes":
+            lead = np.unpackbits(np.frombuffer(g1.bytes(a // 8), dtype=np.uint8))
+        else:
+            lead = np.unpackbits(g1.words(a // 32).astype(">u4").view(np.uint8))
+        split = np.concatenate([lead, g1.bits(b)])
+        assert np.array_equal(split, g2.bits(split.size))
 
 
 def test_ci_fill_memory_bounded():
-    """Working memory beyond the rounds * N output stays within one chunk's
+    """Working memory beyond the rounds * N/8 output stays within one chunk's
     arrays on a 300k-word stream (about 29M flips): 2^19 flips of uint32
     strategy words and uint64 masks (6 MB, the cell quotient reusing the
     mask memory) and a 1 MB lane buffer."""
@@ -189,7 +199,7 @@ def test_ci_fill_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.nbytes == rounds * 32
+    assert out.nbytes == rounds * 4
     assert peak - out.nbytes < 9 * 2**20
 
 
