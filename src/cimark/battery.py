@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .gf2 import gf2_rank_many, rank_distribution, rank_distribution_rect
+from .gf2 import gf2_rank_many, rank_distribution_rect
 from .pvalues import (
     DEFAULT_EPSILON,
     chi_square_pvalue,
@@ -345,17 +345,10 @@ def binary_rank_test(src: BitStreamSource, rows: int, cols: int,
         mats = w & np.uint32(0xFF)
     ranks = gf2_rank_many(mats, rows, cols)
     n = min(rows, cols)
-    if rows == cols:
-        edges = [n - 3, n - 2, n - 1, n]  # <=n-3, n-2, n-1, n
-        probs = [sum(rank_distribution(n, r) for r in range(0, n - 2)),
-                 rank_distribution(n, n - 2),
-                 rank_distribution(n, n - 1),
-                 rank_distribution(n, n)]
-    else:
-        edges = [n - 2, n - 1, n]  # <=4, 5, 6
-        probs = [sum(rank_distribution_rect(rows, cols, r) for r in range(0, n - 1)),
-                 rank_distribution_rect(rows, cols, n - 1),
-                 rank_distribution_rect(rows, cols, n)]
+    low = n - 3 if rows == cols else n - 2  # ranks <= low share the first bin
+    edges = list(range(low, n + 1))
+    probs = [sum(rank_distribution_rect(rows, cols, r) for r in range(low + 1)),
+             *(rank_distribution_rect(rows, cols, r) for r in edges[1:])]
     binned = np.searchsorted(edges, np.minimum(ranks, n))
     observed = np.bincount(binned, minlength=len(probs)).astype(np.float64)
     expected = np.asarray(probs) * samples

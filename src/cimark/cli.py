@@ -30,8 +30,8 @@ _EXAMPLE_S = (2, 4, 2, 2, 5, 1, 1, 5, 5, 3, 2, 3, 3)
 _EXAMPLE_READS = (0, 4, 9, 13)
 
 # `gen` produces and writes its output in pieces of this many bits (a
-# multiple of 32, so raw XORshift words and packed bytes never straddle two
-# pieces), which bounds its memory for any --bits.
+# multiple of 32, so no word straddles two pieces), which bounds its memory
+# for any --bits.
 _GEN_CHUNK_BITS = 1 << 23
 
 BENCH_GRID = (
@@ -129,35 +129,36 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _make_generator(args, want_raw=False):
-    if args.seed1 is None or (not want_raw and args.seed2 is None):
+def _stream(args, raw: bool):
+    """(description, draw) of the generator the flags name: raw XORshift on
+    --seed1, or the CI generator. draw(n) returns its next n 32-bit words."""
+    if args.seed1 is None or (not raw and args.seed2 is None):
         raise SystemExit2("--seed1/--seed2 are required")
-    if want_raw:
-        return XorShift32(args.seed1)
+    if raw:
+        return f"xorshift(seed={args.seed1:#x})", XorShift32(args.seed1).fill
     x0 = None
     if getattr(args, "seed_from_time", None) is not None:
         x0 = seed_from_time(args.seed_from_time, args.n)
         print(f"seed-from-time: t={args.seed_from_time} -> x0="
               f"{''.join(map(str, x0))}", file=sys.stderr)
-    return CiGenerator(x0, args.seed1, args.seed2,
-                       n_cells=args.n if x0 is None else None, c=args.c,
-                       emit_seed_first=getattr(args, "emit_seed_first", False))
+    gen = CiGenerator(x0, args.seed1, args.seed2,
+                      n_cells=args.n if x0 is None else None, c=args.c,
+                      emit_seed_first=getattr(args, "emit_seed_first", False))
+    return f"ci(seed1={args.seed1:#x}, seed2={args.seed2:#x})", gen.words
 
 
 class SystemExit2(Exception):
     """Usage / rejected-input error (exit code 2)."""
 
 
-def _gen_chunk(gen, nbits: int, raw: bool) -> bytes:
-    """The next nbits of `gen` output, packed most significant bit first;
-    a partial last byte is zero-padded. Raw XORshift words are emitted
-    big-endian, and a partial last word is cut to its leading bits."""
-    if raw:
-        words = gen.fill(-(-nbits // 32)).astype(">u4")
-        bits = np.unpackbits(words.view(np.uint8))[:nbits]
-    else:
-        bits = gen.bits(nbits)
-    return np.packbits(bits).tobytes()
+def _gen_chunk(draw, nbits: int) -> bytes:
+    """The next nbits of the stream: ceil(nbits/32) words from `draw`,
+    big-endian, cut to ceil(nbits/8) bytes; the pad bits of a partial last
+    byte are cleared."""
+    out = draw(-(-nbits // 32)).astype(">u4").view(np.uint8)[:-(-nbits // 8)]
+    if nbits % 8:
+        out[-1] &= np.uint8(0xFF << (8 - nbits % 8) & 0xFF)
+    return out.tobytes()
 
 
 def cmd_gen(args) -> int:
@@ -170,13 +171,12 @@ def cmd_gen(args) -> int:
     nbits = args.bits if args.bits is not None else 8 * args.nbytes
     if nbits < 0:
         raise SystemExit2("--bits/--bytes must be nonnegative")
-    gen = _make_generator(args, want_raw=args.raw_xorshift)
+    _, draw = _stream(args, args.raw_xorshift)
     sink = open(args.out, "wb") if args.out \
         else contextlib.nullcontext(sys.stdout.buffer)
     with sink as fh:
         for start in range(0, nbits, _GEN_CHUNK_BITS):
-            fh.write(_gen_chunk(gen, min(_GEN_CHUNK_BITS, nbits - start),
-                                args.raw_xorshift))
+            fh.write(_gen_chunk(draw, min(_GEN_CHUNK_BITS, nbits - start)))
     print(_echo(args, ("seed1", "seed2", "n", "c", "bits", "nbytes",
                        "raw_xorshift", "emit_seed_first")), file=sys.stderr)
     return 0
@@ -190,12 +190,8 @@ def cmd_test(args) -> int:
     cfg = cfg_cls(epsilon=args.epsilon)  # rejects a bad epsilon before any read
     if args.infile:
         src = BitStreamSource.from_file(args.infile)
-    elif args.gen == "ci":
-        src = BitStreamSource.from_generator(
-            _make_generator(args), f"ci(seed1={args.seed1:#x}, seed2={args.seed2:#x})")
     else:
-        src = BitStreamSource.from_generator(
-            _make_generator(args, want_raw=True), f"xorshift(seed={args.seed1:#x})")
+        src = BitStreamSource(*_stream(args, args.gen == "xorshift"))
     report = bat.run_battery(src, cfg)
     if args.format == "table":
         print(report.render_table())
@@ -234,8 +230,8 @@ def cmd_attack(args) -> int:
     if args.attack == "noise" and args.noise_seed is None:
         raise SystemExit2("noise attack requires an explicit --noise-seed")
     out = watermark.ATTACKS[args.attack](img, args.param, args.noise_seed)
-    imaging.save_pgm(out, args.out)
     ratio = imaging.psnr(img, out)
+    imaging.save_pgm(out, args.out)
     sidecar = {
         "kind": args.attack,
         "parameter": args.param,

@@ -12,7 +12,7 @@ import copy
 
 import numpy as np
 
-from .kernels import ci_fill, xorshift_fill, xorshift_step
+from .kernels import ci_fill, xorshift_fill
 
 # Substituted for a zero seed: zero is the fixed point of the shift-XOR
 # round, so it can never be a valid state.
@@ -37,10 +37,6 @@ class XorShift32:
 
     def __init__(self, seed: int):
         self.word = seed_word(seed)
-
-    def next_word(self) -> int:
-        self.word = xorshift_step(self.word)
-        return self.word
 
     def fill(self, n: int) -> np.ndarray:
         """Next n outputs as a uint32 array."""

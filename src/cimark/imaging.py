@@ -39,7 +39,7 @@ def _check_gray(img) -> np.ndarray:
 
 def _parse_header(data: bytes, magic: bytes, fields: int):
     """Parse 'magic <int> ...' with whitespace and # comments; returns the
-    field values and the payload offset."""
+    field values, none negative, and the payload offset."""
     if data[:2] != magic:
         raise ImageFormatError(f"offset 0: expected {magic.decode()} magic, "
                                f"got {data[:2]!r}")
@@ -63,9 +63,20 @@ def _parse_header(data: bytes, magic: bytes, fields: int):
         except ValueError:
             raise ImageFormatError(f"offset {start}: non-numeric header "
                                    f"token {token!r}") from None
+        if values[-1] < 0:
+            raise ImageFormatError(f"offset {start}: negative header value {token!r}")
     if pos >= len(data) or not data[pos:pos + 1].isspace():
         raise ImageFormatError(f"offset {pos}: missing whitespace after header")
     return values, pos + 1
+
+
+def _payload(data: bytes, offset: int, need: int) -> bytes:
+    """The `need` bytes of image data at `offset`; raises if the file ends first."""
+    payload = data[offset:offset + need]
+    if len(payload) < need:
+        raise ImageFormatError(f"offset {offset + len(payload)}: payload "
+                               f"truncated ({len(payload)} of {need} bytes)")
+    return payload
 
 
 def load_pgm(path) -> np.ndarray:
@@ -75,11 +86,7 @@ def load_pgm(path) -> np.ndarray:
     if maxval != 255:
         raise ImageFormatError(f"offset {offset}: maxval {maxval} unsupported "
                                "(want 255)")
-    need = width * height
-    payload = data[offset:offset + need]
-    if len(payload) < need:
-        raise ImageFormatError(f"offset {offset + len(payload)}: payload "
-                               f"truncated ({len(payload)} of {need} bytes)")
+    payload = _payload(data, offset, width * height)
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
 
 
@@ -96,11 +103,7 @@ def load_pbm(path) -> np.ndarray:
         data = fh.read()
     (width, height), offset = _parse_header(data, b"P4", 2)
     stride = (width + 7) // 8
-    need = stride * height
-    payload = data[offset:offset + need]
-    if len(payload) < need:
-        raise ImageFormatError(f"offset {offset + len(payload)}: payload "
-                               f"truncated ({len(payload)} of {need} bytes)")
+    payload = _payload(data, offset, stride * height)
     rows = np.frombuffer(payload, dtype=np.uint8).reshape(height, stride)
     bits = np.unpackbits(rows, axis=1)[:, :width]
     return bits.copy()
@@ -230,6 +233,8 @@ def psnr(a, b) -> float:
     y = _check_gray(b).astype(np.float64)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    if x.size == 0:
+        raise ValueError(f"PSNR of an empty {x.shape[1]}x{x.shape[0]} image is undefined")
     mse = float(((x - y) ** 2).mean())
     if mse == 0.0:
         return math.inf
@@ -247,10 +252,10 @@ def synthetic_carrier(seed: int = 0, size: int = 256) -> np.ndarray:
     photographic test images tend to."""
     rng = np.random.default_rng(seed)
     ph = rng.uniform(0, 2 * np.pi, size=6)
-    y, x = np.mgrid[0:size, 0:size] * (2 * np.pi / size)
+    rows, cols = np.mgrid[0:size, 0:size]
+    y, x = rows * (2 * np.pi / size), cols * (2 * np.pi / size)
     c = size / 2.0
-    r2 = (((np.mgrid[0:size, 0:size][1] - c) ** 2
-           + (np.mgrid[0:size, 0:size][0] - c) ** 2) / c ** 2)
+    r2 = ((cols - c) ** 2 + (rows - c) ** 2) / c ** 2
     base = 127.5 - 42.0 * r2
     weight = 1.0 / (1.0 + 0.8 * r2)
     field = (

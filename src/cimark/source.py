@@ -51,7 +51,7 @@ class BitStreamSource:
         return self.words(n, test_name).astype(np.float64) / 4294967296.0
 
     @classmethod
-    def from_generator(cls, gen, description: str = None, limit: int = None):
+    def from_generator(cls, gen, description: str = None):
         """Wrap anything exposing words(n) -> uint32 array (CiGenerator) or
         fill(n) (XorShift32)."""
         if hasattr(gen, "words"):
@@ -62,7 +62,7 @@ class BitStreamSource:
             raise TypeError("generator must expose words(n) or fill(n)")
         if description is None:
             description = type(gen).__name__
-        return cls(description, pull, limit)
+        return cls(description, pull)
 
     @classmethod
     def _from_words(cls, words: np.ndarray, description: str):

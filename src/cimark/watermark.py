@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import CiGenerator, XorShift32, _rotl32, seed_word
-from .imaging import crop_attack, gaussian_noise_attack, jpeg_attack, rotate_attack
+from .imaging import (_check_gray, crop_attack, gaussian_noise_attack, jpeg_attack,
+                      rotate_attack)
+from .kernels import xorshift_fill
 
 FOLD_INIT = 0x811C9DC5  # nonzero so the all-zero MSC plane still digests
 
@@ -65,10 +67,7 @@ class EmbeddingKey:
 def coefficient_planes(img, bits):
     """Linearize the bit planes `bits` (MSC_BITS or LSC_BITS): pixels in
     row-major order, selected bits most significant first within each pixel."""
-    a = np.asarray(img)
-    if a.ndim != 2 or a.dtype != np.uint8:
-        raise ValueError("expected a 2-D uint8 image")
-    flat = a.reshape(-1)
+    flat = _check_gray(img).reshape(-1)
     cols = [(flat >> np.uint8(b)) & np.uint8(1) for b in bits]
     return np.stack(cols, axis=1).reshape(-1)
 
@@ -172,7 +171,7 @@ def _distinct_addresses(cells, draw, m_total: int, count: int) -> np.ndarray:
 
 def _key_stream(derived, mix: str, n: int, m_total: int, count: int):
     """The key schedule: (mask, addresses) for an n-bit watermark written to
-    `count` of m_total LSCs, from the derived seeds (s1', s2').
+    `count` of m_total LSCs, from the derived (sanitized) seeds (s1', s2').
 
     One strategy sequence, drawn from the strategy source, feeds both. Its
     first values are the chaotic mixture's flips over the n watermark cells:
@@ -188,8 +187,7 @@ def _key_stream(derived, mix: str, n: int, m_total: int, count: int):
     if count > m_total:  # checked before any strategy value is drawn
         raise ValueError(f"watermark needs {count} LSCs, image has {m_total}")
     s1p, s2p = derived
-    g1 = XorShift32(s1p)
-    flips = sum(3 * n + (g1.next_word() & 1) for _ in range(2))
+    flips = 6 * n + int((xorshift_fill(s1p, 2)[0] & 1).sum())
     gen2 = XorShift32(_strategy_seed(s1p, s2p))
 
     def draw(k):
@@ -204,11 +202,14 @@ def _key_stream(derived, mix: str, n: int, m_total: int, count: int):
     return mask, addresses
 
 
-def _read_carrier(img, key: EmbeddingKey) -> tuple:
-    """The LSC planes of `img` and the seeds of its key schedule. Only
-    authenticated mode builds the MSC planes, to digest them."""
+def _schedule(img, key: EmbeddingKey, n: int) -> tuple:
+    """The LSC planes of `img` and the (mask, addresses) of an n-bit watermark
+    written key.repetition times. Only auth mode builds the MSC planes."""
     msc = coefficient_planes(img, MSC_BITS) if key.mode == "auth" else None
-    return coefficient_planes(img, LSC_BITS), derive_strategy_seed(key, msc)
+    lsc = coefficient_planes(img, LSC_BITS)
+    mask, addresses = _key_stream(derive_strategy_seed(key, msc), key.mix, n,
+                                  lsc.size, key.repetition * n)
+    return lsc, mask, addresses
 
 
 def embed(carrier, wm, key: EmbeddingKey) -> np.ndarray:
@@ -216,10 +217,8 @@ def embed(carrier, wm, key: EmbeddingKey) -> np.ndarray:
     bit-identical to the carrier's afterwards."""
     wm_bits = np.asarray(wm, dtype=np.uint8).reshape(-1) & 1
     n = wm_bits.size
-    lsc, derived = _read_carrier(carrier, key)
-    r = key.repetition
-    mask, addresses = _key_stream(derived, key.mix, n, lsc.size, r * n)
-    lsc[addresses] = np.tile(wm_bits ^ mask, r)
+    lsc, mask, addresses = _schedule(carrier, key, n)
+    lsc[addresses] = np.tile(wm_bits ^ mask, key.repetition)
     return merge_coefficients(lsc, carrier)
 
 
@@ -230,9 +229,8 @@ def extract(img, key: EmbeddingKey, wm_dims: tuple = (64, 64)) -> np.ndarray:
     if h < 1 or w < 1:
         raise ValueError(f"watermark dimensions must be positive, got {w}x{h}")
     n = h * w
-    lsc, derived = _read_carrier(img, key)
+    lsc, mask, addresses = _schedule(img, key, n)
     r = key.repetition
-    mask, addresses = _key_stream(derived, key.mix, n, lsc.size, r * n)
     votes = lsc[addresses].reshape(r, n).sum(axis=0)
     mixed = (2 * votes >= r).astype(np.uint8)
     return (mixed ^ mask).reshape(h, w)

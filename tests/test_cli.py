@@ -18,6 +18,22 @@ from cimark.imaging import (
 from cimark.watermark import similarity
 
 
+# `gen` flags after --seed1 13579BDF, and the reference bits of the same
+# stream. The keys are the test ids: False and True say whether the stream
+# is raw XORshift; "n5-seed-first" emits the initial state first, so the
+# words straddle the N = 5 states and start inside the unread tail.
+_GEN_CASES = {
+    False: (["--seed2", "2468ACE0", "--n", "24"],
+            lambda nbits: CiGenerator(None, 0x13579BDF, 0x2468ACE0, n_cells=24).bits(nbits)),
+    True: (["--raw-xorshift"],
+           lambda nbits: np.unpackbits(XorShift32(0x13579BDF).fill(-(-nbits // 32))
+                                       .astype(">u4").view(np.uint8))[:nbits]),
+    "n5-seed-first": (["--seed2", "2468ACE0", "--n", "5", "--emit-seed-first"],
+                      lambda nbits: CiGenerator(None, 0x13579BDF, 0x2468ACE0, n_cells=5,
+                                                emit_seed_first=True).bits(nbits)),
+}
+
+
 @pytest.fixture
 def images(tmp_path):
     carrier = tmp_path / "carrier.pgm"
@@ -62,22 +78,17 @@ class TestGen:
                      "--bits", "4096"]) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
 
-    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("case", list(_GEN_CASES))
     @pytest.mark.parametrize("nbits", [0, 1, 63, 64, 65, 255, 256, 1001, 4099])
-    def test_chunked_output_byte_identical(self, tmp_path, monkeypatch, raw, nbits):
+    def test_chunked_output_byte_identical(self, tmp_path, monkeypatch, case, nbits):
         from cimark import cli
 
         monkeypatch.setattr(cli, "_GEN_CHUNK_BITS", 64)
         out = tmp_path / "c.bin"
-        flags = ["--raw-xorshift"] if raw else ["--seed2", "2468ACE0", "--n", "24"]
+        flags, reference = _GEN_CASES[case]
         assert main(["gen", "--seed1", "13579BDF", *flags, "--bits", str(nbits),
                      "--out", str(out)]) == 0
-        if raw:
-            words = XorShift32(0x13579BDF).fill(-(-nbits // 32)).astype(">u4")
-            bits = np.unpackbits(words.view(np.uint8))[:nbits]
-        else:
-            bits = CiGenerator(None, 0x13579BDF, 0x2468ACE0, n_cells=24).bits(nbits)
-        assert out.read_bytes() == np.packbits(bits).tobytes()
+        assert out.read_bytes() == np.packbits(reference(nbits)).tobytes()
 
     def test_memory_bounded_by_chunk(self, tmp_path, monkeypatch):
         # 2^24 bits in 2^16-bit chunks; one piece in memory would need 16 MB
@@ -147,12 +158,16 @@ class TestTest:
         blob.write_bytes(b"\x00" * (4 * battery_word_budget(BatteryConfig())))
         assert main(["test", "--in", str(blob)]) == 1
 
-    def test_json_format(self, capsys):
-        rc = main(["test", "--gen", "ci", "--seed1", "1", "--seed2", "2",
-                   "--format", "json"])
+    @pytest.mark.parametrize("flags, code, source", [
+        (["--gen", "ci", "--seed1", "1", "--seed2", "2"], 0, "ci(seed1=0x1, seed2=0x2)"),
+        (["--gen", "xorshift", "--seed1", "13579BDF"], 1, "xorshift(seed=0x13579bdf)"),
+    ], ids=["ci", "xorshift"])
+    def test_json_format(self, capsys, flags, code, source):
+        rc = main(["test", *flags, "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
-        assert rc == 0
+        assert rc == code
         assert len(payload["results"]) == 8
+        assert payload["source"] == source
 
     def test_generated_file_feeds_battery(self, tmp_path, capsys):
         # the packed-byte file interface matches the in-process word stream
@@ -275,6 +290,19 @@ class TestWatermarkCommands:
                      "--attack", kind, f"--param={param}", "--noise-seed", "5"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("dims", [b"-1 4", b"0 4"], ids=["negative", "empty"])
+    def test_degenerate_image_rejected(self, tmp_path, capsys, dims):
+        """A negative dimension fails to load and an empty image has no PSNR:
+        both exit 2 and write neither the image nor its sidecar."""
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n" + dims + b"\n255\n" + b"\x00" * 8)
+        out = tmp_path / "o.pgm"
+        assert main(["attack", "--in", str(bad), "--out", str(out),
+                     "--attack", "crop", "--param", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        assert not (tmp_path / "o.pgm.json").exists()
 
     def test_malformed_image_rejected(self, tmp_path):
         bad = tmp_path / "bad.pgm"

@@ -44,6 +44,16 @@ class TestNetpbm:
         with pytest.raises(ImageFormatError, match="maxval"):
             load_pgm(path)
 
+    @pytest.mark.parametrize("loader, data", [
+        (load_pgm, b"P5\n-1 4\n255\n" + b"\x00" * 8),
+        (load_pbm, b"P4\n-8 2\n" + b"\x00" * 8),
+    ], ids=["pgm", "pbm"])
+    def test_negative_dimension_rejected(self, tmp_path, loader, data):
+        path = tmp_path / "neg.img"
+        path.write_bytes(data)
+        with pytest.raises(ImageFormatError, match="offset 3: negative"):
+            loader(path)
+
     def test_pgm_comments_allowed(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n\x05\x06")
@@ -230,6 +240,11 @@ class TestPsnr:
                 total += d * d
         mse = total / (50 * 70)
         assert psnr(a, b) == pytest.approx(10 * math.log10(255**2 / mse), rel=1e-12)
+
+    def test_empty_image_rejected(self):
+        empty = np.zeros((4, 0), np.uint8)
+        with pytest.raises(ValueError, match="empty"):
+            psnr(empty, empty)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
