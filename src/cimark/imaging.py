@@ -39,7 +39,7 @@ def _check_gray(img) -> np.ndarray:
 
 def _parse_header(data: bytes, magic: bytes, fields: int):
     """Parse 'magic <int> ...' with whitespace and # comments; returns the
-    field values, none negative, and the payload offset."""
+    field values, each a run of ASCII digits, and the payload offset."""
     if data[:2] != magic:
         raise ImageFormatError(f"offset 0: expected {magic.decode()} magic, "
                                f"got {data[:2]!r}")
@@ -58,13 +58,11 @@ def _parse_header(data: bytes, magic: bytes, fields: int):
         token = data[start:pos]
         if not token:
             raise ImageFormatError(f"offset {start}: truncated header")
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ImageFormatError(f"offset {start}: non-numeric header "
-                                   f"token {token!r}") from None
-        if values[-1] < 0:
-            raise ImageFormatError(f"offset {start}: negative header value {token!r}")
+        if not token.isdigit():  # ASCII digits only: no sign, no "_"
+            kind = ("negative header value" if token[:1] == b"-" and token[1:].isdigit()
+                    else "non-numeric header token")
+            raise ImageFormatError(f"offset {start}: {kind} {token!r}")
+        values.append(int(token))
     if pos >= len(data) or not data[pos:pos + 1].isspace():
         raise ImageFormatError(f"offset {pos}: missing whitespace after header")
     return values, pos + 1
@@ -125,14 +123,41 @@ def save_pbm(img, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _crop_side(side, shape) -> int:
+    """The side of a center crop of an image of `shape`, truncated to an
+    integer; raises ValueError unless it lies in [0, min(h, w)]."""
+    if not (math.isfinite(side) and 0 <= int(side) <= min(shape)):
+        raise ValueError(f"crop side {side} is not in [0, {min(shape)}]")
+    return int(side)
+
+
+def _check_angle(theta) -> None:
+    if not 0 < theta < 90:
+        raise ValueError("theta must be in (0, 90) degrees")
+
+
+def _check_level(level) -> None:
+    if not (math.isfinite(level) and level > 0):
+        raise ValueError(f"level must be positive and finite, got {level}")
+
+
+def _check_sigma(sigma) -> None:
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+
+def _check_shape(a: np.ndarray, shape) -> np.ndarray:
+    if a.shape != tuple(shape):
+        raise ValueError(f"image is {a.shape}, the attack was built for {tuple(shape)}")
+    return a
+
+
 def crop_attack(img, side: int) -> np.ndarray:
     """Zero out the side-by-side square at the image center; dimensions and
     all other pixels are untouched. A fractional side is truncated."""
     a = _check_gray(img)
     h, w = a.shape
-    if not (math.isfinite(side) and 0 <= int(side) <= min(h, w)):
-        raise ValueError(f"crop side {side} is not in [0, {min(h, w)}]")
-    side = int(side)
+    side = _crop_side(side, a.shape)
     out = a.copy()
     top = (h - side) // 2
     left = (w - side) // 2
@@ -140,10 +165,11 @@ def crop_attack(img, side: int) -> np.ndarray:
     return out
 
 
-def _rotate_once(a: np.ndarray, theta_deg: float) -> np.ndarray:
-    """Rotate by theta about the pixel-coordinate center (w/2, h/2) with
-    nearest-neighbor sampling; samples falling outside the frame read as 0."""
-    h, w = a.shape
+def _nearest_sources(h: int, w: int, theta_deg: float):
+    """One rotation by theta about the pixel-coordinate center (w/2, h/2)
+    with nearest-neighbor sampling: the flat index of the source pixel each
+    output pixel reads (clipped into the frame), and whether the unclipped
+    source lies inside the frame."""
     cy, cx = h / 2.0, w / 2.0
     th = math.radians(theta_deg)
     cos_t, sin_t = math.cos(th), math.sin(th)
@@ -154,8 +180,30 @@ def _rotate_once(a: np.ndarray, theta_deg: float) -> np.ndarray:
     px = np.floor(cos_t * dx + sin_t * dy + cx + 0.5).astype(np.int64)
     py = np.floor(-sin_t * dx + cos_t * dy + cy + 0.5).astype(np.int64)
     inside = (px >= 0) & (px < w) & (py >= 0) & (py < h)
-    vals = a[np.clip(py, 0, h - 1), np.clip(px, 0, w - 1)]
-    return np.where(inside, vals, 0).astype(np.uint8)
+    flat = np.clip(py, 0, h - 1) * w + np.clip(px, 0, w - 1)
+    return flat.reshape(-1), inside.reshape(-1)
+
+
+def rotation_map(shape, theta: float) -> np.ndarray:
+    """First half of rotate_attack, built from the image shape and the
+    angle alone: the round trip as one gather. Entry (y, x) is the flat
+    index of the pixel that output pixel reads, or h * w (a zero pixel past
+    the end) where either rotation samples outside the frame.
+
+    With r1, in1 the sources of the +theta rotation and r2, in2 those of
+    the -theta one, the round trip reads r1[r2] where in2 & in1[r2] holds.
+    """
+    _check_angle(theta)
+    h, w = shape
+    r1, in1 = _nearest_sources(h, w, theta)
+    r2, in2 = _nearest_sources(h, w, -theta)
+    return np.where(in2 & in1[r2], r1[r2], h * w).reshape(h, w)
+
+
+def remap(img, rmap: np.ndarray) -> np.ndarray:
+    """Second half of rotate_attack: gather `img` through a rotation_map."""
+    a = _check_shape(_check_gray(img), rmap.shape)
+    return np.append(a.reshape(-1), np.uint8(0))[rmap]
 
 
 def rotate_attack(img, theta: float) -> np.ndarray:
@@ -168,9 +216,7 @@ def rotate_attack(img, theta: float) -> np.ndarray:
     geometric.
     """
     a = _check_gray(img)
-    if not 0 < theta < 90:
-        raise ValueError("theta must be in (0, 90) degrees")
-    return _rotate_once(_rotate_once(a, theta), -theta)
+    return remap(a, rotation_map(a.shape, theta))
 
 
 def _dct_matrix() -> np.ndarray:
@@ -191,6 +237,35 @@ _DCT = _dct_matrix()
 _LEVEL_SCALE = 1.0 / 125.0
 
 
+def jpeg_forward(img) -> np.ndarray:
+    """First half of jpeg_attack, independent of the level: the DCT of each
+    8x8 block of the image shifted by -128, as an array (block row, block
+    column, 8, 8). Sides that are not multiples of 8 are padded by edge
+    replication."""
+    a = _check_gray(img)
+    h, w = a.shape
+    ph, pw = (-h) % 8, (-w) % 8
+    padded = np.pad(a, ((0, ph), (0, pw)), mode="edge").astype(np.float64) - 128.0
+    hh, ww = padded.shape
+    blocks = padded.reshape(hh // 8, 8, ww // 8, 8).transpose(0, 2, 1, 3)
+    return np.einsum("ij,abjk,lk->abil", _DCT, blocks, _DCT)
+
+
+def jpeg_inverse(coef: np.ndarray, level: float, shape) -> np.ndarray:
+    """Second half of jpeg_attack: quantize jpeg_forward's coefficients by
+    the luminance table scaled with the level (steps floored at 1),
+    dequantize, inverse DCT, clamp, and crop the padding back to `shape`."""
+    _check_level(level)
+    steps = np.maximum(_QTABLE * (level * _LEVEL_SCALE), 1.0)
+    coef = np.round(coef / steps) * steps
+    rec = np.einsum("ji,abjk,kl->abil", _DCT, coef, _DCT)
+    bh, bw = coef.shape[:2]
+    rec = rec.transpose(0, 2, 1, 3).reshape(8 * bh, 8 * bw) + 128.0
+    out = np.clip(np.floor(rec + 0.5), 0, 255).astype(np.uint8)
+    h, w = shape
+    return out[:h, :w]
+
+
 def jpeg_attack(img, level: float) -> np.ndarray:
     """Per 8x8 block: DCT, quantize by the luminance table scaled with the
     compression level (steps floored at 1), dequantize, inverse DCT, clamp.
@@ -199,32 +274,28 @@ def jpeg_attack(img, level: float) -> np.ndarray:
     multiples of 8 are padded by edge replication and cropped back.
     """
     a = _check_gray(img)
-    if not (math.isfinite(level) and level > 0):
-        raise ValueError(f"level must be positive and finite, got {level}")
-    h, w = a.shape
-    ph, pw = (-h) % 8, (-w) % 8
-    padded = np.pad(a, ((0, ph), (0, pw)), mode="edge").astype(np.float64) - 128.0
-    hh, ww = padded.shape
-    blocks = padded.reshape(hh // 8, 8, ww // 8, 8).transpose(0, 2, 1, 3)
-    coef = np.einsum("ij,abjk,lk->abil", _DCT, blocks, _DCT)
-    steps = np.maximum(_QTABLE * (level * _LEVEL_SCALE), 1.0)
-    coef = np.round(coef / steps) * steps
-    rec = np.einsum("ji,abjk,kl->abil", _DCT, coef, _DCT)
-    rec = rec.transpose(0, 2, 1, 3).reshape(hh, ww) + 128.0
-    out = np.clip(np.floor(rec + 0.5), 0, 255).astype(np.uint8)
-    return out[:h, :w]
+    return jpeg_inverse(jpeg_forward(a), level, a.shape)
+
+
+def noise_offsets(shape, sigma: float, seed: int) -> np.ndarray:
+    """First half of gaussian_noise_attack: independent N(0, sigma^2) per
+    pixel of an image of `shape`, rounded half away from zero."""
+    _check_sigma(sigma)
+    noise = np.random.default_rng(seed).normal(0.0, sigma, size=shape)
+    return np.sign(noise) * np.floor(np.abs(noise) + 0.5)
+
+
+def add_offsets(img, offsets: np.ndarray) -> np.ndarray:
+    """Second half of gaussian_noise_attack: add, clamp to [0, 255]."""
+    a = _check_shape(_check_gray(img), offsets.shape)
+    return np.clip(a.astype(np.float64) + offsets, 0, 255).astype(np.uint8)
 
 
 def gaussian_noise_attack(img, sigma: float, seed: int) -> np.ndarray:
     """Add independent N(0, sigma^2) per pixel, round half away from zero,
     clamp to [0, 255]. Deterministic for a given seed."""
     a = _check_gray(img)
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma, size=a.shape)
-    bumped = a.astype(np.float64) + np.sign(noise) * np.floor(np.abs(noise) + 0.5)
-    return np.clip(bumped, 0, 255).astype(np.uint8)
+    return add_offsets(a, noise_offsets(a.shape, sigma, seed))
 
 
 def psnr(a, b) -> float:

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import CiGenerator, XorShift32, _rotl32, seed_word
-from .imaging import (_check_gray, crop_attack, gaussian_noise_attack, jpeg_attack,
-                      rotate_attack)
+from .imaging import (_check_angle, _check_gray, _check_level, _check_sigma, _crop_side,
+                      add_offsets, crop_attack, gaussian_noise_attack, jpeg_attack,
+                      jpeg_forward, jpeg_inverse, noise_offsets, remap, rotate_attack,
+                      rotation_map)
 from .kernels import xorshift_fill
 
 FOLD_INIT = 0x811C9DC5  # nonzero so the all-zero MSC plane still digests
@@ -228,12 +230,16 @@ def extract(img, key: EmbeddingKey, wm_dims: tuple = (64, 64)) -> np.ndarray:
     h, w = wm_dims
     if h < 1 or w < 1:
         raise ValueError(f"watermark dimensions must be positive, got {w}x{h}")
-    n = h * w
-    lsc, mask, addresses = _schedule(img, key, n)
-    r = key.repetition
-    votes = lsc[addresses].reshape(r, n).sum(axis=0)
-    mixed = (2 * votes >= r).astype(np.uint8)
-    return (mixed ^ mask).reshape(h, w)
+    lsc, mask, addresses = _schedule(img, key, h * w)
+    return _vote(lsc, mask, addresses, key.repetition).reshape(h, w)
+
+
+def _vote(lsc, mask, addresses, repetition: int) -> np.ndarray:
+    """The watermark bits that `lsc` holds at `addresses`: the majority of
+    the `repetition` copies of each mixed bit, unmixed by `mask`."""
+    n = mask.size
+    votes = lsc[addresses].reshape(repetition, n).sum(axis=0)
+    return (2 * votes >= repetition).astype(np.uint8) ^ mask
 
 
 def similarity(a, b) -> float:
@@ -254,28 +260,62 @@ ATTACKS = {
 }
 
 
+# kind -> check(parameter, image shape): raises the ValueError that the
+# attack itself raises on that parameter.
+_PARAM_CHECKS = {
+    "crop": _crop_side,
+    "rotate": lambda p, shape: _check_angle(p),
+    "jpeg": lambda p, shape: _check_level(p),
+    "noise": lambda p, shape: _check_sigma(p),
+}
+
+
 def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
                      noise_seed: int = 0x5EED) -> list:
     """Embed, attack, extract, and score every attack cell in both modes.
 
     `attacks` is an iterable of (kind, parameter); returns rows of
     (kind, parameter, mode, similarity). Deterministic given the seeds.
-    Each mode embeds once; the attacks copy their input, so every cell
-    attacks the same marked image.
+    Every cell's parameter is checked before the first embed. Each mode
+    embeds once and every cell attacks that marked image; work that no
+    parameter or mode changes is done once, through the same halves the
+    attack functions compose: the forward DCT per marked image, the
+    rotation map per rotate cell, the noise offsets per noise cell, and the
+    unauth key schedule, which reads no pixel.
     """
     wm = np.asarray(wm, dtype=np.uint8) & 1
     attacks = list(attacks)
-    for kind, _ in attacks:
+    shape = np.shape(carrier)
+    for kind, param in attacks:
         if kind not in ATTACKS:
             raise ValueError(f"unknown attack {kind!r}")
+        _PARAM_CHECKS[kind](param, shape)
     if not attacks:
         return []
     keys = [EmbeddingKey(seed1, seed2, mode=mode) for mode in ("unauth", "auth")]
     marked = [embed(carrier, wm, key) for key in keys]
+    _, mask, addresses = _schedule(marked[0], keys[0], wm.size)
+
+    def recover(key, image):
+        if key.mode == "auth":  # the schedule follows the attacked MSCs
+            return extract(image, key, wm.shape)
+        lsc = coefficient_planes(image, LSC_BITS)
+        return _vote(lsc, mask, addresses, key.repetition).reshape(wm.shape)
+
+    coefs = None
     rows = []
     for kind, param in attacks:
-        for key, image in zip(keys, marked):
-            attacked = ATTACKS[kind](image, param, noise_seed)
-            recovered = extract(attacked, key, wm.shape)
-            rows.append((kind, param, key.mode, similarity(wm, recovered)))
+        if kind == "rotate":
+            rmap = rotation_map(shape, param)
+            attacked = [remap(image, rmap) for image in marked]
+        elif kind == "jpeg":
+            coefs = coefs or [jpeg_forward(image) for image in marked]
+            attacked = [jpeg_inverse(coef, param, shape) for coef in coefs]
+        elif kind == "noise":
+            offsets = noise_offsets(shape, param, noise_seed)
+            attacked = [add_offsets(image, offsets) for image in marked]
+        else:
+            attacked = [crop_attack(image, param) for image in marked]
+        for key, image in zip(keys, attacked):
+            rows.append((kind, param, key.mode, similarity(wm, recover(key, image))))
     return rows

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 from unittest import mock
 
@@ -17,6 +18,7 @@ from cimark.imaging import (
     synthetic_watermark,
 )
 from cimark.watermark import (
+    ATTACKS,
     FOLD_INIT,
     LSC_BITS,
     MSC_BITS,
@@ -499,6 +501,50 @@ class TestSweep:
         got = robustness_sweep(carrier, wm, KEY1 ^ seed, KEY2, iter(grid),
                                noise_seed=noise_seed)
         assert got == want
+
+    def test_rows_equal_single_attack_path(self):
+        # Non-square sides that are not multiples of 8 (JPEG padding), a
+        # non-square watermark, interleaved families and one repeated cell:
+        # every row must equal a fresh embed, one ATTACKS call and one
+        # extract, so the sweep's shared work is checked against the
+        # single-attack path rather than against itself.
+        carrier = synthetic_carrier(5, 240)[:203, 11:]
+        wm = synthetic_watermark(5, 48)[:, :40]
+        grid = [("jpeg", 5), ("rotate", 10), ("noise", 2), ("crop", 40), ("jpeg", 20),
+                ("rotate", 2.5), ("noise", 0.5), ("jpeg", 5), ("crop", 7.9)]
+        noise_seed = 0xC0FFEE
+        want = []
+        for kind, param in grid:
+            for mode in ("unauth", "auth"):
+                key = EmbeddingKey(KEY1, KEY2, mode=mode)
+                attacked = ATTACKS[kind](embed(carrier, wm, key), param, noise_seed)
+                recovered = extract(attacked, key, wm_dims=wm.shape)
+                want.append((kind, param, mode, similarity(wm, recovered)))
+        got = robustness_sweep(carrier, wm, KEY1, KEY2, grid, noise_seed=noise_seed)
+        assert got == want
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("crop", (257, -1, math.nan, math.inf)),
+        ("rotate", (0, 90, -3, math.nan, math.inf)),
+        ("jpeg", (0, -1, math.nan, math.inf)),
+        ("noise", (0, -0.5, math.nan, math.inf)),
+    ], ids=["crop", "rotate", "jpeg", "noise"])
+    def test_bad_parameter_rejected_before_any_work(self, monkeypatch, kind, bad):
+        import cimark.watermark as wmk
+
+        def no_embed(*a, **kw):
+            raise AssertionError("embedded before validating the grid")
+
+        carrier, wm = synthetic_carrier(3), synthetic_watermark(0)
+        for param in bad:
+            with pytest.raises(ValueError) as single:
+                ATTACKS[kind](carrier, param, 1)
+            with monkeypatch.context() as m:
+                m.setattr(wmk, "embed", no_embed)
+                with pytest.raises(ValueError) as swept:
+                    robustness_sweep(carrier, wm, KEY1, KEY2,
+                                     [("crop", 10), ("jpeg", 5), (kind, param)])
+            assert str(swept.value) == str(single.value)
 
 
 # First 16 hex digits of the sha256 of (marked image, extract of the marked
