@@ -47,6 +47,12 @@ _RUNS_A = np.array([
 ])
 _RUNS_B = np.array([1 / 6, 5 / 24, 11 / 120, 19 / 720, 29 / 5040, 1 / 840])
 
+# Overlapping sums of 100 consecutive uniforms; a sample reads 199 words.
+_OSUM_WINDOW = 100
+# DIEHARD's birthday spacings: 512 birthdays in a year of 2^24 days, lambda 2.
+_BIRTHDAY_M = 512
+_BIRTHDAY_BITS = 24
+
 
 @dataclass
 class TestResult:
@@ -63,11 +69,10 @@ class TestResult:
 
 
 # Smallest count each test can run on: one sample or matrix, one 5-letter
-# word, one comparison between two reals, one spacing between two birthdays.
+# word, one comparison between two reals.
 _SMALLEST = dict(osum_samples=1, runs_samples=1, runs_length=2,
-                 birthday_samples=1, birthday_m=2, birthday_bits=1,
-                 cto_letters=5, rank68_samples=1, rank31_samples=1,
-                 rank32_samples=1)
+                 birthday_samples=1, cto_letters=5, rank68_samples=1,
+                 rank31_samples=1, rank32_samples=1)
 
 
 @dataclass
@@ -75,12 +80,15 @@ class BatteryConfig:
     """Sample sizes and conventions for one battery run.
 
     Defaults are the desk profile; canonical() restores full-size counts.
-    The count-the-ones byte variant and the 6x8 rank rows read the least
-    significant byte of each word, rank31 rows its 31 most significant
-    bits, and birthdays its low birthday_bits bits. epsilon must lie in
-    (0, 0.5): outside it the two-tailed rule fails nothing or everything.
-    Every count is refused below the smallest value its test can run on
-    (`_SMALLEST`), before any word is drawn.
+    They are the only defaults of the test sizes: the test functions take
+    no sizes of their own. The birthday test's shape is fixed, 512 birthdays
+    on 2^24 days (the low 24 bits of a word), so only its sample count is
+    set. The count-the-ones byte variant and the 6x8 rank rows read the
+    least significant byte of each word and rank31 rows its 31 most
+    significant bits. epsilon must lie in (0, 0.5): outside it the
+    two-tailed rule fails nothing or everything. Every count is refused
+    below the smallest value its test can run on (`_SMALLEST`), before any
+    word is drawn.
     """
 
     epsilon: float = DEFAULT_EPSILON
@@ -88,8 +96,6 @@ class BatteryConfig:
     runs_samples: int = 10
     runs_length: int = 10_000
     birthday_samples: int = 200
-    birthday_m: int = 512
-    birthday_bits: int = 24
     cto_letters: int = 1_024_000
     rank68_samples: int = 25_000
     rank31_samples: int = 10_000
@@ -102,9 +108,6 @@ class BatteryConfig:
             if not getattr(self, field) >= smallest:
                 raise ValueError(f"{field} must be at least {smallest}, "
                                  f"got {getattr(self, field)}")
-        if not self.birthday_bits <= 32:  # birthdays are bits of a 32-bit word
-            raise ValueError(f"birthday_bits must be at most 32, "
-                             f"got {self.birthday_bits}")
 
     @classmethod
     def canonical(cls, **overrides) -> "BatteryConfig":
@@ -202,11 +205,11 @@ class TestReport:
 # ---------------------------------------------------------------------------
 
 
-def overlapping_sums_test(src: BitStreamSource, samples: int = 100,
+def overlapping_sums_test(src: BitStreamSource, samples: int,
                           epsilon: float = DEFAULT_EPSILON) -> TestResult:
     """Sums of 100 consecutive uniforms, decorrelated by the Cholesky factor
     of their covariance, mapped to uniforms and KS-tested."""
-    window = 100
+    window = _OSUM_WINDOW
     cov = (window - np.abs(np.subtract.outer(np.arange(window), np.arange(window)))) / 12.0
     chol = np.linalg.cholesky(cov)
     trial_ps = []
@@ -237,7 +240,7 @@ def _runs_statistic(counts: np.ndarray, n: int) -> float:
     return float(d @ _RUNS_A @ d) / n
 
 
-def runs_test(src: BitStreamSource, samples: int = 10, length: int = 10_000,
+def runs_test(src: BitStreamSource, samples: int, length: int,
               epsilon: float = DEFAULT_EPSILON) -> TestResult:
     """Run-length counts of ascending and descending runs, Knuth quadratic
     form per sequence, KS over the per-sequence p-values."""
@@ -259,12 +262,12 @@ def _duplicate_spacings(days: np.ndarray) -> np.ndarray:
     return (spacings[:, 1:] == spacings[:, :-1]).sum(axis=1)
 
 
-def birthday_spacings_test(src: BitStreamSource, m: int = 512, nbits: int = 24,
-                           samples: int = 200,
+def birthday_spacings_test(src: BitStreamSource, samples: int,
                            epsilon: float = DEFAULT_EPSILON) -> TestResult:
-    """Duplicate spacings among m birthdays on 2^nbits days are asymptotically
-    Poisson with mean m^3 / 2^(nbits+2); chi-square over `samples` trials.
-    A birthday is the low nbits bits of a word."""
+    """Duplicate spacings among m = 512 birthdays on 2^nbits = 2^24 days are
+    asymptotically Poisson with mean m^3 / 2^(nbits+2) = 2; chi-square over
+    `samples` trials. A birthday is the low nbits bits of a word."""
+    m, nbits = _BIRTHDAY_M, _BIRTHDAY_BITS
     lam = m ** 3 / 2.0 ** (nbits + 2)
     words = src.words(samples * m, "Birthday Spacing").reshape(samples, m)
     dups = _duplicate_spacings(words & np.uint32((1 << nbits) - 1))
@@ -298,8 +301,7 @@ def _cto_statistic(letters: np.ndarray) -> tuple[float, int]:
     return q5 - q4, 5 ** 5 - 5 ** 4
 
 
-def count_the_ones_test(src: BitStreamSource, variant: str = "stream",
-                        letters: int = 256_000,
+def count_the_ones_test(src: BitStreamSource, variant: str, letters: int,
                         epsilon: float = DEFAULT_EPSILON) -> TestResult:
     """Byte popcounts mapped to five letters; chi-square of overlapping
     5-letter minus 4-letter word counts.
@@ -367,13 +369,12 @@ def binary_rank_test(src: BitStreamSource, rows: int, cols: int,
 # are looked up by name when the battery runs, so a wrapper installed on the
 # module sees every call.
 _BATTERY = (
-    ("overlapping_sums_test", lambda c: c.osum_samples * 199,
+    ("overlapping_sums_test", lambda c: c.osum_samples * (2 * _OSUM_WINDOW - 1),
      lambda c: dict(samples=c.osum_samples)),
     ("runs_test", lambda c: c.runs_samples * c.runs_length,
      lambda c: dict(samples=c.runs_samples, length=c.runs_length)),
-    ("birthday_spacings_test", lambda c: c.birthday_samples * c.birthday_m,
-     lambda c: dict(m=c.birthday_m, nbits=c.birthday_bits,
-                    samples=c.birthday_samples)),
+    ("birthday_spacings_test", lambda c: c.birthday_samples * _BIRTHDAY_M,
+     lambda c: dict(samples=c.birthday_samples)),
     ("count_the_ones_test", lambda c: -(-c.cto_letters // 4),
      lambda c: dict(variant="stream", letters=c.cto_letters)),
     ("binary_rank_test", lambda c: c.rank68_samples * 6,

@@ -21,6 +21,7 @@ from . import battery as bat
 from . import imaging, watermark
 from .generator import (CiGenerator, XorShift32, chaotic_iterate, seed_from_time,
                         vector_negation)
+from .pvalues import DEFAULT_EPSILON
 from .source import BitStreamSource, InsufficientDataError
 
 # The paper's worked example: x^0 and the strategy S, read at x^0 and after
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", type=int, default=32)
     t.add_argument("--c", type=int, default=None)
     t.add_argument("--scale", choices=("desk", "canonical"), default="desk")
-    t.add_argument("--epsilon", type=float, default=1e-4)
+    t.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     t.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
     e = sub.add_parser("embed", help="embed a watermark")
@@ -133,7 +134,7 @@ def _stream(args, raw: bool):
     """(description, draw) of the generator the flags name: raw XORshift on
     --seed1, or the CI generator. draw(n) returns its next n 32-bit words."""
     if args.seed1 is None or (not raw and args.seed2 is None):
-        raise SystemExit2("--seed1/--seed2 are required")
+        raise ValueError("--seed1/--seed2 are required")
     if raw:
         return f"xorshift(seed={args.seed1:#x})", XorShift32(args.seed1).fill
     x0 = None
@@ -145,10 +146,6 @@ def _stream(args, raw: bool):
                       n_cells=args.n if x0 is None else None, c=args.c,
                       emit_seed_first=getattr(args, "emit_seed_first", False))
     return f"ci(seed1={args.seed1:#x}, seed2={args.seed2:#x})", gen.words
-
-
-class SystemExit2(Exception):
-    """Usage / rejected-input error (exit code 2)."""
 
 
 def _gen_chunk(draw, nbits: int) -> bytes:
@@ -167,10 +164,10 @@ def cmd_gen(args) -> int:
         print("".join(str(b) for t in _EXAMPLE_READS for b in states[t]))
         return 0
     if (args.bits is None) == (args.nbytes is None):
-        raise SystemExit2("exactly one of --bits/--bytes is required")
+        raise ValueError("exactly one of --bits/--bytes is required")
     nbits = args.bits if args.bits is not None else 8 * args.nbytes
     if nbits < 0:
-        raise SystemExit2("--bits/--bytes must be nonnegative")
+        raise ValueError("--bits/--bytes must be nonnegative")
     _, draw = _stream(args, args.raw_xorshift)
     sink = open(args.out, "wb") if args.out \
         else contextlib.nullcontext(sys.stdout.buffer)
@@ -184,7 +181,7 @@ def cmd_gen(args) -> int:
 
 def cmd_test(args) -> int:
     if (args.infile is None) == (args.gen is None):
-        raise SystemExit2("exactly one of --in/--gen is required")
+        raise ValueError("exactly one of --in/--gen is required")
     cfg_cls = bat.BatteryConfig.canonical if args.scale == "canonical" \
         else bat.BatteryConfig.desk
     cfg = cfg_cls(epsilon=args.epsilon)  # rejects a bad epsilon before any read
@@ -227,8 +224,6 @@ def cmd_extract(args) -> int:
 
 def cmd_attack(args) -> int:
     img = imaging.load_pgm(args.infile)
-    if args.attack == "noise" and args.noise_seed is None:
-        raise SystemExit2("noise attack requires an explicit --noise-seed")
     out = watermark.ATTACKS[args.attack](img, args.param, args.noise_seed)
     ratio = imaging.psnr(img, out)
     imaging.save_pgm(out, args.out)
@@ -302,7 +297,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (SystemExit2, ValueError, imaging.ImageFormatError) as exc:
+    except (ValueError, imaging.ImageFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InsufficientDataError as exc:

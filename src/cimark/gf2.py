@@ -41,11 +41,6 @@ def gf2_rank_many(packed: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
     return rank.astype(np.int64)
 
 
-def rank_distribution(n: int, r: int) -> float:
-    """P(rank = r) for a uniform random n-by-n matrix over GF(2)."""
-    return rank_distribution_rect(n, n, r)
-
-
 def rank_distribution_rect(rows: int, cols: int, r: int) -> float:
     """P(rank = r) for a uniform random rows-by-cols matrix over GF(2):
 

@@ -146,6 +146,11 @@ def _check_sigma(sigma) -> None:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
+def _check_noise_seed(seed) -> None:
+    if seed is None:  # default_rng(None) would draw fresh OS entropy
+        raise ValueError("the noise attack needs an explicit seed")
+
+
 def _check_shape(a: np.ndarray, shape) -> np.ndarray:
     if a.shape != tuple(shape):
         raise ValueError(f"image is {a.shape}, the attack was built for {tuple(shape)}")
@@ -279,8 +284,10 @@ def jpeg_attack(img, level: float) -> np.ndarray:
 
 def noise_offsets(shape, sigma: float, seed: int) -> np.ndarray:
     """First half of gaussian_noise_attack: independent N(0, sigma^2) per
-    pixel of an image of `shape`, rounded half away from zero."""
+    pixel of an image of `shape`, rounded half away from zero; seed must
+    not be None."""
     _check_sigma(sigma)
+    _check_noise_seed(seed)
     noise = np.random.default_rng(seed).normal(0.0, sigma, size=shape)
     return np.sign(noise) * np.floor(np.abs(noise) + 0.5)
 

@@ -150,11 +150,29 @@ def _xorshift_fill_np(state, out):
     return state
 
 
-def _ci_fill_np(xbits, s1, s2, c, rows):
+# ---------------------------------------------------------------------------
+# entry points
+# ---------------------------------------------------------------------------
+
+
+def xorshift_fill(state: int, n: int) -> tuple[np.ndarray, int]:
+    """Next n words of the XORshift chain starting after `state`."""
+    out = np.empty(n, dtype=np.uint32)
+    return out, int(_xorshift_fill_np(state, out))
+
+
+def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[np.ndarray, int, int]:
+    """Run `rounds` generator rounds, mutating xbits in place.
+
+    Returns (states as MSB-first packed uint8 rows of ceil(n/8) bytes, new s1, new s2).
+    """
+    if c < 1:
+        raise ValueError(f"c must be at least 1, got {c}")
     n = xbits.size
-    rounds, nb = rows.shape
+    nb = -(-n // 8)
+    rows = np.empty((rounds, nb), dtype=np.uint8)
     if rounds == 0:
-        return s1, s2
+        return rows, s1, s2
     nw = -(-n // 64)  # 64-cell state words, cell 64w + j at bit 63 - j
     packed = np.zeros(8 * nw, dtype=np.uint8)
     packed[:nb] = np.packbits(xbits)
@@ -186,27 +204,4 @@ def _ci_fill_np(xbits, s1, s2, c, rows):
         carry = states[:, -1].copy()
         rows[r0:r1] = states.T.astype(">u8", order="C").view(np.uint8)[:, :nb]
     xbits[:] = np.unpackbits(rows[-1], count=n)
-    return s1, s2
-
-
-# ---------------------------------------------------------------------------
-# entry points
-# ---------------------------------------------------------------------------
-
-
-def xorshift_fill(state: int, n: int) -> tuple[np.ndarray, int]:
-    """Next n words of the XORshift chain starting after `state`."""
-    out = np.empty(n, dtype=np.uint32)
-    return out, int(_xorshift_fill_np(state, out))
-
-
-def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[np.ndarray, int, int]:
-    """Run `rounds` generator rounds, mutating xbits in place.
-
-    Returns (states as MSB-first packed uint8 rows of ceil(n/8) bytes, new s1, new s2).
-    """
-    if c < 1:
-        raise ValueError(f"c must be at least 1, got {c}")
-    out = np.empty((rounds, -(-xbits.size // 8)), dtype=np.uint8)
-    s1, s2 = _ci_fill_np(xbits, s1, s2, c, out)
-    return out, s1, s2
+    return rows, s1, s2

@@ -42,7 +42,7 @@ class BitStreamSource:
         out = self._pull(n)
         self.pull_seconds += time.perf_counter() - start
         if out.size < n:
-            raise InsufficientDataError(test_name, n, self.consumed + out.size)
+            raise InsufficientDataError(test_name, n, out.size)
         self.consumed += n
         return out
 

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import CiGenerator, XorShift32, _rotl32, seed_word
-from .imaging import (_check_angle, _check_gray, _check_level, _check_sigma, _crop_side,
-                      add_offsets, crop_attack, gaussian_noise_attack, jpeg_attack,
-                      jpeg_forward, jpeg_inverse, noise_offsets, remap, rotate_attack,
-                      rotation_map)
+from .imaging import (_check_angle, _check_gray, _check_level, _check_noise_seed,
+                      _check_sigma, _crop_side, add_offsets, crop_attack,
+                      gaussian_noise_attack, jpeg_attack, jpeg_forward, jpeg_inverse,
+                      noise_offsets, remap, rotate_attack, rotation_map)
 from .kernels import xorshift_fill
 
 FOLD_INIT = 0x811C9DC5  # nonzero so the all-zero MSC plane still digests
@@ -276,7 +276,8 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
 
     `attacks` is an iterable of (kind, parameter); returns rows of
     (kind, parameter, mode, similarity). Deterministic given the seeds.
-    Every cell's parameter is checked before the first embed. Each mode
+    The watermark must be 2-D; its shape, every cell's parameter and, with a
+    noise cell, noise_seed are checked before the first embed. Each mode
     embeds once and every cell attacks that marked image; work that no
     parameter or mode changes is done once, through the same halves the
     attack functions compose: the forward DCT per marked image, the
@@ -284,12 +285,16 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     unauth key schedule, which reads no pixel.
     """
     wm = np.asarray(wm, dtype=np.uint8) & 1
+    if wm.ndim != 2:
+        raise ValueError(f"the watermark must be a 2-D image, got shape {wm.shape}")
     attacks = list(attacks)
     shape = np.shape(carrier)
     for kind, param in attacks:
         if kind not in ATTACKS:
             raise ValueError(f"unknown attack {kind!r}")
         _PARAM_CHECKS[kind](param, shape)
+        if kind == "noise":
+            _check_noise_seed(noise_seed)
     if not attacks:
         return []
     keys = [EmbeddingKey(seed1, seed2, mode=mode) for mode in ("unauth", "auth")]

@@ -17,7 +17,7 @@ from cimark.generator import (
     kth_bit_oracle,
     vector_negation,
 )
-from cimark.gf2 import gf2_rank_many, rank_distribution
+from cimark.gf2 import gf2_rank_many, rank_distribution_rect
 from cimark.imaging import (
     load_pbm,
     load_pgm,
@@ -311,7 +311,7 @@ class TestCriterion7PropertySuites:
     def test_rank_distribution_normalization(self):
         def run():
             return all(
-                abs(sum(rank_distribution(n, r) for r in range(n + 1)) - 1.0) < 1e-12
+                abs(sum(rank_distribution_rect(n, n, r) for r in range(n + 1)) - 1.0) < 1e-12
                 for n in (6, 31, 32)
             )
 

@@ -54,7 +54,7 @@ class TestIndividualTests:
         assert not r.passed
 
     def test_runs_reference_passes(self):
-        r = runs_test(reference_source(2))
+        r = runs_test(reference_source(2), samples=10, length=10_000)
         assert r.passed
         assert r.labels == ["Up 1", "Down 1"]
 
@@ -67,7 +67,7 @@ class TestIndividualTests:
             state["pos"] += n
             return ramp[s:s + n]
 
-        r = runs_test(BitStreamSource("ramp", pull))
+        r = runs_test(BitStreamSource("ramp", pull), samples=10, length=10_000)
         assert not r.passed
 
     def test_birthday_lambda(self):
@@ -101,8 +101,8 @@ class TestIndividualTests:
         assert not r.passed
 
     def test_cto_reference_passes_both_variants(self):
-        assert count_the_ones_test(reference_source(4), "stream").passed
-        assert count_the_ones_test(reference_source(5), "bytes").passed
+        assert count_the_ones_test(reference_source(4), "stream", letters=256_000).passed
+        assert count_the_ones_test(reference_source(5), "bytes", letters=256_000).passed
 
     def test_letters_match_popcount_classes(self):
         b = np.arange(256, dtype=np.uint8)
@@ -111,7 +111,7 @@ class TestIndividualTests:
 
     def test_cto_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
-            count_the_ones_test(reference_source(6), "words")
+            count_the_ones_test(reference_source(6), "words", letters=256_000)
 
     def test_rank_constant_ones_fails(self):
         r = binary_rank_test(constant_source(0xFFFFFFFF), 32, 32, samples=2000)
@@ -132,6 +132,24 @@ class TestIndividualTests:
         with pytest.raises(InsufficientDataError) as err:
             binary_rank_test(src, 32, 32, samples=10_000)
         assert "Binary Rank 32x32" in str(err.value)
+
+    def test_short_pull_reports_words_returned(self):
+        """A pull without a limit that returns short reports the words it
+        returned, not those plus the words consumed before it (10 here)."""
+        supply = XorShift32(0x1234567).fill(10)
+        state = {"pos": 0}
+
+        def pull(n):
+            s = state["pos"]
+            state["pos"] += n
+            return supply[s:s + n]
+
+        src = BitStreamSource("ten words", pull)
+        src.words(5)
+        with pytest.raises(InsufficientDataError) as err:
+            src.words(10, "probe")
+        assert str(err.value) == "probe: needs 10 words, only 5 available"
+        assert err.value.available == 5
 
 
 # Reduced desk profile: every test runs, ranks on a few hundred matrices.
@@ -303,14 +321,11 @@ class TestBattery:
             with pytest.raises(ValueError, match=f"{field} must be at least"):
                 BatteryConfig.canonical(**{field: value})
 
-    def test_birthday_bits_above_word_rejected(self):
-        with pytest.raises(ValueError, match="birthday_bits must be at most 32"):
-            BatteryConfig(birthday_bits=33)
-
     def test_smallest_counts_run(self):
         report = run_battery(reference_source(12), BatteryConfig(**_SMALLEST))
         assert all(np.isfinite(p) for r in report.results for p in r.p_values)
-        assert report.words_consumed == 199 + 2 + 2 + 2 + 6 + 31 + 32 + 5
+        # the birthday test always draws 512 birthdays per sample
+        assert report.words_consumed == 199 + 2 + 512 + 2 + 6 + 31 + 32 + 5 == 789
 
 
 class TestFileSource:

@@ -262,9 +262,11 @@ class TestWatermarkCommands:
 
     def test_noise_attack_needs_seed(self, tmp_path, images):
         carrier, _ = images
-        assert main(["attack", "--in", str(carrier),
-                     "--out", str(tmp_path / "n.pgm"),
+        out = tmp_path / "n.pgm"
+        assert main(["attack", "--in", str(carrier), "--out", str(out),
                      "--attack", "noise", "--param", "3"]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "n.pgm.json").exists()
 
     def test_noise_attack_with_seed(self, tmp_path, images):
         carrier, _ = images

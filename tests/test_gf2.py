@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cimark.gf2 import gf2_rank_many, rank_distribution, rank_distribution_rect
+from cimark.gf2 import gf2_rank_many, rank_distribution_rect
 from gf2_oracle import gf2_rank, naive_rank
 
 
@@ -57,12 +57,12 @@ class TestRank:
 
 class TestRankDistribution:
     def test_one_by_one(self):
-        assert rank_distribution(1, 1) == pytest.approx(0.5)
-        assert rank_distribution(1, 0) == pytest.approx(0.5)
+        assert rank_distribution_rect(1, 1, 1) == pytest.approx(0.5)
+        assert rank_distribution_rect(1, 1, 0) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("n", [6, 31, 32])
     def test_normalization(self, n):
-        total = sum(rank_distribution(n, r) for r in range(n + 1))
+        total = sum(rank_distribution_rect(n, n, r) for r in range(n + 1))
         assert abs(total - 1.0) < 1e-12
 
     def test_rect_normalization(self):
@@ -71,14 +71,14 @@ class TestRankDistribution:
 
     def test_known_full_rank_limits(self):
         # classical values used by the rank test binning
-        assert rank_distribution(32, 32) == pytest.approx(0.2887880951, abs=1e-9)
-        assert rank_distribution(32, 31) == pytest.approx(0.5775761902, abs=1e-9)
+        assert rank_distribution_rect(32, 32, 32) == pytest.approx(0.2887880951, abs=1e-9)
+        assert rank_distribution_rect(32, 32, 31) == pytest.approx(0.5775761902, abs=1e-9)
         assert rank_distribution_rect(6, 8, 6) == pytest.approx(0.773118, abs=1e-6)
         assert rank_distribution_rect(6, 8, 5) == pytest.approx(0.217439, abs=1e-6)
 
     def test_out_of_range(self):
-        assert rank_distribution(4, 5) == 0.0
-        assert rank_distribution(4, -1) == 0.0
+        assert rank_distribution_rect(4, 4, 5) == 0.0
+        assert rank_distribution_rect(4, 4, -1) == 0.0
 
     def test_monte_carlo_32x32_full_rank(self):
         # brute-force check of P(rank=32) against simulation
@@ -87,7 +87,7 @@ class TestRankDistribution:
         mats = rng.integers(0, 1 << 32, size=(count, 32), dtype=np.uint64)
         ranks = gf2_rank_many(mats, 32, 32)
         est = float((ranks == 32).mean())
-        p = rank_distribution(32, 32)
+        p = rank_distribution_rect(32, 32, 32)
         sigma = (p * (1 - p) / count) ** 0.5
         assert abs(est - p) < 3 * sigma + 1e-9
 
@@ -100,4 +100,4 @@ class TestRankDistribution:
             m = np.array(bits, dtype=np.uint8).reshape(2, 2)
             counts[naive_rank(m)] += 1
         for r in range(3):
-            assert rank_distribution(2, r) == pytest.approx(counts[r] / 16)
+            assert rank_distribution_rect(2, 2, r) == pytest.approx(counts[r] / 16)

@@ -10,6 +10,7 @@ from cimark.imaging import (
     jpeg_attack,
     load_pbm,
     load_pgm,
+    noise_offsets,
     psnr,
     rotate_attack,
     save_pbm,
@@ -215,6 +216,15 @@ class TestNoise:
     def test_bad_sigma_rejected(self):
         with pytest.raises(ValueError):
             gaussian_noise_attack(synthetic_carrier(1), 0.0, seed=1)
+
+    def test_seed_none_rejected(self):
+        """seed=None used to fall through to OS entropy: a different image on
+        every call."""
+        img = synthetic_carrier(1, 32)
+        with pytest.raises(ValueError, match="explicit seed"):
+            gaussian_noise_attack(img, 2.0, None)
+        with pytest.raises(ValueError, match="explicit seed"):
+            noise_offsets(img.shape, 2.0, None)
 
 
 class TestPsnr:

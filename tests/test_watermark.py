@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -545,6 +546,42 @@ class TestSweep:
                     robustness_sweep(carrier, wm, KEY1, KEY2,
                                      [("crop", 10), ("jpeg", 5), (kind, param)])
             assert str(swept.value) == str(single.value)
+
+    @pytest.mark.parametrize("shape", [(256,), (4, 8, 8)], ids=["1-D", "3-D"])
+    def test_watermark_not_2d_rejected_before_any_work(self, monkeypatch, shape):
+        """A watermark that is not 2-D used to be embedded in both modes and
+        only then fail inside extract with a bare unpacking error."""
+        import cimark.watermark as wmk
+
+        def no_embed(*a, **kw):
+            raise AssertionError("embedded before validating the watermark")
+
+        monkeypatch.setattr(wmk, "embed", no_embed)
+        wm = synthetic_watermark(0, 16).reshape(shape)
+        with pytest.raises(ValueError, match=r"2-D.*" + re.escape(str(shape))):
+            robustness_sweep(synthetic_carrier(3, 64), wm, 1, 2, [("crop", 4)])
+
+    def test_noise_seed_none_rejected_before_any_work(self, monkeypatch):
+        """noise_seed=None used to draw OS entropy, so the noise rows changed
+        from run to run; a grid without a noise cell does not need a seed."""
+        import cimark.watermark as wmk
+
+        carrier, wm = synthetic_carrier(3, 64), synthetic_watermark(0, 16)
+        rows = robustness_sweep(carrier, wm, 1, 2, [("crop", 4)], noise_seed=None)
+        assert [r[:3] for r in rows] == [("crop", 4, "unauth"), ("crop", 4, "auth")]
+
+        def no_embed(*a, **kw):
+            raise AssertionError("embedded before validating the noise seed")
+
+        monkeypatch.setattr(wmk, "embed", no_embed)
+        with pytest.raises(ValueError, match="explicit seed"):
+            robustness_sweep(carrier, wm, 1, 2, [("crop", 4), ("noise", 2.0)],
+                             noise_seed=None)
+
+    def test_noise_attack_needs_seed(self):
+        img = synthetic_carrier(3, 64)
+        with pytest.raises(ValueError, match="explicit seed"):
+            ATTACKS["noise"](img, 2.0, None)
 
 
 # First 16 hex digits of the sha256 of (marked image, extract of the marked
