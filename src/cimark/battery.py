@@ -32,9 +32,10 @@ from .source import BitStreamSource
 
 # popcount class probabilities of a random byte: <=2, 3, 4, 5, >=6 ones
 _LETTER_PROBS = np.array([37, 56, 70, 56, 37], dtype=np.float64) / 256.0
-# letter of each byte value: its popcount class 0..4
+# letter of each byte value: its popcount class 0..4; uint16 holds a whole
+# 5-letter word code (< 5^5)
 _BYTE_LETTER = (np.clip(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
-                                      axis=1).sum(axis=1), 2, 6) - 2).astype(np.int64)
+                                      axis=1).sum(axis=1), 2, 6) - 2).astype(np.uint16)
 
 # Knuth run-length quadratic form (runs of length 1..6+, n values)
 _RUNS_A = np.array([
@@ -73,6 +74,16 @@ class TestResult:
 _SMALLEST = dict(osum_samples=1, runs_samples=1, runs_length=2,
                  birthday_samples=1, cto_letters=5, rank68_samples=1,
                  rank31_samples=1, rank32_samples=1)
+# the _SMALLEST field of each binary rank test's sample count, by shape
+_RANK_SAMPLES = {(6, 8): "rank68_samples", (31, 31): "rank31_samples",
+                 (32, 32): "rank32_samples"}
+
+
+def _check_smallest(field: str, value) -> None:
+    """Refuse a count below the smallest its test can run on (or NaN)."""
+    if not value >= _SMALLEST[field]:
+        raise ValueError(f"{field} must be at least {_SMALLEST[field]}, "
+                         f"got {value}")
 
 
 @dataclass
@@ -87,8 +98,8 @@ class BatteryConfig:
     least significant byte of each word and rank31 rows its 31 most
     significant bits. epsilon must lie in (0, 0.5): outside it the
     two-tailed rule fails nothing or everything. Every count is refused
-    below the smallest value its test can run on (`_SMALLEST`), before any
-    word is drawn.
+    below the smallest value its test can run on (`_SMALLEST`), here and
+    by the test function itself, before any word is drawn.
     """
 
     epsilon: float = DEFAULT_EPSILON
@@ -104,10 +115,8 @@ class BatteryConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < 0.5:  # also refuses NaN and infinities
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
-        for field, smallest in _SMALLEST.items():
-            if not getattr(self, field) >= smallest:
-                raise ValueError(f"{field} must be at least {smallest}, "
-                                 f"got {getattr(self, field)}")
+        for field in _SMALLEST:
+            _check_smallest(field, getattr(self, field))
 
     @classmethod
     def canonical(cls, **overrides) -> "BatteryConfig":
@@ -209,6 +218,7 @@ def overlapping_sums_test(src: BitStreamSource, samples: int,
                           epsilon: float = DEFAULT_EPSILON) -> TestResult:
     """Sums of 100 consecutive uniforms, decorrelated by the Cholesky factor
     of their covariance, mapped to uniforms and KS-tested."""
+    _check_smallest("osum_samples", samples)
     window = _OSUM_WINDOW
     cov = (window - np.abs(np.subtract.outer(np.arange(window), np.arange(window)))) / 12.0
     chol = np.linalg.cholesky(cov)
@@ -244,6 +254,8 @@ def runs_test(src: BitStreamSource, samples: int, length: int,
               epsilon: float = DEFAULT_EPSILON) -> TestResult:
     """Run-length counts of ascending and descending runs, Knuth quadratic
     form per sequence, KS over the per-sequence p-values."""
+    _check_smallest("runs_samples", samples)
+    _check_smallest("runs_length", length)
     ups, downs = [], []
     for u in src.reals(samples * length, "Runs").reshape(samples, length):
         for direction, sink in (("up", ups), ("down", downs)):
@@ -267,6 +279,7 @@ def birthday_spacings_test(src: BitStreamSource, samples: int,
     """Duplicate spacings among m = 512 birthdays on 2^nbits = 2^24 days are
     asymptotically Poisson with mean m^3 / 2^(nbits+2) = 2; chi-square over
     `samples` trials. A birthday is the low nbits bits of a word."""
+    _check_smallest("birthday_samples", samples)
     m, nbits = _BIRTHDAY_M, _BIRTHDAY_BITS
     lam = m ** 3 / 2.0 ** (nbits + 2)
     words = src.words(samples * m, "Birthday Spacing").reshape(samples, m)
@@ -286,18 +299,31 @@ def birthday_spacings_test(src: BitStreamSource, samples: int,
     return TestResult("Birthday Spacing", [p], verdict([p], epsilon), samples)
 
 
-def _cto_statistic(letters: np.ndarray) -> tuple[float, int]:
-    l64 = letters.astype(np.int64, copy=False)
-    code4 = ((l64[:-3] * 5 + l64[1:-2]) * 5 + l64[2:-1]) * 5 + l64[3:]
-    code5 = code4[:-1] * 5 + l64[4:]
+def _cto_statistic(b: np.ndarray) -> tuple[float, int]:
+    """Q5 - Q4 over the overlapping 5- and 4-letter words of the letters of
+    the bytes b (at least 5), and its degrees of freedom.
+
+    Only the 5-letter words are counted: the 4-letter word at position i is
+    the prefix of the 5-letter word there, so summing the 5-letter counts
+    over their last letter counts every 4-letter word but the final one,
+    which is the last 4 letters of the final 5-letter word.
+    """
+    letters = _BYTE_LETTER.take(b)
+    code5 = letters[:-4] * 5
+    for k in range(1, 4):
+        code5 += letters[k:k - 4]
+        code5 *= 5
+    code5 += letters[4:]
+    obs5 = np.bincount(code5, minlength=5 ** 5).astype(np.float64)
+    obs4 = obs5.reshape(5 ** 4, 5).sum(axis=1)  # integer sums, exact in float64
+    obs4[code5[-1] % 5 ** 4] += 1
+    n5, n4 = code5.size, code5.size + 1
     p4 = _LETTER_PROBS
     for _ in range(3):
         p4 = np.kron(p4, _LETTER_PROBS)
     p5 = np.kron(p4, _LETTER_PROBS)
-    obs5 = np.bincount(code5, minlength=5 ** 5).astype(np.float64)
-    obs4 = np.bincount(code4, minlength=5 ** 4).astype(np.float64)
-    q5 = float(((obs5 - code5.size * p5) ** 2 / (code5.size * p5)).sum())
-    q4 = float(((obs4 - code4.size * p4) ** 2 / (code4.size * p4)).sum())
+    q5 = float(((obs5 - n5 * p5) ** 2 / (n5 * p5)).sum())
+    q4 = float(((obs4 - n4 * p4) ** 2 / (n4 * p4)).sum())
     return q5 - q4, 5 ** 5 - 5 ** 4
 
 
@@ -309,6 +335,7 @@ def count_the_ones_test(src: BitStreamSource, variant: str, letters: int,
     variant="stream": every byte of the word stream (big-endian order).
     variant="bytes": the least significant byte of each word.
     """
+    _check_smallest("cto_letters", letters)
     if variant == "stream":
         nwords = -(-letters // 4)
         w = src.words(nwords, "Count the ones 1")
@@ -320,7 +347,7 @@ def count_the_ones_test(src: BitStreamSource, variant: str, letters: int,
         name = "Count the ones 2"
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    stat, dof = _cto_statistic(_BYTE_LETTER[b])
+    stat, dof = _cto_statistic(b)
     # Q5-Q4 can come out slightly negative on clean data; clamp for the tail
     p = chi_square_pvalue(max(stat, 0.0), dof)
     return TestResult(name, [p], verdict([p], epsilon), letters)
@@ -335,8 +362,9 @@ def binary_rank_test(src: BitStreamSource, rows: int, cols: int,
     (32,32): full words as rows. (31,31): the 31 most significant bits of
     each word. (6,8): the least significant byte of each of six words.
     """
-    if (rows, cols) not in ((6, 8), (31, 31), (32, 32)):
+    if (rows, cols) not in _RANK_SAMPLES:
         raise ValueError("supported shapes: (6,8), (31,31), (32,32)")
+    _check_smallest(_RANK_SAMPLES[rows, cols], samples)
     name = f"Binary Rank {rows}x{cols}"
     w = src.words(rows * samples, name).reshape(samples, rows)
     if (rows, cols) == (32, 32):

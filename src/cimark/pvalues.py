@@ -65,8 +65,9 @@ def ks_uniformity(p_values) -> float:
 
 
 def verdict(p_values, epsilon: float = DEFAULT_EPSILON) -> bool:
-    """True (pass) unless any p-value falls within epsilon of 0 or 1."""
+    """True (pass) unless any p-value falls within epsilon of 0 or 1 or is
+    NaN (a NaN lies in no interval, so it fails the range check)."""
     for p in p_values:
-        if p < epsilon or p > 1.0 - epsilon:
+        if not epsilon <= p <= 1.0 - epsilon:
             return False
     return True

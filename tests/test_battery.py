@@ -1,5 +1,8 @@
+import itertools
 import json
+import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from cimark.battery import (
     _BATTERY,
     _BYTE_LETTER,
     _SMALLEST,
+    _cto_statistic,
     _duplicate_spacings,
     battery_word_budget,
     binary_rank_test,
@@ -108,6 +112,30 @@ class TestIndividualTests:
         b = np.arange(256, dtype=np.uint8)
         popcount = np.array([bin(v).count("1") for v in range(256)])
         assert np.array_equal(_BYTE_LETTER[b], np.clip(popcount, 2, 6) - 2)
+
+    @pytest.mark.parametrize("b", [
+        pytest.param(np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8),
+                     id=f"random-{n}") for n in (5, 6, 7, 2003)
+    ] + [pytest.param(np.zeros(100, np.uint8), id="zeros"),
+         pytest.param(np.full(100, 0xFF, np.uint8), id="ones")])
+    def test_cto_statistic_matches_counter_oracle(self, b):
+        """Q5 - Q4 from plain-Python counts of the overlapping 4- and
+        5-letter words; 5 bytes make a single 5-letter word."""
+        letters = [min(max(bin(v).count("1"), 2), 6) - 2 for v in b.tolist()]
+        probs = [37 / 256, 56 / 256, 70 / 256, 56 / 256, 37 / 256]
+
+        def q(m):
+            n = len(letters) - m + 1
+            seen = Counter(tuple(letters[i:i + m]) for i in range(n))
+            total = 0.0
+            for word in itertools.product(range(5), repeat=m):
+                expected = n * math.prod(probs[x] for x in word)
+                total += (seen[word] - expected) ** 2 / expected
+            return total
+
+        stat, dof = _cto_statistic(b)
+        assert dof == 5 ** 5 - 5 ** 4
+        assert stat == pytest.approx(q(5) - q(4), rel=1e-12)
 
     def test_cto_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -320,6 +348,26 @@ class TestBattery:
                 BatteryConfig(**{field: value})
             with pytest.raises(ValueError, match=f"{field} must be at least"):
                 BatteryConfig.canonical(**{field: value})
+
+    @pytest.mark.parametrize("test, kwargs, field", [
+        (overlapping_sums_test, dict(samples=0), "osum_samples"),
+        (runs_test, dict(samples=0, length=10), "runs_samples"),
+        (runs_test, dict(samples=1, length=1), "runs_length"),
+        (birthday_spacings_test, dict(samples=0), "birthday_samples"),
+        (count_the_ones_test, dict(variant="stream", letters=4), "cto_letters"),
+        (count_the_ones_test, dict(variant="bytes", letters=4), "cto_letters"),
+        (binary_rank_test, dict(rows=6, cols=8, samples=0), "rank68_samples"),
+        (binary_rank_test, dict(rows=31, cols=31, samples=0), "rank31_samples"),
+        (binary_rank_test, dict(rows=32, cols=32, samples=0), "rank32_samples"),
+    ], ids=["osum", "runs-samples", "runs-length", "birthday", "cto-stream",
+            "cto-bytes", "rank6x8", "rank31", "rank32"])
+    def test_functions_refuse_counts_below_smallest(self, test, kwargs, field):
+        # unguarded, too few letters or no samples give a NaN p-value or an
+        # IndexError; the refusal comes before any word is drawn
+        src = reference_source(13)
+        with pytest.raises(ValueError, match=f"{field} must be at least"):
+            test(src, **kwargs)
+        assert src.consumed == 0
 
     def test_smallest_counts_run(self):
         report = run_battery(reference_source(12), BatteryConfig(**_SMALLEST))

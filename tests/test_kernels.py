@@ -271,6 +271,21 @@ def test_rank_matches_oracle(nrows, ncols, count, weights, narrow, seed):
     assert np.array_equal(mats, snapshot) and mats.dtype == snapshot.dtype
 
 
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+@pytest.mark.parametrize("ncols", [8, 31, 33])
+def test_rank_ignores_bits_above_ncols(dtype, ncols):
+    """Bits at and above ncols are not columns: a batch with random bits
+    there has the ranks of the same batch masked to ncols bits."""
+    width = 8 * np.dtype(dtype).itemsize
+    rng = np.random.default_rng(ncols * width)
+    mats = rng.integers(0, 2**width, size=(500, ncols), dtype=dtype)
+    masked = mats & dtype((1 << min(ncols, width)) - 1)
+    if ncols < width:
+        assert (mats != masked).any()
+    expected = gf2_rank_many(masked, ncols, ncols)
+    assert np.array_equal(gf2_rank_many(mats, ncols, ncols), expected)
+
+
 def test_numba_flag_reported():
     """No compiled kernels exist; the exported flag says so."""
     assert cimark.NUMBA_ENABLED is False

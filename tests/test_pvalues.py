@@ -114,3 +114,8 @@ class TestVerdict:
 
     def test_any_extreme_fails(self):
         assert verdict([0.4, 0.6, 0.999999]) is False
+
+    def test_nan_fails(self):
+        # a NaN compares false both ways: only an "inside the range" test fails it
+        assert verdict([float("nan")]) is False
+        assert verdict([0.5, float("nan")]) is False
