@@ -164,23 +164,37 @@ class CiGenerator:
         return self._packed(32 * n).view(">u4").astype(np.uint32)
 
 
-def kth_bit_oracle(make_generator, k: int) -> int:
+def kth_bit_oracle(make_generator, k):
     """Direct evaluation of output bit k of the generator that
     make_generator() returns. Its unread bits come first; past them,
     bit k is component (k mod N) of the state reached after chunks
     0 .. floor(k/N), i.e. after the first m_0 + ... + m_{floor(k/N)} flips.
-    Computed from flip parity on the one relevant cell, not by streaming."""
-    if k < 0:
+    Computed from flip parity on the one relevant cell, not by streaming.
+
+    k may also be a 1-D sequence of positions: both chains are then drawn
+    once, up to the largest, and a uint8 array of the bits is returned."""
+    ks = np.asarray(k)
+    if ks.ndim > 1 or (ks.size and ks.dtype.kind not in "iu"):
+        raise ValueError("k must be an int or a 1-D sequence of ints")
+    ks = ks.astype(np.int64)
+    if (ks < 0).any():
         raise ValueError("k must be nonnegative")
     g = make_generator()
-    n = g.n_cells
-    if k < g._unread:
-        return int(g.x[n - g._unread + k])
-    k -= g._unread
-    chunks = k // n + 1
-    cell = k % n
-    m_words, _ = xorshift_fill(g.s1, chunks)
-    total = int(((m_words & np.uint32(1)).astype(np.int64) + g.c).sum())
-    s_words, _ = xorshift_fill(g.s2, total)
-    flips = int(((s_words % np.uint32(n)) == cell).sum())
-    return int(g.x[cell]) ^ (flips & 1)
+    n, unread = g.n_cells, g._unread
+    pos = ks.ravel()
+    out = np.empty(pos.size, dtype=np.uint8)
+    early = pos < unread
+    out[early] = g.x[n - unread + pos[early]]
+    past = np.flatnonzero(~early)
+    if past.size:
+        chunk, cell = np.divmod(pos[past] - unread, n)
+        m_words, _ = xorshift_fill(g.s1, int(chunk.max()) + 1)
+        ends = np.cumsum((m_words & np.uint32(1)).astype(np.int64) + g.c)
+        s_words, _ = xorshift_fill(g.s2, int(ends[-1]))
+        flipped = s_words % np.uint32(n)
+        for j in np.unique(cell):
+            at = cell == j
+            # flips of cell j before the end of each asked chunk
+            flips = np.searchsorted(np.flatnonzero(flipped == j), ends[chunk[at]])
+            out[past[at]] = g.x[j] ^ (flips & 1)
+    return int(out[0]) if ks.ndim == 0 else out

@@ -6,9 +6,13 @@ Every kernel is vectorised numpy; there is one implementation per job.
 The XORshift fill jumps ahead with cached byte tables of the round matrix
 raised to powers of two: short chains by doubling, long ones by stepping
 32-word lanes, whose starts the tables jump to, as one vector. The
-generator kernel XOR-reduces one-hot flip masks per round and accumulates
-the rounds, in chunks of about 2^19 flips, so its working memory beyond
-the output is bounded for any stream length. See the comment above them.
+generator kernel draws its strategy words in that lane layout and never
+puts them into stream order: it builds one-hot flip masks in 32-bit state
+words, takes their prefix XOR down each lane and across the lane totals,
+and gathers each round's state at its last flip. It works in chunks of
+about 2^19 flips, in one buffer block allocated per call, so its working
+memory beyond the output is bounded for any stream length. See the
+comment above the kernels.
 """
 
 from __future__ import annotations
@@ -41,29 +45,39 @@ def xorshift_step(word: int) -> int:
 # only up to the level a call needs. A chain from a given out[0] is filled
 # by doubling: while h words are known, out[h:2h] = T^h(out[:h]).
 #
-# Fills of _LANE_MIN words or more run in blocks of _LANE_BLOCK words, each
-# split into K = ceil(len/L) lanes of L = _LANE words. The lane starts are a
-# T^L chain filled by doubling with levels k + log2(L), as
-# (T^L)^(2^k) = T^(2^(k + log2 L)). The K lanes take L plain rounds as one
-# uint32 vector, into an (L, K) buffer whose transpose is the block. Shorter
-# fills are faster by doubling.
+# A lane stepper fills an (L, K) buffer with L*K words of the chain, word e
+# at [e % L, e // L]: K lanes of L = _LANE words whose starts are a T^L chain
+# filled by doubling with levels k + log2(L), as (T^L)^(2^k) =
+# T^(2^(k + log2 L)). The K lanes take L plain rounds as one uint32 vector.
+# Fills of _LANE_MIN words or more step lanes in blocks of _LANE_BLOCK words
+# and transpose each block into stream order; shorter fills are faster by
+# doubling.
 #
 # A generator round flips m >= 1 cells and emits the state, so each emitted
-# state is the initial state XOR the prefix XOR of one-hot flip masks
-# (1 << (63 - cell mod 64) in the state word cell // 64), XOR-reduced per
-# round (reduceat at each round's first flip) and then accumulated over
-# rounds. The strategy word mod N is w - (w // N) * N: numpy floor-divides
-# by a scalar with libdivide (a multiply and shifts per element), which
-# makes the three passes about twice as fast as np.remainder. A round's
-# output row is the leading ceil(N/8) big-endian bytes of its state words.
-# Chunks of about _CHUNK_FLIPS flips, in buffers allocated once per call,
-# bound the working memory beyond the output.
+# state is the initial state XOR the prefix XOR of one-hot flip masks up to
+# the round's last flip. The kernel steps the strategy words in lanes and
+# keeps that layout throughout. The cells are reduced mod N in place as
+# w - (w // N) * N: numpy floor-divides by a scalar with libdivide (a
+# multiply and shifts per element), which makes the three passes about twice
+# as fast as np.remainder. For each of the nw = ceil(N/32) big-endian uint32
+# state words w, the mask of a cell is 1 << (32w + 31 - cell); a shift of 32
+# or more, or a wrapped negative one, gives 0, so cells outside word w add
+# nothing. The prefix XOR is a blocked scan: L - 1 row XORs down the lanes
+# (far faster than bitwise_xor.accumulate along axis 0), then an exclusive
+# XOR-scan of the last row over the K lanes. A round's state is then one
+# gather at its last flip, XOR its lane's scan value, XOR the carried state.
+# Its output row is the leading ceil(N/8) bytes of its state words. Chunks
+# of about _CHUNK_FLIPS flips bound the working memory beyond the output.
+# The cell and mask buffers of a chunk are one block allocated once per
+# call (the cell quotient reuses the mask row): separate buffers of a few MB
+# each are handed back to the OS on every free and page-faulted in again on
+# the next call.
 # ---------------------------------------------------------------------------
 
 _CHUNK_FLIPS = 1 << 19
 _LANE = 32  # words per lane, a power of two
-_LANE_MIN = 1 << 16  # shortest fill that steps lanes
-_LANE_BLOCK = 1 << 18  # words per lane block; keeps the transpose in cache
+_LANE_MIN = 1 << 16  # shortest xorshift_fill that steps lanes
+_LANE_BLOCK = 1 << 18  # words per transposed block; keeps the transpose in cache
 _JUMP = ()  # _JUMP[k]: (4, 256) uint32 byte tables of T^(2^k)
 
 
@@ -119,6 +133,23 @@ def _jump_chain(out, shift):
         h += t
 
 
+def _lanes(state, buf):
+    """Fill the (L, K) uint32 buffer with the next L*K words of the chain
+    after `state`, word e at [e % L, e // L]."""
+    ln, k = buf.shape
+    prev = np.full(k, state, dtype=np.uint32)
+    _jump_chain(prev, ln.bit_length() - 1)  # lane starts
+    t = np.empty(k, dtype=np.uint32)
+    for row in buf:
+        np.left_shift(prev, 13, out=row)
+        row ^= prev
+        np.right_shift(row, 17, out=t)
+        row ^= t
+        np.left_shift(row, 5, out=t)
+        row ^= t
+        prev = row
+
+
 def _xorshift_fill_np(state, out):
     n = out.size
     if n == 0:
@@ -128,22 +159,12 @@ def _xorshift_fill_np(state, out):
         _jump_chain(out, 0)
         return int(out[-1])
     ln = _LANE
-    buf = np.empty((ln, -(-min(n, _LANE_BLOCK) // ln)), dtype=np.uint32)
-    tmp = np.empty(buf.shape[1], dtype=np.uint32)
+    buf = np.empty(ln * -(-min(n, _LANE_BLOCK) // ln), dtype=np.uint32)
     for s in range(0, n, _LANE_BLOCK):
         e = min(n, s + _LANE_BLOCK)
-        full, lanes = (e - s) // ln, buf[:, :-(-(e - s) // ln)]
-        t = tmp[:lanes.shape[1]]
-        prev = np.full(t.size, state, dtype=np.uint32)
-        _jump_chain(prev, ln.bit_length() - 1)  # lane starts
-        for row in lanes:
-            np.left_shift(prev, 13, out=row)
-            row ^= prev
-            np.right_shift(row, 17, out=t)
-            row ^= t
-            np.left_shift(row, 5, out=t)
-            row ^= t
-            prev = row
+        full, k = (e - s) // ln, -(-(e - s) // ln)
+        lanes = buf[:ln * k].reshape(ln, k)
+        _lanes(state, lanes)
         out[s:s + ln * full].reshape(full, ln)[...] = lanes[:, :full].T
         out[s + ln * full:e] = lanes[:e - s - ln * full, full:].ravel()
         state = int(out[e - 1])
@@ -173,35 +194,41 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
     rows = np.empty((rounds, nb), dtype=np.uint8)
     if rounds == 0:
         return rows, s1, s2
-    nw = -(-n // 64)  # 64-cell state words, cell 64w + j at bit 63 - j
-    packed = np.zeros(8 * nw, dtype=np.uint8)
+    nw = -(-n // 32)  # 32-cell state words, cell 32w + j at bit 31 - j
+    packed = np.zeros(4 * nw, dtype=np.uint8)
     packed[:nb] = np.packbits(xbits)
-    carry = packed.view(">u8").astype(np.uint64)
+    carry = packed.view(">u4").astype(np.uint32)
+    ln, sh = _LANE, _LANE.bit_length() - 1
     per_chunk = min(rounds, max(1, _CHUNK_FLIPS // (c + 1)))
-    cells = np.empty(per_chunk * (c + 1), dtype=np.uint32)
-    masks = np.empty(cells.size, dtype=np.uint64)
+    block = np.empty((2, ln * -(-per_chunk * (c + 1) // ln)), dtype=np.uint32)
     for r0 in range(0, rounds, per_chunk):
         r1 = min(rounds, r0 + per_chunk)
         a, s1 = xorshift_fill(s1, r1 - r0)
-        m = (a & np.uint32(1)).astype(np.int64) + c
-        first = np.cumsum(m) - m  # each round's first flip
-        flips = int(first[-1] + m[-1])
-        cell, mask = cells[:flips], masks[:flips]
-        s2 = _xorshift_fill_np(s2, cell)
-        quot = masks.view(np.uint32)[:flips]  # free until the masks are made
-        np.floor_divide(cell, np.uint32(n), out=quot)
-        quot *= np.uint32(n)
-        cell -= quot
-        states = np.empty((nw, r1 - r0), dtype=np.uint64)
+        last = np.cumsum((a & np.uint32(1)).astype(np.int64) + c)
+        last -= 1  # each round's last flip
+        k = int(last[-1]) // ln + 1
+        cell = block[0, :ln * k].reshape(ln, k)
+        mk = block[1, :ln * k].reshape(ln, k)
+        _lanes(s2, cell)
+        lane = last >> sh
+        at = (last & (ln - 1)) * k + lane  # each last flip in the flat buffer
+        s2 = int(cell.ravel()[at[-1]])
+        np.floor_divide(cell, np.uint32(n), out=mk)  # the quotient, until the masks
+        mk *= np.uint32(n)
+        cell -= mk
+        states = np.empty((r1 - r0, nw), dtype=">u4")
+        tot = np.zeros(k, dtype=np.uint32)
         for w in range(nw):
-            # a shift of 64 or more (or a wrapped negative one) gives 0, so
-            # cells outside word w contribute nothing
-            np.subtract(np.uint64(64 * w + 63), cell, out=mask)
-            np.left_shift(np.uint64(1), mask, out=mask)
-            np.bitwise_xor.reduceat(mask, first, out=states[w])
-            np.bitwise_xor.accumulate(states[w], out=states[w])
-            states[w] ^= carry[w]
-        carry = states[:, -1].copy()
-        rows[r0:r1] = states.T.astype(">u8", order="C").view(np.uint8)[:, :nb]
+            np.subtract(np.uint32(32 * w + 31), cell, out=mk)
+            np.left_shift(np.uint32(1), mk, out=mk)  # 0 outside word w
+            for i in range(1, ln):  # prefix XOR down each lane
+                mk[i] ^= mk[i - 1]
+            np.bitwise_xor.accumulate(mk[-1, :-1], out=tot[1:])  # lanes before each
+            got = mk.ravel().take(at)
+            got ^= tot.take(lane)
+            got ^= carry[w]
+            states[:, w] = got
+        carry = states[-1].astype(np.uint32)
+        rows[r0:r1] = states.view(np.uint8)[:, :nb]
     xbits[:] = np.unpackbits(rows[-1], count=n)
     return rows, s1, s2

@@ -132,6 +132,27 @@ class TestCriterion3BatteryPattern:
                       "xorshift fails exactly {rank31, rank32, count-ones-1}, "
                       f"ci passes all 8 ({elapsed:.1f} s < 600 s)")
 
+    def test_canonical_split(self, warm_kernels):
+        """The paper's split at full-size counts: raw XORshift fails exactly
+        count-the-ones 1 and the two large ranks, the CI generator passes."""
+        t0 = time.perf_counter()
+        cfg = BatteryConfig.canonical()
+        xs = run_battery(BitStreamSource.from_generator(
+            XorShift32(0x13579BDF), "raw xorshift"), cfg)
+        ci = run_battery(BitStreamSource.from_generator(
+            CiGenerator.from_seeds(0x13579BDF, 0x2468ACE0, n_cells=32, c=96), "ci"), cfg)
+        elapsed = time.perf_counter() - t0
+        failed = {r.name for r in xs.results if not r.passed}
+        ok = (
+            failed == {"Binary Rank 31x31", "Binary Rank 32x32", "Count the ones 1"}
+            and len(ci.results) == 8
+            and ci.all_passed
+            and elapsed < 600
+        )
+        assert report(3, ok,
+                      "canonical profile: xorshift fails exactly {rank31, rank32, "
+                      f"count-ones-1}}, ci passes all 8 ({elapsed:.1f} s < 600 s)")
+
 
 class TestCriterion4SelfCalibration:
     @pytest.mark.nightly
@@ -268,7 +289,7 @@ class TestCriterion7PropertySuites:
                                               n_cells=32, c=96)
 
             stream = fresh().bits(10_000)
-            return all(kth_bit_oracle(fresh, k) == stream[k] for k in range(10_000))
+            return np.array_equal(kth_bit_oracle(fresh, np.arange(10_000)), stream)
 
         ok, elapsed = timed(run)
         assert report(7, ok and elapsed < 60,

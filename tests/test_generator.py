@@ -303,6 +303,25 @@ class TestKthBitOracle:
         for k in [*range(10), *range(10, 3_000, 17)]:
             assert kth_bit_oracle(lambda: snap, k) == stream[k]
 
+    @pytest.mark.parametrize("emit_seed_first", [False, True])
+    def test_batched_equals_scalar(self, emit_seed_first):
+        """A sequence of positions, unsorted and repeated, gives the bits of
+        one scalar call each, the unread x^0 bits of emit_seed_first too."""
+        def fresh():
+            return CiGenerator(None, 5, 9, n_cells=24, emit_seed_first=emit_seed_first)
+
+        ks = [*range(30), 5_000, 29, 24, 2_347, 0, 23, 5_000]
+        batched = kth_bit_oracle(fresh, ks)
+        assert batched.dtype == np.uint8 and batched.shape == (len(ks),)
+        assert batched.tolist() == [kth_bit_oracle(fresh, k) for k in ks]
+        assert batched.tolist() == fresh().bits(5_001)[ks].tolist()
+        assert kth_bit_oracle(fresh, []).shape == (0,)
+
+    @pytest.mark.parametrize("k", [-1, [3, -1], [[1, 2]], 2.5, [1.0]])
+    def test_refuses_bad_positions(self, k):
+        with pytest.raises(ValueError):
+            kth_bit_oracle(seeded_example, k)
+
     def test_agrees_with_stream(self):
         def fresh():
             return CiGenerator.from_seeds(0xABCD1234, 0x5678EF01, n_cells=32, c=96)

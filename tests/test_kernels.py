@@ -141,10 +141,15 @@ def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, data):
 
 
 def test_ci_fill_lane_path_matches_rounds():
-    """With the module's own thresholds, one call whose strategy fill takes
-    the lane path across a block boundary equals round-by-round iteration."""
-    n, c, rounds, s1, s2 = 32, 96, 3000, 0x13579BDF, 0x2468ACE0
-    assert _LANE_BLOCK < rounds * c < kernels._CHUNK_FLIPS  # one chunk, two blocks
+    """With the module's own constants, a call of two chunks, each of whose
+    strategy fills ends in a partly used lane column, equals round-by-round
+    iteration."""
+    n, c, s1, s2 = 32, 96, 0x13579BDF, 0x2468ACE0
+    per_chunk = kernels._CHUNK_FLIPS // (c + 1)
+    rounds = per_chunk + 700
+    m = (scalar_chain(s1, rounds).astype(np.int64) & 1) + c
+    flips = [int(m[:per_chunk].sum()), int(m[per_chunk:].sum())]
+    assert all(f % _LANE for f in flips), flips
     x0 = np.arange(n, dtype=np.uint8) % 3 % 2
     expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
     xbits = x0.copy()
@@ -156,8 +161,8 @@ def test_ci_fill_lane_path_matches_rounds():
 
 @pytest.mark.parametrize("c", [0, -1])
 def test_ci_fill_rejects_c_below_one(c):
-    """A round must flip at least one cell: the per-round reduction cannot
-    represent an empty round."""
+    """A round must flip at least one cell: each round's state is gathered
+    at its last flip."""
     xbits = np.ones(8, dtype=np.uint8)
     with pytest.raises(ValueError, match="c must be at least 1"):
         ci_fill(xbits, 1, 2, c, 4)
@@ -189,9 +194,9 @@ def test_bits_split_equals_whole(n, a, b, first, s1, s2):
 
 def test_ci_fill_memory_bounded():
     """Working memory beyond the rounds * N/8 output stays within one chunk's
-    arrays on a 300k-word stream (about 29M flips): 2^19 flips of uint32
-    strategy words and uint64 masks (6 MB, the cell quotient reusing the
-    mask memory) and a 1 MB lane buffer."""
+    arrays on a 300k-word stream (about 29M flips): one 4 MB block of
+    2^19 uint32 strategy words and 2^19 uint32 masks (the cell quotient
+    reusing the mask row), and a few lane-length vectors."""
     rounds = 300_000
     tracemalloc.start()
     try:
@@ -200,7 +205,7 @@ def test_ci_fill_memory_bounded():
     finally:
         tracemalloc.stop()
     assert out.nbytes == rounds * 4
-    assert peak - out.nbytes < 9 * 2**20
+    assert peak - out.nbytes < 6 * 2**20
 
 
 def test_xorshift_full_period():
