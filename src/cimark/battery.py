@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import resource
 import time
 from dataclasses import dataclass, asdict
 
@@ -32,10 +33,9 @@ from .source import BitStreamSource
 
 # popcount class probabilities of a random byte: <=2, 3, 4, 5, >=6 ones
 _LETTER_PROBS = np.array([37, 56, 70, 56, 37], dtype=np.float64) / 256.0
-# letter of each byte value: its popcount class 0..4; uint16 holds a whole
-# 5-letter word code (< 5^5)
-_BYTE_LETTER = (np.clip(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
-                                      axis=1).sum(axis=1), 2, 6) - 2).astype(np.uint16)
+# count-the-ones letters coded per block, so the codes and the intp copy
+# bincount makes of them stay a few hundred KB for any stream length
+_CTO_BLOCK = 1 << 16
 
 # Knuth run-length quadratic form (runs of length 1..6+, n values)
 _RUNS_A = np.array([
@@ -141,6 +141,9 @@ class TestReport:
     config: BatteryConfig
     timestamp: str = ""
     words_consumed: int = 0
+    # the process's peak resident set in MB when run_battery ended
+    # (ru_maxrss / 1024: Linux reports KiB)
+    peak_rss_mb: float = 0.0
 
     @property
     def all_passed(self) -> bool:
@@ -174,6 +177,7 @@ class TestReport:
         test = sum(r.seconds for r in self.results)
         lines.append("")
         lines.append(f"Number of tests passed: {passed} / {len(self.results)}")
+        lines.append(f"Peak RSS: {self.peak_rss_mb:.1f} MB")
         lines.append(f"Time: generate {generate:.2f} s, test {test:.2f} s")
         return "\n".join(lines)
 
@@ -190,6 +194,7 @@ class TestReport:
             "source": self.source_description,
             "timestamp": self.timestamp,
             "words_consumed": self.words_consumed,
+            "peak_rss_mb": self.peak_rss_mb,
             "config": asdict(self.config),
             "results": [
                 {
@@ -299,6 +304,15 @@ def birthday_spacings_test(src: BitStreamSource, samples: int,
     return TestResult("Birthday Spacing", [p], verdict([p], epsilon), samples)
 
 
+def _letters(b: np.ndarray) -> np.ndarray:
+    """Letter of each byte of b: its popcount class 0..4 (<= 2, 3, 4, 5,
+    >= 6 ones), as uint8."""
+    letters = np.bitwise_count(b)
+    np.clip(letters, 2, 6, out=letters)
+    letters -= 2
+    return letters
+
+
 def _cto_statistic(b: np.ndarray) -> tuple[float, int]:
     """Q5 - Q4 over the overlapping 5- and 4-letter words of the letters of
     the bytes b (at least 5), and its degrees of freedom.
@@ -306,18 +320,26 @@ def _cto_statistic(b: np.ndarray) -> tuple[float, int]:
     Only the 5-letter words are counted: the 4-letter word at position i is
     the prefix of the 5-letter word there, so summing the 5-letter counts
     over their last letter counts every 4-letter word but the final one,
-    which is the last 4 letters of the final 5-letter word.
+    which is the last 4 letters of the final 5-letter word. The 5-letter
+    codes (< 5^5, so uint16) are built and counted per block of
+    `_CTO_BLOCK` 5-letter words, each block reading the 4 letters after it, and the
+    counts are summed in int64.
     """
-    letters = _BYTE_LETTER.take(b)
-    code5 = letters[:-4] * 5
-    for k in range(1, 4):
-        code5 += letters[k:k - 4]
+    n5 = b.size - 4
+    counts = np.zeros(5 ** 5, dtype=np.int64)
+    for start in range(0, n5, _CTO_BLOCK):
+        letters = _letters(b[start:start + _CTO_BLOCK + 4])
+        code5 = letters[:-4].astype(np.uint16)
         code5 *= 5
-    code5 += letters[4:]
-    obs5 = np.bincount(code5, minlength=5 ** 5).astype(np.float64)
-    obs4 = obs5.reshape(5 ** 4, 5).sum(axis=1)  # integer sums, exact in float64
+        for k in range(1, 4):
+            code5 += letters[k:k - 4]
+            code5 *= 5
+        code5 += letters[4:]
+        counts += np.bincount(code5, minlength=5 ** 5)
+    obs5 = counts.astype(np.float64)
+    obs4 = counts.reshape(5 ** 4, 5).sum(axis=1).astype(np.float64)
     obs4[code5[-1] % 5 ** 4] += 1
-    n5, n4 = code5.size, code5.size + 1
+    n4 = n5 + 1
     p4 = _LETTER_PROBS
     for _ in range(3):
         p4 = np.kron(p4, _LETTER_PROBS)
@@ -343,7 +365,7 @@ def count_the_ones_test(src: BitStreamSource, variant: str, letters: int,
         name = "Count the ones 1"
     elif variant == "bytes":
         w = src.words(letters, "Count the ones 2")
-        b = (w & np.uint32(0xFF)).astype(np.uint8)
+        b = w.astype(np.uint8)  # the cast keeps the low byte
         name = "Count the ones 2"
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -372,15 +394,13 @@ def binary_rank_test(src: BitStreamSource, rows: int, cols: int,
     elif (rows, cols) == (31, 31):
         mats = w >> np.uint32(1)
     else:
-        mats = w & np.uint32(0xFF)
-    ranks = gf2_rank_many(mats, rows, cols)
+        mats = w.astype(np.uint8)  # the cast keeps the low byte
     n = min(rows, cols)
+    counts = np.bincount(gf2_rank_many(mats, rows, cols), minlength=n + 1)
     low = n - 3 if rows == cols else n - 2  # ranks <= low share the first bin
-    edges = list(range(low, n + 1))
     probs = [sum(rank_distribution_rect(rows, cols, r) for r in range(low + 1)),
-             *(rank_distribution_rect(rows, cols, r) for r in edges[1:])]
-    binned = np.searchsorted(edges, np.minimum(ranks, n))
-    observed = np.bincount(binned, minlength=len(probs)).astype(np.float64)
+             *(rank_distribution_rect(rows, cols, r) for r in range(low + 1, n + 1))]
+    observed = np.array([counts[:low + 1].sum(), *counts[low + 1:]], dtype=np.float64)
     expected = np.asarray(probs) * samples
     stat = float(((observed - expected) ** 2 / expected).sum())
     p = chi_square_pvalue(stat, len(probs) - 1)
@@ -435,6 +455,7 @@ def run_battery(src: BitStreamSource, config: BatteryConfig = None) -> TestRepor
         config=cfg,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
         words_consumed=src.consumed,
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     )
 
 

@@ -4,14 +4,25 @@ from __future__ import annotations
 
 import numpy as np
 
+# Matrices eliminated per block: at 32 rows of uint32 the working copy and
+# its scratch buffer take 512 KB each, so a block stays in a 2 MB L2 cache.
+_BLOCK = 4096
+
+
+def _width(bits: int) -> np.dtype:
+    """The narrowest unsigned dtype holding `bits` bits (at most 64)."""
+    return next(np.dtype(d) for d in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if bits <= 8 * np.dtype(d).itemsize)
+
 
 def gf2_rank_many(packed: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
     """GF(2) ranks of a batch of bit-packed matrices, shape (count, nrows),
     of any unsigned integer dtype; bit j of a row = column j, and bits at
     and above ncols are ignored. The input is left untouched: the
-    elimination works on one transposed copy, uint32 when ncols <= 32 and
-    uint64 otherwise, masked to ncols bits, with rows along axis 0 so that
-    every step, the max included, is one pass over contiguous lanes.
+    elimination works per block of `_BLOCK` matrices on a transposed copy,
+    masked to ncols bits, with rows along axis 0 so that every step, the
+    max included, is one pass over contiguous lanes. The copy and its
+    scratch buffer are allocated once per call and reused by every block.
 
     Columns are eliminated from high to low, which gives the same rank as
     any other order. When column c is reached, no row holds a bit above c
@@ -23,23 +34,52 @@ def gf2_rank_many(packed: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
     it, and dropping a pivot row leaves the rank of the rest to be counted,
     so no row swaps or per-matrix row pointers are needed. A matrix without
     the bit gets pivot 0 and neither counts nor changes anything.
+
+    For the same reason the rows narrow as the columns go: the copy starts
+    in the narrowest dtype holding ncols bits, and once the columns left
+    fit in half of it, it moves to the half-width dtype, swapping places
+    with the scratch buffer. Each step then handles twice the lanes per
+    pass.
     """
     packed = np.asarray(packed)
     if packed.ndim != 2 or packed.shape[1] != nrows:
         raise ValueError(f"expected shape (count, {nrows}), got {packed.shape}")
     if not 0 <= ncols <= 64:
         raise ValueError("between 0 and 64 columns supported")
-    m = packed.T.astype(np.uint32 if ncols <= 32 else np.uint64, order="C")
-    if ncols < 8 * m.itemsize:
-        m &= m.dtype.type((1 << ncols) - 1)
-    rank = np.zeros(m.shape[1], dtype=m.dtype)
-    held = np.empty_like(m)
-    for col in range(ncols - 1, -1, -1):
-        prow = m.max(axis=0, initial=0)  # initial: a 0-row matrix has rank 0
-        rank += prow >> col
-        np.right_shift(m, col, out=held)  # 1 where the row holds bit col
-        held *= prow
-        m ^= held
+    count = packed.shape[0]
+    top = _width(ncols)
+    rank = np.zeros(count, dtype=np.uint8)  # a rank is at most 64
+    # two byte buffers, each viewed as the copy or the scratch at any width
+    raw = np.empty((2, nrows * min(count, _BLOCK) * top.itemsize), dtype=np.uint8)
+
+    def view(side, dtype, n):
+        return raw[side, :nrows * n * dtype.itemsize].view(dtype).reshape(nrows, n)
+
+    for start in range(0, count, _BLOCK):
+        chunk = packed[start:start + _BLOCK]
+        n = chunk.shape[0]
+        r = rank[start:start + n]
+        side = 0
+        m = view(side, top, n)
+        np.copyto(m, chunk.T, casting="unsafe")
+        if ncols < 8 * top.itemsize:
+            m &= top.type((1 << ncols) - 1)
+        col = ncols
+        while col > 0:
+            dtype = _width(col)
+            if dtype != m.dtype:  # every row is below 2^col: narrowing is exact
+                side ^= 1
+                wide, m = m, view(side, dtype, n)
+                np.copyto(m, wide, casting="unsafe")
+            held = view(side ^ 1, dtype, n)
+            low = 4 * dtype.itemsize if dtype.itemsize > 1 else 0
+            for c in range(col - 1, low - 1, -1):
+                prow = m.max(axis=0, initial=0)  # initial: 0 rows give rank 0
+                r += prow >> c
+                np.right_shift(m, c, out=held)  # 1 where the row holds bit c
+                held *= prow
+                m ^= held
+            col = low
     return rank.astype(np.int64)
 
 

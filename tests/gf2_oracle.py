@@ -1,6 +1,7 @@
 """GF(2) references shared by the gf2, kernel and acceptance tests:
-cell-by-cell rank, 32x32 matrix products and powers on lists of column
-words, and a one-matrix front end to `gf2_rank_many`."""
+cell-by-cell rank, the rank of one matrix of packed rows by an XOR basis,
+32x32 matrix products and powers on lists of column words, and a
+one-matrix front end to `gf2_rank_many`."""
 
 import numpy as np
 
@@ -26,6 +27,23 @@ def naive_rank(matrix) -> int:
                 m[row] ^= m[rank]
         rank += 1
     return rank
+
+
+def basis_rank(rows, ncols: int) -> int:
+    """Rank of one matrix given as packed rows (bit j = column j; bits at
+    and above ncols ignored), on Python ints: each row is reduced by the
+    basis rows keyed on its highest bit, and joins the basis if it is not
+    reduced to zero."""
+    basis = {}
+    for row in rows:
+        v = int(row) & ((1 << ncols) - 1)
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
 
 
 def mat_mul_gf2(a, b):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -11,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 from cimark.battery import (
     BatteryConfig,
     _BATTERY,
-    _BYTE_LETTER,
+    _CTO_BLOCK,
     _SMALLEST,
     _cto_statistic,
     _duplicate_spacings,
+    _letters,
     battery_word_budget,
     binary_rank_test,
     birthday_spacings_test,
@@ -111,16 +113,22 @@ class TestIndividualTests:
     def test_letters_match_popcount_classes(self):
         b = np.arange(256, dtype=np.uint8)
         popcount = np.array([bin(v).count("1") for v in range(256)])
-        assert np.array_equal(_BYTE_LETTER[b], np.clip(popcount, 2, 6) - 2)
+        assert np.array_equal(_letters(b), np.clip(popcount, 2, 6) - 2)
 
     @pytest.mark.parametrize("b", [
         pytest.param(np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8),
                      id=f"random-{n}") for n in (5, 6, 7, 2003)
     ] + [pytest.param(np.zeros(100, np.uint8), id="zeros"),
-         pytest.param(np.full(100, 0xFF, np.uint8), id="ones")])
+         pytest.param(np.full(100, 0xFF, np.uint8), id="ones")] + [
+        # 2^16 + 4 bytes make exactly one block of 5-letter words
+        pytest.param(np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8),
+                     id=f"random-{n}")
+        for n in (_CTO_BLOCK + 3, _CTO_BLOCK + 4, _CTO_BLOCK + 5, 2 * _CTO_BLOCK + 4)
+    ])
     def test_cto_statistic_matches_counter_oracle(self, b):
         """Q5 - Q4 from plain-Python counts of the overlapping 4- and
-        5-letter words; 5 bytes make a single 5-letter word."""
+        5-letter words; 5 bytes make a single 5-letter word, and the block
+        lengths put the last word at either side of a block boundary."""
         letters = [min(max(bin(v).count("1"), 2), 6) - 2 for v in b.tolist()]
         probs = [37 / 256, 56 / 256, 70 / 256, 56 / 256, 37 / 256]
 
@@ -223,6 +231,47 @@ def test_golden_pvalues(gen, golden):
     assert report.words_consumed == battery_word_budget(cfg) == 137_000
 
 
+def traced_peak(test, words, **args) -> int:
+    """Peak bytes tracemalloc sees while `test` runs on a source that hands
+    out views of `words`: the pulled words themselves cost nothing, so the
+    peak is the test's own working memory."""
+    state = {"pos": 0}
+
+    def pull(n):
+        start = state["pos"]
+        state["pos"] = start + n
+        return words[start:start + n]
+
+    src = BitStreamSource("views", pull)
+    tracemalloc.start()
+    try:
+        test(src, **args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", ["stream", "bytes"])
+@pytest.mark.parametrize("letters", [1_024_000, 4_096_000])
+def test_cto_memory_bounded(variant, letters):
+    """Count-the-ones works in blocks: beyond the words it pulls it needs
+    one byte per letter and a bounded block buffer, whatever the length."""
+    words = np.random.default_rng(letters).integers(0, 2**32, size=letters,
+                                                    dtype=np.uint32)
+    peak = traced_peak(count_the_ones_test, words, variant=variant, letters=letters)
+    assert peak <= letters + 2 * 2**20
+
+
+@pytest.mark.parametrize("samples", [10_000, 40_000])
+def test_rank_memory_bounded(samples):
+    """The 32x32 rank test eliminates in blocks: beyond the words it pulls
+    it needs 8 bytes per matrix and a bounded block buffer."""
+    words = np.random.default_rng(samples).integers(0, 2**32, size=32 * samples,
+                                                    dtype=np.uint32)
+    peak = traced_peak(binary_rank_test, words, rows=32, cols=32, samples=samples)
+    assert peak <= 8 * samples + 2 * 2**20
+
+
 class TestBattery:
     def test_xorshift_failure_pattern(self):
         src = BitStreamSource.from_generator(XorShift32(0x13579BDF), "raw xorshift")
@@ -262,6 +311,8 @@ class TestBattery:
         test = sum(r.seconds for r in report.results)
         table = report.render_table()
         assert "Number of tests passed: 8 / 8" in table
+        assert table.splitlines()[-2] == f"Peak RSS: {report.peak_rss_mb:.1f} MB"
+        assert report.peak_rss_mb > 0
         assert table.splitlines()[-1] == \
             f"Time: generate {generate:.2f} s, test {test:.2f} s"
         first = report.results[0]
@@ -278,6 +329,7 @@ class TestBattery:
         assert [(r["generate_seconds"], r["seconds"]) for r in payload["results"]] \
             == [(r.generate_seconds, r.seconds) for r in report.results]
         assert payload["config"]["epsilon"] == 1e-4
+        assert payload["peak_rss_mb"] == report.peak_rss_mb
 
     def test_word_budget_matches_consumption(self):
         cfg = BatteryConfig()

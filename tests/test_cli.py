@@ -1,5 +1,6 @@
 import hashlib
 import json
+import resource
 import tracemalloc
 
 import numpy as np
@@ -168,6 +169,9 @@ class TestTest:
         assert rc == code
         assert len(payload["results"]) == 8
         assert payload["source"] == source
+        # the process's peak so far, read when the battery ended
+        peak_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert 0 < payload["peak_rss_mb"] <= peak_after
 
     def test_generated_file_feeds_battery(self, tmp_path, capsys):
         # the packed-byte file interface matches the in-process word stream

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cimark.gf2 import gf2_rank_many, rank_distribution_rect
-from gf2_oracle import gf2_rank, naive_rank
+from cimark.gf2 import _BLOCK, gf2_rank_many, rank_distribution_rect
+from gf2_oracle import basis_rank, gf2_rank, naive_rank, pack_rows
 
 
 class TestRank:
@@ -48,6 +48,32 @@ class TestRank:
     def test_rank_many_rejects_bad_layout(self, shape, nrows, ncols):
         with pytest.raises(ValueError):
             gf2_rank_many(np.zeros(shape, dtype=np.uint64), nrows, ncols)
+
+    def test_basis_oracle_matches_cell_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            r = int(rng.integers(0, 12))
+            c = int(rng.integers(0, 12))
+            # low ranks as well as full ones: some rows repeat others
+            m = rng.integers(0, 2, size=(r, c), dtype=np.uint8)
+            if r > 1:
+                m[rng.integers(0, r)] = m[0]
+            assert basis_rank(pack_rows(m).tolist(), c) == naive_rank(m)
+
+    @pytest.mark.parametrize("nrows, ncols", [(32, 32), (31, 31), (6, 8)])
+    def test_rank_many_across_block_boundaries(self, nrows, ncols):
+        """Counts at either side of one and two blocks give the per-matrix
+        ranks; bits at and above ncols are set, to be ignored."""
+        rng = np.random.default_rng(ncols)
+        mats = rng.integers(0, 2**32, size=(2 * _BLOCK + 3, nrows), dtype=np.uint32)
+        mats[::7, 1:] = mats[::7, :1]  # rank 1 or 0 now and then
+        snap = mats.copy()
+        expected = [basis_rank(m.tolist(), ncols) for m in mats]
+        for count in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+            ranks = gf2_rank_many(mats[:count], nrows, ncols)
+            assert ranks.dtype == np.int64
+            assert ranks.tolist() == expected[:count]
+        assert np.array_equal(mats, snap)
 
     def test_rectangular(self):
         m = np.zeros((6, 8), dtype=np.uint8)

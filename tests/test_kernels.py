@@ -260,10 +260,13 @@ def deficient_batch(rng, count, nrows, ncols, weights):
 @example(nrows=40, ncols=33, count=300, weights=(2, 1, 1, 1), narrow=False, seed=6)
 @example(nrows=6, ncols=8, count=1, weights=(1, 0, 0, 0), narrow=True, seed=4)
 @example(nrows=40, ncols=64, count=1, weights=(1, 1, 1, 4), narrow=False, seed=5)
+@example(nrows=20, ncols=16, count=300, weights=(1, 0, 0, 0), narrow=True, seed=7)
+@example(nrows=20, ncols=17, count=300, weights=(2, 1, 1, 1), narrow=True, seed=8)
+@example(nrows=12, ncols=9, count=300, weights=(2, 1, 1, 1), narrow=False, seed=9)
 def test_rank_matches_oracle(nrows, ncols, count, weights, narrow, seed):
     """gf2_rank_many equals cell-by-cell elimination on either side of the
-    32-column dtype switch, for uint32 and uint64 input, full-rank and
-    rank-deficient batches, and leaves its input untouched."""
+    dtype switches at 8, 16 and 32 columns, for uint32 and uint64 input,
+    full-rank and rank-deficient batches, and leaves its input untouched."""
     mats = deficient_batch(np.random.default_rng(seed), count, nrows, ncols, weights)
     if narrow and ncols <= 32:
         mats = mats.astype(np.uint32)
