@@ -74,9 +74,10 @@ class TestResult:
 _SMALLEST = dict(osum_samples=1, runs_samples=1, runs_length=2,
                  birthday_samples=1, cto_letters=5, rank68_samples=1,
                  rank31_samples=1, rank32_samples=1)
-# the _SMALLEST field of each binary rank test's sample count, by shape
-_RANK_SAMPLES = {(6, 8): "rank68_samples", (31, 31): "rank31_samples",
-                 (32, 32): "rank32_samples"}
+# each binary rank shape: the _SMALLEST field of its sample count and the
+# bit of a word where its rows start (gf2_rank_many's shift)
+_RANK_SHAPES = {(6, 8): ("rank68_samples", 0), (31, 31): ("rank31_samples", 1),
+                (32, 32): ("rank32_samples", 0)}
 
 
 def _check_smallest(field: str, value) -> None:
@@ -383,20 +384,17 @@ def binary_rank_test(src: BitStreamSource, rows: int, cols: int,
 
     (32,32): full words as rows. (31,31): the 31 most significant bits of
     each word. (6,8): the least significant byte of each of six words.
+    The words go to `gf2_rank_many` as drawn, uncopied, with the shape's
+    shift from `_RANK_SHAPES`: it picks the row bits out block by block.
     """
-    if (rows, cols) not in _RANK_SAMPLES:
+    if (rows, cols) not in _RANK_SHAPES:
         raise ValueError("supported shapes: (6,8), (31,31), (32,32)")
-    _check_smallest(_RANK_SAMPLES[rows, cols], samples)
+    field, shift = _RANK_SHAPES[rows, cols]
+    _check_smallest(field, samples)
     name = f"Binary Rank {rows}x{cols}"
     w = src.words(rows * samples, name).reshape(samples, rows)
-    if (rows, cols) == (32, 32):
-        mats = w
-    elif (rows, cols) == (31, 31):
-        mats = w >> np.uint32(1)
-    else:
-        mats = w.astype(np.uint8)  # the cast keeps the low byte
     n = min(rows, cols)
-    counts = np.bincount(gf2_rank_many(mats, rows, cols), minlength=n + 1)
+    counts = np.bincount(gf2_rank_many(w, rows, cols, shift), minlength=n + 1)
     low = n - 3 if rows == cols else n - 2  # ranks <= low share the first bin
     probs = [sum(rank_distribution_rect(rows, cols, r) for r in range(low + 1)),
              *(rank_distribution_rect(rows, cols, r) for r in range(low + 1, n + 1))]

@@ -110,9 +110,10 @@ class CiGenerator:
             if n_cells is None:
                 n_cells = 32
             x0 = derive_initial_state(seed_word(seed1), seed_word(seed2), n_cells)
-        self.x = np.asarray(x0, dtype=np.uint8).copy()
-        if self.x.ndim != 1 or self.x.size < 2:
-            raise ValueError("state must be a 1-D bit vector of length >= 2")
+        x = np.asarray(x0)
+        if x.ndim != 1 or x.size < 2 or not np.isin(x, (0, 1)).all():
+            raise ValueError("state must be a 1-D vector of >= 2 cells, each 0 or 1")
+        self.x = x.astype(np.uint8)
         self.n_cells = self.x.size
         if n_cells is not None and n_cells != self.n_cells:
             raise ValueError("n_cells does not match len(x0)")

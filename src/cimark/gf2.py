@@ -15,14 +15,16 @@ def _width(bits: int) -> np.dtype:
                 if bits <= 8 * np.dtype(d).itemsize)
 
 
-def gf2_rank_many(packed: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
+def gf2_rank_many(packed: np.ndarray, nrows: int, ncols: int,
+                  shift: int = 0) -> np.ndarray:
     """GF(2) ranks of a batch of bit-packed matrices, shape (count, nrows),
-    of any unsigned integer dtype; bit j of a row = column j, and bits at
-    and above ncols are ignored. The input is left untouched: the
-    elimination works per block of `_BLOCK` matrices on a transposed copy,
-    masked to ncols bits, with rows along axis 0 so that every step, the
-    max included, is one pass over contiguous lanes. The copy and its
-    scratch buffer are allocated once per call and reused by every block.
+    of any unsigned integer dtype; bit shift + j of a row = column j, and
+    the other bits are ignored, so words go in as drawn. The input is left
+    untouched: the elimination works per block of `_BLOCK` matrices on a
+    transposed copy, shifted right, cast (dropping the bits above the copy's
+    dtype) and masked to ncols bits, with rows along axis 0 so that every
+    step, the max included, is one pass over contiguous lanes. The copy and
+    its scratch buffer are allocated once per call and reused by every block.
 
     Columns are eliminated from high to low, which gives the same rank as
     any other order. When column c is reached, no row holds a bit above c
@@ -61,7 +63,7 @@ def gf2_rank_many(packed: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
         r = rank[start:start + n]
         side = 0
         m = view(side, top, n)
-        np.copyto(m, chunk.T, casting="unsafe")
+        np.right_shift(chunk.T, shift, out=m, casting="unsafe")
         if ncols < 8 * top.itemsize:
             m &= top.type((1 << ncols) - 1)
         col = ncols

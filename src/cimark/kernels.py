@@ -1,7 +1,8 @@
 """Hot inner loops of the generators: XORshift chains and chaotic-iteration
 rounds. (The GF(2) rank elimination lives in `gf2.gf2_rank_many`.)
 
-Every kernel is vectorised numpy; there is one implementation per job.
+Every kernel is vectorised numpy, one function per job: `xorshift_fill`
+for XORshift chains, `ci_fill` for generator rounds.
 
 The XORshift fill jumps ahead with cached byte tables of the round matrix
 raised to powers of two: short chains by doubling, long ones by stepping
@@ -150,14 +151,20 @@ def _lanes(state, buf):
         prev = row
 
 
-def _xorshift_fill_np(state, out):
-    n = out.size
+# ---------------------------------------------------------------------------
+# entry points
+# ---------------------------------------------------------------------------
+
+
+def xorshift_fill(state: int, n: int) -> tuple[np.ndarray, int]:
+    """Next n words of the XORshift chain starting after `state`."""
+    out = np.empty(n, dtype=np.uint32)
     if n == 0:
-        return state
+        return out, int(state)
     if n < _LANE_MIN:
         out[0] = xorshift_step(int(state))
         _jump_chain(out, 0)
-        return int(out[-1])
+        return out, int(out[-1])
     ln = _LANE
     buf = np.empty(ln * -(-min(n, _LANE_BLOCK) // ln), dtype=np.uint32)
     for s in range(0, n, _LANE_BLOCK):
@@ -168,18 +175,7 @@ def _xorshift_fill_np(state, out):
         out[s:s + ln * full].reshape(full, ln)[...] = lanes[:, :full].T
         out[s + ln * full:e] = lanes[:e - s - ln * full, full:].ravel()
         state = int(out[e - 1])
-    return state
-
-
-# ---------------------------------------------------------------------------
-# entry points
-# ---------------------------------------------------------------------------
-
-
-def xorshift_fill(state: int, n: int) -> tuple[np.ndarray, int]:
-    """Next n words of the XORshift chain starting after `state`."""
-    out = np.empty(n, dtype=np.uint32)
-    return out, int(_xorshift_fill_np(state, out))
+    return out, state
 
 
 def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[np.ndarray, int, int]:

@@ -248,6 +248,8 @@ def similarity(a, b) -> float:
     y = np.asarray(b)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    if x.size == 0:
+        raise ValueError(f"similarity of two empty {x.shape} images is undefined")
     return 100.0 * float((x == y).mean())
 
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from cimark.battery import BatteryConfig, run_battery
+from cimark.battery import BatteryConfig, battery_word_budget, run_battery
 from cimark.generator import (
     CiGenerator,
     XorShift32,
@@ -80,6 +80,31 @@ def sweep_rows():
     return {(kind, param, mode): sim for kind, param, mode, sim in rows}
 
 
+@pytest.fixture(scope="module")
+def battery_streams():
+    """Criterion 3's two streams, each drawn once at the canonical battery
+    budget, and the seconds the draws took. A stream does not depend on how
+    its pulls are cut, so a battery reading the head of one sees exactly the
+    words a fresh generator gives it."""
+    n = battery_word_budget(BatteryConfig.canonical())
+    streams, t0 = {}, time.perf_counter()
+    streams["raw xorshift"] = XorShift32(0x13579BDF).fill(n)
+    streams["ci"] = CiGenerator.from_seeds(0x13579BDF, 0x2468ACE0, n_cells=32,
+                                           c=96).words(n)
+    return streams, time.perf_counter() - t0
+
+
+def run_on_streams(battery_streams, cfg):
+    """Battery reports on the head of each stream, and the seconds they took
+    with the full draw counted in."""
+    streams, draw_seconds = battery_streams
+    t0 = time.perf_counter()
+    n = battery_word_budget(cfg)
+    reports = [run_battery(BitStreamSource._from_words(w[:n], name), cfg)
+               for name, w in streams.items()]
+    return reports, draw_seconds + time.perf_counter() - t0
+
+
 def example_states():
     """The worked example's chunk-end states x^4, x^9, x^13, after x^0."""
     states = chaotic_iterate(EXAMPLE_X0, vector_negation, EXAMPLE_S, len(EXAMPLE_S))
@@ -112,14 +137,9 @@ class TestCriterion2IntermediateStates:
 
 
 class TestCriterion3BatteryPattern:
-    def test_xorshift_fails_ci_passes(self, warm_kernels):
-        t0 = time.perf_counter()
-        cfg = BatteryConfig()  # desk profile, epsilon 1e-4
-        xs = run_battery(BitStreamSource.from_generator(
-            XorShift32(0x13579BDF), "raw xorshift"), cfg)
-        ci = run_battery(BitStreamSource.from_generator(
-            CiGenerator.from_seeds(0x13579BDF, 0x2468ACE0, n_cells=32, c=96), "ci"), cfg)
-        elapsed = time.perf_counter() - t0
+    def test_xorshift_fails_ci_passes(self, battery_streams):
+        # desk profile, epsilon 1e-4
+        (xs, ci), elapsed = run_on_streams(battery_streams, BatteryConfig())
         xs_verdicts = {r.name: r.passed for r in xs.results}
         expected_failures = {"Binary Rank 31x31", "Binary Rank 32x32",
                              "Count the ones 1"}
@@ -132,16 +152,10 @@ class TestCriterion3BatteryPattern:
                       "xorshift fails exactly {rank31, rank32, count-ones-1}, "
                       f"ci passes all 8 ({elapsed:.1f} s < 600 s)")
 
-    def test_canonical_split(self, warm_kernels):
+    def test_canonical_split(self, battery_streams):
         """The paper's split at full-size counts: raw XORshift fails exactly
         count-the-ones 1 and the two large ranks, the CI generator passes."""
-        t0 = time.perf_counter()
-        cfg = BatteryConfig.canonical()
-        xs = run_battery(BitStreamSource.from_generator(
-            XorShift32(0x13579BDF), "raw xorshift"), cfg)
-        ci = run_battery(BitStreamSource.from_generator(
-            CiGenerator.from_seeds(0x13579BDF, 0x2468ACE0, n_cells=32, c=96), "ci"), cfg)
-        elapsed = time.perf_counter() - t0
+        (xs, ci), elapsed = run_on_streams(battery_streams, BatteryConfig.canonical())
         failed = {r.name for r in xs.results if not r.passed}
         ok = (
             failed == {"Binary Rank 31x31", "Binary Rank 32x32", "Count the ones 1"}

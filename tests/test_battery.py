@@ -262,13 +262,16 @@ def test_cto_memory_bounded(variant, letters):
     assert peak <= letters + 2 * 2**20
 
 
-@pytest.mark.parametrize("samples", [10_000, 40_000])
-def test_rank_memory_bounded(samples):
-    """The 32x32 rank test eliminates in blocks: beyond the words it pulls
-    it needs 8 bytes per matrix and a bounded block buffer."""
-    words = np.random.default_rng(samples).integers(0, 2**32, size=32 * samples,
+@pytest.mark.parametrize("samples, rows, cols", [
+    pytest.param(s, r, c, id=str(s) if r == 32 else f"{s}-{r}x{c}")
+    for s in (10_000, 40_000) for r, c in ((32, 32), (31, 31), (6, 8))])
+def test_rank_memory_bounded(samples, rows, cols):
+    """Every rank test hands its words over uncopied and eliminates in
+    blocks: beyond the words it pulls it needs 8 bytes per matrix and a
+    bounded block buffer."""
+    words = np.random.default_rng(samples).integers(0, 2**32, size=rows * samples,
                                                     dtype=np.uint32)
-    peak = traced_peak(binary_rank_test, words, rows=32, cols=32, samples=samples)
+    peak = traced_peak(binary_rank_test, words, rows=rows, cols=cols, samples=samples)
     assert peak <= 8 * samples + 2 * 2**20
 
 

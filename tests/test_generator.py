@@ -206,6 +206,15 @@ class TestCiGenerator:
         assert set(dist[m == 1].tolist()) == {1}
         assert set(dist[m == 2].tolist()) == {0, 2}
 
+    @pytest.mark.parametrize("x0", [[2, 0, 1, 1, 0], [0, 1, -1], [0.5, 1, 0],
+                                    [1], [[0, 1], [1, 0]]])
+    def test_refuses_states_not_of_bits(self, x0):
+        """A cell other than 0 or 1 would be emitted as its low bit while
+        kth_bit_oracle returns the cell itself: refused, like a state that
+        is not a 1-D vector of at least two cells."""
+        with pytest.raises(ValueError):
+            CiGenerator(x0, 1, 2, emit_seed_first=True)
+
     def test_default_c_follows_recommendation(self):
         g = CiGenerator.from_seeds(1, 2, n_cells=32)
         assert g.c == 96

@@ -60,17 +60,22 @@ class TestRank:
                 m[rng.integers(0, r)] = m[0]
             assert basis_rank(pack_rows(m).tolist(), c) == naive_rank(m)
 
-    @pytest.mark.parametrize("nrows, ncols", [(32, 32), (31, 31), (6, 8)])
-    def test_rank_many_across_block_boundaries(self, nrows, ncols):
+    @pytest.mark.parametrize("nrows, ncols, shift", [
+        pytest.param(32, 32, 0, id="32-32"), pytest.param(31, 31, 0, id="31-31"),
+        pytest.param(31, 31, 1, id="31-31-shift1"), pytest.param(6, 8, 0, id="6-8"),
+        pytest.param(6, 8, 1, id="6-8-shift1")])
+    def test_rank_many_across_block_boundaries(self, nrows, ncols, shift):
         """Counts at either side of one and two blocks give the per-matrix
-        ranks; bits at and above ncols are set, to be ignored."""
-        rng = np.random.default_rng(ncols)
+        ranks of the uint32 words shifted right by `shift`, every block
+        alike; bits below shift and at and above shift + ncols are set, to
+        be ignored (at 8 columns the rows are the low byte)."""
+        rng = np.random.default_rng(ncols + shift)
         mats = rng.integers(0, 2**32, size=(2 * _BLOCK + 3, nrows), dtype=np.uint32)
         mats[::7, 1:] = mats[::7, :1]  # rank 1 or 0 now and then
         snap = mats.copy()
-        expected = [basis_rank(m.tolist(), ncols) for m in mats]
+        expected = [basis_rank([v >> shift for v in m.tolist()], ncols) for m in mats]
         for count in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
-            ranks = gf2_rank_many(mats[:count], nrows, ncols)
+            ranks = gf2_rank_many(mats[:count], nrows, ncols, shift)
             assert ranks.dtype == np.int64
             assert ranks.tolist() == expected[:count]
         assert np.array_equal(mats, snap)

@@ -14,7 +14,6 @@ from cimark import kernels
 from cimark.generator import CiGenerator
 from cimark.gf2 import gf2_rank_many
 from cimark.kernels import (
-    _xorshift_fill_np,
     _xs_columns,
     ci_fill,
     xorshift_fill,
@@ -45,8 +44,7 @@ def scalar_chain(state, n):
 
 
 def test_xorshift_fallback_matches_scalar():
-    out = np.empty(5000, dtype=np.uint32)
-    end = _xorshift_fill_np(314159, out)
+    out, end = xorshift_fill(314159, 5000)
     x = 314159
     for i in range(5000):
         x = xorshift_step(x)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from cimark.pvalues import (
     chi_square_pvalue,
@@ -90,6 +91,17 @@ class TestKolmogorov:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             ks_uniformity([0.5, 1.2])
+
+    def test_sf_matches_scipy(self):
+        """Equal to scipy's Kolmogorov survival function over [0, 3],
+        including small arguments, where 100 terms of the series do not
+        converge and the function is 1 to double precision."""
+        ys = np.concatenate([np.linspace(0.0, 3.0, 3001), [1.5e-4, 0.01, 0.0455]])
+        got = np.array([kolmogorov_sf(float(y)) for y in ys])
+        assert np.abs(got - special.kolmogorov(ys)).max() <= 1e-13
+
+    def test_evenly_spread_sample_gives_one(self):
+        assert ks_uniformity((np.arange(2000) + 0.5) / 2000) == 1.0
 
 
 class TestNormalCdf:

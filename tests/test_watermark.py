@@ -447,6 +447,12 @@ class TestSimilarity:
         with pytest.raises(ValueError):
             similarity(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0)])
+    def test_empty_images_refused(self, shape):
+        """No bit to compare: refused like an empty PSNR, not NaN."""
+        with pytest.raises(ValueError):
+            similarity(np.zeros(shape, np.uint8), np.zeros(shape, np.uint8))
+
 
 class TestSweep:
     def test_empty_attack_list(self):
