@@ -59,11 +59,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cimark", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="emit generator output as packed bytes")
-    g.add_argument("--seed1", type=_hex32, help="hex seed of the length source")
-    g.add_argument("--seed2", type=_hex32, help="hex seed of the strategy source")
-    g.add_argument("--n", type=int, default=32, help="state cells per round")
-    g.add_argument("--c", type=int, default=None, help="round length base (default 3n)")
+    stream = argparse.ArgumentParser(add_help=False)  # gen and test
+    stream.add_argument("--seed1", type=_hex32, help="hex seed of the length source")
+    stream.add_argument("--seed2", type=_hex32, help="hex seed of the strategy source")
+    stream.add_argument("--n", type=int, default=32, help="state cells per round")
+    stream.add_argument("--c", type=int, default=None, help="round length base (default 3n)")
+
+    key = argparse.ArgumentParser(add_help=False)  # embed and extract
+    key.add_argument("--seed1", type=_hex32, required=True)
+    key.add_argument("--seed2", type=_hex32, required=True)
+    key.add_argument("--mode", choices=("unauth", "auth"), default="unauth")
+    key.add_argument("--mix", choices=("ci", "xor"), default="ci")
+    key.add_argument("--repetition", type=int, default=1)
+
+    g = sub.add_parser("gen", parents=[stream], help="emit generator output as packed bytes")
     g.add_argument("--bits", type=int, default=None)
     g.add_argument("--bytes", dest="nbytes", type=int, default=None)
     g.add_argument("--out", default=None, help="output file (default stdout)")
@@ -75,39 +84,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="derive the initial state from an integer timestamp fragment")
     g.add_argument("--example-trace", action="store_true",
                    help="print the reference worked-example output bits and exit")
+    g.set_defaults(handler=cmd_gen)
 
-    t = sub.add_parser("test", help="run the statistical battery")
+    t = sub.add_parser("test", parents=[stream], help="run the statistical battery")
     t.add_argument("--in", dest="infile", default=None, help="packed-byte stream file")
     t.add_argument("--gen", choices=("ci", "xorshift"), default=None,
                    help="test a live generator instead of a file")
-    t.add_argument("--seed1", type=_hex32, default=None)
-    t.add_argument("--seed2", type=_hex32, default=None)
-    t.add_argument("--n", type=int, default=32)
-    t.add_argument("--c", type=int, default=None)
     t.add_argument("--scale", choices=("desk", "canonical"), default="desk")
     t.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     t.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    t.set_defaults(handler=cmd_test)
 
-    e = sub.add_parser("embed", help="embed a watermark")
+    e = sub.add_parser("embed", parents=[key], help="embed a watermark")
     e.add_argument("--carrier", required=True)
     e.add_argument("--watermark", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--seed1", type=_hex32, required=True)
-    e.add_argument("--seed2", type=_hex32, required=True)
-    e.add_argument("--mode", choices=("unauth", "auth"), default="unauth")
-    e.add_argument("--mix", choices=("ci", "xor"), default="ci")
-    e.add_argument("--repetition", type=int, default=1)
+    e.set_defaults(handler=cmd_embed)
 
-    x = sub.add_parser("extract", help="extract a watermark")
+    x = sub.add_parser("extract", parents=[key], help="extract a watermark")
     x.add_argument("--in", dest="infile", required=True)
     x.add_argument("--out", required=True)
-    x.add_argument("--seed1", type=_hex32, required=True)
-    x.add_argument("--seed2", type=_hex32, required=True)
-    x.add_argument("--mode", choices=("unauth", "auth"), default="unauth")
-    x.add_argument("--mix", choices=("ci", "xor"), default="ci")
-    x.add_argument("--repetition", type=int, default=1)
     x.add_argument("--wm-width", type=int, default=64)
     x.add_argument("--wm-height", type=int, default=64)
+    x.set_defaults(handler=cmd_extract)
 
     a = sub.add_parser("attack", help="apply one attack, write image + sidecar")
     a.add_argument("--in", dest="infile", required=True)
@@ -115,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--attack", choices=tuple(watermark.ATTACKS), required=True)
     a.add_argument("--param", type=float, required=True)
     a.add_argument("--noise-seed", type=_hex32, default=None)
+    a.set_defaults(handler=cmd_attack)
 
     b = sub.add_parser("bench", help="full attack-robustness table")
     b.add_argument("--carrier", required=True)
@@ -124,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--noise-seed", type=_hex32, required=True,
                    help="explicit seed for the noise attacks (no wall-clock default)")
     b.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    b.set_defaults(handler=cmd_bench)
     return p
 
 
@@ -199,12 +200,15 @@ def cmd_test(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _key(args) -> watermark.EmbeddingKey:
+    return watermark.EmbeddingKey(args.seed1, args.seed2, mode=args.mode,
+                                  mix=args.mix, repetition=args.repetition)
+
+
 def cmd_embed(args) -> int:
     carrier = imaging.load_pgm(args.carrier)
     wm = imaging.load_pbm(args.watermark)
-    key = watermark.EmbeddingKey(args.seed1, args.seed2, mode=args.mode,
-                                 mix=args.mix, repetition=args.repetition)
-    marked = watermark.embed(carrier, wm, key)
+    marked = watermark.embed(carrier, wm, _key(args))
     imaging.save_pgm(marked, args.out)
     print(_echo(args, ("carrier", "watermark", "out", "seed1", "seed2",
                        "mode", "mix", "repetition")), file=sys.stderr)
@@ -213,9 +217,7 @@ def cmd_embed(args) -> int:
 
 def cmd_extract(args) -> int:
     img = imaging.load_pgm(args.infile)
-    key = watermark.EmbeddingKey(args.seed1, args.seed2, mode=args.mode,
-                                 mix=args.mix, repetition=args.repetition)
-    wm = watermark.extract(img, key, wm_dims=(args.wm_height, args.wm_width))
+    wm = watermark.extract(img, _key(args), wm_dims=(args.wm_height, args.wm_width))
     imaging.save_pbm(wm, args.out)
     print(_echo(args, ("infile", "out", "seed1", "seed2", "mode", "mix",
                        "repetition", "wm_width", "wm_height")), file=sys.stderr)
@@ -240,13 +242,6 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _bench_rows(args):
-    carrier = imaging.load_pgm(args.carrier)
-    wm = imaging.load_pbm(args.watermark)
-    return watermark.robustness_sweep(carrier, wm, args.seed1, args.seed2,
-                                      BENCH_GRID, noise_seed=args.noise_seed)
-
-
 _FAMILY_LABEL = {
     "crop": ("Cropping", "Size (pixels)"),
     "rotate": ("Rotation", "Angle (degree)"),
@@ -256,7 +251,10 @@ _FAMILY_LABEL = {
 
 
 def cmd_bench(args) -> int:
-    rows = _bench_rows(args)
+    carrier = imaging.load_pgm(args.carrier)
+    wm = imaging.load_pbm(args.watermark)
+    rows = watermark.robustness_sweep(carrier, wm, args.seed1, args.seed2,
+                                      BENCH_GRID, noise_seed=args.noise_seed)
     cells = {}
     for kind, param, mode, sim in rows:
         cells.setdefault(kind, {}).setdefault(param, {})[mode] = sim
@@ -285,18 +283,9 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "gen": cmd_gen,
-        "test": cmd_test,
-        "embed": cmd_embed,
-        "extract": cmd_extract,
-        "attack": cmd_attack,
-        "bench": cmd_bench,
-    }[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
+        return args.handler(args)
     except (ValueError, imaging.ImageFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,13 +12,13 @@ import copy
 
 import numpy as np
 
-from .kernels import ci_fill, xorshift_fill
+from .kernels import _MASK32, ci_fill, xorshift_fill
 
 # Substituted for a zero seed: zero is the fixed point of the shift-XOR
 # round, so it can never be a valid state.
 ZERO_SEED_FALLBACK = 0x9E3779B9
 
-_MASK32 = 0xFFFFFFFF
+_JOIN_BITS = 1 << 20  # output bits per block of an unaligned join; whole bytes
 
 
 def seed_word(raw: int) -> int:
@@ -109,7 +109,8 @@ class CiGenerator:
         if x0 is None:
             if n_cells is None:
                 n_cells = 32
-            x0 = derive_initial_state(seed_word(seed1), seed_word(seed2), n_cells)
+            x0 = () if n_cells < 2 else derive_initial_state(  # () fails the check below
+                seed_word(seed1), seed_word(seed2), n_cells)
         x = np.asarray(x0)
         if x.ndim != 1 or x.size < 2 or not np.isin(x, (0, 1)).all():
             raise ValueError("state must be a 1-D vector of >= 2 cells, each 0 or 1")
@@ -143,9 +144,18 @@ class CiGenerator:
         rows, self.s1, self.s2 = ci_fill(self.x, self.s1, self.s2, self.c, rounds)
         self._unread = unread + rounds * n - nbits
         if n % 8 or unread % 8:
-            # states straddle byte boundaries: join them as bits
-            bits = np.unpackbits(np.vstack((prev, rows)), axis=1, count=n).reshape(-1)
-            return np.packbits(bits[n - unread:n - unread + nbits])
+            # states straddle byte boundaries: join them as bits, a block at a time
+            out = np.empty(-(-nbits // 8), dtype=np.uint8)
+            for b in range(0, nbits, _JOIN_BITS):
+                s = b + n - unread  # output bit b is bit s of prev, rows[0], rows[1], ...
+                e = s + min(_JOIN_BITS, nbits - b)
+                j = s // n
+                blk = rows[max(j - 1, 0):-(-e // n) - 1]
+                if j == 0:
+                    blk = np.vstack((prev, blk))
+                bits = np.unpackbits(blk, axis=1, count=n).reshape(-1)
+                out[b // 8:(b + _JOIN_BITS) // 8] = np.packbits(bits[s - j * n:e - j * n])
+            return out
         stream = rows.reshape(-1)
         if unread:
             stream = np.concatenate((prev[(n - unread) // 8:], stream))

@@ -5,6 +5,7 @@ block-DCT quantization, and additive Gaussian noise."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -37,6 +38,9 @@ def _check_gray(img) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")  # whitespace and comments, then a token
+
+
 def _parse_header(data: bytes, magic: bytes, fields: int):
     """Parse 'magic <int> ...' with whitespace and # comments; returns the
     field values, each a run of ASCII digits, and the payload offset."""
@@ -45,16 +49,8 @@ def _parse_header(data: bytes, magic: bytes, fields: int):
                                f"got {data[:2]!r}")
     pos = 2
     values = []
-    while len(values) < fields:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
+    for _ in range(fields):
+        start, pos = _FIELD.match(data, pos).span(1)
         token = data[start:pos]
         if not token:
             raise ImageFormatError(f"offset {start}: truncated header")

@@ -18,6 +18,8 @@ comment above the kernels.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
@@ -79,7 +81,6 @@ _CHUNK_FLIPS = 1 << 19
 _LANE = 32  # words per lane, a power of two
 _LANE_MIN = 1 << 16  # shortest xorshift_fill that steps lanes
 _LANE_BLOCK = 1 << 18  # words per transposed block; keeps the transpose in cache
-_JUMP = ()  # _JUMP[k]: (4, 256) uint32 byte tables of T^(2^k)
 
 
 def _xs_columns():
@@ -94,6 +95,7 @@ def _byte_tables(cols):
     c = cols.reshape(4, 8, 1)
     for i in range(8):
         tab[:, 1 << i:2 << i] = tab[:, :1 << i] ^ c[:, i]
+    tab.flags.writeable = False  # cached: every caller reads the same tables
     return tab
 
 
@@ -106,21 +108,16 @@ def _apply_tables(tab, v, out):
     out ^= tab[3].take(b[:, 3])
 
 
-def _jump_tables(levels):
-    """Byte tables of T^(2^k) for k < levels (cached, built on demand)."""
-    global _JUMP
-    tabs = _JUMP
-    if len(tabs) < levels:
-        tabs = list(tabs) or [_byte_tables(np.array(_xs_columns(), dtype=np.uint32))]
-        while len(tabs) < levels:
-            prev = tabs[-1]
-            cols = prev[:, 1 << np.arange(8)].ravel()  # image of each basis word
-            nxt = np.empty(32, dtype=np.uint32)
-            _apply_tables(prev, cols, nxt)
-            tabs.append(_byte_tables(nxt))
-        tabs = tuple(tabs)
-        _JUMP = tabs  # one assignment: a racing caller only rebuilds
-    return tabs
+@functools.cache
+def _jump_table(k):
+    """Byte tables of T^(2^k), built from level k - 1."""
+    if k == 0:
+        return _byte_tables(np.array(_xs_columns(), dtype=np.uint32))
+    prev = _jump_table(k - 1)
+    cols = prev[:, 1 << np.arange(8)].ravel()  # image of each basis word
+    nxt = np.empty(32, dtype=np.uint32)
+    _apply_tables(prev, cols, nxt)
+    return _byte_tables(nxt)
 
 
 def _jump_chain(out, shift):
@@ -128,9 +125,9 @@ def _jump_chain(out, shift):
     n = out.size
     levels = (n - 1).bit_length()  # doublings from 1 word to n
     h = 1
-    for tab in _jump_tables(shift + levels)[shift:shift + levels]:
+    for k in range(shift, shift + levels):
         t = min(h, n - h)
-        _apply_tables(tab, out[:t], out[h:h + t])
+        _apply_tables(_jump_table(k), out[:t], out[h:h + t])
         h += t
 
 

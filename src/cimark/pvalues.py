@@ -27,8 +27,6 @@ def normal_cdf(x):
 def kolmogorov_sf(y: float) -> float:
     """Survival function of the Kolmogorov distribution,
     2 * sum_{r>=1} (-1)^(r-1) exp(-2 r^2 y^2)."""
-    if y < 1.1e-16:
-        return 1.0
     total = 0.0
     sign = 1.0
     for r in range(1, 101):

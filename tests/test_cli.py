@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import resource
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cimark.cli import main
+from cimark.cli import build_parser, main
 from cimark.generator import CiGenerator, XorShift32
 from cimark.imaging import (
     load_pbm,
@@ -123,6 +124,11 @@ class TestGen:
 
     def test_missing_count(self):
         assert main(["gen", "--seed1", "1", "--seed2", "2"]) == 2
+
+    @pytest.mark.parametrize("command", [["gen", "--bits", "8"], ["test", "--gen", "ci"]])
+    def test_negative_cell_count(self, command, capsys):
+        assert main(command + ["--seed1", "1", "--seed2", "2", "--n", "-5"]) == 2
+        assert "error: state must be a 1-D vector of >= 2 cells" in capsys.readouterr().err
 
 
 class TestTest:
@@ -355,3 +361,98 @@ class TestExitCodes:
         assert main(["gen", "--seed1", "1", "--seed2", "2", "--bits", "8"]) == 5
         err = capsys.readouterr().err
         assert f"error: internal: {type(exc).__name__}" in err.splitlines()[-1]
+
+
+# argv lists, two or more per command, and the namespace each parsed to when
+# every command declared its own flags (the bound handler aside).
+_PARSED = [
+    (["gen", "--seed1", "1", "--seed2", "2", "--bits", "64"],
+     dict(command="gen", seed1=1, seed2=2, n=32, c=None, bits=64, nbytes=None, out=None,
+          raw_xorshift=False, emit_seed_first=False, seed_from_time=None,
+          example_trace=False)),
+    (["gen", "--example-trace"],
+     dict(command="gen", seed1=None, seed2=None, n=32, c=None, bits=None, nbytes=None,
+          out=None, raw_xorshift=False, emit_seed_first=False, seed_from_time=None,
+          example_trace=True)),
+    (["gen", "--seed1", "DEADBEEF", "--seed2", "0", "--n", "24", "--c", "5", "--bytes", "3",
+      "--out", "o.bin", "--raw-xorshift", "--emit-seed-first", "--seed-from-time", "7"],
+     dict(command="gen", seed1=0xDEADBEEF, seed2=0, n=24, c=5, bits=None, nbytes=3,
+          out="o.bin", raw_xorshift=True, emit_seed_first=True, seed_from_time=7,
+          example_trace=False)),
+    (["test", "--gen", "ci", "--seed1", "1", "--seed2", "2"],
+     dict(command="test", infile=None, gen="ci", seed1=1, seed2=2, n=32, c=None,
+          scale="desk", epsilon=0.0001, format="table")),
+    (["test", "--in", "s.bin", "--n", "31", "--c", "9", "--scale", "canonical",
+      "--epsilon", "0.01", "--format", "json"],
+     dict(command="test", infile="s.bin", gen=None, seed1=None, seed2=None, n=31, c=9,
+          scale="canonical", epsilon=0.01, format="json")),
+    (["embed", "--carrier", "c.pgm", "--watermark", "w.pbm", "--out", "m.pgm",
+      "--seed1", "1", "--seed2", "2"],
+     dict(command="embed", carrier="c.pgm", watermark="w.pbm", out="m.pgm", seed1=1,
+          seed2=2, mode="unauth", mix="ci", repetition=1)),
+    (["embed", "--carrier", "c.pgm", "--watermark", "w.pbm", "--out", "m.pgm",
+      "--seed1", "a", "--seed2", "b", "--mode", "auth", "--mix", "xor", "--repetition", "3"],
+     dict(command="embed", carrier="c.pgm", watermark="w.pbm", out="m.pgm", seed1=10,
+          seed2=11, mode="auth", mix="xor", repetition=3)),
+    (["extract", "--in", "m.pgm", "--out", "w.pbm", "--seed1", "1", "--seed2", "2"],
+     dict(command="extract", infile="m.pgm", out="w.pbm", seed1=1, seed2=2, mode="unauth",
+          mix="ci", repetition=1, wm_width=64, wm_height=64)),
+    (["extract", "--in", "m.pgm", "--out", "w.pbm", "--seed1", "1", "--seed2", "2",
+      "--mode", "auth", "--mix", "xor", "--repetition", "5", "--wm-width", "32",
+      "--wm-height", "16"],
+     dict(command="extract", infile="m.pgm", out="w.pbm", seed1=1, seed2=2, mode="auth",
+          mix="xor", repetition=5, wm_width=32, wm_height=16)),
+    (["attack", "--in", "a.pgm", "--out", "b.pgm", "--attack", "crop", "--param", "50"],
+     dict(command="attack", infile="a.pgm", out="b.pgm", attack="crop", param=50.0,
+          noise_seed=None)),
+    (["attack", "--in", "a.pgm", "--out", "b.pgm", "--attack", "noise", "--param", "2",
+      "--noise-seed", "ff"],
+     dict(command="attack", infile="a.pgm", out="b.pgm", attack="noise", param=2.0,
+          noise_seed=255)),
+    (["bench", "--carrier", "c.pgm", "--watermark", "w.pbm", "--seed1", "1", "--seed2", "2",
+      "--noise-seed", "3"],
+     dict(command="bench", carrier="c.pgm", watermark="w.pbm", seed1=1, seed2=2,
+          noise_seed=3, format="table")),
+    (["bench", "--carrier", "c.pgm", "--watermark", "w.pbm", "--seed1", "1", "--seed2", "2",
+      "--noise-seed", "3", "--format", "csv"],
+     dict(command="bench", carrier="c.pgm", watermark="w.pbm", seed1=1, seed2=2,
+          noise_seed=3, format="csv")),
+]
+
+# (dest, default, required) of every flag of each command.
+_FLAGS = {
+    "gen": [("bits", None, False), ("c", None, False), ("emit_seed_first", False, False),
+            ("example_trace", False, False), ("n", 32, False), ("nbytes", None, False),
+            ("out", None, False), ("raw_xorshift", False, False), ("seed1", None, False),
+            ("seed2", None, False), ("seed_from_time", None, False)],
+    "test": [("c", None, False), ("epsilon", 0.0001, False), ("format", "table", False),
+             ("gen", None, False), ("infile", None, False), ("n", 32, False),
+             ("scale", "desk", False), ("seed1", None, False), ("seed2", None, False)],
+    "embed": [("carrier", None, True), ("mix", "ci", False), ("mode", "unauth", False),
+              ("out", None, True), ("repetition", 1, False), ("seed1", None, True),
+              ("seed2", None, True), ("watermark", None, True)],
+    "extract": [("infile", None, True), ("mix", "ci", False), ("mode", "unauth", False),
+                ("out", None, True), ("repetition", 1, False), ("seed1", None, True),
+                ("seed2", None, True), ("wm_height", 64, False), ("wm_width", 64, False)],
+    "attack": [("attack", None, True), ("infile", None, True), ("noise_seed", None, False),
+               ("out", None, True), ("param", None, True)],
+    "bench": [("carrier", None, True), ("format", "table", False), ("noise_seed", None, True),
+              ("seed1", None, True), ("seed2", None, True), ("watermark", None, True)],
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, expected", _PARSED,
+                             ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(_PARSED)])
+    def test_namespace_unchanged(self, argv, expected):
+        got = vars(build_parser().parse_args(argv))
+        assert callable(got.pop("handler"))
+        assert got == expected
+
+    def test_flags_defaults_and_required(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: sorted((a.dest, a.default, a.required) for a in parser._actions
+                            if a.dest != "help")
+               for name, parser in sub.choices.items()}
+        assert got == _FLAGS

@@ -215,6 +215,13 @@ class TestCiGenerator:
         with pytest.raises(ValueError):
             CiGenerator(x0, 1, 2, emit_seed_first=True)
 
+    @pytest.mark.parametrize("n_cells", [1, 0, -5, -40])
+    def test_refuses_fewer_than_two_cells(self, n_cells):
+        """Every count below 2, negative ones included, gets the state rule,
+        not an error from inside np.unpackbits."""
+        with pytest.raises(ValueError, match=">= 2 cells"):
+            CiGenerator.from_seeds(1, 2, n_cells=n_cells)
+
     def test_default_c_follows_recommendation(self):
         g = CiGenerator.from_seeds(1, 2, n_cells=32)
         assert g.c == 96
@@ -257,19 +264,24 @@ class TestCiGenerator:
         ref.bits(6_400_000)
         assert np.array_equal(g.bits(100), ref.bits(100))
 
-    @pytest.mark.parametrize("n_cells", [24, 32])
-    def test_words_peak_is_stream_plus_chunk(self, n_cells):
+    @pytest.mark.parametrize("n_cells, lead", [
+        pytest.param(24, 0, id="24"), pytest.param(32, 0, id="32"),
+        pytest.param(31, 0, id="31"), pytest.param(20, 0, id="20"),
+        pytest.param(32, 3, id="32-after-bits3")])
+    def test_words_peak_is_stream_plus_chunk(self, n_cells, lead):
         # words(500_000) emits 16M bits, packed 8 to a byte; beyond them only
         # one ci_fill chunk's working set (about 7 MB) is live. One byte per
-        # bit would add 15 MB.
+        # bit would add 15 MB. At N = 31, N = 20 and after bits(3), the states
+        # straddle bytes and are joined as bits, one bounded block at a time.
         g = CiGenerator.from_seeds(0xDEADBEEF, 0xC0FFEE11, n_cells=n_cells)
+        g.bits(lead)
         tracemalloc.start()
         try:
             words = g.words(500_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert words.size == 500_000 and g._unread == -16_000_000 % n_cells
+        assert words.size == 500_000 and g._unread == -(lead + 16_000_000) % n_cells
         assert peak - 4 * words.size < 9 * 2**20
 
     @pytest.mark.parametrize("lead", [0, 64, 70])

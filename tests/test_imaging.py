@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cimark.imaging import (
     ImageFormatError,
+    _parse_header,
     crop_attack,
     gaussian_noise_attack,
     jpeg_attack,
@@ -20,7 +22,61 @@ from cimark.imaging import (
 )
 
 
+def byte_loop_header(data: bytes, magic: bytes, fields: int):
+    """Reference Netpbm header parser written as byte loops: skip whitespace,
+    skip a # comment up to its newline, take the run of non-whitespace."""
+    if data[:2] != magic:
+        raise ImageFormatError(f"offset 0: expected {magic.decode()} magic, "
+                               f"got {data[:2]!r}")
+    pos = 2
+    values = []
+    while len(values) < fields:
+        while pos < len(data) and data[pos:pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos:pos + 1] == b"#":
+            while pos < len(data) and data[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos:pos + 1].isspace():
+            pos += 1
+        token = data[start:pos]
+        if not token:
+            raise ImageFormatError(f"offset {start}: truncated header")
+        if not token.isdigit():
+            kind = ("negative header value" if token[:1] == b"-" and token[1:].isdigit()
+                    else "non-numeric header token")
+            raise ImageFormatError(f"offset {start}: {kind} {token!r}")
+        values.append(int(token))
+    if pos >= len(data) or not data[pos:pos + 1].isspace():
+        raise ImageFormatError(f"offset {pos}: missing whitespace after header")
+    return values, pos + 1
+
+
+# Header bytes: every ASCII whitespace byte, comment starts, digits, signs,
+# "_", and the two bytes of the UTF-8 Arabic-Indic zero ("\xa0" alone is a
+# Latin-1 space).
+_HEADER_PIECES = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"0", b"7",
+                  b"255", b"-", b"+", b"_", b"\xd9", b"\xa0", b"x"]
+
+
 class TestNetpbm:
+    @settings(max_examples=400, deadline=None)
+    @given(body=st.lists(st.sampled_from(_HEADER_PIECES), max_size=24).map(b"".join),
+           head=st.sampled_from([(b"P5", 3), (b"P4", 2)]))
+    def test_header_matches_byte_loop_parser(self, body, head):
+        """Values and payload offset, or the error message, are those of the
+        byte-loop parser."""
+        magic, fields = head
+
+        def outcome(parse):
+            try:
+                return parse(magic + body, magic, fields)
+            except ImageFormatError as exc:
+                return str(exc)
+
+        assert outcome(_parse_header) == outcome(byte_loop_header)
+
     def test_pgm_2x2_roundtrip(self, tmp_path):
         img = np.array([[0, 128], [255, 7]], dtype=np.uint8)
         path = tmp_path / "t.pgm"

@@ -221,7 +221,7 @@ def test_xorshift_full_period():
 def test_jump_tables_match_matrix_powers():
     """Level k of the jump cache is T^(2^k), including every level
     k + log2(_LANE) that jumps the lane starts of a block by (T^_LANE)^(2^k)."""
-    tabs = kernels._jump_tables(25)
+    tabs = [kernels._jump_table(k) for k in range(25)]
     cols = _xs_columns()
     shift = _LANE.bit_length() - 1
     lane_levels = range(shift, shift + (_LANE_BLOCK // _LANE - 1).bit_length())
