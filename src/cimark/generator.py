@@ -20,6 +20,8 @@ ZERO_SEED_FALLBACK = 0x9E3779B9
 
 _JOIN_BITS = 1 << 20  # output bits per block of an unaligned join; whole bytes
 
+_BAD_STATE = "state must be a 1-D vector of >= 2 cells, each 0 or 1"
+
 
 def seed_word(raw: int) -> int:
     """Sanitize a raw 32-bit seed; zero maps to ZERO_SEED_FALLBACK."""
@@ -73,6 +75,8 @@ def chaotic_iterate(x0, f, strategy, steps: int) -> list[np.ndarray]:
 def seed_from_time(t: int, n: int) -> np.ndarray:
     """State vector from an integer timestamp fragment: t mod 2^n, as n bits
     most significant first."""
+    if n < 2:
+        raise ValueError(_BAD_STATE)
     if t < 0:
         raise ValueError("t must be nonnegative")
     t %= 1 << n
@@ -113,7 +117,7 @@ class CiGenerator:
                 seed_word(seed1), seed_word(seed2), n_cells)
         x = np.asarray(x0)
         if x.ndim != 1 or x.size < 2 or not np.isin(x, (0, 1)).all():
-            raise ValueError("state must be a 1-D vector of >= 2 cells, each 0 or 1")
+            raise ValueError(_BAD_STATE)
         self.x = x.astype(np.uint8)
         self.n_cells = self.x.size
         if n_cells is not None and n_cells != self.n_cells:
@@ -165,10 +169,6 @@ class CiGenerator:
         """The next nbits output bits as a uint8 array. Successive calls are
         contiguous: bits(a) followed by bits(b) equals bits(a+b)."""
         return np.unpackbits(self._packed(nbits), count=nbits)
-
-    def bytes(self, nbytes: int) -> bytes:
-        """Bit stream packed most-significant-bit-first into bytes."""
-        return self._packed(8 * nbytes).tobytes()
 
     def words(self, n: int) -> np.ndarray:
         """Output stream regrouped into big-endian 32-bit words."""

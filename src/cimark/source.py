@@ -26,18 +26,16 @@ class InsufficientDataError(Exception):
 
 
 class BitStreamSource:
-    """Sequential uint32 word supply with an optional hard limit."""
+    """Sequential uint32 word supply. It runs out when a pull hands back
+    fewer words than asked."""
 
-    def __init__(self, description: str, pull, limit: int = None):
+    def __init__(self, description: str, pull):
         self.description = description
         self._pull = pull  # callable: n -> np.uint32 array of length <= n
-        self._limit = limit
         self.consumed = 0
         self.pull_seconds = 0.0  # time spent inside `pull`
 
     def words(self, n: int, test_name: str = "test") -> np.ndarray:
-        if self._limit is not None and self.consumed + n > self._limit:
-            raise InsufficientDataError(test_name, n, self._limit - self.consumed)
         start = time.perf_counter()
         out = self._pull(n)
         self.pull_seconds += time.perf_counter() - start
@@ -65,40 +63,29 @@ class BitStreamSource:
         return cls(description, pull)
 
     @classmethod
-    def _from_words(cls, words: np.ndarray, description: str):
-        """Serve consecutive slices of a big-endian word array (in memory or
-        memory-mapped), converting only the slice each pull asks for."""
-        state = {"pos": 0}
-
-        def pull(n):
-            start = state["pos"]
-            state["pos"] = start + n
-            return words[start:start + n].astype(np.uint32)
-
-        return cls(description, pull, limit=words.size)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, description: str = "bytes"):
-        _warn_partial_word(len(data), description)
-        return cls._from_words(np.frombuffer(data, dtype=">u4", count=len(data) // 4),
-                              description)
-
-    @classmethod
-    def from_file(cls, path, description: str = None):
-        """Words of a packed-byte file, memory-mapped rather than read in.
+    def from_file(cls, path):
+        """Words of a packed-byte file, memory-mapped rather than read in;
+        each pull converts only the words it hands out. A pull past the end
+        hands back the words left and moves on only after a full read, so a
+        refused ask leaves the source where it was.
 
         The mapping lives as long as the source does."""
-        description = description or str(path)
         size = os.path.getsize(path)
-        _warn_partial_word(size, description)
+        if size % 4:
+            warnings.warn(f"{path}: ignoring the last {size % 4} byte(s), "
+                          f"which do not fill a 32-bit word", stacklevel=2)
         if size < 4:  # nothing to map: an empty mapping is an error
             words = np.empty(0, dtype=">u4")
         else:
             words = np.memmap(path, dtype=">u4", mode="r", shape=(size // 4,))
-        return cls._from_words(words, description)
+        pos = 0
 
+        def pull(n):
+            nonlocal pos
+            out = words[pos:pos + n]
+            if out.size == n:  # a short read is refused: convert nothing
+                pos += n
+                out = out.astype(np.uint32)
+            return out
 
-def _warn_partial_word(nbytes: int, description: str) -> None:
-    if nbytes % 4:
-        warnings.warn(f"{description}: ignoring the last {nbytes % 4} byte(s), "
-                      f"which do not fill a 32-bit word", stacklevel=3)
+        return cls(str(path), pull)

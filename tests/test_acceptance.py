@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cimark.battery import BatteryConfig, battery_word_budget, run_battery
+from cimark.cli import main
 from cimark.generator import (
     CiGenerator,
     XorShift32,
@@ -94,13 +95,25 @@ def battery_streams():
     return streams, time.perf_counter() - t0
 
 
+def array_source(name, words):
+    """A source serving consecutive slices of an in-memory word array."""
+    pos = 0
+
+    def pull(n):
+        nonlocal pos
+        pos += n
+        return words[pos - n:pos]
+
+    return BitStreamSource(name, pull)
+
+
 def run_on_streams(battery_streams, cfg):
     """Battery reports on the head of each stream, and the seconds they took
     with the full draw counted in."""
     streams, draw_seconds = battery_streams
     t0 = time.perf_counter()
     n = battery_word_budget(cfg)
-    reports = [run_battery(BitStreamSource._from_words(w[:n], name), cfg)
+    reports = [run_battery(array_source(name, w[:n]), cfg)
                for name, w in streams.items()]
     return reports, draw_seconds + time.perf_counter() - t0
 
@@ -243,7 +256,8 @@ class TestCriterion6RobustnessBands:
                "construction: seed derivation is all-or-nothing in the MSC "
                "digest, so the cell lands at ~50% (any MSC bit flipped) or "
                "at the unauthenticated level >= 88% (none flipped); see "
-               "notes/decisions.md")
+               "README's expected-failure paragraph and ROADMAP's parked "
+               "Block-wise authentication item")
     def test_auth_rotation2_band(self, sweep_rows):
         sim = sweep_rows[("rotate", 2, "auth")]
         report(6, 55 <= sim <= 80,
@@ -379,9 +393,9 @@ class TestCriterion8Determinism:
         def run():
             digests = []
             for name in ("a.bin", "b.bin"):
-                gen = CiGenerator.from_seeds(0xDEADBEEF, 0xC0FFEE11)
                 path = tmp_path / name
-                path.write_bytes(gen.bytes(125_000))
+                assert main(["gen", "--seed1", "DEADBEEF", "--seed2", "C0FFEE11",
+                             "--bytes", "125000", "--out", str(path)]) == 0
                 digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
             return digests[0] == digests[1]
 

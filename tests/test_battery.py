@@ -29,12 +29,11 @@ from cimark.generator import CiGenerator, XorShift32
 from cimark.source import BitStreamSource, InsufficientDataError
 
 
-def reference_source(seed=0, limit=None):
+def reference_source(seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
     return BitStreamSource(
         "pcg64 reference",
         lambda n: rng.integers(0, 2**32, size=n, dtype=np.uint32),
-        limit=limit,
     )
 
 
@@ -43,12 +42,15 @@ def untimed(csv: str) -> list:
     return [row.rsplit(",", 2)[0] for row in csv.splitlines()]
 
 
-def constant_source(word, limit=None):
+def constant_source(word):
     return BitStreamSource(
         f"constant 0x{word:08X}",
         lambda n: np.full(n, word, dtype=np.uint32),
-        limit=limit,
     )
+
+
+def xorshift_bytes(nwords, extra=b""):
+    return XorShift32(0x1234567).fill(nwords).astype(">u4").tobytes() + extra
 
 
 class TestIndividualTests:
@@ -163,15 +165,16 @@ class TestIndividualTests:
         with pytest.raises(ValueError):
             binary_rank_test(reference_source(8), 16, 16, 100)
 
-    def test_insufficient_data(self):
-        src = reference_source(9, limit=1000)
+    def test_insufficient_data(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(xorshift_bytes(1000))
         with pytest.raises(InsufficientDataError) as err:
-            binary_rank_test(src, 32, 32, samples=10_000)
-        assert "Binary Rank 32x32" in str(err.value)
+            binary_rank_test(BitStreamSource.from_file(path), 32, 32, samples=10_000)
+        assert str(err.value) == "Binary Rank 32x32: needs 320000 words, only 1000 available"
 
     def test_short_pull_reports_words_returned(self):
-        """A pull without a limit that returns short reports the words it
-        returned, not those plus the words consumed before it (10 here)."""
+        """A pull that returns short reports the words it returned, not
+        those plus the words consumed before it (10 here)."""
         supply = XorShift32(0x1234567).fill(10)
         state = {"pos": 0}
 
@@ -296,12 +299,14 @@ class TestBattery:
         report = run_battery(constant_source(0x55AA55AA))
         assert all(not r.passed for r in report.results)
 
-    def test_determinism_on_same_bytes(self):
+    def test_determinism_on_same_bytes(self, tmp_path):
         budget = battery_word_budget(BatteryConfig())
         rng = np.random.Generator(np.random.PCG64(77))
-        data = rng.integers(0, 2**32, size=budget, dtype=np.uint32).astype(">u4").tobytes()
-        rep1 = run_battery(BitStreamSource.from_bytes(data, "blob"))
-        rep2 = run_battery(BitStreamSource.from_bytes(data, "blob"))
+        path = tmp_path / "blob.bin"
+        path.write_bytes(rng.integers(0, 2**32, size=budget, dtype=np.uint32)
+                         .astype(">u4").tobytes())
+        rep1 = run_battery(BitStreamSource.from_file(path))
+        rep2 = run_battery(BitStreamSource.from_file(path))
         assert untimed(rep1.render_csv()) == untimed(rep2.render_csv())
 
     def test_report_counts_and_renderings(self):
@@ -432,10 +437,6 @@ class TestBattery:
 
 
 class TestFileSource:
-    @staticmethod
-    def xorshift_bytes(nwords, extra=b""):
-        return XorShift32(0x1234567).fill(nwords).astype(">u4").tobytes() + extra
-
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
@@ -448,36 +449,52 @@ class TestFileSource:
 
     @pytest.mark.parametrize("extra", [b"\x01", b"\x01\x02\x03"])
     def test_partial_word_warns_and_is_dropped(self, tmp_path, extra):
-        data = self.xorshift_bytes(4099, extra)
+        data = xorshift_bytes(4099, extra)
         path = tmp_path / "tail.bin"
         path.write_bytes(data)
-        for make in (lambda: BitStreamSource.from_file(path),
-                     lambda: BitStreamSource.from_bytes(data)):
-            with pytest.warns(UserWarning, match=f"last {len(extra)} byte"):
-                src = make()
-            # the words a whole-file read and one big-endian conversion give
-            expected = np.frombuffer(data[:4 * 4099], dtype=">u4").astype(np.uint32)
-            got = [src.words(n) for n in (1, 1000, 0, 3098)]
-            assert all(w.dtype == np.uint32 for w in got)
-            assert np.array_equal(np.concatenate(got), expected)
-            with pytest.raises(InsufficientDataError):
-                src.words(1)
+        with pytest.warns(UserWarning) as record:
+            src = BitStreamSource.from_file(path)
+        assert [str(w.message) for w in record] == [
+            f"{path}: ignoring the last {len(extra)} byte(s), "
+            f"which do not fill a 32-bit word"]
+        # the words a whole-file read and one big-endian conversion give
+        expected = np.frombuffer(data[:4 * 4099], dtype=">u4").astype(np.uint32)
+        got = [src.words(n) for n in (1, 1000, 0, 3098)]
+        assert all(w.dtype == np.uint32 for w in got)
+        assert np.array_equal(np.concatenate(got), expected)
+        with pytest.raises(InsufficientDataError):
+            src.words(1)
 
     def test_whole_words_do_not_warn(self, tmp_path):
         path = tmp_path / "whole.bin"
-        path.write_bytes(self.xorshift_bytes(10))
+        path.write_bytes(xorshift_bytes(10))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert BitStreamSource.from_file(path).words(10).size == 10
 
+    def test_ask_past_the_end_leaves_the_source_where_it_was(self, tmp_path):
+        """A refused ask names the words left and draws none of them: the
+        next ask within those words gets what a fresh source gives."""
+        path = tmp_path / "ten.bin"
+        path.write_bytes(xorshift_bytes(10))
+        src = BitStreamSource.from_file(path)
+        head = src.words(3)
+        with pytest.raises(InsufficientDataError) as err:
+            src.words(8, "probe")
+        assert str(err.value) == "probe: needs 8 words, only 7 available"
+        assert src.consumed == 3
+        fresh = BitStreamSource.from_file(path)
+        assert np.array_equal(np.concatenate([head, src.words(7)]), fresh.words(10))
+
     def test_battery_over_file_equals_bytes(self, tmp_path):
+        """A battery over a file of XORshift words equals one over the live
+        generator that wrote them."""
         cfg = BatteryConfig.desk(**GOLDEN_CFG)
-        data = self.xorshift_bytes(battery_word_budget(cfg))
         path = tmp_path / "stream.bin"
-        path.write_bytes(data)
+        path.write_bytes(xorshift_bytes(battery_word_budget(cfg)))
         from_file = run_battery(BitStreamSource.from_file(path), cfg)
-        from_bytes = run_battery(BitStreamSource.from_bytes(data), cfg)
+        live = run_battery(BitStreamSource.from_generator(XorShift32(0x1234567)), cfg)
         assert from_file.source_description == str(path)
-        assert from_file.rows() == from_bytes.rows()
-        assert [r.words for r in from_file.results] == [r.words for r in from_bytes.results]
-        assert from_file.words_consumed == from_bytes.words_consumed
+        assert from_file.rows() == live.rows()
+        assert [r.words for r in from_file.results] == [r.words for r in live.results]
+        assert from_file.words_consumed == live.words_consumed

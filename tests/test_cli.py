@@ -125,7 +125,8 @@ class TestGen:
     def test_missing_count(self):
         assert main(["gen", "--seed1", "1", "--seed2", "2"]) == 2
 
-    @pytest.mark.parametrize("command", [["gen", "--bits", "8"], ["test", "--gen", "ci"]])
+    @pytest.mark.parametrize("command", [["gen", "--bits", "8"], ["test", "--gen", "ci"],
+                                         ["gen", "--bits", "8", "--seed-from-time", "7"]])
     def test_negative_cell_count(self, command, capsys):
         assert main(command + ["--seed1", "1", "--seed2", "2", "--n", "-5"]) == 2
         assert "error: state must be a 1-D vector of >= 2 cells" in capsys.readouterr().err

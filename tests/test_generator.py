@@ -14,7 +14,7 @@ from cimark.generator import (
     seed_word,
     vector_negation,
 )
-from cimark.kernels import xorshift_fill, xorshift_step
+from cimark.kernels import _apply_tables, _jump_table, xorshift_fill, xorshift_step
 
 # Reference worked example: N=5, chunk lengths m = 4, 5, 4 and the flip
 # targets below, initial state 10100; the output starts with the seed state.
@@ -74,13 +74,13 @@ class TestXorShift:
         assert np.array_equal(w, u)
 
     def test_injectivity_on_distinct_seeds(self):
+        """cimark's shift-XOR round (the level-0 jump table) maps a million
+        distinct seeds to a million distinct words."""
         rng = np.random.default_rng(0)
         seeds = np.unique(rng.integers(1, 2**32, size=1_200_000, dtype=np.uint64))
         seeds = seeds[:1_000_000].astype(np.uint32)
-        x = seeds.copy()
-        x ^= (x << np.uint32(13))
-        x ^= (x >> np.uint32(17))
-        x ^= (x << np.uint32(5))
+        x = np.empty_like(seeds)
+        _apply_tables(_jump_table(0), seeds, x)
         assert np.unique(x).size == seeds.size
 
 
@@ -182,12 +182,18 @@ class TestSeedFromTime:
         assert np.array_equal(seed_from_time(2**5, 5), np.zeros(5))
         assert np.array_equal(seed_from_time(2**5 + 3, 5), [0, 0, 0, 1, 1])
 
+    @pytest.mark.parametrize("n", [-5, 0, 1])
+    def test_too_few_cells(self, n):
+        # refused before 1 << n, which raises on a negative n
+        with pytest.raises(ValueError, match="state must be a 1-D vector of >= 2 cells"):
+            seed_from_time(7, n)
+
 
 class TestCiGenerator:
     def test_determinism(self):
-        a = CiGenerator.from_seeds(7, 11).bytes(4096)
-        b = CiGenerator.from_seeds(7, 11).bytes(4096)
-        assert a == b
+        a = CiGenerator.from_seeds(7, 11).words(1024)
+        b = CiGenerator.from_seeds(7, 11).words(1024)
+        assert np.array_equal(a, b)
 
     def test_clone_evolves_identically(self):
         g = CiGenerator.from_seeds(5, 6)

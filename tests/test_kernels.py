@@ -171,10 +171,10 @@ def test_ci_fill_rejects_c_below_one(c):
 @given(n=st.sampled_from([2, 5, 24, 32, 65]),
        a=st.integers(min_value=0, max_value=3000),
        b=st.integers(min_value=0, max_value=3000),
-       first=st.sampled_from(["bits", "bytes", "words"]),
+       first=st.sampled_from(["bits", "words"]),
        s1=seeds, s2=seeds)
 def test_bits_split_equals_whole(n, a, b, first, s1, s2):
-    """A bits, bytes or words call followed by bits(b) equals the matching
+    """A bits or words call followed by bits(b) equals the matching
     slice of one bits stream: at N = 24 and 32 the second call starts on
     and off a byte boundary of x, at N = 2, 5 and 65 states straddle bytes."""
     with mock.patch.object(kernels, "_CHUNK_FLIPS", 300):
@@ -182,8 +182,6 @@ def test_bits_split_equals_whole(n, a, b, first, s1, s2):
         g2 = CiGenerator.from_seeds(s1, s2, n_cells=n)
         if first == "bits":
             lead = g1.bits(a)
-        elif first == "bytes":
-            lead = np.unpackbits(np.frombuffer(g1.bytes(a // 8), dtype=np.uint8))
         else:
             lead = np.unpackbits(g1.words(a // 32).astype(">u4").view(np.uint8))
         split = np.concatenate([lead, g1.bits(b)])
