@@ -14,6 +14,7 @@ import contextlib
 import json
 import sys
 import traceback
+import warnings
 
 import numpy as np
 
@@ -282,23 +283,29 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except (ValueError, imaging.ImageFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # never let a crash read as "a test failed" (1)
-        traceback.print_exc(file=sys.stderr)
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 5
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning  # no source path or line
+        try:
+            return args.handler(args)
+        except (ValueError, imaging.ImageFormatError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except InsufficientDataError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except Exception as exc:  # never let a crash read as "a test failed" (1)
+            traceback.print_exc(file=sys.stderr)
+            print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 5
 
 
 if __name__ == "__main__":

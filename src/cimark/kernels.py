@@ -59,17 +59,21 @@ def xorshift_step(word: int) -> int:
 # A generator round flips m >= 1 cells and emits the state, so each emitted
 # state is the initial state XOR the prefix XOR of one-hot flip masks up to
 # the round's last flip. The kernel steps the strategy words in lanes and
-# keeps that layout throughout. The cells are reduced mod N in place as
-# w - (w // N) * N: numpy floor-divides by a scalar with libdivide (a
-# multiply and shifts per element), which makes the three passes about twice
-# as fast as np.remainder. For each of the nw = ceil(N/32) big-endian uint32
-# state words w, the mask of a cell is 1 << (32w + 31 - cell); a shift of 32
-# or more, or a wrapped negative one, gives 0, so cells outside word w add
-# nothing. The prefix XOR is a blocked scan: L - 1 row XORs down the lanes
-# (far faster than bitwise_xor.accumulate along axis 0), then an exclusive
-# XOR-scan of the last row over the K lanes. A round's state is then one
-# gather at its last flip, XOR its lane's scan value, XOR the carried state.
-# Its output row is the leading ceil(N/8) bytes of its state words. Chunks
+# keeps that layout throughout. The cells are reduced mod N in place: as
+# w & (N - 1) when N is a power of two, else as w - (w // N) * N (numpy
+# floor-divides by a scalar with libdivide, a multiply and shifts per
+# element, which makes the three passes about twice as fast as
+# np.remainder). For each of the nw = ceil(N/32) big-endian uint32 state
+# words w, the mask of a cell is 2^31 >> (cell - 32w), one pass for w = 0
+# and two for the others; a shift of 32 or more, or a wrapped negative one,
+# gives 0, so cells outside word w add nothing. At N <= 32 a flip thus
+# takes two element passes before the prefix XOR for a power of two, and
+# four otherwise. The prefix XOR is a blocked scan: L - 1 row XORs down the
+# lanes (far faster than bitwise_xor.accumulate along axis 0), then an
+# exclusive XOR-scan of the last row over the K lanes. A round's state is
+# then one gather at its last flip, XOR its lane's scan value, XOR the
+# carried state. Its output row is the leading ceil(N/8) bytes of its state
+# words. Chunks
 # of about _CHUNK_FLIPS flips bound the working memory beyond the output.
 # The cell and mask buffers of a chunk are one block allocated once per
 # call (the cell quotient reuses the mask row): separate buffers of a few MB
@@ -206,14 +210,17 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
         lane = last >> sh
         at = (last & (ln - 1)) * k + lane  # each last flip in the flat buffer
         s2 = int(cell.ravel()[at[-1]])
-        np.floor_divide(cell, np.uint32(n), out=mk)  # the quotient, until the masks
-        mk *= np.uint32(n)
-        cell -= mk
+        if n & (n - 1):
+            np.floor_divide(cell, np.uint32(n), out=mk)  # the quotient, until the masks
+            mk *= np.uint32(n)
+            cell -= mk
+        else:
+            cell &= np.uint32(n - 1)
         states = np.empty((r1 - r0, nw), dtype=">u4")
         tot = np.zeros(k, dtype=np.uint32)
         for w in range(nw):
-            np.subtract(np.uint32(32 * w + 31), cell, out=mk)
-            np.left_shift(np.uint32(1), mk, out=mk)  # 0 outside word w
+            off = np.subtract(cell, np.uint32(32 * w), out=mk) if w else cell
+            np.right_shift(np.uint32(1 << 31), off, out=mk)  # 0 outside word w
             for i in range(1, ln):  # prefix XOR down each lane
                 mk[i] ^= mk[i - 1]
             np.bitwise_xor.accumulate(mk[-1, :-1], out=tot[1:])  # lanes before each

@@ -150,6 +150,17 @@ class TestTest:
         assert "Overlapping Sum: needs 19900 words, only 500 available" \
             in capsys.readouterr().err
 
+    def test_partial_word_warning(self, tmp_path, monkeypatch, capsys):
+        # a warning prints like an error, without the program's source
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "partial.bin").write_bytes(b"\x12" * 2001)
+        assert main(["test", "--in", "partial.bin"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == ("warning: partial.bin: ignoring the last 1 byte(s), "
+                          "which do not fill a 32-bit word")
+        assert err[1].startswith("error: Overlapping Sum: needs 19900 words")
+        assert len(err) == 2 and not any("cli.py" in line for line in err)
+
     def test_file_one_word_short(self, tmp_path, capsys):
         from cimark.battery import BatteryConfig, battery_word_budget
 

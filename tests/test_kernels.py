@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import cimark
 from cimark import kernels
-from cimark.generator import CiGenerator
+from cimark.generator import CiGenerator, kth_bit_oracle
 from cimark.gf2 import gf2_rank_many
 from cimark.kernels import (
     _xs_columns,
@@ -155,6 +155,33 @@ def test_ci_fill_lane_path_matches_rounds():
     assert np.array_equal(out, np.packbits(expected, axis=1))
     assert np.array_equal(xbits, x_end)
     assert (a, b) == (a_end, b_end)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 33, 63, 65])
+def test_ci_fill_cell_reductions(n):
+    """ci_fill equals round-by-round iteration at every power of two N up to
+    128, whose cells are masked rather than divided, and at N = 33, 63 and
+    65, whose masks in state words w >= 1 shift by the cell less 32w. With
+    37 rounds per chunk, the 300 rounds cross 8 chunk boundaries."""
+    c, s1, s2, rounds = 3, 0x9E3779B9 ^ n, 0x7F4A7C15 + n, 300
+    x0 = (np.arange(n) * 7 % 5 % 2).astype(np.uint8)
+    expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
+    xbits = x0.copy()
+    with mock.patch.object(kernels, "_CHUNK_FLIPS", 150):
+        out, a, b = ci_fill(xbits, s1, s2, c, rounds)
+    assert np.array_equal(out, np.packbits(expected, axis=1))
+    assert np.array_equal(xbits, x_end)
+    assert (a, b) == (a_end, b_end)
+
+
+def test_kth_bit_oracle_at_n16():
+    """At N = 16 the stream, drawn through the masked cell reduction, equals
+    the oracle's own `%` reduction of the strategy words."""
+    def fresh():
+        return CiGenerator.from_seeds(0x2468ACE0, 0x13579BDF, n_cells=16)
+
+    ks = np.arange(0, 20_000, 7)
+    assert np.array_equal(kth_bit_oracle(fresh, ks), fresh().bits(20_000)[ks])
 
 
 @pytest.mark.parametrize("c", [0, -1])
