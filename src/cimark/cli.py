@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import resource
 import sys
+import time
 import traceback
 import warnings
 
@@ -254,8 +256,10 @@ _FAMILY_LABEL = {
 def cmd_bench(args) -> int:
     carrier = imaging.load_pgm(args.carrier)
     wm = imaging.load_pbm(args.watermark)
+    start = time.perf_counter()
     rows = watermark.robustness_sweep(carrier, wm, args.seed1, args.seed2,
                                       BENCH_GRID, noise_seed=args.noise_seed)
+    seconds = time.perf_counter() - start
     cells = {}
     for kind, param, mode, sim in rows:
         cells.setdefault(kind, {}).setdefault(param, {})[mode] = sim
@@ -279,6 +283,9 @@ def cmd_bench(args) -> int:
                        "carrier": args.carrier, "watermark": args.watermark},
             "rows": [{"attack": k, "parameter": p, "mode": m, "similarity": s}
                      for k, p, m, s in rows],
+            "seconds": seconds,  # the sweep alone, not the image loads
+            # ru_maxrss / 1024: Linux reports KiB
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }, indent=2))
     return 0
 

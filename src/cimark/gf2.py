@@ -30,12 +30,14 @@ def gf2_rank_many(packed: np.ndarray, nrows: int, ncols: int,
     any other order. When column c is reached, no row holds a bit above c
     (the masking and the steps for the higher columns cleared them), so the
     largest row holds bit c if any row does: the pivot is the elementwise
-    max over the rows, and a row holds bit c exactly when it shifted right
-    by c is 1. Every row holding the bit, the pivot included, is XORed with
-    the pivot. The pivot row becomes zero, which is the same as dropping
-    it, and dropping a pivot row leaves the rank of the rest to be counted,
-    so no row swaps or per-matrix row pointers are needed. A matrix without
-    the bit gets pivot 0 and neither counts nor changes anything.
+    max over the rows; a matrix without bit c gets pivot 0. Every row is
+    XORed with the pivot and keeps the smaller of the two values: a row
+    holding bit c loses it (bit c is its highest), a row without it would
+    gain it and stays as it was, and pivot 0 changes nothing. So every row
+    holding the bit, the pivot included, is XORed with the pivot, in two
+    passes over the rows. The pivot row becomes zero, which is the same as
+    dropping it, and dropping a pivot row leaves the rank of the rest to be
+    counted, so no row swaps or per-matrix row pointers are needed.
 
     For the same reason the rows narrow as the columns go: the copy starts
     in the narrowest dtype holding ncols bits, and once the columns left
@@ -77,10 +79,11 @@ def gf2_rank_many(packed: np.ndarray, nrows: int, ncols: int,
             low = 4 * dtype.itemsize if dtype.itemsize > 1 else 0
             for c in range(col - 1, low - 1, -1):
                 prow = m.max(axis=0, initial=0)  # initial: 0 rows give rank 0
-                r += prow >> c
-                np.right_shift(m, c, out=held)  # 1 where the row holds bit c
-                held *= prow
-                m ^= held
+                bit = prow >> c  # 1 where some row holds bit c
+                r += bit
+                prow *= bit  # pivot 0 where none does
+                np.bitwise_xor(m, prow, out=held)
+                np.minimum(m, held, out=m)  # clears bit c where a row holds it
             col = low
     return rank.astype(np.int64)
 

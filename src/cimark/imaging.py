@@ -166,23 +166,38 @@ def crop_attack(img, side: int) -> np.ndarray:
     return out
 
 
-def _nearest_sources(h: int, w: int, theta_deg: float):
+def _nearest_sources(h: int, w: int, theta_deg: float) -> np.ndarray:
     """One rotation by theta about the pixel-coordinate center (w/2, h/2)
     with nearest-neighbor sampling: the flat index of the source pixel each
-    output pixel reads (clipped into the frame), and whether the unclipped
-    source lies inside the frame."""
+    output pixel reads, or h * w where the source lies outside the frame.
+
+    The products with dx = x - cx and dy = y - cy are taken on a row and a
+    column vector and only their sums are broadcast to the frame; each
+    element gets the same products and the same sum order,
+    ((a + b) + c) + 0.5, as on full coordinate grids. A source coordinate
+    p lies in [0, n) exactly when p viewed as unsigned is below n."""
     cy, cx = h / 2.0, w / 2.0
     th = math.radians(theta_deg)
     cos_t, sin_t = math.cos(th), math.sin(th)
-    yy, xx = np.mgrid[0:h, 0:w]
-    dx = xx - cx
-    dy = yy - cy
+    dx = np.arange(w) - cx
+    dy = (np.arange(h) - cy)[:, None]
+
+    def nearest(a, b, c):
+        s = a + b
+        s += c
+        s += 0.5
+        return np.floor(s, out=s).astype(np.intp)
+
     # inverse map: source coordinates that land on this output pixel
-    px = np.floor(cos_t * dx + sin_t * dy + cx + 0.5).astype(np.int64)
-    py = np.floor(-sin_t * dx + cos_t * dy + cy + 0.5).astype(np.int64)
-    inside = (px >= 0) & (px < w) & (py >= 0) & (py < h)
-    flat = np.clip(py, 0, h - 1) * w + np.clip(px, 0, w - 1)
-    return flat.reshape(-1), inside.reshape(-1)
+    px = nearest(cos_t * dx, sin_t * dy, cx)
+    py = nearest(-sin_t * dx, cos_t * dy, cy)
+    outside = px.view(np.uintp) >= w
+    outside |= py.view(np.uintp) >= h
+    flat = py
+    flat *= w
+    flat += px
+    flat[outside] = h * w
+    return flat.reshape(-1)
 
 
 def rotation_map(shape, theta: float) -> np.ndarray:
@@ -191,14 +206,15 @@ def rotation_map(shape, theta: float) -> np.ndarray:
     index of the pixel that output pixel reads, or h * w (a zero pixel past
     the end) where either rotation samples outside the frame.
 
-    With r1, in1 the sources of the +theta rotation and r2, in2 those of
-    the -theta one, the round trip reads r1[r2] where in2 & in1[r2] holds.
+    With r1 the sources of the +theta rotation and r2 those of the -theta
+    one, the round trip reads r1[r2], r1 extended by h * w so that a
+    source outside the first frame stays outside.
     """
     _check_angle(theta)
     h, w = shape
-    r1, in1 = _nearest_sources(h, w, theta)
-    r2, in2 = _nearest_sources(h, w, -theta)
-    return np.where(in2 & in1[r2], r1[r2], h * w).reshape(h, w)
+    r1 = _nearest_sources(h, w, theta)
+    r2 = _nearest_sources(h, w, -theta)
+    return np.append(r1, h * w)[r2].reshape(h, w)
 
 
 def remap(img, rmap: np.ndarray) -> np.ndarray:

@@ -126,7 +126,8 @@ def embedding_sequence(s_values, m_total: int, count: int) -> np.ndarray:
     otherwise (i >= d) its multiplier is exactly 2^d, so the pass
     u[i] += 2^d u[i - d] is one vector multiply-add. Moduli past int64
     range run the same scan on Python integers, so the result is exact for
-    any M.
+    any M. Each reduction mod M is x - (x // M) M in two buffers allocated
+    once (numpy divides by a scalar with libdivide, faster than its `%`).
     """
     if m_total < 1:
         raise ValueError("M must be >= 1")
@@ -134,11 +135,26 @@ def embedding_sequence(s_values, m_total: int, count: int) -> np.ndarray:
     if s.size < count:
         raise ValueError("not enough strategy values")
     dtype = np.int64 if m_total <= _SCAN_INT64_MAX_M else object
-    u = s[:count].astype(dtype) % m_total
-    u[1:] = (u[1:] + np.arange(u.size - 1).astype(dtype)) % m_total
+    u = s[:count].astype(dtype)
+    step = np.empty_like(u)
+    quot = np.empty_like(u)
+
+    def reduce(x):  # x mod M, in place
+        q = quot[:x.size]
+        np.floor_divide(x, m_total, out=q)
+        q *= m_total
+        x -= q
+
+    reduce(u)
+    u[1:] += np.arange(u.size - 1).astype(dtype)
+    reduce(u[1:])
     d = 1
     while d < u.size:
-        u[d:] = (u[d:] + pow(2, d, m_total) * u[:-d]) % m_total
+        x = step[:u.size - d]
+        np.multiply(u[:-d], pow(2, d, m_total), out=x)
+        x += u[d:]
+        reduce(x)
+        u[d:] = x
         d *= 2
     return u.astype(np.int64)
 
@@ -160,14 +176,29 @@ def _distinct_addresses(cells, draw, m_total: int, count: int) -> np.ndarray:
     otherwise the sequence is scanned once more up to U_cap, cap =
     16 count + 4096. The recurrence is prefix-consistent, so a longer scan
     keeps every address a shorter one found.
+
+    First occurrences are found without a stable sort of every value: a
+    plain sort names the repeated values, a few dozen at 4,672 values over
+    M = 196,608, and only the positions holding them are put in order.
     """
     for length in (count + count // 8 + 64, 16 * count + 4096 + 1):
         if cells.size < length:
             cells = np.concatenate([cells, draw(length - cells.size)])
         u = embedding_sequence(cells, m_total, length)
-        _, first = np.unique(u, return_index=True)
-        if first.size >= count:
-            return u[np.sort(first)[:count]]
+        ordered = np.sort(u)
+        again = ordered[1:] == ordered[:-1]
+        if u.size - np.count_nonzero(again) < count:
+            continue
+        repeated = ordered[1:][again]  # sorted, each value at least once
+        first = np.ones(u.size, dtype=bool)
+        if repeated.size:
+            at = np.searchsorted(repeated, u)
+            np.minimum(at, repeated.size - 1, out=at)
+            pos = np.flatnonzero(repeated[at] == u)
+            _, head = np.unique(u[pos], return_index=True)
+            first[pos] = False
+            first[pos[head]] = True
+        return u[first][:count]
     raise RuntimeError("address generation did not converge")
 
 

@@ -21,7 +21,7 @@ from cimark.imaging import (
 )
 from rotate_oracle import rotate_round_trip
 
-ANGLES = (0.7, 2, 25, 45.3, 89.9)
+ANGLES = (0.5, 0.7, 2, 25, 45.3, 89.9)
 
 
 def _image(h, w, seed=0):
@@ -31,12 +31,20 @@ def _image(h, w, seed=0):
 
 
 class TestRotateOracle:
-    @pytest.mark.parametrize("h, w", [(64, 64), (48, 80), (80, 48), (37, 53)],
-                             ids=["square", "wide", "tall", "odd"])
+    @pytest.mark.parametrize("h, w", [(64, 64), (48, 80), (80, 48), (37, 53),
+                                      (256, 256), (1, 9), (9, 1)],
+                             ids=["square", "wide", "tall", "odd", "sweep", "row", "column"])
     @pytest.mark.parametrize("theta", ANGLES)
     def test_equals_two_gathers(self, h, w, theta):
         img = _image(h, w, seed=h * w)
         assert np.array_equal(rotate_attack(img, theta), rotate_round_trip(img, theta))
+
+    @pytest.mark.parametrize("shape", [(256, 256), (37, 53), (1, 9), (9, 1)])
+    def test_map_is_intp_within_the_zero_pixel(self, shape):
+        rmap = rotation_map(shape, 25)
+        assert rmap.dtype == np.intp and rmap.shape == shape
+        h, w = shape
+        assert 0 <= rmap.min() and rmap.max() <= h * w
 
     def test_map_serves_every_image_of_its_shape(self):
         rmap = rotation_map((37, 53), 25)

@@ -353,6 +353,17 @@ class TestBench:
         auth = [v for (k, p, m), v in table.items() if m == "auth"]
         assert all(v <= 80.0 for v in auth)
 
+    def test_bench_json_reports_cost(self, images, capsys):
+        carrier, wm = images
+        rc = main(["bench", "--carrier", str(carrier), "--watermark", str(wm),
+                   "--seed1", "1111AAAA", "--seed2", "2222BBBB",
+                   "--noise-seed", "5EED", "--format", "json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["rows"]) == 30
+        assert 0 < payload["seconds"] < 60
+        assert payload["peak_rss_mb"] > 10
+
     def test_bench_requires_noise_seed(self, images):
         carrier, wm = images
         with pytest.raises(SystemExit) as err:
