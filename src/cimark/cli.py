@@ -58,6 +58,11 @@ def _echo(args, keys):
     return "config: " + " ".join(pairs)
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far (ru_maxrss / 1024: Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cimark", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -175,11 +180,18 @@ def cmd_gen(args) -> int:
     _, draw = _stream(args, args.raw_xorshift)
     sink = open(args.out, "wb") if args.out \
         else contextlib.nullcontext(sys.stdout.buffer)
+    seconds = 0.0  # spent drawing, not writing
     with sink as fh:
         for start in range(0, nbits, _GEN_CHUNK_BITS):
-            fh.write(_gen_chunk(draw, min(_GEN_CHUNK_BITS, nbits - start)))
+            t0 = time.perf_counter()
+            data = _gen_chunk(draw, min(_GEN_CHUNK_BITS, nbits - start))
+            seconds += time.perf_counter() - t0
+            fh.write(data)
+    words = -(-nbits // 32)  # pieces are whole words but the last
     print(_echo(args, ("seed1", "seed2", "n", "c", "bits", "nbytes",
-                       "raw_xorshift", "emit_seed_first")), file=sys.stderr)
+                       "raw_xorshift", "emit_seed_first"))
+          + f" words_per_s={words / seconds if seconds else 0.0:.0f}"
+          + f" peak_rss_mb={_peak_rss_mb():.1f}", file=sys.stderr)
     return 0
 
 
@@ -284,8 +296,7 @@ def cmd_bench(args) -> int:
             "rows": [{"attack": k, "parameter": p, "mode": m, "similarity": s}
                      for k, p, m, s in rows],
             "seconds": seconds,  # the sweep alone, not the image loads
-            # ru_maxrss / 1024: Linux reports KiB
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "peak_rss_mb": _peak_rss_mb(),
         }, indent=2))
     return 0
 

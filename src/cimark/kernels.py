@@ -8,12 +8,13 @@ The XORshift fill jumps ahead with cached byte tables of the round matrix
 raised to powers of two: short chains by doubling, long ones by stepping
 32-word lanes, whose starts the tables jump to, as one vector. The
 generator kernel draws its strategy words in that lane layout and never
-puts them into stream order: it builds one-hot flip masks in 32-bit state
-words, takes their prefix XOR down each lane and across the lane totals,
-and gathers each round's state at its last flip. It works in chunks of
-about 2^19 flips, in one buffer block allocated per call, so its working
-memory beyond the output is bounded for any stream length. See the
-comment above the kernels.
+puts them into stream order. It works through the flips in chunks of a
+fixed power of two, one lane row at a time: each row is stepped, reduced
+to cells, turned into one-hot flip masks in 32-bit state words and
+prefix-XORed while it is in cache. Each round's state is gathered at its
+last flip, and the lane starts are carried from chunk to chunk by one
+table jump. Its working memory beyond the output is bounded for any
+stream length and any round length. See the comment above the kernels.
 """
 
 from __future__ import annotations
@@ -58,30 +59,41 @@ def xorshift_step(word: int) -> int:
 #
 # A generator round flips m >= 1 cells and emits the state, so each emitted
 # state is the initial state XOR the prefix XOR of one-hot flip masks up to
-# the round's last flip. The kernel steps the strategy words in lanes and
-# keeps that layout throughout. The cells are reduced mod N in place: as
-# w & (N - 1) when N is a power of two, else as w - (w // N) * N (numpy
-# floor-divides by a scalar with libdivide, a multiply and shifts per
+# the round's last flip. The kernel takes the flips in chunks of F =
+# _CHUNK_FLIPS flips, halved once per doubling of nw = ceil(N/32), the
+# big-endian uint32 state words, so that the prefix buffer of nw * F words
+# stays at 4 MiB; a round may span chunks. A chunk is K = F / L lanes, flip
+# e of the chunk at row e % L, lane e // L. The call's first chunk finds its
+# lane starts by doubling; each later one takes them from the previous
+# chunk's by one jump, T^F. The last chunk steps only the lanes the
+# remaining rounds can reach.
+#
+# Each of the L rows makes one trip while it is in cache: the 6 shift-XOR
+# ufuncs step the previous row into a scratch row; the cells are that row
+# mod N, as w & (N - 1) when N is a power of two, else as w - (w // N) * N
+# (numpy floor-divides by a scalar with libdivide, a multiply and shifts per
 # element, which makes the three passes about twice as fast as
-# np.remainder). For each of the nw = ceil(N/32) big-endian uint32 state
-# words w, the mask of a cell is 2^31 >> (cell - 32w), one pass for w = 0
-# and two for the others; a shift of 32 or more, or a wrapped negative one,
-# gives 0, so cells outside word w add nothing. At N <= 32 a flip thus
-# takes two element passes before the prefix XOR for a power of two, and
-# four otherwise. The prefix XOR is a blocked scan: L - 1 row XORs down the
-# lanes (far faster than bitwise_xor.accumulate along axis 0), then an
-# exclusive XOR-scan of the last row over the K lanes. A round's state is
-# then one gather at its last flip, XOR its lane's scan value, XOR the
-# carried state. Its output row is the leading ceil(N/8) bytes of its state
-# words. Chunks
-# of about _CHUNK_FLIPS flips bound the working memory beyond the output.
-# The cell and mask buffers of a chunk are one block allocated once per
-# call (the cell quotient reuses the mask row): separate buffers of a few MB
-# each are handed back to the OS on every free and page-faulted in again on
-# the next call.
+# np.remainder), written into the row's prefix row; the mask of a cell in
+# state word w is 2^31 >> (cell - 32w), where a shift of 32 or more, or a
+# wrapped negative one, gives 0, so cells outside word w add nothing; and
+# the masks are XORed with the prefix row above. The prefix row is the
+# scratch of the step too, and the cells live in the last word's prefix row
+# until its masks overwrite them. The lane totals are an exclusive XOR-scan
+# of the last prefix row over the K lanes (Blelloch's blocked scan); they
+# take the place of the raw rows once the pass is done, and the raw rows
+# take the jump's output. So beyond the 4 MiB buffer a chunk needs the lane
+# starts and max(2, nw) more lane rows. A round's state is one gather at
+# its last flip, XOR its lane's total, XOR the state carried into the
+# chunk; its output row is the leading ceil(N/8) bytes of its state words.
+# At each chunk's end the carried state takes the XOR of all its flips.
+# The length words m are drawn per block of rounds that spans at most half
+# a chunk, with last flips counted as int64 from the call's first, and the
+# returned strategy word is rebuilt from its lane start with at most L
+# rounds. Every buffer is allocated once per call, no larger than the
+# call's flips need: a short call neither maps nor faults in 4 MiB.
 # ---------------------------------------------------------------------------
 
-_CHUNK_FLIPS = 1 << 19
+_CHUNK_FLIPS = 1 << 20
 _LANE = 32  # words per lane, a power of two
 _LANE_MIN = 1 << 16  # shortest xorshift_fill that steps lanes
 _LANE_BLOCK = 1 << 18  # words per transposed block; keeps the transpose in cache
@@ -135,6 +147,16 @@ def _jump_chain(out, shift):
         h += t
 
 
+def _step(prev, out, t):
+    """out = one XORshift round of each word of prev; t is scratch."""
+    np.left_shift(prev, 13, out=out)
+    out ^= prev
+    np.right_shift(out, 17, out=t)
+    out ^= t
+    np.left_shift(out, 5, out=t)
+    out ^= t
+
+
 def _lanes(state, buf):
     """Fill the (L, K) uint32 buffer with the next L*K words of the chain
     after `state`, word e at [e % L, e // L]."""
@@ -143,13 +165,42 @@ def _lanes(state, buf):
     _jump_chain(prev, ln.bit_length() - 1)  # lane starts
     t = np.empty(k, dtype=np.uint32)
     for row in buf:
-        np.left_shift(prev, 13, out=row)
-        row ^= prev
-        np.right_shift(row, 17, out=t)
-        row ^= t
-        np.left_shift(row, 5, out=t)
-        row ^= t
+        _step(prev, row, t)
         prev = row
+
+
+def _flip_prefix(starts, n, pre, tot, rows):
+    """Step the L*k strategy words after the k lane starts and prefix-XOR
+    their one-hot flip masks, one lane row at a time.
+
+    pre is (nw, L, k): pre[w, i, l] is the XOR, in state word w, of the masks
+    of the first i + 1 words of lane l. tot is (nw, k): tot[w, l] is the XOR
+    of all masks of the lanes before l, so the state after flip (i, l) is the
+    carried state ^ tot[:, l] ^ pre[:, i, l]. rows are two scratch rows of k
+    words, which tot may share: it is written last."""
+    nw, ln, k = pre.shape
+    top, nn, low = np.uint32(1 << 31), np.uint32(n), np.uint32(n - 1)
+    prev = starts
+    for i in range(ln):
+        cur = rows[i & 1]
+        _step(prev, cur, pre[0, i])  # the mask row is scratch until the masks
+        cell = pre[-1, i]  # the cells, until the last word's masks
+        if n & (n - 1):
+            np.floor_divide(cur, nn, out=cell)
+            cell *= nn
+            np.subtract(cur, cell, out=cell)
+        else:
+            np.bitwise_and(cur, low, out=cell)
+        for w in range(nw):
+            row = pre[w, i]
+            off = np.subtract(cell, np.uint32(32 * w), out=row) if w else cell
+            np.right_shift(top, off, out=row)  # 0 outside word w
+            if i:
+                row ^= pre[w, i - 1]
+        prev = cur
+    tot[:, 0] = 0
+    for w in range(nw):
+        np.bitwise_xor.accumulate(pre[w, -1, :-1], out=tot[w, 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -196,39 +247,53 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
     packed[:nb] = np.packbits(xbits)
     carry = packed.view(">u4").astype(np.uint32)
     ln, sh = _LANE, _LANE.bit_length() - 1
-    per_chunk = min(rounds, max(1, _CHUNK_FLIPS // (c + 1)))
-    block = np.empty((2, ln * -(-per_chunk * (c + 1) // ln)), dtype=np.uint32)
-    for r0 in range(0, rounds, per_chunk):
-        r1 = min(rounds, r0 + per_chunk)
+    flips = max(ln, _CHUNK_FLIPS >> (nw - 1).bit_length())  # per chunk, a power of two
+    kf = min(flips, rounds * (c + 1) + ln - 1) // ln  # lanes per chunk, fewer for a short call
+    buf = np.empty((nw, ln * kf), dtype=np.uint32)
+    vec = np.empty((1 + max(2, nw), kf), dtype=np.uint32)
+    starts, tot = vec[0], vec[1:1 + nw]  # tot shares the rows of raw words
+    per = max(1, flips // 2 // max(c + 1, ln))  # rounds per block of length words
+    j = end = -1  # chunk in buf; last flip of the rounds drawn
+    for r0 in range(0, rounds, per):
+        r1 = min(rounds, r0 + per)
         a, s1 = xorshift_fill(s1, r1 - r0)
-        last = np.cumsum((a & np.uint32(1)).astype(np.int64) + c)
-        last -= 1  # each round's last flip
-        k = int(last[-1]) // ln + 1
-        cell = block[0, :ln * k].reshape(ln, k)
-        mk = block[1, :ln * k].reshape(ln, k)
-        _lanes(s2, cell)
-        lane = last >> sh
-        at = (last & (ln - 1)) * k + lane  # each last flip in the flat buffer
-        s2 = int(cell.ravel()[at[-1]])
-        if n & (n - 1):
-            np.floor_divide(cell, np.uint32(n), out=mk)  # the quotient, until the masks
-            mk *= np.uint32(n)
-            cell -= mk
-        else:
-            cell &= np.uint32(n - 1)
-        states = np.empty((r1 - r0, nw), dtype=">u4")
-        tot = np.zeros(k, dtype=np.uint32)
-        for w in range(nw):
-            off = np.subtract(cell, np.uint32(32 * w), out=mk) if w else cell
-            np.right_shift(np.uint32(1 << 31), off, out=mk)  # 0 outside word w
-            for i in range(1, ln):  # prefix XOR down each lane
-                mk[i] ^= mk[i - 1]
-            np.bitwise_xor.accumulate(mk[-1, :-1], out=tot[1:])  # lanes before each
-            got = mk.ravel().take(at)
-            got ^= tot.take(lane)
-            got ^= carry[w]
-            states[:, w] = got
-        carry = states[-1].astype(np.uint32)
-        rows[r0:r1] = states.view(np.uint8)[:, :nb]
+        last = (a & np.uint32(1)).astype(np.int64)
+        last += c
+        np.cumsum(last, out=last)
+        last += end  # each round's last flip, counted from the call's first
+        end = int(last[-1])
+        reach = end + (rounds - r1) * (c + 1)  # no later round ends past it
+        i0 = 0
+        while i0 < r1 - r0:
+            while (j + 1) * flips <= last[i0]:  # on to the chunk of round i0's last flip
+                j += 1
+                k = min(kf, (reach - j * flips) // ln + 1)  # lanes the rounds reach
+                if j == 0:
+                    starts[:k] = s2
+                    _jump_chain(starts[:k], sh)
+                else:
+                    carry ^= tot[:, -1] ^ buf[:, -1]  # all flips of the full chunk j - 1
+                    _apply_tables(_jump_table(flips.bit_length() - 1), starts[:k], vec[1, :k])
+                    starts[:k] = vec[1, :k]
+                pre = buf[:, :ln * k].reshape(nw, ln, k)
+                _flip_prefix(starts[:k], n, pre, tot[:, :k], (vec[1, :k], vec[2, :k]))
+            i1 = i0 + int(np.searchsorted(last[i0:], (j + 1) * flips))
+            at = last[i0:i1] - j * flips
+            lane = at >> sh
+            at &= ln - 1
+            at *= k
+            at += lane  # each last flip in a word's prefix rows
+            states = np.empty((i1 - i0, nw), dtype=">u4")
+            for w in range(nw):
+                got = pre[w].ravel().take(at)
+                got ^= tot[w].take(lane)
+                got ^= carry[w]
+                states[:, w] = got
+            rows[r0 + i0:r0 + i1] = states.view(np.uint8)[:, :nb]
+            i0 = i1
+    loc = end - j * flips  # the strategy word at the final flip, from its lane start
+    s2 = int(starts[loc >> sh])
+    for _ in range((loc & (ln - 1)) + 1):
+        s2 = xorshift_step(s2)
     xbits[:] = np.unpackbits(rows[-1], count=n)
     return rows, s1, s2

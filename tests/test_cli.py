@@ -108,6 +108,18 @@ class TestGen:
         assert out.stat().st_size == 1 << 21
         assert peak < 8 << 20
 
+    def test_config_reports_cost(self, tmp_path, capsys):
+        # the config echo ends with the generation rate and the peak RSS
+        assert main(["gen", "--seed1", "1", "--seed2", "2", "--bits", "100000",
+                     "--out", str(tmp_path / "r.bin")]) == 0
+        peak_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        line = capsys.readouterr().err.strip()
+        assert line.startswith("config: seed1=1 seed2=2 n=32 bits=100000 ")
+        fields = dict(kv.split("=") for kv in line.split()[-2:])
+        assert list(fields) == ["words_per_s", "peak_rss_mb"]
+        assert float(fields["words_per_s"]) > 0
+        assert 0 < float(fields["peak_rss_mb"]) <= peak_after + 0.1
+
     def test_seed_from_time(self, tmp_path, capsys):
         out = tmp_path / "t.bin"
         assert main(["gen", "--seed1", "1", "--seed2", "2", "--n", "5",

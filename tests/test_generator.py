@@ -276,7 +276,8 @@ class TestCiGenerator:
         pytest.param(32, 3, id="32-after-bits3")])
     def test_words_peak_is_stream_plus_chunk(self, n_cells, lead):
         # words(500_000) emits 16M bits, packed 8 to a byte; beyond them only
-        # one ci_fill chunk's working set (about 7 MB) is live. One byte per
+        # ci_fill's working set (its 4 MiB prefix buffer, a few lane rows and
+        # one block of length words: about 5 MiB) is live. One byte per
         # bit would add 15 MB. At N = 31, N = 20 and after bits(3), the states
         # straddle bytes and are joined as bits, one bounded block at a time.
         g = CiGenerator.from_seeds(0xDEADBEEF, 0xC0FFEE11, n_cells=n_cells)

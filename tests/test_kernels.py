@@ -114,13 +114,14 @@ lane_settings = st.tuples(st.sampled_from([None, (1, 128), (64, 200), (300, 1000
        c_scale=st.sampled_from([None, 1, 2]),
        rounds=st.integers(min_value=0, max_value=40),
        s1=seeds, s2=seeds,
-       chunk=st.integers(min_value=100, max_value=600),
+       chunk=st.sampled_from([1 << 6, 1 << 7, 1 << 8, 1 << 9]),
        lanes=lane_settings,
        data=st.data())
 def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, data):
     """ci_fill equals round-by-round iteration driven by scalar chains,
-    across many chunk boundaries of the numpy kernel, on either side of the
-    lane threshold of its strategy fills and for any lane length."""
+    across many chunk boundaries of the numpy kernel (rounds straddle them,
+    and the lane starts are carried over them), on either side of the lane
+    threshold of the length fills and for any lane length."""
     c = 3 * n if c_scale is None else c_scale
     x0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                   dtype=np.uint8)
@@ -139,15 +140,16 @@ def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, data):
 
 
 def test_ci_fill_lane_path_matches_rounds():
-    """With the module's own constants, a call of two chunks, each of whose
-    strategy fills ends in a partly used lane column, equals round-by-round
+    """With the module's own constants, a call of two chunks, with a round
+    that straddles their boundary, two blocks of length words and a final
+    flip in a partly used lane of the second chunk, equals round-by-round
     iteration."""
     n, c, s1, s2 = 32, 96, 0x13579BDF, 0x2468ACE0
-    per_chunk = kernels._CHUNK_FLIPS // (c + 1)
-    rounds = per_chunk + 700
-    m = (scalar_chain(s1, rounds).astype(np.int64) & 1) + c
-    flips = [int(m[:per_chunk].sum()), int(m[per_chunk:].sum())]
-    assert all(f % _LANE for f in flips), flips
+    chunk = kernels._CHUNK_FLIPS
+    rounds = chunk // (c + 1) + 700
+    ends = np.cumsum((scalar_chain(s1, rounds).astype(np.int64) & 1) + c)
+    assert chunk < ends[-1] < 2 * chunk and ends[-1] % _LANE
+    assert chunk not in ends  # no round ends on the boundary
     x0 = np.arange(n, dtype=np.uint8) % 3 % 2
     expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
     xbits = x0.copy()
@@ -161,13 +163,31 @@ def test_ci_fill_lane_path_matches_rounds():
 def test_ci_fill_cell_reductions(n):
     """ci_fill equals round-by-round iteration at every power of two N up to
     128, whose cells are masked rather than divided, and at N = 33, 63 and
-    65, whose masks in state words w >= 1 shift by the cell less 32w. With
-    37 rounds per chunk, the 300 rounds cross 8 chunk boundaries."""
+    65, whose masks in state words w >= 1 shift by the cell less 32w. In
+    chunks of 128 flips or fewer, the 300 rounds of 3 or 4 flips cross at
+    least 8 chunk boundaries."""
     c, s1, s2, rounds = 3, 0x9E3779B9 ^ n, 0x7F4A7C15 + n, 300
     x0 = (np.arange(n) * 7 % 5 % 2).astype(np.uint8)
     expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
     xbits = x0.copy()
-    with mock.patch.object(kernels, "_CHUNK_FLIPS", 150):
+    with mock.patch.object(kernels, "_CHUNK_FLIPS", 1 << 7):
+        out, a, b = ci_fill(xbits, s1, s2, c, rounds)
+    assert np.array_equal(out, np.packbits(expected, axis=1))
+    assert np.array_equal(xbits, x_end)
+    assert (a, b) == (a_end, b_end)
+
+
+@pytest.mark.parametrize("n", [24, 32, 33, 65])
+def test_ci_fill_rounds_span_chunks(n):
+    """With c = 150 and chunks of 2^6 flips (fewer at N = 33 and 65, whose
+    states take 2 and 3 words), every round spans several chunks, and some
+    chunks hold no round's last flip; ci_fill still equals round-by-round
+    iteration, and returns both chains' last words."""
+    c, s1, s2, rounds = 150, 0x0BADF00D + n, 0xFEEDFACE ^ n, 12
+    x0 = (np.arange(n) * 5 % 3 % 2).astype(np.uint8)
+    expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
+    xbits = x0.copy()
+    with mock.patch.object(kernels, "_CHUNK_FLIPS", 1 << 6):
         out, a, b = ci_fill(xbits, s1, s2, c, rounds)
     assert np.array_equal(out, np.packbits(expected, axis=1))
     assert np.array_equal(xbits, x_end)
@@ -204,7 +224,7 @@ def test_bits_split_equals_whole(n, a, b, first, s1, s2):
     """A bits or words call followed by bits(b) equals the matching
     slice of one bits stream: at N = 24 and 32 the second call starts on
     and off a byte boundary of x, at N = 2, 5 and 65 states straddle bytes."""
-    with mock.patch.object(kernels, "_CHUNK_FLIPS", 300):
+    with mock.patch.object(kernels, "_CHUNK_FLIPS", 1 << 8):
         g1 = CiGenerator.from_seeds(s1, s2, n_cells=n)
         g2 = CiGenerator.from_seeds(s1, s2, n_cells=n)
         if first == "bits":
@@ -217,18 +237,20 @@ def test_bits_split_equals_whole(n, a, b, first, s1, s2):
 
 def test_ci_fill_memory_bounded():
     """Working memory beyond the rounds * N/8 output stays within one chunk's
-    arrays on a 300k-word stream (about 29M flips): one 4 MB block of
-    2^19 uint32 strategy words and 2^19 uint32 masks (the cell quotient
-    reusing the mask row), and a few lane-length vectors."""
-    rounds = 300_000
-    tracemalloc.start()
-    try:
-        out, _, _ = ci_fill(np.ones(32, dtype=np.uint8), 123, 456, 96, rounds)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.nbytes == rounds * 4
-    assert peak - out.nbytes < 6 * 2**20
+    arrays for any stream length and any c: the 4 MiB prefix buffer of
+    2^20 uint32 flip masks, three lane rows of 2^15 words (the lane starts,
+    and the stepped strategy words or the lane totals), and the length words
+    of one block of rounds. Both cases run about 30M flips: 300k words, and
+    three rounds that each span about ten chunks."""
+    for c, rounds in ((96, 300_000), (10**7, 3)):
+        tracemalloc.start()
+        try:
+            out, _, _ = ci_fill(np.ones(32, dtype=np.uint8), 123, 456, c, rounds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == rounds * 4
+        assert peak - out.nbytes < 6 * 2**20, c
 
 
 def test_xorshift_full_period():
@@ -250,7 +272,8 @@ def test_jump_tables_match_matrix_powers():
     cols = _xs_columns()
     shift = _LANE.bit_length() - 1
     lane_levels = range(shift, shift + (_LANE_BLOCK // _LANE - 1).bit_length())
-    for k in sorted({0, 1, 2, 6, 7, 12, 16, 18, 24} | set(lane_levels)):
+    chunk_level = kernels._CHUNK_FLIPS.bit_length() - 1  # carries ci_fill's lane starts
+    for k in sorted({0, 1, 2, 6, 7, 12, 16, 18, 24, chunk_level} | set(lane_levels)):
         expected = mat_pow_gf2(cols, 1 << k)
         got = [int(tabs[k][j // 8, 1 << (j % 8)]) for j in range(32)]
         assert got == expected, k
