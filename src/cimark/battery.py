@@ -143,7 +143,6 @@ class TestReport:
     timestamp: str = ""
     words_consumed: int = 0
     # the process's peak resident set in MB when run_battery ended
-    # (ru_maxrss / 1024: Linux reports KiB)
     peak_rss_mb: float = 0.0
 
     @property
@@ -453,8 +452,13 @@ def run_battery(src: BitStreamSource, config: BatteryConfig = None) -> TestRepor
         config=cfg,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
         words_consumed=src.consumed,
-        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        peak_rss_mb=_peak_rss_mb(),
     )
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far (ru_maxrss / 1024: Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def battery_word_budget(cfg: BatteryConfig) -> int:

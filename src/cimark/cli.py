@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import resource
 import sys
 import time
 import traceback
@@ -56,11 +55,6 @@ def _hex32(text: str) -> int:
 def _echo(args, keys):
     pairs = [f"{k}={getattr(args, k)}" for k in keys if getattr(args, k, None) is not None]
     return "config: " + " ".join(pairs)
-
-
-def _peak_rss_mb() -> float:
-    """The process's peak resident set so far (ru_maxrss / 1024: Linux reports KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +185,7 @@ def cmd_gen(args) -> int:
     print(_echo(args, ("seed1", "seed2", "n", "c", "bits", "nbytes",
                        "raw_xorshift", "emit_seed_first"))
           + f" words_per_s={words / seconds if seconds else 0.0:.0f}"
-          + f" peak_rss_mb={_peak_rss_mb():.1f}", file=sys.stderr)
+          + f" peak_rss_mb={bat._peak_rss_mb():.1f}", file=sys.stderr)
     return 0
 
 
@@ -296,7 +290,7 @@ def cmd_bench(args) -> int:
             "rows": [{"attack": k, "parameter": p, "mode": m, "similarity": s}
                      for k, p, m, s in rows],
             "seconds": seconds,  # the sweep alone, not the image loads
-            "peak_rss_mb": _peak_rss_mb(),
+            "peak_rss_mb": bat._peak_rss_mb(),
         }, indent=2))
     return 0
 

@@ -122,6 +122,8 @@ class CiGenerator:
         self.n_cells = self.x.size
         if n_cells is not None and n_cells != self.n_cells:
             raise ValueError("n_cells does not match len(x0)")
+        if c is not None and not float(c).is_integer():
+            raise ValueError(f"c must be a whole number, got {c}")
         self.c = 3 * self.n_cells if c is None else int(c)
         if self.c < 1:
             raise ValueError("c must be positive")
@@ -143,27 +145,22 @@ class CiGenerator:
         if nbits < 0:
             raise ValueError("nbits must be nonnegative")
         n, unread = self.n_cells, self._unread
-        prev = np.packbits(self.x)  # x before ci_fill overwrites it
         rounds = max(0, -(-(nbits - unread) // n))
         rows, self.s1, self.s2 = ci_fill(self.x, self.s1, self.s2, self.c, rounds)
+        self.x = np.unpackbits(rows[-1], count=n)
         self._unread = unread + rounds * n - nbits
+        first = n - unread  # output bit b is bit first + b of the states x^0, x^1, ...
         if n % 8 or unread % 8:
             # states straddle byte boundaries: join them as bits, a block at a time
             out = np.empty(-(-nbits // 8), dtype=np.uint8)
             for b in range(0, nbits, _JOIN_BITS):
-                s = b + n - unread  # output bit b is bit s of prev, rows[0], rows[1], ...
+                s = first + b
                 e = s + min(_JOIN_BITS, nbits - b)
                 j = s // n
-                blk = rows[max(j - 1, 0):-(-e // n) - 1]
-                if j == 0:
-                    blk = np.vstack((prev, blk))
-                bits = np.unpackbits(blk, axis=1, count=n).reshape(-1)
+                bits = np.unpackbits(rows[j:-(-e // n)], axis=1, count=n).reshape(-1)
                 out[b // 8:(b + _JOIN_BITS) // 8] = np.packbits(bits[s - j * n:e - j * n])
             return out
-        stream = rows.reshape(-1)
-        if unread:
-            stream = np.concatenate((prev[(n - unread) // 8:], stream))
-        return stream[:-(-nbits // 8)]
+        return rows.reshape(-1)[first // 8:(first + nbits + 7) // 8]
 
     def bits(self, nbits: int) -> np.ndarray:
         """The next nbits output bits as a uint8 array. Successive calls are

@@ -145,6 +145,8 @@ def _check_sigma(sigma) -> None:
 def _check_noise_seed(seed) -> None:
     if seed is None:  # default_rng(None) would draw fresh OS entropy
         raise ValueError("the noise attack needs an explicit seed")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"the noise seed must be a non-negative integer, got {seed!r}")
 
 
 def _check_shape(a: np.ndarray, shape) -> np.ndarray:

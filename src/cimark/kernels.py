@@ -231,20 +231,22 @@ def xorshift_fill(state: int, n: int) -> tuple[np.ndarray, int]:
 
 
 def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[np.ndarray, int, int]:
-    """Run `rounds` generator rounds, mutating xbits in place.
+    """Run `rounds` generator rounds from the state xbits, which is not written.
 
-    Returns (states as MSB-first packed uint8 rows of ceil(n/8) bytes, new s1, new s2).
+    Returns (the states x^0..x^rounds as MSB-first packed uint8 rows of
+    ceil(n/8) bytes, row 0 being packbits(xbits), new s1, new s2).
     """
     if c < 1:
         raise ValueError(f"c must be at least 1, got {c}")
     n = xbits.size
     nb = -(-n // 8)
-    rows = np.empty((rounds, nb), dtype=np.uint8)
+    rows = np.empty((rounds + 1, nb), dtype=np.uint8)
+    rows[0] = np.packbits(xbits)
     if rounds == 0:
         return rows, s1, s2
     nw = -(-n // 32)  # 32-cell state words, cell 32w + j at bit 31 - j
     packed = np.zeros(4 * nw, dtype=np.uint8)
-    packed[:nb] = np.packbits(xbits)
+    packed[:nb] = rows[0]
     carry = packed.view(">u4").astype(np.uint32)
     ln, sh = _LANE, _LANE.bit_length() - 1
     flips = max(ln, _CHUNK_FLIPS >> (nw - 1).bit_length())  # per chunk, a power of two
@@ -289,11 +291,10 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
                 got ^= tot[w].take(lane)
                 got ^= carry[w]
                 states[:, w] = got
-            rows[r0 + i0:r0 + i1] = states.view(np.uint8)[:, :nb]
+            rows[1 + r0 + i0:1 + r0 + i1] = states.view(np.uint8)[:, :nb]
             i0 = i1
     loc = end - j * flips  # the strategy word at the final flip, from its lane start
     s2 = int(starts[loc >> sh])
     for _ in range((loc & (ln - 1)) + 1):
         s2 = xorshift_step(s2)
-    xbits[:] = np.unpackbits(rows[-1], count=n)
     return rows, s1, s2

@@ -300,7 +300,7 @@ class TestCriterion7PropertySuites:
                 ends = np.cumsum((chain(s1, rounds) & 1) + c)
                 strat = chain(s2, int(ends[-1])) % n + 1
                 states = chaotic_iterate(x0, vector_negation, strat, len(strat))
-                ref = np.concatenate([states[t] for t in ends])
+                ref = np.concatenate([states[t] for t in (0, *ends)])
                 rows, _, _ = ci_fill(x0.copy(), s1, s2, c, rounds)
                 if not np.array_equal(np.unpackbits(rows, axis=1, count=n).ravel(), ref):
                     return False

@@ -143,6 +143,10 @@ class TestGen:
         assert main(command + ["--seed1", "1", "--seed2", "2", "--n", "-5"]) == 2
         assert "error: state must be a 1-D vector of >= 2 cells" in capsys.readouterr().err
 
+    def test_c_below_one(self, capsys):
+        assert main(["gen", "--seed1", "1", "--seed2", "2", "--bits", "8", "--c", "0"]) == 2
+        assert "error: c must be positive" in capsys.readouterr().err
+
 
 class TestTest:
     def test_xorshift_fails_named_rows(self, capsys):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -227,6 +228,15 @@ class TestCiGenerator:
         not an error from inside np.unpackbits."""
         with pytest.raises(ValueError, match=">= 2 cells"):
             CiGenerator.from_seeds(1, 2, n_cells=n_cells)
+
+    @pytest.mark.parametrize("c, message", [(0, "c must be positive"),
+                                            (-1, "c must be positive"),
+                                            (0.5, "c must be a whole number, got 0.5"),
+                                            (2.7, "c must be a whole number, got 2.7")])
+    def test_refuses_c_not_a_positive_whole_number(self, c, message):
+        """A fractional c used to be truncated, so c = 2.7 ran as c = 2."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CiGenerator.from_seeds(1, 2, c=c)
 
     def test_default_c_follows_recommendation(self):
         g = CiGenerator.from_seeds(1, 2, n_cells=32)

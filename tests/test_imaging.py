@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,17 @@ class TestNoise:
             gaussian_noise_attack(img, 2.0, None)
         with pytest.raises(ValueError, match="explicit seed"):
             noise_offsets(img.shape, 2.0, None)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_seed_not_a_nonnegative_integer_rejected(self, seed):
+        """A negative seed used to fail inside numpy and a float with a
+        TypeError; both are refused with a message naming the seed."""
+        img = synthetic_carrier(1, 32)
+        message = f"non-negative integer, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gaussian_noise_attack(img, 2.0, seed)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            noise_offsets(img.shape, 2.0, seed)
 
 
 class TestPsnr:

@@ -133,9 +133,10 @@ def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, data):
     with mock.patch.multiple(kernels, _CHUNK_FLIPS=chunk, _LANE=lane, _LANE_MIN=lane_min,
                              _LANE_BLOCK=lane_block):
         out, a, b = ci_fill(xbits, s1, s2, c, rounds)
-    assert out.dtype == np.uint8 and out.shape == (rounds, -(-n // 8))
-    assert np.array_equal(out, np.packbits(expected, axis=1))
-    assert np.array_equal(xbits, x_end)
+    assert out.dtype == np.uint8 and out.shape == (rounds + 1, -(-n // 8))
+    assert np.array_equal(out, np.packbits(np.vstack([x0, expected]), axis=1))
+    assert np.array_equal(np.unpackbits(out[-1], count=n), x_end)
+    assert np.array_equal(xbits, x0)
     assert (a, b) == (a_end, b_end)
 
 
@@ -154,8 +155,8 @@ def test_ci_fill_lane_path_matches_rounds():
     expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
     xbits = x0.copy()
     out, a, b = ci_fill(xbits, s1, s2, c, rounds)
-    assert np.array_equal(out, np.packbits(expected, axis=1))
-    assert np.array_equal(xbits, x_end)
+    assert np.array_equal(out, np.packbits(np.vstack([x0, expected]), axis=1))
+    assert np.array_equal(xbits, x0)
     assert (a, b) == (a_end, b_end)
 
 
@@ -172,8 +173,8 @@ def test_ci_fill_cell_reductions(n):
     xbits = x0.copy()
     with mock.patch.object(kernels, "_CHUNK_FLIPS", 1 << 7):
         out, a, b = ci_fill(xbits, s1, s2, c, rounds)
-    assert np.array_equal(out, np.packbits(expected, axis=1))
-    assert np.array_equal(xbits, x_end)
+    assert np.array_equal(out, np.packbits(np.vstack([x0, expected]), axis=1))
+    assert np.array_equal(xbits, x0)
     assert (a, b) == (a_end, b_end)
 
 
@@ -189,8 +190,8 @@ def test_ci_fill_rounds_span_chunks(n):
     xbits = x0.copy()
     with mock.patch.object(kernels, "_CHUNK_FLIPS", 1 << 6):
         out, a, b = ci_fill(xbits, s1, s2, c, rounds)
-    assert np.array_equal(out, np.packbits(expected, axis=1))
-    assert np.array_equal(xbits, x_end)
+    assert np.array_equal(out, np.packbits(np.vstack([x0, expected]), axis=1))
+    assert np.array_equal(xbits, x0)
     assert (a, b) == (a_end, b_end)
 
 
@@ -236,7 +237,7 @@ def test_bits_split_equals_whole(n, a, b, first, s1, s2):
 
 
 def test_ci_fill_memory_bounded():
-    """Working memory beyond the rounds * N/8 output stays within one chunk's
+    """Working memory beyond the (rounds + 1) * N/8 output stays within one chunk's
     arrays for any stream length and any c: the 4 MiB prefix buffer of
     2^20 uint32 flip masks, three lane rows of 2^15 words (the lane starts,
     and the stepped strategy words or the lane totals), and the length words
@@ -249,7 +250,7 @@ def test_ci_fill_memory_bounded():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.nbytes == rounds * 4
+        assert out.nbytes == (rounds + 1) * 4
         assert peak - out.nbytes < 6 * 2**20, c
 
 

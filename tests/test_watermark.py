@@ -535,22 +535,27 @@ class TestSweep:
         ("rotate", (0, 90, -3, math.nan, math.inf)),
         ("jpeg", (0, -1, math.nan, math.inf)),
         ("noise", (0, -0.5, math.nan, math.inf)),
-    ], ids=["crop", "rotate", "jpeg", "noise"])
+        ("noise_seed", (-1, 1.5)),
+    ], ids=["crop", "rotate", "jpeg", "noise", "noise_seed"])
     def test_bad_parameter_rejected_before_any_work(self, monkeypatch, kind, bad):
+        """A bad parameter, or a bad noise_seed for a sound noise cell, is
+        refused as the attack alone refuses it, before the first embed."""
         import cimark.watermark as wmk
 
         def no_embed(*a, **kw):
             raise AssertionError("embedded before validating the grid")
 
         carrier, wm = synthetic_carrier(3), synthetic_watermark(0)
-        for param in bad:
+        for value in bad:
+            attack, param, seed = ("noise", 2.0, value) if kind == "noise_seed" else (kind, value, 1)
             with pytest.raises(ValueError) as single:
-                ATTACKS[kind](carrier, param, 1)
+                ATTACKS[attack](carrier, param, seed)
             with monkeypatch.context() as m:
                 m.setattr(wmk, "embed", no_embed)
                 with pytest.raises(ValueError) as swept:
                     robustness_sweep(carrier, wm, KEY1, KEY2,
-                                     [("crop", 10), ("jpeg", 5), (kind, param)])
+                                     [("crop", 10), ("jpeg", 5), (attack, param)],
+                                     noise_seed=seed)
             assert str(swept.value) == str(single.value)
 
     @pytest.mark.parametrize("shape", [(256,), (4, 8, 8)], ids=["1-D", "3-D"])
