@@ -12,7 +12,7 @@ import copy
 
 import numpy as np
 
-from .kernels import _MASK32, ci_fill, xorshift_fill
+from .kernels import _FLIP_LIMIT, _MASK32, ci_fill, xorshift_fill
 
 # Substituted for a zero seed: zero is the fixed point of the shift-XOR
 # round, so it can never be a valid state.
@@ -90,6 +90,19 @@ def derive_initial_state(seed1: int, seed2: int, n: int) -> np.ndarray:
     return np.unpackbits(words.astype(">u4").view(np.uint8), count=n)
 
 
+def _whole(c) -> int:
+    """c as an int if it equals one (5, 5.0, a numpy integer), else a
+    ValueError naming it. No float() conversion, so an int of any size is
+    tested exactly."""
+    try:
+        whole = int(c)
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf
+        whole = None
+    if whole is None or whole != c:
+        raise ValueError(f"c must be a whole number, got {c}")
+    return whole
+
+
 def _rotl32(v: int, k: int) -> int:
     k %= 32
     v &= _MASK32
@@ -122,11 +135,12 @@ class CiGenerator:
         self.n_cells = self.x.size
         if n_cells is not None and n_cells != self.n_cells:
             raise ValueError("n_cells does not match len(x0)")
-        if c is not None and not float(c).is_integer():
-            raise ValueError(f"c must be a whole number, got {c}")
-        self.c = 3 * self.n_cells if c is None else int(c)
+        self.c = 3 * self.n_cells if c is None else _whole(c)
         if self.c < 1:
             raise ValueError("c must be positive")
+        if self.c + 1 >= _FLIP_LIMIT:
+            raise ValueError(f"c = {c} is too large: a round of c + 1 flips "
+                             f"must be countable in int64 (c + 1 < 2**63)")
         self.s1 = seed_word(seed1)
         self.s2 = seed_word(seed2)
         self._unread = self.n_cells if emit_seed_first else 0

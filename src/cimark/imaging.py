@@ -270,19 +270,56 @@ def jpeg_forward(img) -> np.ndarray:
     return np.einsum("ij,abjk,lk->abil", _DCT, blocks, _DCT)
 
 
+def _quantize(coef: np.ndarray, level: float) -> np.ndarray:
+    """jpeg_forward's coefficients quantized by the luminance table scaled
+    with the level (steps floored at 1) and dequantized."""
+    _check_level(level)
+    steps = np.maximum(_QTABLE * (level * _LEVEL_SCALE), 1.0)
+    return np.round(coef / steps) * steps
+
+
 def jpeg_inverse(coef: np.ndarray, level: float, shape) -> np.ndarray:
     """Second half of jpeg_attack: quantize jpeg_forward's coefficients by
     the luminance table scaled with the level (steps floored at 1),
     dequantize, inverse DCT, clamp, and crop the padding back to `shape`."""
-    _check_level(level)
-    steps = np.maximum(_QTABLE * (level * _LEVEL_SCALE), 1.0)
-    coef = np.round(coef / steps) * steps
+    coef = _quantize(coef, level)
     rec = np.einsum("ji,abjk,kl->abil", _DCT, coef, _DCT)
     bh, bw = coef.shape[:2]
     rec = rec.transpose(0, 2, 1, 3).reshape(8 * bh, 8 * bw) + 128.0
     out = np.clip(np.floor(rec + 0.5), 0, 255).astype(np.uint8)
     h, w = shape
     return out[:h, :w]
+
+
+def _jpeg_pixels(coef: np.ndarray, level: float, shape, pixels) -> np.ndarray:
+    """jpeg_inverse(coef, level, shape).reshape(-1)[pixels], computing only
+    those pixels.
+
+    Pixel (y, x) is sum_j sum_k D[j, i] Q[a, b, j, k] D[k, l] with a, i =
+    divmod(y, 8) and b, l = divmod(x, 8). The einsum in jpeg_inverse sums
+    these 64 terms flat in j-major order, starting from 0 with
+    acc += (D[j, i] Q[a, b, j, k]) D[k, l]; the order was read off numpy's
+    einsum, and a property test against jpeg_inverse pins it, since a tie at
+    .5 before the floor makes the float noise of the sum show in the pixel.
+    The coefficients are laid out as (64, blocks) and each row gathered per
+    pixel with take, whose result is C-ordered, so every term is one
+    contiguous ufunc pass.
+    """
+    q = _quantize(coef, level).reshape(-1, 64).T
+    y, x = np.divmod(np.asarray(pixels, dtype=np.intp), shape[1])
+    terms = q.take((y >> 3) * coef.shape[1] + (x >> 3), axis=1)
+    rows = _DCT.take(y & 7, axis=1)  # D[j, i] per pixel
+    cols = _DCT.take(x & 7, axis=1)  # D[k, l] per pixel
+    acc = np.zeros(y.size)
+    term = np.empty_like(acc)
+    for j in range(8):
+        for k in range(8):
+            np.multiply(rows[j], terms[8 * j + k], out=term)
+            term *= cols[k]
+            acc += term
+    acc += 128.0
+    acc += 0.5
+    return np.clip(np.floor(acc, out=acc), 0, 255).astype(np.uint8)
 
 
 def jpeg_attack(img, level: float) -> np.ndarray:

@@ -25,6 +25,9 @@ import numpy as np
 
 _MASK32 = 0xFFFFFFFF
 
+# ci_fill counts a call's flips in int64: rounds * (c + 1) stays below this.
+_FLIP_LIMIT = 1 << 63
+
 # No compiled kernels exist; the constant stays for callers that report
 # which kernel path ran.
 NUMBA_ENABLED = False
@@ -238,6 +241,9 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
     """
     if c < 1:
         raise ValueError(f"c must be at least 1, got {c}")
+    if int(rounds) * (int(c) + 1) >= _FLIP_LIMIT:  # checked before any draw
+        raise ValueError(f"{rounds} rounds of up to c + 1 = {int(c) + 1} flips "
+                         "overflow the int64 flip count")
     n = xbits.size
     nb = -(-n // 8)
     rows = np.empty((rounds + 1, nb), dtype=np.uint8)

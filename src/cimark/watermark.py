@@ -23,7 +23,7 @@ import numpy as np
 
 from .generator import CiGenerator, XorShift32, _rotl32, seed_word
 from .imaging import (_check_angle, _check_gray, _check_level, _check_noise_seed,
-                      _check_sigma, _crop_side, add_offsets, crop_attack,
+                      _check_sigma, _crop_side, _jpeg_pixels, add_offsets, crop_attack,
                       gaussian_noise_attack, jpeg_attack, jpeg_forward, jpeg_inverse,
                       noise_offsets, remap, rotate_attack, rotation_map)
 from .kernels import xorshift_fill
@@ -236,22 +236,35 @@ def _key_stream(derived, mix: str, n: int, m_total: int, count: int):
 
 
 def _schedule(img, key: EmbeddingKey, n: int) -> tuple:
-    """The LSC planes of `img` and the (mask, addresses) of an n-bit watermark
-    written key.repetition times. Only auth mode builds the MSC planes."""
-    msc = coefficient_planes(img, MSC_BITS) if key.mode == "auth" else None
-    lsc = coefficient_planes(img, LSC_BITS)
-    mask, addresses = _key_stream(derive_strategy_seed(key, msc), key.mix, n,
-                                  lsc.size, key.repetition * n)
-    return lsc, mask, addresses
+    """The (mask, addresses) of an n-bit watermark written key.repetition
+    times into the LSCs of `img`. Only auth mode reads pixels: it builds the
+    MSC planes for the digest."""
+    a = _check_gray(img)
+    msc = coefficient_planes(a, MSC_BITS) if key.mode == "auth" else None
+    return _key_stream(derive_strategy_seed(key, msc), key.mix, n,
+                       len(LSC_BITS) * a.size, key.repetition * n)
+
+
+def _lsc_at(img, addresses) -> np.ndarray:
+    """coefficient_planes(img, LSC_BITS)[addresses], read from the addressed
+    pixels alone: LSC a is bit 2 - a % 3 of pixel a // 3."""
+    pixel, plane = np.divmod(addresses, 3)
+    return (_check_gray(img).reshape(-1)[pixel] >> (2 - plane).astype(np.uint8)) & 1
 
 
 def embed(carrier, wm, key: EmbeddingKey) -> np.ndarray:
     """Write the mixed watermark into key-addressed LSCs. MSC planes are
     bit-identical to the carrier's afterwards."""
     wm_bits = np.asarray(wm, dtype=np.uint8).reshape(-1) & 1
-    n = wm_bits.size
-    lsc, mask, addresses = _schedule(carrier, key, n)
-    lsc[addresses] = np.tile(wm_bits ^ mask, key.repetition)
+    mask, addresses = _schedule(carrier, key, wm_bits.size)
+    return _write(carrier, wm_bits ^ mask, addresses, key.repetition)
+
+
+def _write(carrier, mixed, addresses, repetition: int) -> np.ndarray:
+    """The carrier with the mixed watermark bits written `repetition` times
+    into the LSCs at `addresses`."""
+    lsc = coefficient_planes(carrier, LSC_BITS)
+    lsc[addresses] = np.tile(mixed, repetition)
     return merge_coefficients(lsc, carrier)
 
 
@@ -261,15 +274,14 @@ def extract(img, key: EmbeddingKey, wm_dims: tuple = (64, 64)) -> np.ndarray:
     h, w = wm_dims
     if h < 1 or w < 1:
         raise ValueError(f"watermark dimensions must be positive, got {w}x{h}")
-    lsc, mask, addresses = _schedule(img, key, h * w)
-    return _vote(lsc, mask, addresses, key.repetition).reshape(h, w)
+    mask, addresses = _schedule(img, key, h * w)
+    return _vote(_lsc_at(img, addresses), mask, key.repetition).reshape(h, w)
 
 
-def _vote(lsc, mask, addresses, repetition: int) -> np.ndarray:
-    """The watermark bits that `lsc` holds at `addresses`: the majority of
+def _vote(bits, mask, repetition: int) -> np.ndarray:
+    """The watermark from the LSC bits read at its addresses: the majority of
     the `repetition` copies of each mixed bit, unmixed by `mask`."""
-    n = mask.size
-    votes = lsc[addresses].reshape(repetition, n).sum(axis=0)
+    votes = bits.reshape(repetition, mask.size).sum(axis=0)
     return (2 * votes >= repetition).astype(np.uint8) ^ mask
 
 
@@ -315,7 +327,9 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     parameter or mode changes is done once, through the same halves the
     attack functions compose: the forward DCT per marked image, the
     rotation map per rotate cell, the noise offsets per noise cell, and the
-    unauth key schedule, which reads no pixel.
+    unauth key schedule, which reads no pixel and serves the unauth embed
+    and every unauth read. An unauth read takes only the pixels its
+    addresses fall in, and on a JPEG cell only those pixels are inverted.
     """
     wm = np.asarray(wm, dtype=np.uint8) & 1
     if wm.ndim != 2:
@@ -330,30 +344,32 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
             _check_noise_seed(noise_seed)
     if not attacks:
         return []
-    keys = [EmbeddingKey(seed1, seed2, mode=mode) for mode in ("unauth", "auth")]
-    marked = [embed(carrier, wm, key) for key in keys]
-    _, mask, addresses = _schedule(marked[0], keys[0], wm.size)
-
-    def recover(key, image):
-        if key.mode == "auth":  # the schedule follows the attacked MSCs
-            return extract(image, key, wm.shape)
-        lsc = coefficient_planes(image, LSC_BITS)
-        return _vote(lsc, mask, addresses, key.repetition).reshape(wm.shape)
-
+    unauth, auth = (EmbeddingKey(seed1, seed2, mode=mode) for mode in ("unauth", "auth"))
+    mask, addresses = _schedule(carrier, unauth, wm.size)
+    marked = [_write(carrier, wm.reshape(-1) ^ mask, addresses, unauth.repetition),
+              embed(carrier, wm, auth)]
+    # an unauth read needs the pixels its addresses fall in, not the image
+    pix, inv = np.unique(addresses // 3, return_inverse=True)
+    shift = (2 - addresses % 3).astype(np.uint8)
     coefs = None
     rows = []
     for kind, param in attacks:
-        if kind == "rotate":
-            rmap = rotation_map(shape, param)
-            attacked = [remap(image, rmap) for image in marked]
-        elif kind == "jpeg":
+        if kind == "jpeg":
             coefs = coefs or [jpeg_forward(image) for image in marked]
-            attacked = [jpeg_inverse(coef, param, shape) for coef in coefs]
-        elif kind == "noise":
-            offsets = noise_offsets(shape, param, noise_seed)
-            attacked = [add_offsets(image, offsets) for image in marked]
+            values = _jpeg_pixels(coefs[0], param, shape, pix)
+            attacked = jpeg_inverse(coefs[1], param, shape)
         else:
-            attacked = [crop_attack(image, param) for image in marked]
-        for key, image in zip(keys, attacked):
-            rows.append((kind, param, key.mode, similarity(wm, recover(key, image))))
+            if kind == "rotate":
+                rmap = rotation_map(shape, param)
+                images = [remap(image, rmap) for image in marked]
+            elif kind == "noise":
+                offsets = noise_offsets(shape, param, noise_seed)
+                images = [add_offsets(image, offsets) for image in marked]
+            else:
+                images = [crop_attack(image, param) for image in marked]
+            values = images[0].reshape(-1)[pix]
+            attacked = images[1]
+        got = _vote((values[inv] >> shift) & 1, mask, unauth.repetition).reshape(wm.shape)
+        rows.append((kind, param, "unauth", similarity(wm, got)))
+        rows.append((kind, param, "auth", similarity(wm, extract(attacked, auth, wm.shape))))
     return rows

@@ -147,6 +147,13 @@ class TestGen:
         assert main(["gen", "--seed1", "1", "--seed2", "2", "--bits", "8", "--c", "0"]) == 2
         assert "error: c must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["gen", "--bits", "10"], ["test", "--gen", "ci"]])
+    @pytest.mark.parametrize("c", [2**63, 10**20])
+    def test_c_past_int64_flip_count(self, command, c, capsys):
+        """Such a c used to exit 5 with an OverflowError from ci_fill."""
+        assert main(command + ["--seed1", "1", "--seed2", "2", "--c", str(c)]) == 2
+        assert f"error: c = {c} is too large" in capsys.readouterr().err
+
 
 class TestTest:
     def test_xorshift_fails_named_rows(self, capsys):

@@ -238,6 +238,17 @@ class TestCiGenerator:
         with pytest.raises(ValueError, match=re.escape(message)):
             CiGenerator.from_seeds(1, 2, c=c)
 
+    @pytest.mark.parametrize("c", [2**63 - 1, 2**63, 10**20, 10**400])
+    def test_refuses_c_past_int64_flip_count(self, c):
+        """A c whose c + 1 flips cannot be counted in int64 used to fail
+        with OverflowError: from float(c) at 10**400, on the first draw at
+        2**63."""
+        with pytest.raises(ValueError, match=re.escape(f"c = {c} is too large")):
+            CiGenerator.from_seeds(1, 2, c=c)
+
+    def test_accepts_largest_countable_c(self):
+        assert CiGenerator.from_seeds(1, 2, c=2**63 - 2).c == 2**63 - 2
+
     def test_default_c_follows_recommendation(self):
         g = CiGenerator.from_seeds(1, 2, n_cells=32)
         assert g.c == 96

@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cimark.imaging import (
+    _DCT,
     ImageFormatError,
+    _jpeg_pixels,
     _parse_header,
+    _quantize,
     crop_attack,
     gaussian_noise_attack,
     jpeg_attack,
+    jpeg_forward,
+    jpeg_inverse,
     load_pbm,
     load_pgm,
     noise_offsets,
@@ -245,6 +250,59 @@ class TestJpeg:
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError):
             jpeg_attack(synthetic_carrier(1), 0)
+
+
+# Shapes for the pixel-subset inverse: 1x1, sides of at most 8, sides that
+# are not multiples of 8 and a few frames of many blocks.
+_SUBSET_SHAPES = sorted(
+    {(h, w) for h in (1, 2, 5, 8) for w in (1, 3, 6, 8)}
+    | {s for h in (1, 4, 8) for w in (9, 16, 17, 31) for s in ((h, w), (w, h))}
+    | {(9, 9), (15, 23), (17, 40), (24, 33), (39, 39), (41, 16), (56, 65), (63, 72),
+       (67, 61), (100, 37), (130, 7), (7, 130), (64, 64), (203, 245), (256, 256),
+       (257, 9), (9, 257)})
+_SUBSET_LEVELS = (0.5, 1, 1.5, 2, 5, 10, 20, 50, 75, 100)
+
+
+def _tie_prone_coef(rng, h, w):
+    """jpeg_forward of a random h x w image with a checkerboard of its
+    blocks replaced by integer coefficients at (0|4, 0|4) only. D[0, i] and
+    D[4, i] are +-1/sqrt(8) in exact arithmetic, so at levels whose steps
+    there are 1 about one such pixel in 8 sums to a tie at .5 before the
+    floor, and the float rounding of the sum order decides the pixel."""
+    coef = jpeg_forward(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+    bh, bw = coef.shape[:2]
+    tie = np.add.outer(np.arange(bh), np.arange(bw)) % 2 == 0
+    blocks = np.zeros((np.count_nonzero(tie), 8, 8))
+    blocks[:, ::4, ::4] = rng.integers(-300, 301, size=(blocks.shape[0], 2, 2))
+    coef[tie] = blocks
+    return coef
+
+
+class TestJpegPixels:
+    def test_equals_full_inverse(self):
+        """_jpeg_pixels equals jpeg_inverse at the same pixels bit for bit,
+        read in any order and with repeats, on 570 (shape, level) cases."""
+        rng = np.random.default_rng(26)
+        cases = ties = 0
+        for h, w in _SUBSET_SHAPES:
+            coef = _tie_prone_coef(rng, h, w)
+            pixels = rng.integers(0, h * w, size=min(2 * h * w, 4096))
+            for level in _SUBSET_LEVELS:
+                want = jpeg_inverse(coef, level, (h, w)).reshape(-1)[pixels]
+                got = _jpeg_pixels(coef, level, (h, w), pixels)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, want), (h, w, level)
+                cases += 1
+            # pixels whose sum lies on a tie at .5, where the sum order decides
+            rec = np.einsum("ji,abjk,kl->abil", _DCT, _quantize(coef, 0.5), _DCT)
+            ties += np.count_nonzero(np.abs(rec % 1.0 - 0.5) < 1e-9)
+        assert cases >= 500
+        assert ties >= 5000
+
+    def test_bad_level_rejected(self):
+        coef = jpeg_forward(synthetic_carrier(1, 16))
+        with pytest.raises(ValueError, match="level"):
+            _jpeg_pixels(coef, 0, (16, 16), [0])
 
 
 class TestNoise:

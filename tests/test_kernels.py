@@ -215,6 +215,18 @@ def test_ci_fill_rejects_c_below_one(c):
     assert xbits.all()
 
 
+@pytest.mark.parametrize("c, rounds", [(2**62, 2), (2**63 - 1, 1), (10**20, 1)])
+def test_ci_fill_rejects_flip_count_past_int64(monkeypatch, c, rounds):
+    """rounds * (c + 1) flips must be countable in int64; the check comes
+    before any strategy or length word is drawn."""
+    def no_draw(*a, **kw):
+        raise AssertionError("drew words before checking the flip count")
+
+    monkeypatch.setattr(kernels, "xorshift_fill", no_draw)
+    with pytest.raises(ValueError, match="overflow the int64 flip count"):
+        ci_fill(np.ones(8, dtype=np.uint8), 1, 2, c, rounds)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.sampled_from([2, 5, 24, 32, 65]),
        a=st.integers(min_value=0, max_value=3000),

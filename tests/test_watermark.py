@@ -34,7 +34,8 @@ from cimark.watermark import (
     robustness_sweep,
     similarity,
 )
-from cimark.watermark import _distinct_addresses, _key_stream, _strategy_seed
+from cimark.watermark import (_distinct_addresses, _key_stream, _lsc_at, _schedule,
+                              _strategy_seed)
 
 KEY1, KEY2 = 0x1111AAAA, 0x2222BBBB
 
@@ -151,14 +152,17 @@ class TestFoldAndSeeds:
         assert derive_strategy_seed(key, msc) == (KEY1, KEY2)
 
     @pytest.mark.parametrize("mode, planes", [("unauth", [LSC_BITS]),
-                                              ("auth", [MSC_BITS, LSC_BITS])])
+                                              ("auth", [MSC_BITS, LSC_BITS, MSC_BITS])])
     def test_msc_planes_built_in_auth_mode_only(self, mode, planes):
+        """Embed builds the LSC planes it writes, after the schedule; only
+        auth mode builds MSC planes, once per embed and once per extract.
+        Extract reads its LSCs from the addressed pixels, with no plane."""
         key = EmbeddingKey(KEY1, KEY2, mode=mode)
         car, wm = synthetic_carrier(3), synthetic_watermark(0)
         with mock.patch("cimark.watermark.coefficient_planes",
                         wraps=coefficient_planes) as spy:
             assert similarity(wm, extract(embed(car, wm, key), key)) == 100.0
-        assert [call.args[1] for call in spy.call_args_list] == planes * 2
+        assert [call.args[1] for call in spy.call_args_list] == planes
 
     def test_auth_mode_single_msc_bit_changes_seeds(self):
         key = EmbeddingKey(KEY1, KEY2, mode="auth")
@@ -419,6 +423,32 @@ class TestEmbedExtract:
         attacked = marked.copy()
         attacked[10, 10] ^= 0b10000000
         assert similarity(wm, extract(attacked, key)) > 99.9
+
+    @pytest.mark.parametrize("mode", ["unauth", "auth"])
+    @pytest.mark.parametrize("repetition", [1, 3])
+    def test_extract_reads_only_addressed_lscs(self, mode, repetition):
+        """Scrambling every LSC that no address names leaves extraction
+        unchanged: it reads the addressed LSCs and, in auth mode, the MSCs."""
+        key = EmbeddingKey(KEY1, KEY2, mode=mode, repetition=repetition)
+        car, wm = synthetic_carrier(4), synthetic_watermark(4)
+        marked = embed(car, wm, key)
+        _, addresses = _schedule(marked, key, wm.size)
+        lsc = coefficient_planes(marked, LSC_BITS)
+        free = np.ones(lsc.size, dtype=bool)
+        free[addresses] = False
+        lsc[free] = np.random.default_rng(repetition).integers(0, 2, size=free.sum())
+        scrambled = merge_coefficients(lsc, marked)
+        assert np.count_nonzero(scrambled != marked) > marked.size // 2
+        assert np.array_equal(extract(scrambled, key), extract(marked, key))
+
+    @settings(max_examples=30, deadline=None)
+    @given(h=st.integers(1, 40), w=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_lsc_at_equals_lsc_planes(self, h, w, seed):
+        rng = np.random.default_rng(seed)
+        img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        addresses = rng.integers(0, 3 * h * w, size=50)
+        assert np.array_equal(_lsc_at(img, addresses),
+                              coefficient_planes(img, LSC_BITS)[addresses])
 
 
 class TestSimilarity:
