@@ -12,7 +12,7 @@ import copy
 
 import numpy as np
 
-from .kernels import _FLIP_LIMIT, _MASK32, ci_fill, xorshift_fill
+from .kernels import _FLIP_LIMIT, _MASK32, _MAX_CELLS, ci_fill, xorshift_fill
 
 # Substituted for a zero seed: zero is the fixed point of the shift-XOR
 # round, so it can never be a valid state.
@@ -21,6 +21,14 @@ ZERO_SEED_FALLBACK = 0x9E3779B9
 _JOIN_BITS = 1 << 20  # output bits per block of an unaligned join; whole bytes
 
 _BAD_STATE = "state must be a 1-D vector of >= 2 cells, each 0 or 1"
+
+
+def _check_cells(n: int) -> None:
+    """A ValueError naming n if ci_fill cannot run n cells in its bounded
+    memory: past 2**20 cells its prefix buffer would grow as 4n bytes."""
+    if n > _MAX_CELLS:
+        raise ValueError(f"N = {n} cells is too many: at most {_MAX_CELLS} (2**20) "
+                         "keep the generator's prefix buffer at 4 MiB")
 
 
 def seed_word(raw: int) -> int:
@@ -77,6 +85,7 @@ def seed_from_time(t: int, n: int) -> np.ndarray:
     most significant first."""
     if n < 2:
         raise ValueError(_BAD_STATE)
+    _check_cells(n)
     if t < 0:
         raise ValueError("t must be nonnegative")
     t %= 1 << n
@@ -123,6 +132,8 @@ class CiGenerator:
     def __init__(self, x0, seed1: int, seed2: int, *,
                  n_cells: int = None, c: int = None,
                  emit_seed_first: bool = False):
+        if n_cells is not None:
+            _check_cells(n_cells)  # before the initial state is drawn
         if x0 is None:
             if n_cells is None:
                 n_cells = 32
@@ -131,6 +142,7 @@ class CiGenerator:
         x = np.asarray(x0)
         if x.ndim != 1 or x.size < 2 or not np.isin(x, (0, 1)).all():
             raise ValueError(_BAD_STATE)
+        _check_cells(x.size)
         self.x = x.astype(np.uint8)
         self.n_cells = self.x.size
         if n_cells is not None and n_cells != self.n_cells:

@@ -275,35 +275,66 @@ def _quantize(coef: np.ndarray, level: float) -> np.ndarray:
     with the level (steps floored at 1) and dequantized."""
     _check_level(level)
     steps = np.maximum(_QTABLE * (level * _LEVEL_SCALE), 1.0)
-    return np.round(coef / steps) * steps
+    q = coef / steps
+    np.round(q, out=q)
+    q *= steps
+    return q
 
 
 def jpeg_inverse(coef: np.ndarray, level: float, shape) -> np.ndarray:
     """Second half of jpeg_attack: quantize jpeg_forward's coefficients by
     the luminance table scaled with the level (steps floored at 1),
-    dequantize, inverse DCT, clamp, and crop the padding back to `shape`."""
-    coef = _quantize(coef, level)
-    rec = np.einsum("ji,abjk,kl->abil", _DCT, coef, _DCT)
-    bh, bw = coef.shape[:2]
-    rec = rec.transpose(0, 2, 1, 3).reshape(8 * bh, 8 * bw) + 128.0
-    out = np.clip(np.floor(rec + 0.5), 0, 255).astype(np.uint8)
+    dequantize, inverse DCT, clamp, and crop the padding back to `shape`.
+
+    Every pixel equals _jpeg_pixels at that pixel, whose summation order
+    defines the result. The inverse DCT is computed as two matrix products,
+    over k and then over j, whose order BLAS leaves open; an order shows in
+    a pixel only where the value is near an integer before the floor, so
+    only those pixels are summed again by _jpeg_pixels.
+
+    The bound: |D| <= 1/2, so each term D[j, i] Q[j, k] D[k, l] is at most
+    |Q[j, k]| / 4, and a sum of the 64 terms in any order is within about
+    64 * 2^-53 * sum|Q| / 4 of the exact one (sum over the block); two orders
+    thus differ by under 2^-47 sum|Q|. Adding 128.5 at once, or 128 then
+    0.5, rounds by at most 3 half-ulps of a value below 129 + sum|Q| / 4,
+    under 2^-43 + 2^-53 sum|Q|. A pixel is summed again when its value lies
+    within tol = 2^-36 (1 + sum|Q|) of an integer, over 100 times the total
+    for any finite coefficients; every other pixel floors the same in either
+    order, so the output does not depend on the BLAS kernel.
+    """
+    q = _quantize(coef, level)
+    bh, bw = q.shape[:2]
+    t = (q.reshape(-1, 8) @ _DCT).reshape(bh, bw, 8, 8)  # over k: (a, b, j, l)
+    t = (t.transpose(0, 1, 3, 2).reshape(-1, 8) @ _DCT).reshape(bh, bw, 8, 8)  # over j: (a, b, l, i)
+    v = np.empty((8 * bh, 8 * bw))
+    np.add(t.transpose(0, 3, 1, 2), 128.5, out=v.reshape(bh, 8, bw, 8))  # image layout
+    out = np.floor(v)
+    frac = np.subtract(v, out, out=v).reshape(bh, 8, bw, 8)
+    q_abs = np.abs(q, out=q).reshape(-1, 64)  # in place: q is not read again
+    tol = np.ldexp(1.0 + q_abs.sum(axis=1), -36).reshape(bh, 1, bw, 1)
+    near = ((frac < tol) | (frac > 1.0 - tol)).reshape(v.shape)
     h, w = shape
-    return out[:h, :w]
+    out = np.clip(out[:h, :w], 0, 255, out=out[:h, :w]).astype(np.uint8)
+    idx = np.flatnonzero(near[:h, :w])
+    if idx.size:
+        out.flat[idx] = _jpeg_pixels(coef, level, shape, idx)  # .flat: any memory order
+    return out
 
 
 def _jpeg_pixels(coef: np.ndarray, level: float, shape, pixels) -> np.ndarray:
     """jpeg_inverse(coef, level, shape).reshape(-1)[pixels], computing only
     those pixels.
 
-    Pixel (y, x) is sum_j sum_k D[j, i] Q[a, b, j, k] D[k, l] with a, i =
-    divmod(y, 8) and b, l = divmod(x, 8). The einsum in jpeg_inverse sums
-    these 64 terms flat in j-major order, starting from 0 with
-    acc += (D[j, i] Q[a, b, j, k]) D[k, l]; the order was read off numpy's
-    einsum, and a property test against jpeg_inverse pins it, since a tie at
-    .5 before the floor makes the float noise of the sum show in the pixel.
-    The coefficients are laid out as (64, blocks) and each row gathered per
-    pixel with take, whose result is C-ordered, so every term is one
-    contiguous ufunc pass.
+    Pixel (y, x) is floor((s + 128) + 0.5), clamped, for the sum s of the
+    64 terms D[j, i] Q[a, b, j, k] D[k, l] with a, i = divmod(y, 8) and
+    b, l = divmod(x, 8), summed flat in j-major order from 0 as
+    acc += (D[j, i] Q[a, b, j, k]) D[k, l]. This order is the definition of
+    the JPEG inverse: jpeg_inverse uses it wherever the order can show (a
+    pixel at a tie at .5 before the floor). It is numpy einsum's order for
+    "ji,abjk,kl->abil", and the imaging tests pin both functions to that
+    einsum. The coefficients are laid out as (64, blocks) and each row
+    gathered per pixel with take, whose result is C-ordered, so every term
+    is one contiguous ufunc pass.
     """
     q = _quantize(coef, level).reshape(-1, 64).T
     y, x = np.divmod(np.asarray(pixels, dtype=np.intp), shape[1])

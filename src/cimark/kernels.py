@@ -98,6 +98,9 @@ def xorshift_step(word: int) -> int:
 
 _CHUNK_FLIPS = 1 << 20
 _LANE = 32  # words per lane, a power of two
+# Up to this many cells the prefix buffer stays at 4 MiB; past it a chunk
+# cannot shrink below one lane (_LANE flips) and the buffer grows as 4N bytes.
+_MAX_CELLS = 32 * (_CHUNK_FLIPS // _LANE)
 _LANE_MIN = 1 << 16  # shortest xorshift_fill that steps lanes
 _LANE_BLOCK = 1 << 18  # words per transposed block; keeps the transpose in cache
 

@@ -1,7 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
 import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -407,6 +410,80 @@ class TestExitCodes:
         assert main(["gen", "--seed1", "1", "--seed2", "2", "--bits", "8"]) == 5
         err = capsys.readouterr().err
         assert f"error: internal: {type(exc).__name__}" in err.splitlines()[-1]
+
+
+# Every integer flag takes each of these values, on a command whose work is
+# bounded; each must run or be refused (exit 0, 1 or 2), never crash (5).
+_EDGE_VALUES = (0, -1, 2**31, 2**63, 10**20)
+# Left out because the run they ask for is valid and its work unbounded or
+# too long for Tier-1: --bits and --bytes from 2^31 up (that many output
+# bits), and --c 2^31 (two rounds of over 2^31 flips, seconds each).
+_UNBOUNDED = {"--bits": (2**31, 2**63, 10**20), "--bytes": (2**31, 2**63, 10**20),
+              "--c": (2**31,)}
+_GEN = ["gen", "--seed1", "1", "--seed2", "2", "--out", "o.bin"]
+_EXTRACT = ["extract", "--in", "c.pgm", "--out", "o.pbm", "--seed1", "1", "--seed2", "2"]
+_FLAG_RUNS = [
+    ("--n", _GEN + ["--bits", "64"]),
+    ("--n", ["test", "--gen", "ci", "--seed1", "1", "--seed2", "2"]),
+    ("--c", _GEN + ["--bits", "64"]),
+    ("--c", ["test", "--gen", "ci", "--seed1", "1", "--seed2", "2"]),
+    ("--bits", _GEN),
+    ("--bytes", _GEN),
+    ("--repetition", ["embed", "--carrier", "c.pgm", "--watermark", "w.pbm", "--out",
+                      "m.pgm", "--seed1", "1", "--seed2", "2"]),
+    ("--repetition", _EXTRACT),
+    ("--wm-width", _EXTRACT),
+    ("--wm-height", _EXTRACT),
+    ("--seed-from-time", _GEN + ["--bits", "64"]),
+]
+# Runs argv lists (JSON, argv[2]) through cli.main and writes the exit codes
+# to argv[1]; stdout and stderr are the child's own.
+_MAIN_SCRIPT = """
+import json, sys
+from cimark.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[2])]
+with open(sys.argv[1], "w") as fh:
+    json.dump(codes, fh)
+"""
+
+
+def _limit_address_space():
+    # An over-allocation then raises MemoryError in the child (exit 5)
+    # instead of waking the host's out-of-memory killer.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestEveryAcceptedValue:
+    @pytest.mark.parametrize("flag, command", _FLAG_RUNS,
+                             ids=[f"{f}-{c[0]}" for f, c in _FLAG_RUNS])
+    def test_runs_or_exits_2(self, tmp_path, flag, command):
+        """One child process per flag and command, its address space capped
+        at 1 GiB, runs the command with each value of the flag."""
+        save_pgm(synthetic_carrier(3), tmp_path / "c.pgm")
+        save_pbm(synthetic_watermark(0), tmp_path / "w.pbm")
+        values = [v for v in _EDGE_VALUES if v not in _UNBOUNDED.get(flag, ())]
+        argvs = [command + [flag, str(v)] for v in values]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _MAIN_SCRIPT, "codes.json", json.dumps(argvs)],
+                             cwd=tmp_path, env=env, preexec_fn=_limit_address_space,
+                             capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr.decode(errors="replace")
+        got = dict(zip(values, json.loads((tmp_path / "codes.json").read_text())))
+        assert set(got.values()) <= {0, 1, 2}, (got, run.stderr.decode(errors="replace"))
+
+    def test_too_many_cells_refused(self, capsys):
+        """Past 2**20 cells the generator's prefix buffer would grow as 4N
+        bytes, so the count is refused before any state is drawn."""
+        for kwargs in (dict(n_cells=2**20 + 1), dict(n_cells=2**31)):
+            with pytest.raises(ValueError, match=r"N = \d+ cells is too many.*4 MiB"):
+                CiGenerator(None, 1, 2, **kwargs)
+        with pytest.raises(ValueError, match="too many"):
+            CiGenerator(np.zeros(2**20 + 1, dtype=np.uint8), 1, 2)
+        assert CiGenerator.from_seeds(1, 2, n_cells=2**20).n_cells == 2**20
+        assert main(["gen", "--seed1", "1", "--seed2", "2", "--bits", "8",
+                     "--seed-from-time", "3", "--n", str(2**31)]) == 2
+        assert "N = 2147483648 cells is too many" in capsys.readouterr().err
 
 
 # argv lists, two or more per command, and the namespace each parsed to when

@@ -26,6 +26,8 @@ from cimark.imaging import (
     synthetic_carrier,
     synthetic_watermark,
 )
+from jpeg_oracle import (SUBSET_LEVELS, inverse_sums, reference_inverse,
+                         tie_prone_cases)
 
 
 def byte_loop_header(data: bytes, magic: bytes, fields: int):
@@ -252,52 +254,78 @@ class TestJpeg:
             jpeg_attack(synthetic_carrier(1), 0)
 
 
-# Shapes for the pixel-subset inverse: 1x1, sides of at most 8, sides that
-# are not multiples of 8 and a few frames of many blocks.
-_SUBSET_SHAPES = sorted(
-    {(h, w) for h in (1, 2, 5, 8) for w in (1, 3, 6, 8)}
-    | {s for h in (1, 4, 8) for w in (9, 16, 17, 31) for s in ((h, w), (w, h))}
-    | {(9, 9), (15, 23), (17, 40), (24, 33), (39, 39), (41, 16), (56, 65), (63, 72),
-       (67, 61), (100, 37), (130, 7), (7, 130), (64, 64), (203, 245), (256, 256),
-       (257, 9), (9, 257)})
-_SUBSET_LEVELS = (0.5, 1, 1.5, 2, 5, 10, 20, 50, 75, 100)
+def _gemm_only(coef, level, shape):
+    """jpeg_inverse's two matrix products rounded as they come, without the
+    near-tie recomputation: what the inverse would return without it."""
+    q = _quantize(coef, level)
+    bh, bw = q.shape[:2]
+    t = (q.reshape(-1, 8) @ _DCT).reshape(bh, bw, 8, 8)
+    t = (t.transpose(0, 1, 3, 2).reshape(-1, 8) @ _DCT).reshape(bh, bw, 8, 8)
+    v = t.transpose(0, 3, 1, 2).reshape(8 * bh, 8 * bw) + 128.5
+    h, w = shape
+    return np.clip(np.floor(v), 0, 255).astype(np.uint8)[:h, :w], v[:h, :w]
 
 
-def _tie_prone_coef(rng, h, w):
-    """jpeg_forward of a random h x w image with a checkerboard of its
-    blocks replaced by integer coefficients at (0|4, 0|4) only. D[0, i] and
-    D[4, i] are +-1/sqrt(8) in exact arithmetic, so at levels whose steps
-    there are 1 about one such pixel in 8 sums to a tie at .5 before the
-    floor, and the float rounding of the sum order decides the pixel."""
-    coef = jpeg_forward(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
-    bh, bw = coef.shape[:2]
-    tie = np.add.outer(np.arange(bh), np.arange(bw)) % 2 == 0
-    blocks = np.zeros((np.count_nonzero(tie), 8, 8))
-    blocks[:, ::4, ::4] = rng.integers(-300, 301, size=(blocks.shape[0], 2, 2))
-    coef[tie] = blocks
+def _cancelling_coef(rng, bh, bw, big=8 * 10**9):
+    """Integer coefficients of about 8e9 at (0|4, 0|4) only. With s the sign
+    of D[4, .], pixel (i, l) of a block sums to big (1 - s[l]) (1 + s[i]) / 8
+    plus a small multiple of 1/8, so in three pixels of four the terms of
+    about 1e9 cancel, about one such pixel in 8 is on a tie at .5, and the
+    float rounding of the sum there is about 1e-7."""
+    coef = np.zeros((bh, bw, 8, 8))
+    small = rng.integers(-400, 401, size=(bh, bw, 2, 2))
+    coef[:, :, ::4, ::4] = np.array([[big, -big], [big, -big]]) + small
     return coef
 
 
 class TestJpegPixels:
     def test_equals_full_inverse(self):
-        """_jpeg_pixels equals jpeg_inverse at the same pixels bit for bit,
-        read in any order and with repeats, on 570 (shape, level) cases."""
-        rng = np.random.default_rng(26)
+        """jpeg_inverse (every pixel) and _jpeg_pixels (the sampled pixels)
+        equal the einsum reference bit for bit on 570 (shape, level) cases
+        that include ties at .5."""
         cases = ties = 0
-        for h, w in _SUBSET_SHAPES:
-            coef = _tie_prone_coef(rng, h, w)
-            pixels = rng.integers(0, h * w, size=min(2 * h * w, 4096))
-            for level in _SUBSET_LEVELS:
-                want = jpeg_inverse(coef, level, (h, w)).reshape(-1)[pixels]
-                got = _jpeg_pixels(coef, level, (h, w), pixels)
-                assert got.dtype == np.uint8
-                assert np.array_equal(got, want), (h, w, level)
+        for shape, coef, pixels in tie_prone_cases():
+            for level in SUBSET_LEVELS:
+                want = reference_inverse(coef, level, shape)
+                full = jpeg_inverse(coef, level, shape)
+                got = _jpeg_pixels(coef, level, shape, pixels)
+                assert full.dtype == got.dtype == np.uint8
+                assert np.array_equal(full, want), (shape, level)
+                assert np.array_equal(got, want.reshape(-1)[pixels]), (shape, level)
                 cases += 1
             # pixels whose sum lies on a tie at .5, where the sum order decides
-            rec = np.einsum("ji,abjk,kl->abil", _DCT, _quantize(coef, 0.5), _DCT)
-            ties += np.count_nonzero(np.abs(rec % 1.0 - 0.5) < 1e-9)
+            ties += np.count_nonzero(np.abs(inverse_sums(coef, 0.5) % 1.0 - 0.5) < 1e-9)
         assert cases >= 500
         assert ties >= 5000
+
+    def test_fixture_reaches_the_fixup(self):
+        """The matrix products alone, rounded without the near-tie
+        recomputation, differ from the reference on some tie-prone cases, so
+        test_equals_full_inverse would fail without it."""
+        differing = 0
+        for shape, coef, _ in tie_prone_cases():
+            for level in SUBSET_LEVELS:
+                fast, _ = _gemm_only(coef, level, shape)
+                differing += not np.array_equal(fast, reference_inverse(coef, level, shape))
+        assert differing >= 1
+
+    def test_large_cancelling_coefficients(self):
+        """Coefficients of about 8e9 whose terms cancel to ties: there the
+        products' rounding exceeds 2^-30, so a fixed tolerance of the size
+        uint8 images need (2^-36) would miss it; the tolerance scaled by
+        each block's coefficients catches it."""
+        rng = np.random.default_rng(27)
+        for bh, bw in ((1, 1), (2, 3), (4, 4)):
+            coef = _cancelling_coef(rng, bh, bw)
+            shape = (8 * bh - 3, 8 * bw - 1)
+            want = reference_inverse(coef, 0.5, shape)
+            assert np.array_equal(jpeg_inverse(coef, 0.5, shape), want)
+            assert np.array_equal(_jpeg_pixels(coef, 0.5, shape, np.arange(want.size)),
+                                  want.reshape(-1))
+        fast, v = _gemm_only(coef, 0.5, shape)
+        wrong = fast != want
+        assert wrong.any()
+        assert (np.abs(v - np.rint(v))[wrong] > 2.0**-30).all()
 
     def test_bad_level_rejected(self):
         coef = jpeg_forward(synthetic_carrier(1, 16))

@@ -1,6 +1,10 @@
 import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -36,6 +40,7 @@ from cimark.watermark import (
 )
 from cimark.watermark import (_distinct_addresses, _key_stream, _lsc_at, _schedule,
                               _strategy_seed)
+from jpeg_oracle import tie_prone_digest
 
 KEY1, KEY2 = 0x1111AAAA, 0x2222BBBB
 
@@ -711,3 +716,34 @@ def test_golden_sweep():
     rows = robustness_sweep(synthetic_carrier(3), synthetic_watermark(0), KEY1, KEY2,
                             BENCH_GRID, noise_seed=0x5EED)
     assert [(k, p, m, float(s).hex()) for k, p, m, s in rows] == GOLDEN_SWEEP
+
+
+# Prints the digest of jpeg_inverse over the tie-prone JPEG cases and the
+# golden sweep's rows; run in a child process under another OpenBLAS kernel.
+_KERNEL_SCRIPT = f"""
+import json
+from cimark.cli import BENCH_GRID
+from cimark.imaging import synthetic_carrier, synthetic_watermark
+from cimark.watermark import robustness_sweep
+from jpeg_oracle import tie_prone_digest
+rows = robustness_sweep(synthetic_carrier(3), synthetic_watermark(0), {KEY1}, {KEY2},
+                        BENCH_GRID, noise_seed=0x5EED)
+print(json.dumps([tie_prone_digest(), [[k, p, m, float(s).hex()] for k, p, m, s in rows]]))
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_jpeg_inverse_independent_of_blas_kernel(core):
+    """jpeg_inverse's matrix products run on whichever OpenBLAS kernel the
+    host picks; its output on the tie-prone cases and the golden sweep rows
+    are the same under two other kernels, selected in the child only."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+               PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _KERNEL_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    ties, rows = json.loads(run.stdout)
+    assert ties == tie_prone_digest()
+    assert [tuple(r) for r in rows] == GOLDEN_SWEEP
