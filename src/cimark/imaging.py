@@ -270,6 +270,15 @@ def jpeg_forward(img) -> np.ndarray:
     return np.einsum("ij,abjk,lk->abil", _DCT, blocks, _DCT)
 
 
+def _check_blocks(coef: np.ndarray, shape) -> None:
+    """Raise unless `coef` is jpeg_forward's block grid for an image of `shape`."""
+    h, w = shape
+    grid = (-(-h // 8), -(-w // 8), 8, 8)
+    if np.shape(coef) != grid:
+        raise ValueError(f"coefficients are {np.shape(coef)}, the inverse was built for "
+                         f"{tuple(shape)}, whose blocks are {grid}")
+
+
 def _quantize(coef: np.ndarray, level: float) -> np.ndarray:
     """jpeg_forward's coefficients quantized by the luminance table scaled
     with the level (steps floored at 1) and dequantized."""
@@ -302,6 +311,7 @@ def jpeg_inverse(coef: np.ndarray, level: float, shape) -> np.ndarray:
     for any finite coefficients; every other pixel floors the same in either
     order, so the output does not depend on the BLAS kernel.
     """
+    _check_blocks(coef, shape)
     q = _quantize(coef, level)
     bh, bw = q.shape[:2]
     t = (q.reshape(-1, 8) @ _DCT).reshape(bh, bw, 8, 8)  # over k: (a, b, j, l)
@@ -323,7 +333,8 @@ def jpeg_inverse(coef: np.ndarray, level: float, shape) -> np.ndarray:
 
 def _jpeg_pixels(coef: np.ndarray, level: float, shape, pixels) -> np.ndarray:
     """jpeg_inverse(coef, level, shape).reshape(-1)[pixels], computing only
-    those pixels.
+    those pixels: jpeg_inverse's fix-up for pixels near a tie, its only
+    caller.
 
     Pixel (y, x) is floor((s + 128) + 0.5), clamped, for the sum s of the
     64 terms D[j, i] Q[a, b, j, k] D[k, l] with a, i = divmod(y, 8) and
@@ -336,6 +347,7 @@ def _jpeg_pixels(coef: np.ndarray, level: float, shape, pixels) -> np.ndarray:
     gathered per pixel with take, whose result is C-ordered, so every term
     is one contiguous ufunc pass.
     """
+    _check_blocks(coef, shape)
     q = _quantize(coef, level).reshape(-1, 64).T
     y, x = np.divmod(np.asarray(pixels, dtype=np.intp), shape[1])
     terms = q.take((y >> 3) * coef.shape[1] + (x >> 3), axis=1)

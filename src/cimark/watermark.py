@@ -23,7 +23,7 @@ import numpy as np
 
 from .generator import CiGenerator, XorShift32, _rotl32, seed_word
 from .imaging import (_check_angle, _check_gray, _check_level, _check_noise_seed,
-                      _check_sigma, _crop_side, _jpeg_pixels, add_offsets, crop_attack,
+                      _check_sigma, _crop_side, add_offsets, crop_attack,
                       gaussian_noise_attack, jpeg_attack, jpeg_forward, jpeg_inverse,
                       noise_offsets, remap, rotate_attack, rotation_map)
 from .kernels import xorshift_fill
@@ -328,8 +328,7 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     attack functions compose: the forward DCT per marked image, the
     rotation map per rotate cell, the noise offsets per noise cell, and the
     unauth key schedule, which reads no pixel and serves the unauth embed
-    and every unauth read. An unauth read takes only the pixels its
-    addresses fall in, and on a JPEG cell only those pixels are inverted.
+    and every unauth read.
     """
     wm = np.asarray(wm, dtype=np.uint8) & 1
     if wm.ndim != 2:
@@ -348,28 +347,21 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     mask, addresses = _schedule(carrier, unauth, wm.size)
     marked = [_write(carrier, wm.reshape(-1) ^ mask, addresses, unauth.repetition),
               embed(carrier, wm, auth)]
-    # an unauth read needs the pixels its addresses fall in, not the image
-    pix, inv = np.unique(addresses // 3, return_inverse=True)
-    shift = (2 - addresses % 3).astype(np.uint8)
     coefs = None
     rows = []
     for kind, param in attacks:
         if kind == "jpeg":
             coefs = coefs or [jpeg_forward(image) for image in marked]
-            values = _jpeg_pixels(coefs[0], param, shape, pix)
-            attacked = jpeg_inverse(coefs[1], param, shape)
+            images = [jpeg_inverse(coef, param, shape) for coef in coefs]
+        elif kind == "rotate":
+            rmap = rotation_map(shape, param)
+            images = [remap(image, rmap) for image in marked]
+        elif kind == "noise":
+            offsets = noise_offsets(shape, param, noise_seed)
+            images = [add_offsets(image, offsets) for image in marked]
         else:
-            if kind == "rotate":
-                rmap = rotation_map(shape, param)
-                images = [remap(image, rmap) for image in marked]
-            elif kind == "noise":
-                offsets = noise_offsets(shape, param, noise_seed)
-                images = [add_offsets(image, offsets) for image in marked]
-            else:
-                images = [crop_attack(image, param) for image in marked]
-            values = images[0].reshape(-1)[pix]
-            attacked = images[1]
-        got = _vote((values[inv] >> shift) & 1, mask, unauth.repetition).reshape(wm.shape)
+            images = [crop_attack(image, param) for image in marked]
+        got = _vote(_lsc_at(images[0], addresses), mask, unauth.repetition).reshape(wm.shape)
         rows.append((kind, param, "unauth", similarity(wm, got)))
-        rows.append((kind, param, "auth", similarity(wm, extract(attacked, auth, wm.shape))))
+        rows.append((kind, param, "auth", similarity(wm, extract(images[1], auth, wm.shape))))
     return rows

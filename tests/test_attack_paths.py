@@ -2,11 +2,14 @@
 rotate round trip against an independent two-gather reference, and the
 Netpbm header's digit rule."""
 
+import re
+
 import numpy as np
 import pytest
 
 from cimark.imaging import (
     ImageFormatError,
+    _jpeg_pixels,
     add_offsets,
     gaussian_noise_attack,
     jpeg_attack,
@@ -79,6 +82,17 @@ class TestSharedHalves:
     def test_offsets_shape_checked(self):
         with pytest.raises(ValueError, match="built for"):
             add_offsets(_image(30, 21), noise_offsets((1, 21), 2.0, seed=7))
+
+    @pytest.mark.parametrize("shape", [(32, 32), (16, 40), (8, 16), (17, 16)])
+    def test_coefficient_shape_checked(self, shape):
+        # 16x16 coefficients used to invert quietly to a 16x16 image for a
+        # larger shape, or to fail inside _jpeg_pixels with an IndexError
+        coef = jpeg_forward(_image(16, 16))
+        names = re.escape(str(coef.shape)) + ".*built for " + re.escape(str(shape))
+        with pytest.raises(ValueError, match=names):
+            jpeg_inverse(coef, 5, shape)
+        with pytest.raises(ValueError, match=names):
+            _jpeg_pixels(coef, 5, shape, [0])
 
     @pytest.mark.parametrize("make", [
         lambda: jpeg_inverse(jpeg_forward(_image(8, 8)), float("nan"), (8, 8)),

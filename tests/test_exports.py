@@ -49,8 +49,10 @@ def test_benchmark_call_shapes(tmp_path):
 
     carrier = cm.imaging.synthetic_carrier(1, 64)
     wm = cm.imaging.synthetic_watermark(1, 8)
-    rows = cm.watermark.robustness_sweep(carrier, wm, 1, 2, [("crop", 10)], noise_seed=3)
-    assert len(rows) == 2
+    rows = cm.watermark.robustness_sweep(
+        carrier, wm, 1, 2, [("crop", 10), ("rotate", 2), ("jpeg", 2), ("noise", 1)],
+        noise_seed=3)
+    assert len(rows) == 8
     key = cm.watermark.EmbeddingKey(1, 2, mode="auth")
     marked = cm.watermark.embed(carrier, wm, key)
     got = cm.watermark.extract(marked, key, wm_dims=wm.shape)

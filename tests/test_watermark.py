@@ -624,6 +624,30 @@ class TestSweep:
             robustness_sweep(carrier, wm, 1, 2, [("crop", 4), ("noise", 2.0)],
                              noise_seed=None)
 
+    def test_shared_work_counted(self, monkeypatch):
+        """Over BENCH_GRID the sweep runs the forward DCT once per marked
+        image, one inverse per JPEG cell and mode, one rotation map per
+        rotate cell, one noise draw per noise cell, one embed (auth) and one
+        key schedule per auth extract plus the shared unauth one."""
+        import cimark.watermark as wmk
+
+        names = ("jpeg_forward", "jpeg_inverse", "rotation_map", "noise_offsets",
+                 "_key_stream", "embed")
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def wrapper(*a, **kw):
+                calls[name] += 1
+                return fn(*a, **kw)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(wmk, name, counting(name, getattr(wmk, name)))
+        robustness_sweep(synthetic_carrier(3), synthetic_watermark(0), KEY1, KEY2,
+                         BENCH_GRID, noise_seed=0x5EED)
+        assert calls == {"jpeg_forward": 2, "jpeg_inverse": 8, "rotation_map": 4,
+                         "noise_offsets": 3, "_key_stream": 17, "embed": 1}
+
     def test_noise_attack_needs_seed(self):
         img = synthetic_carrier(3, 64)
         with pytest.raises(ValueError, match="explicit seed"):
