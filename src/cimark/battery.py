@@ -190,10 +190,12 @@ class TestReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        generate = sum(r.generate_seconds for r in self.results)
         payload = {
             "source": self.source_description,
             "timestamp": self.timestamp,
             "words_consumed": self.words_consumed,
+            "generate_words_per_s": _per_s(self.words_consumed, generate),
             "peak_rss_mb": self.peak_rss_mb,
             "config": asdict(self.config),
             "results": [
@@ -206,6 +208,7 @@ class TestReport:
                     "samples": r.samples,
                     "words": r.words,
                     "generate_seconds": r.generate_seconds,
+                    "generate_words_per_s": _per_s(r.words, r.generate_seconds),
                     "seconds": r.seconds,
                 }
                 for i, r in enumerate(self.results)
@@ -454,6 +457,11 @@ def run_battery(src: BitStreamSource, config: BatteryConfig = None) -> TestRepor
         words_consumed=src.consumed,
         peak_rss_mb=_peak_rss_mb(),
     )
+
+
+def _per_s(count: int, seconds: float) -> float:
+    """count / seconds, or 0.0 when no time was spent."""
+    return count / seconds if seconds else 0.0
 
 
 def _peak_rss_mb() -> float:

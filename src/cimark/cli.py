@@ -184,7 +184,7 @@ def cmd_gen(args) -> int:
     words = -(-nbits // 32)  # pieces are whole words but the last
     print(_echo(args, ("seed1", "seed2", "n", "c", "bits", "nbytes",
                        "raw_xorshift", "emit_seed_first"))
-          + f" words_per_s={words / seconds if seconds else 0.0:.0f}"
+          + f" words_per_s={bat._per_s(words, seconds):.0f}"
           + f" peak_rss_mb={bat._peak_rss_mb():.1f}", file=sys.stderr)
     return 0
 

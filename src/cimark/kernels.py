@@ -8,13 +8,15 @@ The XORshift fill jumps ahead with cached byte tables of the round matrix
 raised to powers of two: short chains by doubling, long ones by stepping
 32-word lanes, whose starts the tables jump to, as one vector. The
 generator kernel draws its strategy words in that lane layout and never
-puts them into stream order. It works through the flips in chunks of a
-fixed power of two, one lane row at a time: each row is stepped, reduced
-to cells, turned into one-hot flip masks in 32-bit state words and
-prefix-XORed while it is in cache. Each round's state is gathered at its
-last flip, and the lane starts are carried from chunk to chunk by one
-table jump. Its working memory beyond the output is bounded for any
-stream length and any round length. See the comment above the kernels.
+puts them into stream order; of its length words it reads only the low
+bits, 32 at a time through one more table map. It works through the flips
+in chunks of a fixed power of two, one lane row at a time: each row is
+stepped, reduced to cells, turned into one-hot flip masks in 32-bit state
+words and prefix-XORed while it is in cache. Each round's state is
+gathered at its last flip, and the lane starts are carried from chunk to
+chunk by one table jump. Its working memory beyond the output is bounded
+for any stream length and any round length. See the comment above the
+kernels.
 """
 
 from __future__ import annotations
@@ -89,9 +91,15 @@ def xorshift_step(word: int) -> int:
 # its last flip, XOR its lane's total, XOR the state carried into the
 # chunk; its output row is the leading ceil(N/8) bytes of its state words.
 # At each chunk's end the carried state takes the XOR of all its flips.
-# The length words m are drawn per block of rounds that spans at most half
-# a chunk, with last flips counted as int64 from the call's first, and the
-# returned strategy word is rebuilt from its lane start with at most L
+#
+# A round reads only the low bit of its length word (m = c + bit). The low
+# bit of T^t(z) is a linear function of z, so one map E gives the low bits
+# of 32 consecutive words at once: bit 31 - t of E(z) is the low bit of
+# T^t(z). A block of rounds fills the T^32 chain of its first length word by
+# doubling and applies E to each word of it: 2 word lookups per 32 rounds,
+# not the 32 of a full-word fill. Rounds are taken in blocks of
+# _LENGTH_BLOCK, with last flips counted as int64 from the call's first, and
+# the returned strategy word is rebuilt from its lane start with at most L
 # rounds. Every buffer is allocated once per call, no larger than the
 # call's flips need: a short call neither maps nor faults in 4 MiB.
 # ---------------------------------------------------------------------------
@@ -101,6 +109,8 @@ _LANE = 32  # words per lane, a power of two
 # Up to this many cells the prefix buffer stays at 4 MiB; past it a chunk
 # cannot shrink below one lane (_LANE flips) and the buffer grows as 4N bytes.
 _MAX_CELLS = 32 * (_CHUNK_FLIPS // _LANE)
+# Rounds per block of length bits: the block's last flips take 128 KiB as int64.
+_LENGTH_BLOCK = 1 << 14
 _LANE_MIN = 1 << 16  # shortest xorshift_fill that steps lanes
 _LANE_BLOCK = 1 << 18  # words per transposed block; keeps the transpose in cache
 
@@ -142,6 +152,20 @@ def _jump_table(k):
     return _byte_tables(nxt)
 
 
+@functools.cache
+def _low_bit_table():
+    """Byte tables of E, which reads 32 round lengths at once: bit 31 - t of
+    E(z) is the low bit of T^t(z), for t = 0..31."""
+    w = np.uint32(1) << np.arange(32, dtype=np.uint32)  # basis words, stepped
+    nxt, t = np.empty(32, dtype=np.uint32), np.empty(32, dtype=np.uint32)
+    cols = np.zeros(32, dtype=np.uint32)
+    for b in range(31, -1, -1):
+        cols |= (w & 1) << b
+        _step(w, nxt, t)
+        w, nxt = nxt, w
+    return _byte_tables(cols)
+
+
 def _jump_chain(out, shift):
     """out[i] = T^(i << shift)(out[0]) for i >= 1, by doubling."""
     n = out.size
@@ -173,6 +197,22 @@ def _lanes(state, buf):
     for row in buf:
         _step(prev, row, t)
         prev = row
+
+
+def _low_bits(state, n):
+    """Low bits of the n >= 1 words of the chain after `state`, as a uint8
+    array, and the last of those words: E reads word 32q and the 31 after it
+    from word 32q, so the chain is drawn only at every 32nd word."""
+    z = np.empty(-(-n // 32), dtype=np.uint32)
+    z[0] = xorshift_step(int(state))
+    _jump_chain(z, 5)  # z[q] is word 32q
+    e = np.empty_like(z)
+    _apply_tables(_low_bit_table(), z, e)
+    bits = np.unpackbits(e.astype(">u4").view(np.uint8), count=n)
+    state = int(z[-1])
+    for _ in range((n - 1) & 31):
+        state = xorshift_step(state)
+    return bits, state
 
 
 def _flip_prefix(starts, n, pre, tot, rows):
@@ -244,6 +284,8 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
     """
     if c < 1:
         raise ValueError(f"c must be at least 1, got {c}")
+    if rounds < 0:
+        raise ValueError(f"rounds must be at least 0, got {rounds}")
     if int(rounds) * (int(c) + 1) >= _FLIP_LIMIT:  # checked before any draw
         raise ValueError(f"{rounds} rounds of up to c + 1 = {int(c) + 1} flips "
                          "overflow the int64 flip count")
@@ -263,13 +305,12 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
     buf = np.empty((nw, ln * kf), dtype=np.uint32)
     vec = np.empty((1 + max(2, nw), kf), dtype=np.uint32)
     starts, tot = vec[0], vec[1:1 + nw]  # tot shares the rows of raw words
-    per = max(1, flips // 2 // max(c + 1, ln))  # rounds per block of length words
+    per = _LENGTH_BLOCK
     j = end = -1  # chunk in buf; last flip of the rounds drawn
     for r0 in range(0, rounds, per):
         r1 = min(rounds, r0 + per)
-        a, s1 = xorshift_fill(s1, r1 - r0)
-        last = (a & np.uint32(1)).astype(np.int64)
-        last += c
+        odd, s1 = _low_bits(s1, r1 - r0)
+        last = odd + np.int64(c)  # each round's flips
         np.cumsum(last, out=last)
         last += end  # each round's last flip, counted from the call's first
         end = int(last[-1])

@@ -338,6 +338,12 @@ class TestBattery:
             == [(r.generate_seconds, r.seconds) for r in report.results]
         assert payload["config"]["epsilon"] == 1e-4
         assert payload["peak_rss_mb"] == report.peak_rss_mb
+        # a test that spent no time drawing reports 0.0 words per second
+        for r in report.results:
+            r.generate_seconds = 0.0
+        payload = json.loads(report.to_json())
+        assert payload["generate_words_per_s"] == 0.0
+        assert {r["generate_words_per_s"] for r in payload["results"]} == {0.0}
 
     def test_word_budget_matches_consumption(self):
         cfg = BatteryConfig()

@@ -216,6 +216,12 @@ class TestTest:
         # the process's peak so far, read when the battery ended
         peak_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         assert 0 < payload["peak_rss_mb"] <= peak_after
+        # words per second of drawing, per test and for the run
+        for r in payload["results"]:
+            assert r["generate_words_per_s"] == pytest.approx(r["words"] / r["generate_seconds"])
+        generate = sum(r["generate_seconds"] for r in payload["results"])
+        assert payload["generate_words_per_s"] == \
+            pytest.approx(payload["words_consumed"] / generate)
 
     def test_generated_file_feeds_battery(self, tmp_path, capsys):
         # the packed-byte file interface matches the in-process word stream

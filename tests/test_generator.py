@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 
@@ -249,6 +250,19 @@ class TestCiGenerator:
     def test_accepts_largest_countable_c(self):
         assert CiGenerator.from_seeds(1, 2, c=2**63 - 2).c == 2**63 - 2
 
+    @pytest.mark.parametrize("n_cells, c, digest", [
+        (24, None, "bb41652045149e19b0ce7259a8e865a6025a0639b978f9a248c1430e41068bd9"),
+        (32, 1, "769254929b9aeb5d950d2fc7416073da3da9d6c8c70363912bc9a009df39f7b8"),
+    ])
+    def test_stream_digest_pinned(self, n_cells, c, digest):
+        """sha256 of 62,500 big-endian words: integer arithmetic only, so the
+        digests hold on any host. At N = 24, c = 72, rounds do not align
+        with words; at c = 1 every round's length bit decides between 1 and
+        2 flips."""
+        g = CiGenerator.from_seeds(0x2468ACE0, 0x13579BDF, n_cells=n_cells, c=c)
+        words = g.words(62_500).astype(">u4")
+        assert hashlib.sha256(words.tobytes()).hexdigest() == digest
+
     def test_default_c_follows_recommendation(self):
         g = CiGenerator.from_seeds(1, 2, n_cells=32)
         assert g.c == 96
@@ -298,7 +312,7 @@ class TestCiGenerator:
     def test_words_peak_is_stream_plus_chunk(self, n_cells, lead):
         # words(500_000) emits 16M bits, packed 8 to a byte; beyond them only
         # ci_fill's working set (its 4 MiB prefix buffer, a few lane rows and
-        # one block of length words: about 5 MiB) is live. One byte per
+        # one block of length bits: about 5 MiB) is live. One byte per
         # bit would add 15 MB. At N = 31, N = 20 and after bits(3), the states
         # straddle bytes and are joined as bits, one bounded block at a time.
         g = CiGenerator.from_seeds(0xDEADBEEF, 0xC0FFEE11, n_cells=n_cells)

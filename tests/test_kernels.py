@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import cimark
 from cimark import kernels
-from cimark.generator import CiGenerator, kth_bit_oracle
+from cimark.generator import ZERO_SEED_FALLBACK, CiGenerator, kth_bit_oracle
 from cimark.gf2 import gf2_rank_many
 from cimark.kernels import (
     _xs_columns,
@@ -116,12 +116,14 @@ lane_settings = st.tuples(st.sampled_from([None, (1, 128), (64, 200), (300, 1000
        s1=seeds, s2=seeds,
        chunk=st.sampled_from([1 << 6, 1 << 7, 1 << 8, 1 << 9]),
        lanes=lane_settings,
+       block=st.sampled_from([None, 1, 5, 32, 33]),
        data=st.data())
-def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, data):
+def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, block, data):
     """ci_fill equals round-by-round iteration driven by scalar chains,
     across many chunk boundaries of the numpy kernel (rounds straddle them,
     and the lane starts are carried over them), on either side of the lane
-    threshold of the length fills and for any lane length."""
+    threshold of the strategy fills, for any lane length, and with blocks of
+    length bits that end inside a 32-round slice and inside a chunk."""
     c = 3 * n if c_scale is None else c_scale
     x0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                   dtype=np.uint8)
@@ -131,7 +133,8 @@ def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, data):
     lane_min, lane_block = thresholds or (_LANE_MIN, _LANE_BLOCK)
     xbits = x0.copy()
     with mock.patch.multiple(kernels, _CHUNK_FLIPS=chunk, _LANE=lane, _LANE_MIN=lane_min,
-                             _LANE_BLOCK=lane_block):
+                             _LANE_BLOCK=lane_block,
+                             _LENGTH_BLOCK=block or kernels._LENGTH_BLOCK):
         out, a, b = ci_fill(xbits, s1, s2, c, rounds)
     assert out.dtype == np.uint8 and out.shape == (rounds + 1, -(-n // 8))
     assert np.array_equal(out, np.packbits(np.vstack([x0, expected]), axis=1))
@@ -141,10 +144,10 @@ def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, data):
 
 
 def test_ci_fill_lane_path_matches_rounds():
-    """With the module's own constants, a call of two chunks, with a round
-    that straddles their boundary, two blocks of length words and a final
-    flip in a partly used lane of the second chunk, equals round-by-round
-    iteration."""
+    """With the module's own chunk and lane, a call of two chunks, with a
+    round that straddles their boundary, two blocks of length bits (8,192
+    rounds each, the second partly used) and a final flip in a partly used
+    lane of the second chunk, equals round-by-round iteration."""
     n, c, s1, s2 = 32, 96, 0x13579BDF, 0x2468ACE0
     chunk = kernels._CHUNK_FLIPS
     rounds = chunk // (c + 1) + 700
@@ -154,7 +157,10 @@ def test_ci_fill_lane_path_matches_rounds():
     x0 = np.arange(n, dtype=np.uint8) % 3 % 2
     expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
     xbits = x0.copy()
-    out, a, b = ci_fill(xbits, s1, s2, c, rounds)
+    with mock.patch.object(kernels, "_LENGTH_BLOCK", 1 << 13), \
+            mock.patch.object(kernels, "_low_bits", wraps=kernels._low_bits) as draw:
+        out, a, b = ci_fill(xbits, s1, s2, c, rounds)
+    assert draw.call_count == 2 and rounds % (1 << 13)
     assert np.array_equal(out, np.packbits(np.vstack([x0, expected]), axis=1))
     assert np.array_equal(xbits, x0)
     assert (a, b) == (a_end, b_end)
@@ -215,14 +221,23 @@ def test_ci_fill_rejects_c_below_one(c):
     assert xbits.all()
 
 
+@pytest.mark.parametrize("rounds", [-1, -5])
+def test_ci_fill_rejects_negative_rounds(rounds):
+    """A negative round count used to fail inside numpy (an IndexError at
+    -1, "negative dimensions" at -5); it is refused by name."""
+    with pytest.raises(ValueError, match=f"rounds must be at least 0, got {rounds}"):
+        ci_fill(np.ones(8, dtype=np.uint8), 1, 2, 3, rounds)
+
+
 @pytest.mark.parametrize("c, rounds", [(2**62, 2), (2**63 - 1, 1), (10**20, 1)])
 def test_ci_fill_rejects_flip_count_past_int64(monkeypatch, c, rounds):
     """rounds * (c + 1) flips must be countable in int64; the check comes
-    before any strategy or length word is drawn."""
+    before any strategy word or length bit is drawn, by any of the draws."""
     def no_draw(*a, **kw):
         raise AssertionError("drew words before checking the flip count")
 
-    monkeypatch.setattr(kernels, "xorshift_fill", no_draw)
+    for draw in ("xorshift_fill", "_low_bits", "_jump_chain"):
+        monkeypatch.setattr(kernels, draw, no_draw)
     with pytest.raises(ValueError, match="overflow the int64 flip count"):
         ci_fill(np.ones(8, dtype=np.uint8), 1, 2, c, rounds)
 
@@ -252,9 +267,10 @@ def test_ci_fill_memory_bounded():
     """Working memory beyond the (rounds + 1) * N/8 output stays within one chunk's
     arrays for any stream length and any c: the 4 MiB prefix buffer of
     2^20 uint32 flip masks, three lane rows of 2^15 words (the lane starts,
-    and the stepped strategy words or the lane totals), and the length words
-    of one block of rounds. Both cases run about 30M flips: 300k words, and
-    three rounds that each span about ten chunks."""
+    and the stepped strategy words or the lane totals), and one block of
+    2^14 rounds' length bits and int64 last flips (128 KiB). Both cases run
+    about 30M flips: 300k words, and three rounds that each span about ten
+    chunks."""
     for c, rounds in ((96, 300_000), (10**7, 3)):
         tracemalloc.start()
         try:
@@ -290,6 +306,32 @@ def test_jump_tables_match_matrix_powers():
         expected = mat_pow_gf2(cols, 1 << k)
         got = [int(tabs[k][j // 8, 1 << (j % 8)]) for j in range(32)]
         assert got == expected, k
+
+
+def test_low_bit_table_reads_32_low_bits():
+    """Bit 31 - t of column j of E is the low bit of T^t(2^j), for t = 0..31,
+    stepped with the scalar round."""
+    tab = kernels._low_bit_table()
+    for j in range(32):
+        w, expected = 1 << j, 0
+        for t in range(32):
+            expected |= (w & 1) << (31 - t)
+            w = xorshift_step(w)
+        assert int(tab[j // 8, 1 << (j % 8)]) == expected, j
+
+
+def test_low_bits_match_scalar_chain():
+    """The length bits are the low bits of the scalar chain, and the word
+    returned is its last, for draws that end on, before and after a 32-word
+    slice, and from the all-ones word and the zero-seed fallback."""
+    sizes = (1, 2, 31, 32, 33, 63, 64, 65, 5_405, 1 << 14, (1 << 16) + 5)
+    for state in (1, 0xFFFFFFFF, ZERO_SEED_FALLBACK):
+        ref = scalar_chain(state, sizes[-1])
+        for n in sizes:
+            bits, end = kernels._low_bits(state, n)
+            assert bits.dtype == np.uint8
+            assert np.array_equal(bits, ref[:n] & 1), (state, n)
+            assert end == int(ref[n - 1]), (state, n)
 
 
 def deficient_batch(rng, count, nrows, ncols, weights):
