@@ -21,6 +21,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .generator import _whole
 from .gf2 import gf2_rank_many, rank_distribution_rect
 from .pvalues import (
     DEFAULT_EPSILON,
@@ -80,11 +81,12 @@ _RANK_SHAPES = {(6, 8): ("rank68_samples", 0), (31, 31): ("rank31_samples", 1),
                 (32, 32): ("rank32_samples", 0)}
 
 
-def _check_smallest(field: str, value) -> None:
-    """Refuse a count below the smallest its test can run on (or NaN)."""
-    if not value >= _SMALLEST[field]:
-        raise ValueError(f"{field} must be at least {_SMALLEST[field]}, "
-                         f"got {value}")
+def _check_smallest(field: str, value) -> int:
+    """value as an int, refused unless a whole count its test can run on."""
+    whole = _whole(value, field)
+    if whole < _SMALLEST[field]:
+        raise ValueError(f"{field} must be at least {_SMALLEST[field]}, got {value}")
+    return whole
 
 
 @dataclass
@@ -98,9 +100,9 @@ class BatteryConfig:
     set. The count-the-ones byte variant and the 6x8 rank rows read the
     least significant byte of each word and rank31 rows its 31 most
     significant bits. epsilon must lie in (0, 0.5): outside it the
-    two-tailed rule fails nothing or everything. Every count is refused
-    below the smallest value its test can run on (`_SMALLEST`), here and
-    by the test function itself, before any word is drawn.
+    two-tailed rule fails nothing or everything. Every count must be whole
+    and at least the smallest its test can run on (`_SMALLEST`), here and in
+    the test function itself, before any word is drawn; it is kept as an int.
     """
 
     epsilon: float = DEFAULT_EPSILON
@@ -117,7 +119,7 @@ class BatteryConfig:
         if not 0 < self.epsilon < 0.5:  # also refuses NaN and infinities
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
         for field in _SMALLEST:
-            _check_smallest(field, getattr(self, field))
+            setattr(self, field, _check_smallest(field, getattr(self, field)))
 
     @classmethod
     def canonical(cls, **overrides) -> "BatteryConfig":
@@ -226,7 +228,7 @@ def overlapping_sums_test(src: BitStreamSource, samples: int,
                           epsilon: float = DEFAULT_EPSILON) -> TestResult:
     """Sums of 100 consecutive uniforms, decorrelated by the Cholesky factor
     of their covariance, mapped to uniforms and KS-tested."""
-    _check_smallest("osum_samples", samples)
+    samples = _check_smallest("osum_samples", samples)
     window = _OSUM_WINDOW
     cov = (window - np.abs(np.subtract.outer(np.arange(window), np.arange(window)))) / 12.0
     chol = np.linalg.cholesky(cov)
@@ -262,8 +264,8 @@ def runs_test(src: BitStreamSource, samples: int, length: int,
               epsilon: float = DEFAULT_EPSILON) -> TestResult:
     """Run-length counts of ascending and descending runs, Knuth quadratic
     form per sequence, KS over the per-sequence p-values."""
-    _check_smallest("runs_samples", samples)
-    _check_smallest("runs_length", length)
+    samples = _check_smallest("runs_samples", samples)
+    length = _check_smallest("runs_length", length)
     ups, downs = [], []
     for u in src.reals(samples * length, "Runs").reshape(samples, length):
         for direction, sink in (("up", ups), ("down", downs)):
@@ -287,7 +289,7 @@ def birthday_spacings_test(src: BitStreamSource, samples: int,
     """Duplicate spacings among m = 512 birthdays on 2^nbits = 2^24 days are
     asymptotically Poisson with mean m^3 / 2^(nbits+2) = 2; chi-square over
     `samples` trials. A birthday is the low nbits bits of a word."""
-    _check_smallest("birthday_samples", samples)
+    samples = _check_smallest("birthday_samples", samples)
     m, nbits = _BIRTHDAY_M, _BIRTHDAY_BITS
     lam = m ** 3 / 2.0 ** (nbits + 2)
     words = src.words(samples * m, "Birthday Spacing").reshape(samples, m)
@@ -360,7 +362,7 @@ def count_the_ones_test(src: BitStreamSource, variant: str, letters: int,
     variant="stream": every byte of the word stream (big-endian order).
     variant="bytes": the least significant byte of each word.
     """
-    _check_smallest("cto_letters", letters)
+    letters = _check_smallest("cto_letters", letters)
     if variant == "stream":
         nwords = -(-letters // 4)
         w = src.words(nwords, "Count the ones 1")
@@ -392,7 +394,7 @@ def binary_rank_test(src: BitStreamSource, rows: int, cols: int,
     if (rows, cols) not in _RANK_SHAPES:
         raise ValueError("supported shapes: (6,8), (31,31), (32,32)")
     field, shift = _RANK_SHAPES[rows, cols]
-    _check_smallest(field, samples)
+    samples = _check_smallest(field, samples)
     name = f"Binary Rank {rows}x{cols}"
     w = src.words(rows * samples, name).reshape(samples, rows)
     n = min(rows, cols)

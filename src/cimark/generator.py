@@ -99,16 +99,16 @@ def derive_initial_state(seed1: int, seed2: int, n: int) -> np.ndarray:
     return np.unpackbits(words.astype(">u4").view(np.uint8), count=n)
 
 
-def _whole(c) -> int:
-    """c as an int if it equals one (5, 5.0, a numpy integer), else a
-    ValueError naming it. No float() conversion, so an int of any size is
-    tested exactly."""
+def _whole(value, name: str) -> int:
+    """value as an int if it equals one (5, 5.0, a numpy integer), else a
+    ValueError naming it `name`. No float() conversion, so an int of any
+    size is tested exactly."""
     try:
-        whole = int(c)
+        whole = int(value)
     except (TypeError, ValueError, OverflowError):  # None, nan, inf
         whole = None
-    if whole is None or whole != c:
-        raise ValueError(f"c must be a whole number, got {c}")
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be a whole number, got {value}")
     return whole
 
 
@@ -147,7 +147,7 @@ class CiGenerator:
         self.n_cells = self.x.size
         if n_cells is not None and n_cells != self.n_cells:
             raise ValueError("n_cells does not match len(x0)")
-        self.c = 3 * self.n_cells if c is None else _whole(c)
+        self.c = 3 * self.n_cells if c is None else _whole(c, "c")
         if self.c < 1:
             raise ValueError("c must be positive")
         if self.c + 1 >= _FLIP_LIMIT:

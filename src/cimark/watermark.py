@@ -1,7 +1,8 @@
 """Bit-plane watermarking driven by the chaotic-iterations machinery.
 
-The carrier is split into most/least significant bit planes (MSCs, bits
-7-4; LSCs, bits 2-0).
+A carrier pixel holds most significant coefficients (MSCs, bits 7-4), bit
+3, which passes through, and least significant coefficients (LSCs, bits
+2-0): LSC a is bit 2 - a % 3 of pixel a // 3, pixels in row-major order.
 The watermark is mixed by chaotic iterations keyed by two XORshift seeds,
 then written into LSC addresses produced by the doubling recurrence
 
@@ -10,7 +11,7 @@ then written into LSC addresses produced by the doubling recurrence
 over the mixture-stage strategy sequence S. One key schedule, `_key_stream`,
 yields both the mixing mask and the addresses; embed and extract XOR the
 watermark with the same mask. In authenticated mode the seeds
-are first combined with a digest of the MSC planes, so any MSC change
+are first combined with a digest of the MSCs, so any MSC change
 re-keys both the mixture and the addresses and extraction collapses to
 coin-flip similarity.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import CiGenerator, XorShift32, _rotl32, seed_word
+from .generator import CiGenerator, XorShift32, _rotl32, _whole, seed_word
 from .imaging import (_check_angle, _check_gray, _check_level, _check_noise_seed,
                       _check_sigma, _crop_side, add_offsets, crop_attack,
                       gaussian_noise_attack, jpeg_attack, jpeg_forward, jpeg_inverse,
@@ -33,11 +34,6 @@ FOLD_INIT = 0x811C9DC5  # nonzero so the all-zero MSC plane still digests
 # Largest modulus whose address scan stays in int64: (M - 1) + (M - 1)^2 < 2^63.
 _SCAN_INT64_MAX_M = 1 << 31
 
-# Bit planes, 7 = most significant. The MSCs are the authenticated content,
-# the LSCs carry the payload, and plane 3 passes through untouched.
-MSC_BITS = (7, 6, 5, 4)
-LSC_BITS = (2, 1, 0)
-
 
 @dataclass(frozen=True)
 class EmbeddingKey:
@@ -48,7 +44,7 @@ class EmbeddingKey:
     mix  "ci":     flip-parity mixture from chaotic iterations (default).
     mix  "xor":    bitwise XOR with the generator's keystream.
     repetition:    how many times the watermark is embedded (majority vote
-                   on extraction).
+                   on extraction); a whole number, stored as an int.
     """
 
     seed1: int
@@ -62,30 +58,14 @@ class EmbeddingKey:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mix not in ("ci", "xor"):
             raise ValueError(f"unknown mix {self.mix!r}")
+        object.__setattr__(self, "repetition", _whole(self.repetition, "repetition"))
         if self.repetition < 1:
             raise ValueError("repetition must be >= 1")
 
 
-def coefficient_planes(img, bits):
-    """Linearize the bit planes `bits` (MSC_BITS or LSC_BITS): pixels in
-    row-major order, selected bits most significant first within each pixel."""
-    flat = _check_gray(img).reshape(-1)
-    cols = [(flat >> np.uint8(b)) & np.uint8(1) for b in bits]
-    return np.stack(cols, axis=1).reshape(-1)
-
-
-def merge_coefficients(lsc, base):
-    """Inverse of coefficient_planes(base, LSC_BITS): writes `lsc` into
-    bits 2-0 of `base`, whose MSCs and plane 3 carry through unchanged."""
-    a = np.asarray(base)
-    bits = np.asarray(lsc, dtype=np.uint8).reshape(-1, 3)
-    payload = bits[:, 0] << 2 | bits[:, 1] << 1 | bits[:, 2]
-    return ((a.reshape(-1) & np.uint8(0xF8)) | payload).reshape(a.shape)
-
-
-def fold_digest(bits) -> int:
-    """32-bit rotate-XOR fold of a bit sequence (packed to bytes first);
-    flipping any single input bit changes the digest.
+def fold_digest(data) -> int:
+    """32-bit rotate-XOR fold of a byte sequence; flipping any single input
+    bit changes the digest.
 
     The fold d <- rotl(d, 5) ^ byte over L bytes has the closed form
     rotl(INIT, 5L) ^ XOR_i rotl(byte_i, 5 (L - 1 - i)). Rotation is linear
@@ -93,7 +73,7 @@ def fold_digest(bits) -> int:
     zero-padded to whole rows of 32, are XOR-reduced column by column and
     column t is rotated by 5t.
     """
-    data = np.packbits(np.asarray(bits, dtype=np.uint8))
+    data = np.asarray(data, dtype=np.uint8)
     rev = np.zeros(-(-data.size // 32) * 32, dtype=np.uint8)
     rev[:data.size] = data[::-1]
     digest = _rotl32(FOLD_INIT, 5 * data.size)
@@ -105,7 +85,8 @@ def fold_digest(bits) -> int:
 def derive_strategy_seed(key: EmbeddingKey, msc) -> tuple:
     """Seeds actually driving mixture and addressing. Unauthenticated mode
     passes the key seeds through and never reads `msc`; authenticated mode
-    folds in the MSC digest so both seeds move when any MSC bit does."""
+    folds in the digest of the MSC bytes `msc` (`_msc_bytes`) so both seeds
+    move when any MSC bit does."""
     if key.mode == "unauth":
         return seed_word(key.seed1), seed_word(key.seed2)
     digest = fold_digest(msc)
@@ -237,23 +218,37 @@ def _key_stream(derived, mix: str, n: int, m_total: int, count: int):
 
 def _schedule(img, key: EmbeddingKey, n: int) -> tuple:
     """The (mask, addresses) of an n-bit watermark written key.repetition
-    times into the LSCs of `img`. Only auth mode reads pixels: it builds the
-    MSC planes for the digest."""
+    times into the LSCs of `img`. Only auth mode reads pixels: it packs the
+    MSCs for the digest."""
     a = _check_gray(img)
-    msc = coefficient_planes(a, MSC_BITS) if key.mode == "auth" else None
+    msc = _msc_bytes(a) if key.mode == "auth" else None
     return _key_stream(derive_strategy_seed(key, msc), key.mix, n,
-                       len(LSC_BITS) * a.size, key.repetition * n)
+                       3 * a.size, key.repetition * n)
+
+
+def _msc_bytes(a) -> np.ndarray:
+    """The MSCs of image `a`, 8 to a byte: byte i is the high nibble of pixel
+    2i, then that of pixel 2i + 1 (a zero nibble after an odd last pixel)."""
+    high = a.reshape(-1) & np.uint8(0xF0)
+    packed = high[0::2]
+    packed[:high.size // 2] |= high[1::2] >> 4
+    return packed
+
+
+def _lsc_place(addresses) -> tuple:
+    """(pixel, bit) of each LSC address, the rule reads and writes share."""
+    pixel, plane = np.divmod(addresses, 3)
+    return pixel, (2 - plane).astype(np.uint8)
 
 
 def _lsc_at(img, addresses) -> np.ndarray:
-    """coefficient_planes(img, LSC_BITS)[addresses], read from the addressed
-    pixels alone: LSC a is bit 2 - a % 3 of pixel a // 3."""
-    pixel, plane = np.divmod(addresses, 3)
-    return (_check_gray(img).reshape(-1)[pixel] >> (2 - plane).astype(np.uint8)) & 1
+    """The LSCs at `addresses`, read from the addressed pixels alone."""
+    pixel, bit = _lsc_place(addresses)
+    return (_check_gray(img).reshape(-1)[pixel] >> bit) & 1
 
 
 def embed(carrier, wm, key: EmbeddingKey) -> np.ndarray:
-    """Write the mixed watermark into key-addressed LSCs. MSC planes are
+    """Write the mixed watermark into key-addressed LSCs. MSCs and bit 3 are
     bit-identical to the carrier's afterwards."""
     wm_bits = np.asarray(wm, dtype=np.uint8).reshape(-1) & 1
     mask, addresses = _schedule(carrier, key, wm_bits.size)
@@ -261,17 +256,19 @@ def embed(carrier, wm, key: EmbeddingKey) -> np.ndarray:
 
 
 def _write(carrier, mixed, addresses, repetition: int) -> np.ndarray:
-    """The carrier with the mixed watermark bits written `repetition` times
-    into the LSCs at `addresses`."""
-    lsc = coefficient_planes(carrier, LSC_BITS)
-    lsc[addresses] = np.tile(mixed, repetition)
-    return merge_coefficients(lsc, carrier)
+    """The carrier with the mixed bits written `repetition` times into the LSCs
+    at `addresses`, unbuffered: two addresses can name bits of one pixel."""
+    pixel, bit = _lsc_place(addresses)
+    flat = _check_gray(carrier).flatten()
+    np.bitwise_and.at(flat, pixel, ~(np.uint8(1) << bit))
+    np.bitwise_or.at(flat, pixel, np.tile(mixed, repetition) << bit)
+    return flat.reshape(np.shape(carrier))
 
 
 def extract(img, key: EmbeddingKey, wm_dims: tuple = (64, 64)) -> np.ndarray:
     """Recover the watermark: re-derive the strategy from the image's MSCs,
     re-generate the addresses, read, majority-vote repeats, unmix."""
-    h, w = wm_dims
+    h, w = (_whole(side, "wm_dims entry") for side in wm_dims)
     if h < 1 or w < 1:
         raise ValueError(f"watermark dimensions must be positive, got {w}x{h}")
     mask, addresses = _schedule(img, key, h * w)

@@ -435,6 +435,33 @@ class TestBattery:
             test(src, **kwargs)
         assert src.consumed == 0
 
+    @pytest.mark.parametrize("field", sorted(_SMALLEST))
+    def test_counts_not_whole_rejected(self, field):
+        """A fractional count used to be accepted and then fail inside numpy;
+        a whole float is stored as an int."""
+        for build in (BatteryConfig, BatteryConfig.canonical):
+            with pytest.raises(ValueError, match=f"{field} must be a whole number, got 2.5"):
+                build(**{field: 2.5})
+            value = build(**{field: 7.0}).__dict__[field]
+            assert value == 7 and type(value) is int
+
+    @pytest.mark.parametrize("test, kwargs, field", [
+        (overlapping_sums_test, dict(samples=2.5), "osum_samples"),
+        (runs_test, dict(samples=2.5, length=10), "runs_samples"),
+        (runs_test, dict(samples=1, length=2.5), "runs_length"),
+        (birthday_spacings_test, dict(samples=2.5), "birthday_samples"),
+        (count_the_ones_test, dict(variant="stream", letters=5.5), "cto_letters"),
+        (binary_rank_test, dict(rows=6, cols=8, samples=2.5), "rank68_samples"),
+        (binary_rank_test, dict(rows=31, cols=31, samples=2.5), "rank31_samples"),
+        (binary_rank_test, dict(rows=32, cols=32, samples=2.5), "rank32_samples"),
+    ], ids=["osum", "runs-samples", "runs-length", "birthday", "cto", "rank6x8",
+            "rank31", "rank32"])
+    def test_functions_refuse_counts_not_whole(self, test, kwargs, field):
+        src = reference_source(13)
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            test(src, **kwargs)
+        assert src.consumed == 0
+
     def test_smallest_counts_run(self):
         report = run_battery(reference_source(12), BatteryConfig(**_SMALLEST))
         assert all(np.isfinite(p) for r in report.results for p in r.p_values)

@@ -1,7 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 import cimark
 import cimark.cli
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def test_star_import_binds_every_export():
@@ -63,3 +68,34 @@ def test_benchmark_call_shapes(tmp_path):
                         "--bits", "48", "--out", str(out)]) == 0
     assert np.array_equal(np.unpackbits(np.frombuffer(out.read_bytes(), np.uint8)),
                           bits)
+
+
+def test_perfbench_tracer_finds_every_name():
+    """perfbench's Tracer skips a name it cannot find, by design, so a
+    renamed layer would read as a per-layer metric of 0. Every name its
+    install wraps exists, and an auth embed reaches the fold_digest span
+    through the module attribute the tracer replaces."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    patch, tried = tracer.patch, []
+
+    def recording(owner, attr, name, **kw):
+        tried.append((name, hasattr(owner, attr)))
+        return patch(owner, attr, name, **kw)
+
+    tracer.patch = recording
+    original = cimark.watermark.fold_digest
+    try:
+        tracer.install(cimark)
+        tracer.enabled = True
+        cimark.watermark.embed(cimark.imaging.synthetic_carrier(1, 64),
+                               cimark.imaging.synthetic_watermark(1, 8),
+                               cimark.watermark.EmbeddingKey(1, 2, mode="auth"))
+    finally:
+        tracer.unpatch()
+    assert len(tried) > 10
+    assert [name for name, found in tried if not found] == []
+    assert tracer.calls["watermark.fold_digest"] == tracer.calls["watermark.embed"] == 1
+    assert cimark.watermark.fold_digest is original

@@ -25,31 +25,46 @@ from cimark.imaging import (
 from cimark.watermark import (
     ATTACKS,
     FOLD_INIT,
-    LSC_BITS,
-    MSC_BITS,
     EmbeddingKey,
-    coefficient_planes,
     derive_strategy_seed,
     embed,
     embedding_sequence,
     extract,
     fold_digest,
-    merge_coefficients,
     robustness_sweep,
     similarity,
 )
-from cimark.watermark import (_distinct_addresses, _key_stream, _lsc_at, _schedule,
-                              _strategy_seed)
+from cimark.watermark import (_distinct_addresses, _key_stream, _lsc_at, _msc_bytes,
+                              _schedule, _strategy_seed, _write)
 from jpeg_oracle import tie_prone_digest
 
 KEY1, KEY2 = 0x1111AAAA, 0x2222BBBB
 
+# Bit planes, 7 = most significant: the MSCs and the LSCs of a pixel.
+MSC_BITS = (7, 6, 5, 4)
+LSC_BITS = (2, 1, 0)
 
-def fold_digest_reference(bits):
-    """Independent re-statement of the documented fold."""
-    data = np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
+
+def planes_reference(img, bits):
+    """The bit planes `bits` of `img` linearized: pixels in row-major order,
+    selected bits most significant first within each pixel."""
+    flat = np.asarray(img).reshape(-1)
+    return np.stack([(flat >> np.uint8(b)) & np.uint8(1) for b in bits], axis=1).reshape(-1)
+
+
+def merge_reference(lsc, base):
+    """Inverse of planes_reference(base, LSC_BITS): `lsc` written into bits
+    2-0 of `base`, whose MSCs and bit 3 carry through unchanged."""
+    a = np.asarray(base)
+    bits = np.asarray(lsc, dtype=np.uint8).reshape(-1, 3)
+    payload = bits[:, 0] << 2 | bits[:, 1] << 1 | bits[:, 2]
+    return ((a.reshape(-1) & np.uint8(0xF8)) | payload).reshape(a.shape)
+
+
+def fold_digest_reference(data):
+    """Independent re-statement of the documented fold over bytes."""
     d = FOLD_INIT
-    for byte in data:
+    for byte in np.asarray(data, dtype=np.uint8).tolist():
         d = (((d << 5) | (d >> 27)) & 0xFFFFFFFF) ^ byte
     return d
 
@@ -83,107 +98,165 @@ def distinct_addresses_reference(s, m_total, count):
 class TestSplitMerge:
     def test_lsc_count_for_256_image(self):
         img = synthetic_carrier(0)
-        msc, lsc = coefficient_planes(img, MSC_BITS), coefficient_planes(img, LSC_BITS)
-        assert lsc.size == 256 * 256 * 3 == 196_608
-        assert msc.size == 256 * 256 * 4
+        key = EmbeddingKey(KEY1, KEY2, mode="auth")
+        with mock.patch("cimark.watermark._key_stream", wraps=_key_stream) as spy:
+            _schedule(img, key, 64)
+        assert spy.call_args.args[3] == 256 * 256 * 3 == 196_608  # M, the LSC count
+        assert _msc_bytes(img).size * 8 == 256 * 256 * 4  # every MSC bit, packed
 
     def test_single_pixel_msc_bits(self):
         img = np.array([[0b10110010]], dtype=np.uint8)
-        msc, lsc = coefficient_planes(img, MSC_BITS), coefficient_planes(img, LSC_BITS)
-        assert msc.tolist() == [1, 0, 1, 1]
-        assert lsc.tolist() == [0, 1, 0]
+        assert np.unpackbits(_msc_bytes(img)).tolist() == [1, 0, 1, 1, 0, 0, 0, 0]
+        assert _lsc_at(img, np.arange(3)).tolist() == [0, 1, 0]
 
     def test_split_merge_identity_100_random(self):
+        """Writing every LSC back as read gives the image again."""
         rng = np.random.default_rng(21)
         for _ in range(100):
             h = int(rng.integers(1, 24))
             w = int(rng.integers(1, 24))
             img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-            lsc = coefficient_planes(img, LSC_BITS)
-            assert np.array_equal(merge_coefficients(lsc, img), img)
+            every = np.arange(3 * img.size)
+            assert np.array_equal(_write(img, _lsc_at(img, every), every, 1), img)
 
     def test_merge_overwrites_covered_planes_only(self):
         rng = np.random.default_rng(22)
         img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        lsc = coefficient_planes(img, LSC_BITS)
+        every = np.arange(3 * img.size)
         other = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        merged = merge_coefficients(lsc, other)
-        # MSCs and plane 3 come from the base image, the LSCs from `lsc`
+        merged = _write(other, _lsc_at(img, every), every, 1)
+        # MSCs and bit 3 come from the carrier, the LSCs from the written bits
         assert np.array_equal(merged & np.uint8(0b11111000),
                               other & np.uint8(0b11111000))
         assert np.array_equal(merged & np.uint8(0b00000111),
                               img & np.uint8(0b00000111))
 
+    def test_write_equals_plane_merge(self):
+        """_write sets exactly the addressed LSCs, as writing them into the
+        linearized LSC planes and merging those back does, also where two or
+        three addresses name bits of one pixel; MSCs and bit 3 never change."""
+        rng = np.random.default_rng(26)
+        for _ in range(60):
+            h, w = (int(v) for v in rng.integers(2, 30, size=2))
+            img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+            repetition = int(rng.integers(1, 4))
+            k = img.size // 4
+            triple, pair, single = rng.permutation(img.size)[:3 * k].reshape(3, k, 1)
+            skipped = rng.integers(0, 3, size=(k, 1))
+            addresses = rng.permutation(np.concatenate([
+                (3 * triple + [0, 1, 2]).ravel(),                 # all three LSCs
+                (3 * pair + (skipped + [1, 2]) % 3).ravel(),      # two of three
+                (3 * single + rng.integers(0, 3, size=(k, 1))).ravel()]))
+            n = addresses.size // repetition
+            addresses = addresses[:n * repetition]
+            mixed = rng.integers(0, 2, size=n, dtype=np.uint8)
+            lsc = planes_reference(img, LSC_BITS)
+            lsc[addresses] = np.tile(mixed, repetition)
+            got = _write(img, mixed, addresses, repetition)
+            assert np.array_equal(got, merge_reference(lsc, img))
+            assert np.array_equal(got & np.uint8(0xF8), img & np.uint8(0xF8))
+            free = np.ones(lsc.size, dtype=bool)
+            free[addresses] = False
+            assert np.array_equal(planes_reference(got, LSC_BITS)[free],
+                                  planes_reference(img, LSC_BITS)[free])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (3, 5), (256, 256)])
+    def test_msc_bytes_are_packed_msc_planes(self, shape):
+        img = np.random.default_rng(shape[1]).integers(0, 256, size=shape, dtype=np.uint8)
+        packed = np.packbits(planes_reference(img, MSC_BITS))
+        assert np.array_equal(_msc_bytes(img), packed)
+        assert fold_digest(_msc_bytes(img)) == fold_digest_reference(packed)
+
 
 class TestFoldAndSeeds:
     def test_all_zero_fold_constant(self):
         # 32768 zero bytes rotate the init through a whole number of cycles
-        zeros = np.zeros(256 * 256 * 4, dtype=np.uint8)
+        zeros = np.zeros(256 * 256 // 2, dtype=np.uint8)
         assert fold_digest(zeros) == FOLD_INIT == 0x811C9DC5
         assert fold_digest(zeros) == fold_digest_reference(zeros)
 
     def test_fold_matches_reference_on_random(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            bits = rng.integers(0, 2, size=int(rng.integers(8, 4096)), dtype=np.uint8)
-            assert fold_digest(bits) == fold_digest_reference(bits)
+            data = rng.integers(0, 256, size=int(rng.integers(1, 512)), dtype=np.uint8)
+            assert fold_digest(data) == fold_digest_reference(data)
 
     @settings(max_examples=60, deadline=None)
-    @given(nbits=st.integers(0, 4000), seed=st.integers(0, 2**32 - 1))
-    @example(nbits=0, seed=1)
-    @example(nbits=1, seed=2)
-    @example(nbits=255, seed=3)
-    @example(nbits=256, seed=4)
-    @example(nbits=257, seed=5)
-    @example(nbits=2048, seed=6)
-    @example(nbits=3840, seed=7)
-    @example(nbits=3999, seed=8)
-    def test_closed_form_equals_fold_loop(self, nbits, seed):
-        bits = np.random.default_rng(seed).integers(0, 2, size=nbits, dtype=np.uint8)
-        assert fold_digest(bits) == fold_digest_reference(bits)
+    @given(nbytes=st.integers(0, 500), seed=st.integers(0, 2**32 - 1))
+    @example(nbytes=0, seed=1)
+    @example(nbytes=1, seed=2)
+    @example(nbytes=31, seed=3)
+    @example(nbytes=32, seed=4)
+    @example(nbytes=33, seed=5)
+    @example(nbytes=256, seed=6)
+    @example(nbytes=480, seed=7)
+    @example(nbytes=499, seed=8)
+    def test_closed_form_equals_fold_loop(self, nbytes, seed):
+        data = np.random.default_rng(seed).integers(0, 256, size=nbytes, dtype=np.uint8)
+        assert fold_digest(data) == fold_digest_reference(data)
 
     def test_single_bit_changes_digest(self):
         rng = np.random.default_rng(24)
-        bits = rng.integers(0, 2, size=8192, dtype=np.uint8)
-        base = fold_digest(bits)
+        data = rng.integers(0, 256, size=1024, dtype=np.uint8)
+        base = fold_digest(data)
         for pos in rng.integers(0, 8192, size=50):
-            flipped = bits.copy()
-            flipped[pos] ^= 1
+            flipped = data.copy()
+            flipped[pos // 8] ^= np.uint8(1 << int(pos % 8))
             assert fold_digest(flipped) != base
 
     def test_unauth_mode_passthrough(self):
         key = EmbeddingKey(KEY1, KEY2, mode="unauth")
-        msc = np.ones(64, dtype=np.uint8)
+        msc = np.full(8, 0xFF, dtype=np.uint8)
         assert derive_strategy_seed(key, msc) == (KEY1, KEY2)
 
-    @pytest.mark.parametrize("mode, planes", [("unauth", [LSC_BITS]),
-                                              ("auth", [MSC_BITS, LSC_BITS, MSC_BITS])])
-    def test_msc_planes_built_in_auth_mode_only(self, mode, planes):
-        """Embed builds the LSC planes it writes, after the schedule; only
-        auth mode builds MSC planes, once per embed and once per extract.
-        Extract reads its LSCs from the addressed pixels, with no plane."""
+    @pytest.mark.parametrize("mode, calls", [("unauth", 0), ("auth", 2)])
+    def test_msc_planes_built_in_auth_mode_only(self, mode, calls):
+        """Only auth mode packs the MSCs, once per embed and once per
+        extract; unauth mode reads no pixel for its schedule."""
         key = EmbeddingKey(KEY1, KEY2, mode=mode)
         car, wm = synthetic_carrier(3), synthetic_watermark(0)
-        with mock.patch("cimark.watermark.coefficient_planes",
-                        wraps=coefficient_planes) as spy:
+        with mock.patch("cimark.watermark._msc_bytes", wraps=_msc_bytes) as spy:
             assert similarity(wm, extract(embed(car, wm, key), key)) == 100.0
-        assert [call.args[1] for call in spy.call_args_list] == planes
+        assert spy.call_count == calls
 
     def test_auth_mode_single_msc_bit_changes_seeds(self):
         key = EmbeddingKey(KEY1, KEY2, mode="auth")
         rng = np.random.default_rng(25)
-        msc = rng.integers(0, 2, size=1024, dtype=np.uint8)
+        msc = rng.integers(0, 256, size=128, dtype=np.uint8)
         base = derive_strategy_seed(key, msc)
         flipped = msc.copy()
-        flipped[500] ^= 1
+        flipped[62] ^= np.uint8(0b1000)
         derived = derive_strategy_seed(key, flipped)
         assert derived != base
 
     def test_seeds_never_zero(self):
         key = EmbeddingKey(FOLD_INIT, 0, mode="auth")
-        zeros = np.zeros(256 * 256 * 4, dtype=np.uint8)
+        zeros = np.zeros(256 * 256 // 2, dtype=np.uint8)
         s1, s2 = derive_strategy_seed(key, zeros)
         assert s1 != 0 and s2 != 0
+
+
+class TestKey:
+    @pytest.mark.parametrize("repetition", [2.5, math.nan, "2"])
+    def test_repetition_not_whole_rejected(self, repetition):
+        """A fractional or NaN repetition used to be accepted and then fail
+        inside numpy at embed time."""
+        with pytest.raises(ValueError, match="repetition must be a whole number"):
+            EmbeddingKey(KEY1, KEY2, repetition=repetition)
+
+    def test_whole_repetition_stored_as_int(self):
+        key = EmbeddingKey(KEY1, KEY2, repetition=3.0)
+        assert key.repetition == 3 and type(key.repetition) is int
+
+    def test_wm_dims_not_whole_rejected(self, monkeypatch):
+        import cimark.watermark as wmk
+
+        def no_schedule(*a, **kw):
+            raise AssertionError("scheduled before checking wm_dims")
+
+        monkeypatch.setattr(wmk, "_schedule", no_schedule)
+        with pytest.raises(ValueError, match="wm_dims entry must be a whole number, got 2.5"):
+            extract(synthetic_carrier(3, 64), EmbeddingKey(KEY1, KEY2), wm_dims=(2.5, 4))
 
 
 class TestMixture:
@@ -367,8 +440,8 @@ class TestEmbedExtract:
         wm = synthetic_watermark(3)
         for mode in ("unauth", "auth"):
             marked = embed(car, wm, EmbeddingKey(KEY1, KEY2, mode=mode))
-            assert np.array_equal(coefficient_planes(marked, MSC_BITS),
-                                  coefficient_planes(car, MSC_BITS))
+            assert np.array_equal(planes_reference(marked, MSC_BITS),
+                                  planes_reference(car, MSC_BITS))
 
     def test_pixel_change_bounded_by_lsc_planes(self):
         car = synthetic_carrier(7)
@@ -438,11 +511,11 @@ class TestEmbedExtract:
         car, wm = synthetic_carrier(4), synthetic_watermark(4)
         marked = embed(car, wm, key)
         _, addresses = _schedule(marked, key, wm.size)
-        lsc = coefficient_planes(marked, LSC_BITS)
+        lsc = planes_reference(marked, LSC_BITS)
         free = np.ones(lsc.size, dtype=bool)
         free[addresses] = False
         lsc[free] = np.random.default_rng(repetition).integers(0, 2, size=free.sum())
-        scrambled = merge_coefficients(lsc, marked)
+        scrambled = merge_reference(lsc, marked)
         assert np.count_nonzero(scrambled != marked) > marked.size // 2
         assert np.array_equal(extract(scrambled, key), extract(marked, key))
 
@@ -453,7 +526,7 @@ class TestEmbedExtract:
         img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
         addresses = rng.integers(0, 3 * h * w, size=50)
         assert np.array_equal(_lsc_at(img, addresses),
-                              coefficient_planes(img, LSC_BITS)[addresses])
+                              planes_reference(img, LSC_BITS)[addresses])
 
 
 class TestSimilarity:
