@@ -31,9 +31,11 @@ def _check_cells(n: int) -> None:
                          "keep the generator's prefix buffer at 4 MiB")
 
 
-def seed_word(raw: int) -> int:
-    """Sanitize a raw 32-bit seed; zero maps to ZERO_SEED_FALLBACK."""
-    raw &= _MASK32
+def seed_word(raw: int, name: str = "seed") -> int:
+    """Sanitize a raw 32-bit seed; zero maps to ZERO_SEED_FALLBACK. A seed
+    that is not a whole number (2.5, nan, "7") is a ValueError naming it
+    `name`."""
+    raw = _whole(raw, name) & _MASK32
     return raw if raw != 0 else ZERO_SEED_FALLBACK
 
 
@@ -108,7 +110,7 @@ def _whole(value, name: str) -> int:
     except (TypeError, ValueError, OverflowError):  # None, nan, inf
         whole = None
     if whole is None or whole != value:
-        raise ValueError(f"{name} must be a whole number, got {value}")
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
     return whole
 
 
@@ -138,7 +140,7 @@ class CiGenerator:
             if n_cells is None:
                 n_cells = 32
             x0 = () if n_cells < 2 else derive_initial_state(  # () fails the check below
-                seed_word(seed1), seed_word(seed2), n_cells)
+                seed_word(seed1, "seed1"), seed_word(seed2, "seed2"), n_cells)
         x = np.asarray(x0)
         if x.ndim != 1 or x.size < 2 or not np.isin(x, (0, 1)).all():
             raise ValueError(_BAD_STATE)
@@ -153,8 +155,8 @@ class CiGenerator:
         if self.c + 1 >= _FLIP_LIMIT:
             raise ValueError(f"c = {c} is too large: a round of c + 1 flips "
                              f"must be countable in int64 (c + 1 < 2**63)")
-        self.s1 = seed_word(seed1)
-        self.s2 = seed_word(seed2)
+        self.s1 = seed_word(seed1, "seed1")
+        self.s2 = seed_word(seed2, "seed2")
         self._unread = self.n_cells if emit_seed_first else 0
 
     @classmethod

@@ -256,44 +256,124 @@ _DCT = _dct_matrix()
 _LEVEL_SCALE = 1.0 / 125.0
 
 
-def jpeg_forward(img) -> np.ndarray:
-    """First half of jpeg_attack, independent of the level: the DCT of each
-    8x8 block of the image shifted by -128, as an array (block row, block
-    column, 8, 8). Sides that are not multiples of 8 are padded by edge
-    replication."""
+def jpeg_forward(img):
+    """First half of jpeg_attack, independent of the level: the pair
+    (coef, padded). padded is the image shifted by -128, its sides padded to
+    multiples of 8 by edge replication (float64); coef is the DCT of each
+    8x8 block B of it, as an array (block row, block column, 8, 8).
+
+    coef is computed as two matrix products, D (B D^T), whose sum order BLAS
+    leaves open. The order shows in an output only where a coefficient's
+    quantization is near a tie, and there _quantize sums it again from
+    padded in the order of _coefficients, which defines the forward DCT;
+    so every output of the pair is independent of the BLAS kernel.
+    """
     a = _check_gray(img)
     h, w = a.shape
-    ph, pw = (-h) % 8, (-w) % 8
-    padded = np.pad(a, ((0, ph), (0, pw)), mode="edge").astype(np.float64) - 128.0
-    hh, ww = padded.shape
-    blocks = padded.reshape(hh // 8, 8, ww // 8, 8).transpose(0, 2, 1, 3)
-    return np.einsum("ij,abjk,lk->abil", _DCT, blocks, _DCT)
+    padded = np.pad(a, ((0, (-h) % 8), (0, (-w) % 8)), mode="edge").astype(np.float64)
+    padded -= 128.0
+    return _dct_pair(padded)
 
 
-def _check_blocks(coef: np.ndarray, shape) -> None:
-    """Raise unless `coef` is jpeg_forward's block grid for an image of `shape`."""
+def _dct_pair(padded: np.ndarray):
+    """jpeg_forward's (coef, padded) for a float64 image already shifted and
+    padded to sides that are multiples of 8."""
+    bh, bw = padded.shape[0] // 8, padded.shape[1] // 8
+    t = (padded.reshape(-1, 8) @ _DCT.T).reshape(bh, 8, 8 * bw)  # over k: (a, j, (b, l))
+    coef = (_DCT @ t).reshape(bh, 8, bw, 8)  # over j: (a, i, b, l)
+    return coef.transpose(0, 2, 1, 3).copy(), padded
+
+
+def _check_blocks(pair, shape) -> None:
+    """Raise unless `pair` is jpeg_forward's (coef, padded) for an image of
+    `shape`."""
+    if not (isinstance(pair, tuple) and len(pair) == 2):
+        raise ValueError("expected jpeg_forward's (coef, padded) pair")
+    coef, padded = pair
     h, w = shape
     grid = (-(-h // 8), -(-w // 8), 8, 8)
-    if np.shape(coef) != grid:
+    if np.shape(coef) != grid or np.shape(padded) != (8 * grid[0], 8 * grid[1]):
         raise ValueError(f"coefficients are {np.shape(coef)}, the inverse was built for "
                          f"{tuple(shape)}, whose blocks are {grid}")
 
 
-def _quantize(coef: np.ndarray, level: float) -> np.ndarray:
+def _coefficients(padded: np.ndarray, idx) -> np.ndarray:
+    """The coefficients at flat indices idx of jpeg_forward's coef layout,
+    summed from the pair's `padded` in the order that defines them:
+    _quantize's fix-up for coefficients near a tie, its only caller.
+
+    Coefficient (a, b, i, l) sums the 64 terms (D[i, j] B[j, k]) D[l, k] of
+    block B = padded[8a:8a + 8, 8b:8b + 8]. With two or more block columns,
+    for each j from 0 an inner sum over k from 0 is added to the result;
+    with one block column, all 64 terms are summed flat in j-major order
+    from 0. These orders are the definition of the forward DCT: _quantize
+    uses them wherever the order can show. They are numpy einsum's orders
+    for "ij,abjk,lk->abil" on the (block row, block column, 8, 8) view of
+    padded, each on its own shapes (the other order differs there), and
+    the imaging tests pin both to that einsum. Each product is one ufunc
+    pass over all the requested coefficients, and each sum runs in place
+    over whole rows of them, in its written order.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    ww = padded.shape[1]
+    a, b = np.divmod(idx >> 6, ww // 8)
+    offsets = (np.arange(8)[:, None] * ww + np.arange(8)).reshape(8, 8, 1)  # (j, k)
+    terms = padded.reshape(-1).take(8 * (a * ww + b) + offsets)  # B[j, k] per coefficient
+    terms *= _DCT.T.take((idx >> 3) & 7, axis=1)[:, None]  # D[i, j] B[j, k]
+    terms *= _DCT.T.take(idx & 7, axis=1)  # (D[i, j] B[j, k]) D[l, k]
+    if ww == 8:
+        sums = terms.reshape(64, -1)  # one block column: flat j-major
+    else:
+        sums = np.zeros((8, idx.size))  # an inner sum over k per j
+        for k in range(8):
+            sums += terms[:, k]
+    acc = np.zeros(idx.size)
+    for row in sums:
+        acc += row
+    return acc
+
+
+def _quantize(pair, level: float) -> np.ndarray:
     """jpeg_forward's coefficients quantized by the luminance table scaled
-    with the level (steps floored at 1) and dequantized."""
+    with the level (steps floored at 1) and dequantized: round(coef / step)
+    * step, with coef summed in the order of _coefficients.
+
+    coef comes from jpeg_forward's matrix products, whose order can differ
+    from that definition; it shows only where coef / step is near a tie at
+    .5, so only those coefficients are summed again by _coefficients.
+
+    The bound: |D| <= 1/2, so each term (D[i, j] B[j, k]) D[l, k] is at most
+    |B[j, k]| / 4, and a sum of the 64 terms in any order, or grouped as
+    the two products group them, is within about 64 * 2^-53 * sum|B| / 4 of
+    the exact one (sum over the block); two orders thus differ by under
+    2^-47 sum|B|. Dividing by a step >= 1 shrinks that and adds a half-ulp
+    of a quotient below sum|B| / 4, so the two quotients differ by under
+    2^-46 sum|B|. A coefficient is summed again when its
+    quotient lies within tol = 2^-36 (1 + 64 max|B|) of n + 0.5, with the
+    max over all of padded: 64 max|B| bounds sum|B| of every block, and tol
+    is over 100 times the total. Every other coefficient rounds the same in
+    either order, so the output does not depend on the BLAS kernel.
+    """
     _check_level(level)
-    steps = np.maximum(_QTABLE * (level * _LEVEL_SCALE), 1.0)
-    q = coef / steps
-    np.round(q, out=q)
-    q *= steps
-    return q
+    coef, padded = pair
+    steps = np.maximum(_QTABLE * (level * _LEVEL_SCALE), 1.0).reshape(64)
+    q = coef.reshape(-1, 64) / steps  # rows of 64: numpy's inner loop runs 64 long, not 8
+    out = np.round(q)
+    dist = np.abs(np.subtract(q, out, out=q), out=q)  # in place: q is not read again
+    top = max(padded.max(initial=0.0), -padded.min(initial=0.0))
+    idx = np.flatnonzero(dist > 0.5 - np.ldexp(1.0 + 64.0 * top, -36))
+    if idx.size:
+        out.flat[idx] = np.round(_coefficients(padded, idx) / steps[idx & 63])
+    out *= steps
+    return out.reshape(coef.shape)
 
 
-def jpeg_inverse(coef: np.ndarray, level: float, shape) -> np.ndarray:
+def jpeg_inverse(pair, level: float, shape) -> np.ndarray:
     """Second half of jpeg_attack: quantize jpeg_forward's coefficients by
     the luminance table scaled with the level (steps floored at 1),
     dequantize, inverse DCT, clamp, and crop the padding back to `shape`.
+    `pair` is jpeg_forward's (coef, padded); a bare coefficient array is
+    refused.
 
     Every pixel equals _jpeg_pixels at that pixel, whose summation order
     defines the result. The inverse DCT is computed as two matrix products,
@@ -311,8 +391,8 @@ def jpeg_inverse(coef: np.ndarray, level: float, shape) -> np.ndarray:
     for any finite coefficients; every other pixel floors the same in either
     order, so the output does not depend on the BLAS kernel.
     """
-    _check_blocks(coef, shape)
-    q = _quantize(coef, level)
+    _check_blocks(pair, shape)
+    q = _quantize(pair, level)
     bh, bw = q.shape[:2]
     t = (q.reshape(-1, 8) @ _DCT).reshape(bh, bw, 8, 8)  # over k: (a, b, j, l)
     t = (t.transpose(0, 1, 3, 2).reshape(-1, 8) @ _DCT).reshape(bh, bw, 8, 8)  # over j: (a, b, l, i)
@@ -327,12 +407,12 @@ def jpeg_inverse(coef: np.ndarray, level: float, shape) -> np.ndarray:
     out = np.clip(out[:h, :w], 0, 255, out=out[:h, :w]).astype(np.uint8)
     idx = np.flatnonzero(near[:h, :w])
     if idx.size:
-        out.flat[idx] = _jpeg_pixels(coef, level, shape, idx)  # .flat: any memory order
+        out.flat[idx] = _jpeg_pixels(pair, level, shape, idx)  # .flat: any memory order
     return out
 
 
-def _jpeg_pixels(coef: np.ndarray, level: float, shape, pixels) -> np.ndarray:
-    """jpeg_inverse(coef, level, shape).reshape(-1)[pixels], computing only
+def _jpeg_pixels(pair, level: float, shape, pixels) -> np.ndarray:
+    """jpeg_inverse(pair, level, shape).reshape(-1)[pixels], computing only
     those pixels: jpeg_inverse's fix-up for pixels near a tie, its only
     caller.
 
@@ -347,10 +427,12 @@ def _jpeg_pixels(coef: np.ndarray, level: float, shape, pixels) -> np.ndarray:
     gathered per pixel with take, whose result is C-ordered, so every term
     is one contiguous ufunc pass.
     """
-    _check_blocks(coef, shape)
-    q = _quantize(coef, level).reshape(-1, 64).T
+    _check_blocks(pair, shape)
+    q = _quantize(pair, level)
+    bw = q.shape[1]
+    q = q.reshape(-1, 64).T
     y, x = np.divmod(np.asarray(pixels, dtype=np.intp), shape[1])
-    terms = q.take((y >> 3) * coef.shape[1] + (x >> 3), axis=1)
+    terms = q.take((y >> 3) * bw + (x >> 3), axis=1)
     rows = _DCT.take(y & 7, axis=1)  # D[j, i] per pixel
     cols = _DCT.take(x & 7, axis=1)  # D[k, l] per pixel
     acc = np.zeros(y.size)

@@ -95,13 +95,15 @@ def xorshift_step(word: int) -> int:
 # A round reads only the low bit of its length word (m = c + bit). The low
 # bit of T^t(z) is a linear function of z, so one map E gives the low bits
 # of 32 consecutive words at once: bit 31 - t of E(z) is the low bit of
-# T^t(z). A block of rounds fills the T^32 chain of its first length word by
-# doubling and applies E to each word of it: 2 word lookups per 32 rounds,
-# not the 32 of a full-word fill. Rounds are taken in blocks of
-# _LENGTH_BLOCK, with last flips counted as int64 from the call's first, and
-# the returned strategy word is rebuilt from its lane start with at most L
-# rounds. Every buffer is allocated once per call, no larger than the
-# call's flips need: a short call neither maps nor faults in 4 MiB.
+# T^t(z). E is applied to each word of the T^32 chain of the length words:
+# 2 word lookups per 32 rounds, not the 32 of a full-word fill. Rounds are
+# taken in blocks of _LENGTH_BLOCK, with last flips counted as int64 from
+# the call's first. The first block fills its chain by doubling; each later
+# block's chain is the one before jumped by T^_LENGTH_BLOCK, one table pass,
+# so _LENGTH_BLOCK must stay a power of two (the jump tables are of
+# T^(2^k)). The returned strategy word is rebuilt from its lane start with
+# at most L rounds. Every buffer is allocated once per call, no larger than
+# the call's flips need: a short call neither maps nor faults in 4 MiB.
 # ---------------------------------------------------------------------------
 
 _CHUNK_FLIPS = 1 << 20
@@ -109,7 +111,8 @@ _LANE = 32  # words per lane, a power of two
 # Up to this many cells the prefix buffer stays at 4 MiB; past it a chunk
 # cannot shrink below one lane (_LANE flips) and the buffer grows as 4N bytes.
 _MAX_CELLS = 32 * (_CHUNK_FLIPS // _LANE)
-# Rounds per block of length bits: the block's last flips take 128 KiB as int64.
+# Rounds per block of length bits: the block's last flips take 128 KiB as
+# int64. A power of two: the next block's chain is this one's jumped by it.
 _LENGTH_BLOCK = 1 << 14
 _LANE_MIN = 1 << 16  # shortest xorshift_fill that steps lanes
 _LANE_BLOCK = 1 << 18  # words per transposed block; keeps the transpose in cache
@@ -199,17 +202,24 @@ def _lanes(state, buf):
         prev = row
 
 
-def _low_bits(state, n):
-    """Low bits of the n >= 1 words of the chain after `state`, as a uint8
-    array, and the last of those words: E reads word 32q and the 31 after it
-    from word 32q, so the chain is drawn only at every 32nd word."""
+def _length_chain(state, n):
+    """Every 32nd word of the n >= 1 words of the chain after `state`: z[q]
+    is word 32q, word 0 being the first after `state`."""
     z = np.empty(-(-n // 32), dtype=np.uint32)
     z[0] = xorshift_step(int(state))
-    _jump_chain(z, 5)  # z[q] is word 32q
-    e = np.empty_like(z)
-    _apply_tables(_low_bit_table(), z, e)
+    _jump_chain(z, 5)
+    return z
+
+
+def _low_bits(z, n):
+    """Low bits of the first n >= 1 words of the chain whose every 32nd word
+    is z (see _length_chain), as a uint8 array, and the last of those words:
+    E reads word 32q and the 31 after it from word 32q."""
+    q = -(-n // 32)
+    e = np.empty(q, dtype=np.uint32)
+    _apply_tables(_low_bit_table(), z[:q], e)
     bits = np.unpackbits(e.astype(">u4").view(np.uint8), count=n)
-    state = int(z[-1])
+    state = int(z[q - 1])
     for _ in range((n - 1) & 31):
         state = xorshift_step(state)
     return bits, state
@@ -306,10 +316,15 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
     vec = np.empty((1 + max(2, nw), kf), dtype=np.uint32)
     starts, tot = vec[0], vec[1:1 + nw]  # tot shares the rows of raw words
     per = _LENGTH_BLOCK
+    z = _length_chain(s1, min(rounds, per))  # the first block's length chain
+    jumped = np.empty_like(z)
     j = end = -1  # chunk in buf; last flip of the rounds drawn
     for r0 in range(0, rounds, per):
         r1 = min(rounds, r0 + per)
-        odd, s1 = _low_bits(s1, r1 - r0)
+        if r0:  # this block's chain: the one before, jumped by T^per
+            _apply_tables(_jump_table(per.bit_length() - 1), z, jumped)
+            z, jumped = jumped, z
+        odd, s1 = _low_bits(z, r1 - r0)
         last = odd + np.int64(c)  # each round's flips
         np.cumsum(last, out=last)
         last += end  # each round's last flip, counted from the call's first

@@ -37,7 +37,8 @@ _SCAN_INT64_MAX_M = 1 << 31
 
 @dataclass(frozen=True)
 class EmbeddingKey:
-    """Two 32-bit seeds plus the watermarking mode.
+    """Two 32-bit seeds plus the watermarking mode. The seeds are whole
+    numbers (3, 3.0, a numpy integer), stored as ints.
 
     mode "unauth": extraction depends on the seeds only.
     mode "auth":   seeds are folded with the MSC digest of the image.
@@ -58,7 +59,8 @@ class EmbeddingKey:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mix not in ("ci", "xor"):
             raise ValueError(f"unknown mix {self.mix!r}")
-        object.__setattr__(self, "repetition", _whole(self.repetition, "repetition"))
+        for name in ("seed1", "seed2", "repetition"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.repetition < 1:
             raise ValueError("repetition must be >= 1")
 
@@ -344,12 +346,12 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     mask, addresses = _schedule(carrier, unauth, wm.size)
     marked = [_write(carrier, wm.reshape(-1) ^ mask, addresses, unauth.repetition),
               embed(carrier, wm, auth)]
-    coefs = None
+    pairs = None
     rows = []
     for kind, param in attacks:
         if kind == "jpeg":
-            coefs = coefs or [jpeg_forward(image) for image in marked]
-            images = [jpeg_inverse(coef, param, shape) for coef in coefs]
+            pairs = pairs or [jpeg_forward(image) for image in marked]
+            images = [jpeg_inverse(pair, param, shape) for pair in pairs]
         elif kind == "rotate":
             rmap = rotation_map(shape, param)
             images = [remap(image, rmap) for image in marked]

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import tracemalloc
 
@@ -229,6 +230,38 @@ class TestCiGenerator:
         not an error from inside np.unpackbits."""
         with pytest.raises(ValueError, match=">= 2 cells"):
             CiGenerator.from_seeds(1, 2, n_cells=n_cells)
+
+    @pytest.mark.parametrize("seed", [2.5, math.nan, "7"])
+    def test_refuses_seed_not_whole(self, monkeypatch, seed):
+        """A fractional, NaN or string seed used to fail inside _rotl32 or
+        numpy with a TypeError; seed_word, XorShift32 and CiGenerator refuse
+        it by name before any draw."""
+        import cimark.generator as gen
+
+        def no_draw(*a, **kw):
+            raise AssertionError("drew words before checking the seed")
+
+        monkeypatch.setattr(gen, "xorshift_fill", no_draw)
+        monkeypatch.setattr(gen, "ci_fill", no_draw)
+        message = re.escape(f"seed must be a whole number, got {seed!r}")  # "7" quoted
+        with pytest.raises(ValueError, match=message):
+            seed_word(seed)
+        with pytest.raises(ValueError, match=message):
+            XorShift32(seed)
+        for name, seeds in (("seed1", (seed, 2)), ("seed2", (1, seed))):
+            with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+                CiGenerator.from_seeds(*seeds)
+            with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+                CiGenerator(EXAMPLE_X0, *seeds)
+
+    def test_whole_seeds_equal_their_ints(self):
+        """np.float64(3.0), True and numpy integers seed as their ints."""
+        assert seed_word(np.float64(3.0)) == seed_word(3) == 3
+        assert seed_word(True) == 1 and seed_word(np.int64(-1)) == 0xFFFFFFFF
+        assert type(seed_word(np.uint32(7))) is int
+        assert np.array_equal(XorShift32(np.float64(3.0)).fill(8), XorShift32(3).fill(8))
+        assert np.array_equal(CiGenerator.from_seeds(np.float64(3.0), True).words(4),
+                              CiGenerator.from_seeds(3, 1).words(4))
 
     @pytest.mark.parametrize("c, message", [(0, "c must be positive"),
                                             (-1, "c must be positive"),

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from cimark.imaging import (
     _DCT,
     ImageFormatError,
+    _coefficients,
+    _dct_pair,
     _jpeg_pixels,
     _parse_header,
     _quantize,
@@ -26,8 +31,10 @@ from cimark.imaging import (
     synthetic_carrier,
     synthetic_watermark,
 )
-from jpeg_oracle import (SUBSET_LEVELS, inverse_sums, reference_inverse,
-                         tie_prone_cases)
+from jpeg_oracle import (FORWARD_LEVELS, SUBSET_LEVELS, forward_tie_cases,
+                         forward_tie_digest, inverse_sums, reference_forward,
+                         reference_inverse, reference_quantize, span_blocks,
+                         steps_at, tie_prone_cases)
 
 
 def byte_loop_header(data: bytes, magic: bytes, fields: int):
@@ -254,10 +261,10 @@ class TestJpeg:
             jpeg_attack(synthetic_carrier(1), 0)
 
 
-def _gemm_only(coef, level, shape):
+def _gemm_only(pair, level, shape):
     """jpeg_inverse's two matrix products rounded as they come, without the
     near-tie recomputation: what the inverse would return without it."""
-    q = _quantize(coef, level)
+    q = _quantize(pair, level)
     bh, bw = q.shape[:2]
     t = (q.reshape(-1, 8) @ _DCT).reshape(bh, bw, 8, 8)
     t = (t.transpose(0, 1, 3, 2).reshape(-1, 8) @ _DCT).reshape(bh, bw, 8, 8)
@@ -266,16 +273,23 @@ def _gemm_only(coef, level, shape):
     return np.clip(np.floor(v), 0, 255).astype(np.uint8)[:h, :w], v[:h, :w]
 
 
-def _cancelling_coef(rng, bh, bw, big=8 * 10**9):
-    """Integer coefficients of about 8e9 at (0|4, 0|4) only. With s the sign
-    of D[4, .], pixel (i, l) of a block sums to big (1 - s[l]) (1 + s[i]) / 8
-    plus a small multiple of 1/8, so in three pixels of four the terms of
-    about 1e9 cancel, about one such pixel in 8 is on a tie at .5, and the
-    float rounding of the sum there is about 1e-7."""
-    coef = np.zeros((bh, bw, 8, 8))
-    small = rng.integers(-400, 401, size=(bh, bw, 2, 2))
-    coef[:, :, ::4, ::4] = np.array([[big, -big], [big, -big]]) + small
-    return coef
+def _products_only(pair, level):
+    """_quantize without the near-tie recomputation: jpeg_forward's matrix
+    products rounded as they come."""
+    steps = steps_at(level)
+    return np.round(pair[0] / steps) * steps
+
+
+def _cancelling_pair(rng, bh, bw, big=8 * 10**9):
+    """The pair of blocks whose coefficients are integers of about 8e9 at
+    (0|4, 0|4) only. With s the sign of D[4, .], pixel (i, l) of a block
+    sums to big (1 - s[l]) (1 + s[i]) / 8 plus a small multiple of 1/8, so
+    in three pixels of four the terms of about 1e9 cancel, about one such
+    pixel in 8 is on a tie at .5, and the float rounding of the sum there
+    is about 1e-7."""
+    small = rng.integers(-400, 401, size=(4, bh, bw))
+    blocks = span_blocks(big + small[0], big + small[1], -big + small[2], -big + small[3])
+    return _dct_pair(blocks.transpose(0, 2, 1, 3).reshape(8 * bh, 8 * bw))
 
 
 class TestJpegPixels:
@@ -284,17 +298,17 @@ class TestJpegPixels:
         equal the einsum reference bit for bit on 570 (shape, level) cases
         that include ties at .5."""
         cases = ties = 0
-        for shape, coef, pixels in tie_prone_cases():
+        for shape, pair, pixels in tie_prone_cases():
             for level in SUBSET_LEVELS:
-                want = reference_inverse(coef, level, shape)
-                full = jpeg_inverse(coef, level, shape)
-                got = _jpeg_pixels(coef, level, shape, pixels)
+                want = reference_inverse(pair, level, shape)
+                full = jpeg_inverse(pair, level, shape)
+                got = _jpeg_pixels(pair, level, shape, pixels)
                 assert full.dtype == got.dtype == np.uint8
                 assert np.array_equal(full, want), (shape, level)
                 assert np.array_equal(got, want.reshape(-1)[pixels]), (shape, level)
                 cases += 1
             # pixels whose sum lies on a tie at .5, where the sum order decides
-            ties += np.count_nonzero(np.abs(inverse_sums(coef, 0.5) % 1.0 - 0.5) < 1e-9)
+            ties += np.count_nonzero(np.abs(inverse_sums(pair, 0.5) % 1.0 - 0.5) < 1e-9)
         assert cases >= 500
         assert ties >= 5000
 
@@ -303,10 +317,10 @@ class TestJpegPixels:
         recomputation, differ from the reference on some tie-prone cases, so
         test_equals_full_inverse would fail without it."""
         differing = 0
-        for shape, coef, _ in tie_prone_cases():
+        for shape, pair, _ in tie_prone_cases():
             for level in SUBSET_LEVELS:
-                fast, _ = _gemm_only(coef, level, shape)
-                differing += not np.array_equal(fast, reference_inverse(coef, level, shape))
+                fast, _ = _gemm_only(pair, level, shape)
+                differing += not np.array_equal(fast, reference_inverse(pair, level, shape))
         assert differing >= 1
 
     def test_large_cancelling_coefficients(self):
@@ -316,21 +330,117 @@ class TestJpegPixels:
         each block's coefficients catches it."""
         rng = np.random.default_rng(27)
         for bh, bw in ((1, 1), (2, 3), (4, 4)):
-            coef = _cancelling_coef(rng, bh, bw)
+            pair = _cancelling_pair(rng, bh, bw)
             shape = (8 * bh - 3, 8 * bw - 1)
-            want = reference_inverse(coef, 0.5, shape)
-            assert np.array_equal(jpeg_inverse(coef, 0.5, shape), want)
-            assert np.array_equal(_jpeg_pixels(coef, 0.5, shape, np.arange(want.size)),
+            want = reference_inverse(pair, 0.5, shape)
+            assert np.array_equal(jpeg_inverse(pair, 0.5, shape), want)
+            assert np.array_equal(_jpeg_pixels(pair, 0.5, shape, np.arange(want.size)),
                                   want.reshape(-1))
-        fast, v = _gemm_only(coef, 0.5, shape)
+        fast, v = _gemm_only(pair, 0.5, shape)
         wrong = fast != want
         assert wrong.any()
         assert (np.abs(v - np.rint(v))[wrong] > 2.0**-30).all()
 
     def test_bad_level_rejected(self):
-        coef = jpeg_forward(synthetic_carrier(1, 16))
+        pair = jpeg_forward(synthetic_carrier(1, 16))
         with pytest.raises(ValueError, match="level"):
-            _jpeg_pixels(coef, 0, (16, 16), [0])
+            _jpeg_pixels(pair, 0, (16, 16), [0])
+
+    def test_bare_coefficients_refused(self):
+        coef, _ = jpeg_forward(synthetic_carrier(1, 16))
+        with pytest.raises(ValueError, match="pair"):
+            jpeg_inverse(coef, 5, (16, 16))
+        with pytest.raises(ValueError, match="pair"):
+            _jpeg_pixels(coef, 5, (16, 16), [0])
+
+
+# Shapes from 1x1 to 257x9; 1 to 33 block columns, one block column in five.
+FORWARD_SHAPES = [(1, 1), (8, 8), (9, 5), (40, 3), (16, 8), (5, 9), (8, 16), (17, 40),
+                  (257, 9), (9, 257), (256, 256)]
+
+
+class TestJpegForward:
+    @pytest.mark.parametrize("shape", FORWARD_SHAPES, ids=str)
+    def test_written_order_equals_einsum(self, shape):
+        """_coefficients, the forward DCT's definition, equals the einsum
+        reference on every coefficient, in the flat order with one block
+        column and the nested one with more."""
+        pair = jpeg_forward(np.random.default_rng(shape[0] * shape[1])
+                            .integers(0, 256, size=shape, dtype=np.uint8))
+        coef, padded = pair
+        assert np.array_equal(_coefficients(padded, np.arange(coef.size)),
+                              reference_forward(padded).reshape(-1))
+
+    def test_quantize_equals_reference(self):
+        """Forward plus quantize, and the whole attack, equal the einsum
+        reference bit for bit on 570 (shape, level) cases whose
+        coefficients sit on .5 after the division, one-block-column shapes
+        among them."""
+        cases = ties = 0
+        for img, pair in forward_tie_cases():
+            for level in FORWARD_LEVELS:
+                want = reference_quantize(pair, level)
+                assert np.array_equal(_quantize(pair, level), want), (img.shape, level)
+                assert np.array_equal(jpeg_attack(img, level),
+                                      reference_inverse(pair, level, img.shape)), (img.shape, level)
+                exact = reference_forward(pair[1]) / steps_at(level)
+                ties += np.count_nonzero(np.abs(exact % 1.0 - 0.5) < 1e-9)
+                cases += 1
+        assert cases >= 500
+        assert ties >= 5000
+
+    def test_fixture_reaches_the_fixup(self):
+        """The forward products alone, rounded without the near-tie
+        recomputation, differ from the reference on some cases, with one
+        block column and with more, so test_quantize_equals_reference would
+        fail without it."""
+        differing = {True: 0, False: 0}
+        for img, pair in forward_tie_cases():
+            for level in FORWARD_LEVELS:
+                fast = _products_only(pair, level)
+                differing[img.shape[1] <= 8] += not np.array_equal(
+                    fast, reference_quantize(pair, level))
+        assert differing[True] >= 1 and differing[False] >= 1
+
+    def test_large_cancelling_blocks(self):
+        """Blocks of integers up to 1e9 whose DC coefficient is on .5: the
+        products' rounding there exceeds 2^-36, the tolerance uint8 images
+        need, so only a tolerance scaled by the block values catches it."""
+        rng = np.random.default_rng(27)
+        wrong = []
+        for bh, bw in ((1, 1), (2, 3), (4, 4), (3, 1), (8, 8)):
+            b = rng.integers(-10**9, 10**9, size=(bh * bw, 64))
+            b[:, -1] -= (b.sum(axis=1) - 4) % 8  # block sums of 8n + 4: DC on n + .5
+            padded = b.reshape(bh, bw, 8, 8).transpose(0, 2, 1, 3).reshape(8 * bh, 8 * bw)
+            pair = _dct_pair(padded.astype(np.float64))
+            want = reference_quantize(pair, 0.5)
+            assert np.array_equal(_quantize(pair, 0.5), want)
+            q = pair[0]
+            wrong.extend(np.abs(q - np.floor(q) - 0.5)[_products_only(pair, 0.5) != want])
+        assert max(wrong) > 2.0**-36
+
+
+# Prints the digest of _quantize over the forward tie cases; run in a child
+# process under another OpenBLAS kernel.
+_FORWARD_KERNEL_SCRIPT = """
+from jpeg_oracle import forward_tie_digest
+print(forward_tie_digest())
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_jpeg_forward_independent_of_blas_kernel(core):
+    """jpeg_forward's matrix products run on whichever OpenBLAS kernel the
+    host picks; the quantized coefficients of the forward tie cases are the
+    same under two other kernels, selected in the child only."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+               PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _FORWARD_KERNEL_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == forward_tie_digest()
 
 
 class TestNoise:

@@ -116,14 +116,15 @@ lane_settings = st.tuples(st.sampled_from([None, (1, 128), (64, 200), (300, 1000
        s1=seeds, s2=seeds,
        chunk=st.sampled_from([1 << 6, 1 << 7, 1 << 8, 1 << 9]),
        lanes=lane_settings,
-       block=st.sampled_from([None, 1, 5, 32, 33]),
+       block=st.sampled_from([None, 1, 4, 8, 32]),
        data=st.data())
 def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, block, data):
     """ci_fill equals round-by-round iteration driven by scalar chains,
     across many chunk boundaries of the numpy kernel (rounds straddle them,
     and the lane starts are carried over them), on either side of the lane
     threshold of the strategy fills, for any lane length, and with blocks of
-    length bits that end inside a 32-round slice and inside a chunk."""
+    length bits (a power of two rounds) that end inside a 32-round slice and
+    inside a chunk."""
     c = 3 * n if c_scale is None else c_scale
     x0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                   dtype=np.uint8)
@@ -163,6 +164,23 @@ def test_ci_fill_lane_path_matches_rounds():
     assert draw.call_count == 2 and rounds % (1 << 13)
     assert np.array_equal(out, np.packbits(np.vstack([x0, expected]), axis=1))
     assert np.array_equal(xbits, x0)
+    assert (a, b) == (a_end, b_end)
+
+
+def test_ci_fill_carries_the_length_chain():
+    """A call of 3 whole blocks of length bits and part of a fourth, with the
+    module's own block, equals round-by-round iteration; the chain of length
+    words is filled by doubling once and jumped from block to block."""
+    n, c, s1, s2 = 8, 1, 0x2545F491, 0x9E3779B9
+    rounds = 3 * kernels._LENGTH_BLOCK + 1000
+    x0 = np.arange(n, dtype=np.uint8) % 2
+    expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
+    xbits = x0.copy()
+    with mock.patch.object(kernels, "_length_chain", wraps=kernels._length_chain) as fill, \
+            mock.patch.object(kernels, "_low_bits", wraps=kernels._low_bits) as draw:
+        out, a, b = ci_fill(xbits, s1, s2, c, rounds)
+    assert fill.call_count == 1 and draw.call_count == 4
+    assert np.array_equal(out, np.packbits(np.vstack([x0, expected]), axis=1))
     assert (a, b) == (a_end, b_end)
 
 
@@ -328,7 +346,7 @@ def test_low_bits_match_scalar_chain():
     for state in (1, 0xFFFFFFFF, ZERO_SEED_FALLBACK):
         ref = scalar_chain(state, sizes[-1])
         for n in sizes:
-            bits, end = kernels._low_bits(state, n)
+            bits, end = kernels._low_bits(kernels._length_chain(state, n), n)
             assert bits.dtype == np.uint8
             assert np.array_equal(bits, ref[:n] & 1), (state, n)
             assert end == int(ref[n - 1]), (state, n)

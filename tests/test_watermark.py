@@ -244,6 +244,36 @@ class TestKey:
         with pytest.raises(ValueError, match="repetition must be a whole number"):
             EmbeddingKey(KEY1, KEY2, repetition=repetition)
 
+    @pytest.mark.parametrize("seed", [2.5, math.nan, "7"])
+    @pytest.mark.parametrize("name", ["seed1", "seed2"])
+    def test_seed_not_whole_rejected(self, monkeypatch, name, seed):
+        """A fractional, NaN or string seed used to construct a key and
+        then fail inside _rotl32 or numpy with a TypeError at embed time; it
+        is refused by name, in the key and in the sweep, before any draw."""
+        import cimark.watermark as wmk
+
+        def no_schedule(*a, **kw):
+            raise AssertionError("scheduled before checking the seeds")
+
+        seeds = {"seed1": KEY1, "seed2": KEY2, name: seed}
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            EmbeddingKey(**seeds)
+        monkeypatch.setattr(wmk, "_schedule", no_schedule)
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            robustness_sweep(synthetic_carrier(3, 64), synthetic_watermark(0, 8), **seeds,
+                             attacks=[("crop", 4)])
+
+    def test_whole_seeds_stored_as_int(self):
+        """np.float64(3.0), True and a numpy integer are whole numbers: the
+        key stores their ints and embeds as with those ints."""
+        key = EmbeddingKey(np.float64(3.0), np.uint32(KEY2), mode="auth")
+        assert (key.seed1, key.seed2) == (3, KEY2)
+        assert type(key.seed1) is int and type(key.seed2) is int
+        carrier, wm = synthetic_carrier(3, 64), synthetic_watermark(0, 8)
+        assert np.array_equal(embed(carrier, wm, key),
+                              embed(carrier, wm, EmbeddingKey(3, KEY2, mode="auth")))
+        assert EmbeddingKey(True, KEY2).seed1 == 1
+
     def test_whole_repetition_stored_as_int(self):
         key = EmbeddingKey(KEY1, KEY2, repetition=3.0)
         assert key.repetition == 3 and type(key.repetition) is int
