@@ -263,10 +263,10 @@ def jpeg_forward(img):
     8x8 block B of it, as an array (block row, block column, 8, 8).
 
     coef is computed as two matrix products, D (B D^T), whose sum order BLAS
-    leaves open. The order shows in an output only where a coefficient's
-    quantization is near a tie, and there _quantize sums it again from
-    padded in the order of _coefficients, which defines the forward DCT;
-    so every output of the pair is independent of the BLAS kernel.
+    leaves open. _quantize sums a coefficient again from padded, in the
+    order of _coefficients, which defines the forward DCT, wherever the
+    order can show; so every output of the pair is independent of the BLAS
+    kernel.
     """
     a = _check_gray(img)
     h, w = a.shape
@@ -297,71 +297,94 @@ def _check_blocks(pair, shape) -> None:
                          f"{tuple(shape)}, whose blocks are {grid}")
 
 
+def _written_sums(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, nested: bool) -> np.ndarray:
+    """For each of n outputs, the sum over j and k of the 64 terms
+    (rows[j] x[j, k]) cols[k], with x of shape (8, 8, n) and rows, cols of
+    shape (8, n), in a written order. Nested: for each j from 0, an inner
+    sum over k from 0 is added to the result. Flat: all 64 terms in j-major
+    order from 0.
+
+    These orders define both JPEG halves (_coefficients, _jpeg_pixels):
+    each is numpy einsum's order for that half's subscripts, and the
+    imaging tests pin both to the einsum. The matrix products are summed
+    again in them wherever the order can show (_near_ties). Each product
+    and each sum is one ufunc pass over a row of n outputs.
+    """
+    acc = np.zeros(x.shape[-1])
+    inner = np.empty_like(acc)
+    terms = np.empty(x.shape[1:])  # (k, n) for one j
+    for j in range(8):
+        np.multiply(rows[j], x[j], out=terms)
+        terms *= cols
+        if nested:
+            inner.fill(0.0)
+            for term in terms:
+                inner += term
+            acc += inner
+        else:
+            for term in terms:
+                acc += term
+    return acc
+
+
+def _near_ties(off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The flat indices of `off` where a value's distance from the integer
+    it rounds to, off in [0, 0.5], lies within tol = 2^-36 (1 + 64 max|x|)
+    of 0.5, a tie. The values are sums over the 8x8 blocks X of x, the
+    input of their JPEG half: _quantize's quotients coef / step, with x
+    jpeg_forward's padded image, and jpeg_inverse's pixels before rounding,
+    with x the quantized coefficients.
+
+    Only these values can round differently in another sum order. The
+    bound: |D| <= 1/2, so each term is at most |X[j, k]| / 4, and a sum of
+    the 64 terms in any order, or grouped as two matrix products group
+    them, is within about 64 * 2^-53 * sum|X| / 4 of the exact one; two
+    orders thus differ by under 2^-47 sum|X|. A quotient by a step >= 1
+    shrinks that and adds a half-ulp of a value below sum|X| / 4: under
+    2^-46 sum|X| in all. A pixel adds 128.5 at once, or 128 then 0.5,
+    which rounds by at most 3 half-ulps of a value below 129 + sum|X| / 4:
+    under 2^-43 + 2^-46 sum|X| in all. 64 max|x| bounds sum|X| of every
+    block, so tol is over 100 times either total, and every other value
+    rounds the same in either order.
+    """
+    top = max(x.max(initial=0.0), -x.min(initial=0.0))
+    return np.flatnonzero(off > 0.5 - np.ldexp(1.0 + 64.0 * top, -36))
+
+
 def _coefficients(padded: np.ndarray, idx) -> np.ndarray:
     """The coefficients at flat indices idx of jpeg_forward's coef layout,
-    summed from the pair's `padded` in the order that defines them:
-    _quantize's fix-up for coefficients near a tie, its only caller.
+    summed from the pair's `padded` in the order that defines the forward
+    DCT: _quantize's fix-up for coefficients near a tie, its only caller.
 
-    Coefficient (a, b, i, l) sums the 64 terms (D[i, j] B[j, k]) D[l, k] of
-    block B = padded[8a:8a + 8, 8b:8b + 8]. With two or more block columns,
-    for each j from 0 an inner sum over k from 0 is added to the result;
-    with one block column, all 64 terms are summed flat in j-major order
-    from 0. These orders are the definition of the forward DCT: _quantize
-    uses them wherever the order can show. They are numpy einsum's orders
-    for "ij,abjk,lk->abil" on the (block row, block column, 8, 8) view of
-    padded, each on its own shapes (the other order differs there), and
-    the imaging tests pin both to that einsum. Each product is one ufunc
-    pass over all the requested coefficients, and each sum runs in place
-    over whole rows of them, in its written order.
+    Coefficient (a, b, i, l) sums the terms (D[i, j] B[j, k]) D[l, k] of
+    block B = padded[8a:8a + 8, 8b:8b + 8] in _written_sums' nested order
+    with two or more block columns and its flat order with one: numpy
+    einsum's orders for "ij,abjk,lk->abil" on the (block row, block column,
+    8, 8) view of padded, each on its own shapes.
     """
     idx = np.asarray(idx, dtype=np.intp)
     ww = padded.shape[1]
     a, b = np.divmod(idx >> 6, ww // 8)
     offsets = (np.arange(8)[:, None] * ww + np.arange(8)).reshape(8, 8, 1)  # (j, k)
-    terms = padded.reshape(-1).take(8 * (a * ww + b) + offsets)  # B[j, k] per coefficient
-    terms *= _DCT.T.take((idx >> 3) & 7, axis=1)[:, None]  # D[i, j] B[j, k]
-    terms *= _DCT.T.take(idx & 7, axis=1)  # (D[i, j] B[j, k]) D[l, k]
-    if ww == 8:
-        sums = terms.reshape(64, -1)  # one block column: flat j-major
-    else:
-        sums = np.zeros((8, idx.size))  # an inner sum over k per j
-        for k in range(8):
-            sums += terms[:, k]
-    acc = np.zeros(idx.size)
-    for row in sums:
-        acc += row
-    return acc
+    blocks = padded.reshape(-1).take(8 * (a * ww + b) + offsets)  # B[j, k] per coefficient
+    return _written_sums(blocks, _DCT.T.take((idx >> 3) & 7, axis=1),  # D[i, j]
+                         _DCT.T.take(idx & 7, axis=1), ww > 8)  # D[l, k]
 
 
 def _quantize(pair, level: float) -> np.ndarray:
     """jpeg_forward's coefficients quantized by the luminance table scaled
     with the level (steps floored at 1) and dequantized: round(coef / step)
-    * step, with coef summed in the order of _coefficients.
-
-    coef comes from jpeg_forward's matrix products, whose order can differ
-    from that definition; it shows only where coef / step is near a tie at
-    .5, so only those coefficients are summed again by _coefficients.
-
-    The bound: |D| <= 1/2, so each term (D[i, j] B[j, k]) D[l, k] is at most
-    |B[j, k]| / 4, and a sum of the 64 terms in any order, or grouped as
-    the two products group them, is within about 64 * 2^-53 * sum|B| / 4 of
-    the exact one (sum over the block); two orders thus differ by under
-    2^-47 sum|B|. Dividing by a step >= 1 shrinks that and adds a half-ulp
-    of a quotient below sum|B| / 4, so the two quotients differ by under
-    2^-46 sum|B|. A coefficient is summed again when its
-    quotient lies within tol = 2^-36 (1 + 64 max|B|) of n + 0.5, with the
-    max over all of padded: 64 max|B| bounds sum|B| of every block, and tol
-    is over 100 times the total. Every other coefficient rounds the same in
-    either order, so the output does not depend on the BLAS kernel.
-    """
+    * step, with coef summed in the order of _coefficients. coef comes from
+    jpeg_forward's matrix products, whose order can show only where
+    coef / step is near a tie at .5 (_near_ties), so only those
+    coefficients are summed again."""
     _check_level(level)
     coef, padded = pair
     steps = np.maximum(_QTABLE * (level * _LEVEL_SCALE), 1.0).reshape(64)
     q = coef.reshape(-1, 64) / steps  # rows of 64: numpy's inner loop runs 64 long, not 8
     out = np.round(q)
-    dist = np.abs(np.subtract(q, out, out=q), out=q)  # in place: q is not read again
-    top = max(padded.max(initial=0.0), -padded.min(initial=0.0))
-    idx = np.flatnonzero(dist > 0.5 - np.ldexp(1.0 + 64.0 * top, -36))
+    off = np.abs(np.subtract(q, out, out=q), out=q)  # in place: q is not read again
+    idx = _near_ties(off, padded)
     if idx.size:
         out.flat[idx] = np.round(_coefficients(padded, idx) / steps[idx & 63])
     out *= steps
@@ -377,19 +400,10 @@ def jpeg_inverse(pair, level: float, shape) -> np.ndarray:
 
     Every pixel equals _jpeg_pixels at that pixel, whose summation order
     defines the result. The inverse DCT is computed as two matrix products,
-    over k and then over j, whose order BLAS leaves open; an order shows in
-    a pixel only where the value is near an integer before the floor, so
-    only those pixels are summed again by _jpeg_pixels.
-
-    The bound: |D| <= 1/2, so each term D[j, i] Q[j, k] D[k, l] is at most
-    |Q[j, k]| / 4, and a sum of the 64 terms in any order is within about
-    64 * 2^-53 * sum|Q| / 4 of the exact one (sum over the block); two orders
-    thus differ by under 2^-47 sum|Q|. Adding 128.5 at once, or 128 then
-    0.5, rounds by at most 3 half-ulps of a value below 129 + sum|Q| / 4,
-    under 2^-43 + 2^-53 sum|Q|. A pixel is summed again when its value lies
-    within tol = 2^-36 (1 + sum|Q|) of an integer, over 100 times the total
-    for any finite coefficients; every other pixel floors the same in either
-    order, so the output does not depend on the BLAS kernel.
+    over k and then over j, whose order BLAS leaves open; it shows in a
+    pixel only near a tie at .5 before the floor (_near_ties), so only
+    those pixels are summed again by _jpeg_pixels, from the same quantized
+    coefficients.
     """
     _check_blocks(pair, shape)
     q = _quantize(pair, level)
@@ -399,49 +413,31 @@ def jpeg_inverse(pair, level: float, shape) -> np.ndarray:
     v = np.empty((8 * bh, 8 * bw))
     np.add(t.transpose(0, 3, 1, 2), 128.5, out=v.reshape(bh, 8, bw, 8))  # image layout
     out = np.floor(v)
-    frac = np.subtract(v, out, out=v).reshape(bh, 8, bw, 8)
-    q_abs = np.abs(q, out=q).reshape(-1, 64)  # in place: q is not read again
-    tol = np.ldexp(1.0 + q_abs.sum(axis=1), -36).reshape(bh, 1, bw, 1)
-    near = ((frac < tol) | (frac > 1.0 - tol)).reshape(v.shape)
+    off = np.subtract(v, out, out=v)
+    off -= 0.5
     h, w = shape
+    idx = _near_ties(np.abs(off[:h, :w], out=off[:h, :w]), q)
     out = np.clip(out[:h, :w], 0, 255, out=out[:h, :w]).astype(np.uint8)
-    idx = np.flatnonzero(near[:h, :w])
     if idx.size:
-        out.flat[idx] = _jpeg_pixels(pair, level, shape, idx)  # .flat: any memory order
+        out.flat[idx] = _jpeg_pixels(q, shape, idx)  # .flat: any memory order
     return out
 
 
-def _jpeg_pixels(pair, level: float, shape, pixels) -> np.ndarray:
-    """jpeg_inverse(pair, level, shape).reshape(-1)[pixels], computing only
-    those pixels: jpeg_inverse's fix-up for pixels near a tie, its only
-    caller.
+def _jpeg_pixels(q: np.ndarray, shape, pixels) -> np.ndarray:
+    """Pixels at flat indices `pixels` of jpeg_inverse's image of `shape`,
+    from the quantized coefficients q (block row, block column, 8, 8) it
+    computed: jpeg_inverse's fix-up for pixels near a tie, its only caller.
 
     Pixel (y, x) is floor((s + 128) + 0.5), clamped, for the sum s of the
-    64 terms D[j, i] Q[a, b, j, k] D[k, l] with a, i = divmod(y, 8) and
-    b, l = divmod(x, 8), summed flat in j-major order from 0 as
-    acc += (D[j, i] Q[a, b, j, k]) D[k, l]. This order is the definition of
-    the JPEG inverse: jpeg_inverse uses it wherever the order can show (a
-    pixel at a tie at .5 before the floor). It is numpy einsum's order for
-    "ji,abjk,kl->abil", and the imaging tests pin both functions to that
-    einsum. The coefficients are laid out as (64, blocks) and each row
-    gathered per pixel with take, whose result is C-ordered, so every term
-    is one contiguous ufunc pass.
+    terms (D[j, i] Q[a, b, j, k]) D[k, l] with a, i = divmod(y, 8) and
+    b, l = divmod(x, 8), in _written_sums' flat order: numpy einsum's order
+    for "ji,abjk,kl->abil". This order is the definition of the JPEG
+    inverse.
     """
-    _check_blocks(pair, shape)
-    q = _quantize(pair, level)
-    bw = q.shape[1]
-    q = q.reshape(-1, 64).T
     y, x = np.divmod(np.asarray(pixels, dtype=np.intp), shape[1])
-    terms = q.take((y >> 3) * bw + (x >> 3), axis=1)
-    rows = _DCT.take(y & 7, axis=1)  # D[j, i] per pixel
-    cols = _DCT.take(x & 7, axis=1)  # D[k, l] per pixel
-    acc = np.zeros(y.size)
-    term = np.empty_like(acc)
-    for j in range(8):
-        for k in range(8):
-            np.multiply(rows[j], terms[8 * j + k], out=term)
-            term *= cols[k]
-            acc += term
+    blocks = q.reshape(-1, 64).T.take((y >> 3) * q.shape[1] + (x >> 3), axis=1)  # C-ordered
+    acc = _written_sums(blocks.reshape(8, 8, -1), _DCT.take(y & 7, axis=1),  # D[j, i]
+                        _DCT.take(x & 7, axis=1), nested=False)  # D[k, l]
     acc += 128.0
     acc += 0.5
     return np.clip(np.floor(acc, out=acc), 0, 255).astype(np.uint8)

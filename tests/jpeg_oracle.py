@@ -1,21 +1,37 @@
-"""Reference JPEG halves and tie-prone fixtures for the imaging tests.
+"""Reference JPEG halves, tie-prone fixtures and the other-BLAS-kernel
+run for the imaging tests.
 
 The references are numpy einsums. The forward DCT is one einsum on the
 (block row, block column, 8, 8) view of the padded image, whose sum order
 follows that view's layout; its coefficients are quantized by plain
 rounding. The inverse is one einsum that sums each pixel's 64 terms flat in
 j-major order from 0, acc += (D[j, i] Q[j, k]) D[k, l]. They share no code
-path with `cimark.imaging`'s matrix products or with its written-out
-re-sums (`_coefficients`, `_jpeg_pixels`), so both halves are checked
-against them where the order shows: at quantization ties at .5 in the
-forward half, and at ties at .5 before the floor in the inverse."""
+path with `cimark.imaging`'s matrix products or with its one written-order
+re-sum (`_written_sums`, reached through `_coefficients` and
+`_jpeg_pixels`), so both halves are checked against them where the order
+shows: at quantization ties at .5 in the forward half, and at ties at .5
+before the floor in the inverse. Both halves re-sum the values that
+`_near_ties` flags under one image-wide tolerance.
 
+`kernel_run` computes the digests of both halves and the golden sweep rows
+in one child process per OpenBLAS kernel, for the tests that compare them
+with the host's kernel."""
+
+import functools
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+from cimark.cli import BENCH_GRID
 from cimark.imaging import (_DCT, _LEVEL_SCALE, _QTABLE, _dct_pair, _quantize, jpeg_forward,
-                            jpeg_inverse)
+                            jpeg_inverse, synthetic_carrier, synthetic_watermark)
+from cimark.watermark import robustness_sweep
+
+# The golden sweep's keys (test_watermark's KEY1, KEY2).
+SWEEP_KEYS = (0x1111AAAA, 0x2222BBBB)
 
 # Shapes for the tie-prone cases: 1x1, sides of at most 8, sides that are
 # not multiples of 8 and a few frames of many blocks.
@@ -157,3 +173,33 @@ def forward_tie_digest() -> str:
             digest.update((_quantize(pair, level) + 0.0).tobytes())
             digest.update(jpeg_inverse(pair, level, img.shape).tobytes())
     return digest.hexdigest()
+
+
+def sweep_rows() -> list:
+    """The golden sweep's rows (test_watermark's GOLDEN_SWEEP) as lists,
+    each similarity in float hex."""
+    rows = robustness_sweep(synthetic_carrier(3), synthetic_watermark(0), *SWEEP_KEYS,
+                            BENCH_GRID, noise_seed=0x5EED)
+    return [[k, p, m, float(s).hex()] for k, p, m, s in rows]
+
+
+# Prints [forward_tie_digest(), tie_prone_digest(), sweep_rows()] as JSON.
+_KERNEL_SCRIPT = """
+import json
+from jpeg_oracle import forward_tie_digest, sweep_rows, tie_prone_digest
+print(json.dumps([forward_tie_digest(), tie_prone_digest(), sweep_rows()]))
+"""
+
+
+@functools.cache
+def kernel_run(core: str) -> subprocess.CompletedProcess:
+    """A child process that prints, as JSON, the forward tie digest, the
+    tie-prone digest and the golden sweep rows under the OpenBLAS kernel
+    `core`, selected in the child only. Run once per kernel and shared by
+    the tests of both halves."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+               PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", _KERNEL_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)

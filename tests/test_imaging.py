@@ -1,13 +1,13 @@
+import json
 import math
-import os
 import re
-import subprocess
-import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cimark import imaging
 from cimark.imaging import (
     _DCT,
     ImageFormatError,
@@ -32,9 +32,9 @@ from cimark.imaging import (
     synthetic_watermark,
 )
 from jpeg_oracle import (FORWARD_LEVELS, SUBSET_LEVELS, forward_tie_cases,
-                         forward_tie_digest, inverse_sums, reference_forward,
-                         reference_inverse, reference_quantize, span_blocks,
-                         steps_at, tie_prone_cases)
+                         forward_tie_digest, forward_tie_image, inverse_sums, kernel_run,
+                         reference_forward, reference_inverse, reference_quantize,
+                         span_blocks, steps_at, tie_prone_cases, tie_prone_pair)
 
 
 def byte_loop_header(data: bytes, magic: bytes, fields: int):
@@ -302,7 +302,7 @@ class TestJpegPixels:
             for level in SUBSET_LEVELS:
                 want = reference_inverse(pair, level, shape)
                 full = jpeg_inverse(pair, level, shape)
-                got = _jpeg_pixels(pair, level, shape, pixels)
+                got = _jpeg_pixels(_quantize(pair, level), shape, pixels)
                 assert full.dtype == got.dtype == np.uint8
                 assert np.array_equal(full, want), (shape, level)
                 assert np.array_equal(got, want.reshape(-1)[pixels]), (shape, level)
@@ -327,31 +327,78 @@ class TestJpegPixels:
         """Coefficients of about 8e9 whose terms cancel to ties: there the
         products' rounding exceeds 2^-30, so a fixed tolerance of the size
         uint8 images need (2^-36) would miss it; the tolerance scaled by
-        each block's coefficients catches it."""
+        the largest quantized coefficient catches it."""
         rng = np.random.default_rng(27)
         for bh, bw in ((1, 1), (2, 3), (4, 4)):
             pair = _cancelling_pair(rng, bh, bw)
             shape = (8 * bh - 3, 8 * bw - 1)
             want = reference_inverse(pair, 0.5, shape)
             assert np.array_equal(jpeg_inverse(pair, 0.5, shape), want)
-            assert np.array_equal(_jpeg_pixels(pair, 0.5, shape, np.arange(want.size)),
+            assert np.array_equal(_jpeg_pixels(_quantize(pair, 0.5), shape, np.arange(want.size)),
                                   want.reshape(-1))
         fast, v = _gemm_only(pair, 0.5, shape)
         wrong = fast != want
         assert wrong.any()
         assert (np.abs(v - np.rint(v))[wrong] > 2.0**-30).all()
 
+    def test_one_quantize_per_inverse(self):
+        """The pixel fix-up sums from the coefficients jpeg_inverse already
+        quantized: one _quantize call per inverse, also where the fix-up
+        runs."""
+        pair = tie_prone_pair(np.random.default_rng(32), 256, 256)
+        with mock.patch.object(imaging, "_quantize", wraps=_quantize) as quantize, \
+                mock.patch.object(imaging, "_jpeg_pixels", wraps=_jpeg_pixels) as pixels:
+            jpeg_inverse(pair, 0.5, (256, 256))
+        assert pixels.call_count == 1
+        assert quantize.call_count == 1
+
     def test_bad_level_rejected(self):
         pair = jpeg_forward(synthetic_carrier(1, 16))
         with pytest.raises(ValueError, match="level"):
-            _jpeg_pixels(pair, 0, (16, 16), [0])
+            jpeg_inverse(pair, 0, (16, 16))
 
     def test_bare_coefficients_refused(self):
         coef, _ = jpeg_forward(synthetic_carrier(1, 16))
         with pytest.raises(ValueError, match="pair"):
             jpeg_inverse(coef, 5, (16, 16))
-        with pytest.raises(ValueError, match="pair"):
-            _jpeg_pixels(coef, 5, (16, 16), [0])
+
+
+def _mixed_pair(rng, h, w, big):
+    """jpeg_forward's pair for forward_tie_image(rng, h, w), with the
+    blocks at odd (block row + block column) replaced by span_blocks of
+    integers in [-300, 300], tie-prone in the inverse, and block (0, 0) by
+    a block of _cancelling_pair's coefficients of about `big`. That block
+    holds the largest value of padded and of the quantized coefficients,
+    so it sets the one tolerance of every block in both halves."""
+    padded = jpeg_forward(forward_tie_image(rng, h, w))[1]
+    bh, bw = padded.shape[0] // 8, padded.shape[1] // 8
+    view = padded.reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3)
+    odd = np.add.outer(np.arange(bh), np.arange(bw)) % 2 == 1
+    view[odd] = span_blocks(*rng.integers(-300, 301, size=(4, np.count_nonzero(odd))))
+    small = rng.integers(-400, 401, size=4)
+    view[0, 0] = span_blocks(big + small[0], big + small[1], -big + small[2], -big + small[3])
+    return _dct_pair(padded)
+
+
+class TestSharedTolerance:
+    @pytest.mark.parametrize("big", [8 * 10**5, 8 * 10**9])
+    @pytest.mark.parametrize("shape", [(40, 48), (120, 8)], ids=str)
+    def test_mixed_magnitudes_equal_einsum(self, shape, big):
+        """One block of large cancelling coefficients next to small
+        tie-prone blocks: both halves equal the einsum references at every
+        forward tie level. At about 8e5 the tolerance stays below .5, so
+        only near-ties are summed again; at about 8e9 it exceeds .5 and
+        every value is."""
+        pair = _mixed_pair(np.random.default_rng(shape[1] + big % 7), *shape, big)
+        forward_ties = inverse_ties = 0
+        for level in FORWARD_LEVELS:
+            assert np.array_equal(_quantize(pair, level), reference_quantize(pair, level)), level
+            assert np.array_equal(jpeg_inverse(pair, level, shape),
+                                  reference_inverse(pair, level, shape)), level
+            exact = reference_forward(pair[1]) / steps_at(level)
+            forward_ties += np.count_nonzero(np.abs(exact % 1.0 - 0.5) < 1e-9)
+            inverse_ties += np.count_nonzero(np.abs(inverse_sums(pair, level) % 1.0 - 0.5) < 1e-9)
+        assert forward_ties >= 10 and inverse_ties >= 10
 
 
 # Shapes from 1x1 to 257x9; 1 to 33 block columns, one block column in five.
@@ -420,27 +467,14 @@ class TestJpegForward:
         assert max(wrong) > 2.0**-36
 
 
-# Prints the digest of _quantize over the forward tie cases; run in a child
-# process under another OpenBLAS kernel.
-_FORWARD_KERNEL_SCRIPT = """
-from jpeg_oracle import forward_tie_digest
-print(forward_tie_digest())
-"""
-
-
 @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
 def test_jpeg_forward_independent_of_blas_kernel(core):
     """jpeg_forward's matrix products run on whichever OpenBLAS kernel the
     host picks; the quantized coefficients of the forward tie cases are the
     same under two other kernels, selected in the child only."""
-    tests = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(tests), "src")
-    env = dict(os.environ, OPENBLAS_CORETYPE=core,
-               PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", _FORWARD_KERNEL_SCRIPT], env=env,
-                         capture_output=True, text=True, timeout=300)
+    run = kernel_run(core)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == forward_tie_digest()
+    assert json.loads(run.stdout)[0] == forward_tie_digest()
 
 
 class TestNoise:

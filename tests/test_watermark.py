@@ -1,10 +1,7 @@
 import hashlib
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -12,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cimark import imaging
 from cimark.cli import BENCH_GRID
 from cimark.generator import CiGenerator, XorShift32
 from cimark.imaging import (
@@ -36,9 +34,9 @@ from cimark.watermark import (
 )
 from cimark.watermark import (_distinct_addresses, _key_stream, _lsc_at, _msc_bytes,
                               _schedule, _strategy_seed, _write)
-from jpeg_oracle import tie_prone_digest
+from jpeg_oracle import SWEEP_KEYS, kernel_run, tie_prone_digest
 
-KEY1, KEY2 = 0x1111AAAA, 0x2222BBBB
+KEY1, KEY2 = SWEEP_KEYS
 
 # Bit planes, 7 = most significant: the MSCs and the LSCs of a pixel.
 MSC_BITS = (7, 6, 5, 4)
@@ -845,32 +843,29 @@ def test_golden_sweep():
     assert [(k, p, m, float(s).hex()) for k, p, m, s in rows] == GOLDEN_SWEEP
 
 
-# Prints the digest of jpeg_inverse over the tie-prone JPEG cases and the
-# golden sweep's rows; run in a child process under another OpenBLAS kernel.
-_KERNEL_SCRIPT = f"""
-import json
-from cimark.cli import BENCH_GRID
-from cimark.imaging import synthetic_carrier, synthetic_watermark
-from cimark.watermark import robustness_sweep
-from jpeg_oracle import tie_prone_digest
-rows = robustness_sweep(synthetic_carrier(3), synthetic_watermark(0), {KEY1}, {KEY2},
-                        BENCH_GRID, noise_seed=0x5EED)
-print(json.dumps([tie_prone_digest(), [[k, p, m, float(s).hex()] for k, p, m, s in rows]]))
-"""
-
-
 @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
 def test_jpeg_inverse_independent_of_blas_kernel(core):
     """jpeg_inverse's matrix products run on whichever OpenBLAS kernel the
     host picks; its output on the tie-prone cases and the golden sweep rows
     are the same under two other kernels, selected in the child only."""
-    tests = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(tests), "src")
-    env = dict(os.environ, OPENBLAS_CORETYPE=core,
-               PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", _KERNEL_SCRIPT], env=env,
-                         capture_output=True, text=True, timeout=300)
+    run = kernel_run(core)
     assert run.returncode == 0, run.stderr
-    ties, rows = json.loads(run.stdout)
+    _, ties, rows = json.loads(run.stdout)
     assert ties == tie_prone_digest()
     assert [tuple(r) for r in rows] == GOLDEN_SWEEP
+
+
+def test_sweep_jpeg_fixup_stays_small():
+    """On marked carriers, the sweep's JPEG cells hand jpeg_inverse's
+    written-order re-sum a few pixels per call at most (none or 1-2 with
+    the tolerance as it is), so a tolerance wide enough to send them down
+    that slow path fails here."""
+    grid = [cell for cell in BENCH_GRID if cell[0] == "jpeg"]
+    with mock.patch.object(imaging, "_quantize", wraps=imaging._quantize) as quantize, \
+            mock.patch.object(imaging, "_jpeg_pixels", wraps=imaging._jpeg_pixels) as pixels:
+        for seed in range(3):
+            robustness_sweep(synthetic_carrier(seed), synthetic_watermark(seed), KEY1, KEY2,
+                             grid, noise_seed=0x5EED)
+    assert quantize.call_count == 3 * 2 * len(grid)  # one per inverse: each seed, mode, level
+    handed = [len(call.args[2]) for call in pixels.call_args_list]
+    assert max(handed, default=0) <= 16, handed
