@@ -247,6 +247,10 @@ def _dct_matrix() -> np.ndarray:
 
 _DCT = _dct_matrix()
 
+# Outputs per block of _written_sums: one j's (8, block) float64 products,
+# 512 KiB, stay in L2 cache, which the (8, n) products of every value of a
+# 256x256 image (4 MiB) do not. Shorter blocks pay more ufunc calls.
+_SUM_BLOCK = 8192
 
 # Calibration of "compression level" to a quantization-table scale. The
 # similarity column of the robustness benchmark pins this: levels 2..20 must
@@ -308,22 +312,27 @@ def _written_sums(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, nested: boo
     each is numpy einsum's order for that half's subscripts, and the
     imaging tests pin both to the einsum. The matrix products are summed
     again in them wherever the order can show (_near_ties). Each product
-    and each sum is one ufunc pass over a row of n outputs.
+    and each sum is one ufunc pass over a row of up to _SUM_BLOCK outputs,
+    block by block, so the (8, block) products of one j stay in cache.
     """
-    acc = np.zeros(x.shape[-1])
-    inner = np.empty_like(acc)
-    terms = np.empty(x.shape[1:])  # (k, n) for one j
-    for j in range(8):
-        np.multiply(rows[j], x[j], out=terms)
-        terms *= cols
-        if nested:
-            inner.fill(0.0)
-            for term in terms:
-                inner += term
-            acc += inner
-        else:
-            for term in terms:
-                acc += term
+    n = x.shape[-1]
+    acc = np.zeros(n)
+    inner = np.empty(min(n, _SUM_BLOCK))
+    terms = np.empty((8, inner.size))  # (k, block) for one j
+    for s in range(0, n, _SUM_BLOCK):
+        e = min(n, s + _SUM_BLOCK)
+        out, part, prod = acc[s:e], inner[:e - s], terms[:, :e - s]
+        for j in range(8):
+            np.multiply(rows[j, s:e], x[j, :, s:e], out=prod)
+            prod *= cols[:, s:e]
+            if nested:
+                part.fill(0.0)
+                for term in prod:
+                    part += term
+                out += part
+            else:
+                for term in prod:
+                    out += term
     return acc
 
 

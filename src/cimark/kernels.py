@@ -6,10 +6,12 @@ for XORshift chains, `ci_fill` for generator rounds.
 
 The XORshift fill jumps ahead with cached byte tables of the round matrix
 raised to powers of two: short chains by doubling, long ones by stepping
-32-word lanes, whose starts the tables jump to, as one vector. The
-generator kernel draws its strategy words in that lane layout and never
-puts them into stream order; of its length words it reads only the low
-bits, 32 at a time through one more table map. It works through the flips
+32-word lanes, whose starts the tables jump to, as one vector. One more
+cached table map reads the low b <= 16 bits of 32 consecutive words from
+one word of a T^32 chain: `ci_fill`'s length bits (b = 1) and the
+watermark's strategy cells at a power-of-two watermark size are read
+through it. The generator kernel draws its strategy words in the lane
+layout and never puts them into stream order. It works through the flips
 in chunks of a fixed power of two, one lane row at a time: each row is
 stepped, reduced to cells, turned into one-hot flip masks in 32-bit state
 words and prefix-XORed while it is in cache. Each round's state is
@@ -92,11 +94,13 @@ def xorshift_step(word: int) -> int:
 # chunk; its output row is the leading ceil(N/8) bytes of its state words.
 # At each chunk's end the carried state takes the XOR of all its flips.
 #
-# A round reads only the low bit of its length word (m = c + bit). The low
-# bit of T^t(z) is a linear function of z, so one map E gives the low bits
-# of 32 consecutive words at once: bit 31 - t of E(z) is the low bit of
-# T^t(z). E is applied to each word of the T^32 chain of the length words:
-# 2 word lookups per 32 rounds, not the 32 of a full-word fill. Rounds are
+# The low b bits of T^t(z) are a linear function of z, so one map E_b
+# gives the low b bits of 32 consecutive words at once: column t of E_b(z)
+# is T^t(z) & (2^b - 1). Its byte tables hold a row of 32 uint8 or uint16
+# values per byte value, XORed as 4 or 8 uint64 words; E_b is applied to
+# each word of a T^32 chain. A round reads only the low bit of its length
+# word (m = c + bit), so its length bits are E_1 of the T^32 chain of the
+# length words: 4 row lookups per 32 rounds, not a full-word fill. Rounds are
 # taken in blocks of _LENGTH_BLOCK, with last flips counted as int64 from
 # the call's first. The first block fills its chain by doubling; each later
 # block's chain is the one before jumped by T^_LENGTH_BLOCK, one table pass,
@@ -116,6 +120,7 @@ _MAX_CELLS = 32 * (_CHUNK_FLIPS // _LANE)
 _LENGTH_BLOCK = 1 << 14
 _LANE_MIN = 1 << 16  # shortest xorshift_fill that steps lanes
 _LANE_BLOCK = 1 << 18  # words per transposed block; keeps the transpose in cache
+_LOW_BITS_MAX = 16  # widest low-bits read: its tables hold uint16 values
 
 
 def _xs_columns():
@@ -124,10 +129,11 @@ def _xs_columns():
 
 
 def _byte_tables(cols):
-    """(4, 256) tables of the matrix with uint32 columns `cols`: row b maps
-    the value of byte b (b = 0 least significant) to its image."""
-    tab = np.zeros((4, 256), dtype=np.uint32)
-    c = cols.reshape(4, 8, 1)
+    """(4, 256, ...) tables of the linear map with columns `cols`, the images
+    of the 32 basis words (each a word or a row of values): row b maps the
+    value of byte b (b = 0 least significant) to its image."""
+    tab = np.zeros((4, 256) + cols.shape[1:], dtype=cols.dtype)
+    c = cols.reshape(4, 8, 1, *cols.shape[1:])
     for i in range(8):
         tab[:, 1 << i:2 << i] = tab[:, :1 << i] ^ c[:, i]
     tab.flags.writeable = False  # cached: every caller reads the same tables
@@ -135,12 +141,13 @@ def _byte_tables(cols):
 
 
 def _apply_tables(tab, v, out):
-    """out = M v for each word of the contiguous uint32 array v."""
+    """out = M v for each word of the contiguous uint32 array v: one image,
+    a word or a row of values, per word."""
     b = v.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
-    np.take(tab[0], b[:, 0], out=out)
-    out ^= tab[1].take(b[:, 1])
-    out ^= tab[2].take(b[:, 2])
-    out ^= tab[3].take(b[:, 3])
+    np.take(tab[0], b[:, 0], axis=0, out=out)
+    out ^= tab[1].take(b[:, 1], axis=0)
+    out ^= tab[2].take(b[:, 2], axis=0)
+    out ^= tab[3].take(b[:, 3], axis=0)
 
 
 @functools.cache
@@ -156,14 +163,16 @@ def _jump_table(k):
 
 
 @functools.cache
-def _low_bit_table():
-    """Byte tables of E, which reads 32 round lengths at once: bit 31 - t of
-    E(z) is the low bit of T^t(z), for t = 0..31."""
+def _low_bit_tables(b):
+    """(4, 256, 32) byte tables of E_b, which reads the low b bits of 32
+    words at once, b <= _LOW_BITS_MAX: column t of E_b(z) is T^t(z) &
+    (2^b - 1), for t = 0..31. Entries are uint8 up to b = 8, else uint16."""
+    cols = np.empty((32, 32), dtype=np.uint8 if b <= 8 else np.uint16)
     w = np.uint32(1) << np.arange(32, dtype=np.uint32)  # basis words, stepped
     nxt, t = np.empty(32, dtype=np.uint32), np.empty(32, dtype=np.uint32)
-    cols = np.zeros(32, dtype=np.uint32)
-    for b in range(31, -1, -1):
-        cols |= (w & 1) << b
+    mask = np.uint32((1 << b) - 1)
+    for i in range(32):
+        cols[:, i] = w & mask
         _step(w, nxt, t)
         w, nxt = nxt, w
     return _byte_tables(cols)
@@ -211,18 +220,20 @@ def _length_chain(state, n):
     return z
 
 
-def _low_bits(z, n):
-    """Low bits of the first n >= 1 words of the chain whose every 32nd word
-    is z (see _length_chain), as a uint8 array, and the last of those words:
-    E reads word 32q and the 31 after it from word 32q."""
+def _low_bits(z, n, b):
+    """Low b bits (0 <= b <= _LOW_BITS_MAX) of the first n >= 1 words of
+    the chain whose every 32nd word is z (see _length_chain), in stream
+    order, and the last of those words: E_b reads word 32q and the 31
+    after it from word 32q."""
     q = -(-n // 32)
-    e = np.empty(q, dtype=np.uint32)
-    _apply_tables(_low_bit_table(), z[:q], e)
-    bits = np.unpackbits(e.astype(">u4").view(np.uint8), count=n)
+    tab = _low_bit_tables(b)
+    wide = tab.view(np.uint64)  # a row of 32 values as 4 or 8 wider words
+    out = np.empty((q, wide.shape[-1]), dtype=np.uint64)
+    _apply_tables(wide, z[:q], out)
     state = int(z[q - 1])
     for _ in range((n - 1) & 31):
         state = xorshift_step(state)
-    return bits, state
+    return out.view(tab.dtype).reshape(-1)[:n], state
 
 
 def _flip_prefix(starts, n, pre, tot, rows):
@@ -324,7 +335,7 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
         if r0:  # this block's chain: the one before, jumped by T^per
             _apply_tables(_jump_table(per.bit_length() - 1), z, jumped)
             z, jumped = jumped, z
-        odd, s1 = _low_bits(z, r1 - r0)
+        odd, s1 = _low_bits(z, r1 - r0, 1)
         last = odd + np.int64(c)  # each round's flips
         np.cumsum(last, out=last)
         last += end  # each round's last flip, counted from the call's first

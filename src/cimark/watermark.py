@@ -27,7 +27,7 @@ from .imaging import (_check_angle, _check_gray, _check_level, _check_noise_seed
                       _check_sigma, _crop_side, add_offsets, crop_attack,
                       gaussian_noise_attack, jpeg_attack, jpeg_forward, jpeg_inverse,
                       noise_offsets, remap, rotate_attack, rotation_map)
-from .kernels import xorshift_fill
+from .kernels import _LOW_BITS_MAX, _length_chain, _low_bits, xorshift_fill
 
 FOLD_INIT = 0x811C9DC5  # nonzero so the all-zero MSC plane still digests
 
@@ -197,6 +197,10 @@ def _key_stream(derived, mix: str, n: int, m_total: int, count: int):
     seeds. The addresses are the first `count` distinct terms of the
     doubling recurrence over the same sequence, from its first flip on.
     XORing with the mask mixes the watermark and unmixes it again.
+
+    At n = 2^b, b <= 16 (the default 64x64 watermark included), the
+    strategy values are read through the kernels' low-bits table map, 32
+    words per T^32 chain word, as `ci_fill` reads its length bits.
     """
     if n < 1:
         raise ValueError("the watermark must hold at least one bit")
@@ -205,9 +209,18 @@ def _key_stream(derived, mix: str, n: int, m_total: int, count: int):
     s1p, s2p = derived
     flips = 6 * n + int((xorshift_fill(s1p, 2)[0] & 1).sum())
     gen2 = XorShift32(_strategy_seed(s1p, s2p))
-
-    def draw(k):
-        return gen2.fill(k) % np.uint32(n)
+    b = n.bit_length() - 1
+    # A cell is its strategy word mod n. For n = 2^b that is the word's low
+    # b bits, a linear map of the generator state, so _low_bits reads them 32
+    # words per T^32 chain word; word mod n is not linear for other n, nor
+    # held in its 16-bit tables past 2^16, so those n reduce whole words.
+    if n == 1 << b and b <= _LOW_BITS_MAX:
+        def draw(k):
+            cells, gen2.word = _low_bits(_length_chain(gen2.word, k), k, b)
+            return cells
+    else:
+        def draw(k):
+            return gen2.fill(k) % np.uint32(n)
 
     cells = draw(flips)
     addresses = _distinct_addresses(cells, draw, m_total, count)

@@ -327,29 +327,36 @@ def test_jump_tables_match_matrix_powers():
 
 
 def test_low_bit_table_reads_32_low_bits():
-    """Bit 31 - t of column j of E is the low bit of T^t(2^j), for t = 0..31,
-    stepped with the scalar round."""
-    tab = kernels._low_bit_table()
-    for j in range(32):
-        w, expected = 1 << j, 0
-        for t in range(32):
-            expected |= (w & 1) << (31 - t)
-            w = xorshift_step(w)
-        assert int(tab[j // 8, 1 << (j % 8)]) == expected, j
+    """Column t of the image of each basis word 2^j under E_b is the low b
+    bits of T^t(2^j), for t = 0..31, stepped with the scalar round; at b = 1,
+    5, 12 and 16, in uint8 tables up to b = 8 and uint16 past it."""
+    for b in (1, 5, 12, 16):
+        tab = kernels._low_bit_tables(b)
+        assert tab.shape == (4, 256, 32)
+        assert tab.dtype == (np.uint8 if b <= 8 else np.uint16)
+        for j in range(32):
+            w, expected = 1 << j, []
+            for t in range(32):
+                expected.append(w & ((1 << b) - 1))
+                w = xorshift_step(w)
+            assert tab[j // 8, 1 << (j % 8)].tolist() == expected, (b, j)
 
 
 def test_low_bits_match_scalar_chain():
-    """The length bits are the low bits of the scalar chain, and the word
-    returned is its last, for draws that end on, before and after a 32-word
-    slice, and from the all-ones word and the zero-seed fallback."""
+    """The low b bits, for every b from 0 to 16, are those of the scalar
+    chain, and the word returned is its last, for draws that end on, before
+    and after a 32-word slice, and from the all-ones word and the zero-seed
+    fallback."""
     sizes = (1, 2, 31, 32, 33, 63, 64, 65, 5_405, 1 << 14, (1 << 16) + 5)
     for state in (1, 0xFFFFFFFF, ZERO_SEED_FALLBACK):
         ref = scalar_chain(state, sizes[-1])
         for n in sizes:
-            bits, end = kernels._low_bits(kernels._length_chain(state, n), n)
-            assert bits.dtype == np.uint8
-            assert np.array_equal(bits, ref[:n] & 1), (state, n)
-            assert end == int(ref[n - 1]), (state, n)
+            z = kernels._length_chain(state, n)
+            for b in range(kernels._LOW_BITS_MAX + 1):
+                bits, end = kernels._low_bits(z, n, b)
+                assert bits.size == n and bits.dtype.itemsize <= 2
+                assert np.array_equal(bits, ref[:n] & ((1 << b) - 1)), (state, n, b)
+                assert end == int(ref[n - 1]), (state, n, b)
 
 
 def deficient_batch(rng, count, nrows, ncols, weights):

@@ -20,6 +20,7 @@ from cimark.imaging import (
     synthetic_carrier,
     synthetic_watermark,
 )
+from cimark.kernels import xorshift_step
 from cimark.watermark import (
     ATTACKS,
     FOLD_INIT,
@@ -386,6 +387,29 @@ class TestDistinctAddresses:
         assert got.tolist() == want
         # whether the first scan, of count + count // 8 + 64 values, suffices
         assert reach == ("prefix" if last < count + count // 8 + 64 else "rescan")
+
+    @pytest.mark.parametrize("n_mix, m_total, count, reach", [
+        (1, 50, 30, "prefix"),                                   # b = 0: every cell 0
+        *[(1 << b, 300, 40, "prefix") for b in range(1, 17)],    # table reads
+        (1 << 17, 300, 40, "prefix"),                            # past 16 bits: word mod n
+        (4095, 300, 40, "prefix"),                               # not a power of two
+        (64, 256, 256, "rescan"),  # only the rescan draws on after the table read
+    ])
+    def test_key_stream_equals_words_mod_n(self, n_mix, m_total, count, reach):
+        """Both ways of drawing the strategy cells, low-bit table reads at
+        n = 2^b up to 2^16 and whole words mod n elsewhere, give the mask and
+        the addresses of the XORshift words mod n."""
+        first = xorshift_step(self.DERIVED[0])
+        flips = 6 * n_mix + (first & 1) + (xorshift_step(first) & 1)
+        s = self.strategy(n_mix, max(flips, 16 * count + 4097))
+        want, last = distinct_addresses_reference(s, m_total, count)
+        mask, got = _key_stream(self.DERIVED, "ci", n_mix, m_total, count)
+        assert got.tolist() == want
+        assert np.array_equal(mask, np.bincount(s[:flips], minlength=n_mix) & 1)
+        first_scan = count + count // 8 + 64
+        assert reach == ("prefix" if last < first_scan else "rescan")
+        if reach == "rescan":  # it reads words drawn after the table read
+            assert first_scan <= flips <= last
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 40), m_total=st.integers(1, 300), count=st.integers(1, 300),
