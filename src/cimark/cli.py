@@ -290,6 +290,7 @@ def cmd_bench(args) -> int:
             "rows": [{"attack": k, "parameter": p, "mode": m, "similarity": s}
                      for k, p, m, s in rows],
             "seconds": seconds,  # the sweep alone, not the image loads
+            "shared_work": watermark.shared_work(BENCH_GRID),
             "peak_rss_mb": bat._peak_rss_mb(),
         }, indent=2))
     return 0

@@ -249,7 +249,8 @@ _DCT = _dct_matrix()
 
 # Outputs per block of _written_sums: one j's (8, block) float64 products,
 # 512 KiB, stay in L2 cache, which the (8, n) products of every value of a
-# 256x256 image (4 MiB) do not. Shorter blocks pay more ufunc calls.
+# 256x256 image (4 MiB) do not, and the terms gathered for them stay within
+# a block. Shorter blocks pay more ufunc calls.
 _SUM_BLOCK = 8192
 
 # Calibration of "compression level" to a quantization-table scale. The
@@ -301,30 +302,39 @@ def _check_blocks(pair, shape) -> None:
                          f"{tuple(shape)}, whose blocks are {grid}")
 
 
-def _written_sums(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, nested: bool) -> np.ndarray:
-    """For each of n outputs, the sum over j and k of the 64 terms
-    (rows[j] x[j, k]) cols[k], with x of shape (8, 8, n) and rows, cols of
-    shape (8, n), in a written order. Nested: for each j from 0, an inner
-    sum over k from 0 is added to the result. Flat: all 64 terms in j-major
-    order from 0.
+def _written_sums(flat: np.ndarray, base: np.ndarray, stride: int, rows, cols,
+                  nested: bool) -> np.ndarray:
+    """For each output t of n = base.size, the sum over j and k of the 64
+    terms (R[j, r[t]] x[j, k]) C[k, c[t]], with (R, r) = rows, (C, c) =
+    cols, R and C (8, 8), and x the 8x8 block of `flat` at base[t] with row
+    stride `stride`, x[j, k] = flat[base[t] + j stride + k]; in a written
+    order. Nested: for each j from 0, an inner sum over k from 0 is added
+    to the result. Flat: all 64 terms in j-major order from 0.
 
     These orders define both JPEG halves (_coefficients, _jpeg_pixels):
     each is numpy einsum's order for that half's subscripts, and the
     imaging tests pin both to the einsum. The matrix products are summed
-    again in them wherever the order can show (_near_ties). Each product
-    and each sum is one ufunc pass over a row of up to _SUM_BLOCK outputs,
-    block by block, so the (8, block) products of one j stay in cache.
+    again in them wherever the order can show (_near_ties). Outputs run in
+    blocks of up to _SUM_BLOCK; within one, each j gathers its (8, block)
+    terms, so memory past the n sums is bounded by the block, and each
+    product and each sum is one ufunc pass over a row of the block.
     """
-    n = x.shape[-1]
+    n = base.size
     acc = np.zeros(n)
     inner = np.empty(min(n, _SUM_BLOCK))
     terms = np.empty((8, inner.size))  # (k, block) for one j
+    column = np.arange(8)[:, None]
+    where = np.empty(terms.shape, dtype=np.intp)
     for s in range(0, n, _SUM_BLOCK):
         e = min(n, s + _SUM_BLOCK)
-        out, part, prod = acc[s:e], inner[:e - s], terms[:, :e - s]
+        out, part, prod, at = acc[s:e], inner[:e - s], terms[:, :e - s], where[:, :e - s]
+        rows_b = rows[0].take(rows[1][s:e], axis=1)
+        cols_b = cols[0].take(cols[1][s:e], axis=1)
         for j in range(8):
-            np.multiply(rows[j, s:e], x[j, :, s:e], out=prod)
-            prod *= cols[:, s:e]
+            np.add(base[s:e], j * stride + column, out=at)
+            flat.take(at, out=prod, mode="wrap")  # every index is in range
+            prod *= rows_b[j]
+            prod *= cols_b
             if nested:
                 part.fill(0.0)
                 for term in prod:
@@ -374,10 +384,9 @@ def _coefficients(padded: np.ndarray, idx) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.intp)
     ww = padded.shape[1]
     a, b = np.divmod(idx >> 6, ww // 8)
-    offsets = (np.arange(8)[:, None] * ww + np.arange(8)).reshape(8, 8, 1)  # (j, k)
-    blocks = padded.reshape(-1).take(8 * (a * ww + b) + offsets)  # B[j, k] per coefficient
-    return _written_sums(blocks, _DCT.T.take((idx >> 3) & 7, axis=1),  # D[i, j]
-                         _DCT.T.take(idx & 7, axis=1), ww > 8)  # D[l, k]
+    return _written_sums(padded.reshape(-1), 8 * (a * ww + b), ww,  # block B of each
+                         (_DCT.T, (idx >> 3) & 7),  # D[i, j]
+                         (_DCT.T, idx & 7), ww > 8)  # D[l, k]
 
 
 def _quantize(pair, level: float) -> np.ndarray:
@@ -444,9 +453,9 @@ def _jpeg_pixels(q: np.ndarray, shape, pixels) -> np.ndarray:
     inverse.
     """
     y, x = np.divmod(np.asarray(pixels, dtype=np.intp), shape[1])
-    blocks = q.reshape(-1, 64).T.take((y >> 3) * q.shape[1] + (x >> 3), axis=1)  # C-ordered
-    acc = _written_sums(blocks.reshape(8, 8, -1), _DCT.take(y & 7, axis=1),  # D[j, i]
-                        _DCT.take(x & 7, axis=1), nested=False)  # D[k, l]
+    acc = _written_sums(q.reshape(-1), 64 * ((y >> 3) * q.shape[1] + (x >> 3)), 8,  # Q[a, b]
+                        (_DCT, y & 7),  # D[j, i]
+                        (_DCT, x & 7), nested=False)  # D[k, l]
     acc += 128.0
     acc += 0.5
     return np.clip(np.floor(acc, out=acc), 0, 255).astype(np.uint8)
@@ -463,14 +472,31 @@ def jpeg_attack(img, level: float) -> np.ndarray:
     return jpeg_inverse(jpeg_forward(a), level, a.shape)
 
 
+def standard_noise(shape, seed: int) -> np.ndarray:
+    """The draw behind noise_offsets: one standard normal z per pixel of an
+    image of `shape`, from default_rng(seed); seed must be a non-negative
+    integer. It does not depend on sigma, so one draw serves every sigma."""
+    _check_noise_seed(seed)
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def scaled_noise(z: np.ndarray, sigma: float) -> np.ndarray:
+    """The offsets of a standard_noise draw z at a checked sigma: sigma z
+    rounded half away from zero. numpy's normal(0, sigma) returns
+    0 + sigma z for the same z, so these are the offsets of N(0, sigma^2)
+    drawn from that generator."""
+    noise = sigma * z
+    out = np.abs(noise)
+    out += 0.5
+    return np.copysign(np.floor(out, out=out), noise, out=out)
+
+
 def noise_offsets(shape, sigma: float, seed: int) -> np.ndarray:
     """First half of gaussian_noise_attack: independent N(0, sigma^2) per
     pixel of an image of `shape`, rounded half away from zero; seed must
     not be None."""
     _check_sigma(sigma)
-    _check_noise_seed(seed)
-    noise = np.random.default_rng(seed).normal(0.0, sigma, size=shape)
-    return np.sign(noise) * np.floor(np.abs(noise) + 0.5)
+    return scaled_noise(standard_noise(shape, seed), sigma)
 
 
 def add_offsets(img, offsets: np.ndarray) -> np.ndarray:

@@ -26,12 +26,13 @@ from .generator import CiGenerator, XorShift32, _rotl32, _whole, seed_word
 from .imaging import (_check_angle, _check_gray, _check_level, _check_noise_seed,
                       _check_sigma, _crop_side, add_offsets, crop_attack,
                       gaussian_noise_attack, jpeg_attack, jpeg_forward, jpeg_inverse,
-                      noise_offsets, remap, rotate_attack, rotation_map)
+                      remap, rotate_attack, rotation_map, scaled_noise, standard_noise)
 from .kernels import _LOW_BITS_MAX, _length_chain, _low_bits, xorshift_fill
 
 FOLD_INIT = 0x811C9DC5  # nonzero so the all-zero MSC plane still digests
 
-# Largest modulus whose address scan stays in int64: (M - 1) + (M - 1)^2 < 2^63.
+# Largest modulus whose address scan stays in int64: (M - 1) + (M - 1)^2 < 2^63
+# in its carry pass.
 _SCAN_INT64_MAX_M = 1 << 31
 
 
@@ -98,19 +99,31 @@ def derive_strategy_seed(key: EmbeddingKey, msc) -> tuple:
             seed_word(key.seed2 ^ _rotl32(digest, 7)))
 
 
+def _block_length(m_total: int) -> int:
+    """B of the blocked address scan: the largest power of two with
+    2^B M < 2^62, or 1 where none is (M >= 2^61)."""
+    b = 1
+    while m_total << 2 * b < 1 << 62:
+        b *= 2
+    return b
+
+
 def embedding_sequence(s_values, m_total: int, count: int) -> np.ndarray:
     """U_0 .. U_{count-1} of the doubling recurrence over the strategy
     values: U_0 = S_0 mod M and U_{k+1} = (S_{k+1} + 2 U_k + k) mod M.
 
-    Step k >= 1 is the affine map u -> 2u + (S_k + k - 1) (mod M) and U_0 is
-    the constant S_0 mod M. A log-depth (Hillis-Steele) scan composes the
-    maps: before the pass with offset d, entry i holds the composition of
-    the steps (i - d, i]. Once that window reaches step 0 the entry is U_i;
-    otherwise (i >= d) its multiplier is exactly 2^d, so the pass
-    u[i] += 2^d u[i - d] is one vector multiply-add. Moduli past int64
-    range run the same scan on Python integers, so the result is exact for
-    any M. Each reduction mod M is x - (x // M) M in two buffers allocated
-    once (numpy divides by a scalar with libdivide, faster than its `%`).
+    With t_0 = S_0 and t_k = S_k + k - 1 (mod M), U_k is the sum of
+    2^(k - j) t_j over j <= k. The scan is two-level (Blelloch, "Prefix
+    sums and their applications", 1990). The terms are cut into blocks of
+    B = _block_length(M), and each block is summed in place by
+    shift-doubling, v[i] += v[i - d] << d for d = 1, 2, .., B / 2. No sum
+    inside a block reaches 2^B M < 2^62, so no pass reduces. The block
+    ends, reduced once, are joined by the affine scan E_b = 2^B E_{b-1} +
+    e_b (mod M), a log-depth multiply-add on the block ends only; then
+    U = 2^(i+1) E_{b-1} + v[i] at offset i of block b, and one reduction
+    finishes. Moduli past int64 range (M > 2^31, where a carry product
+    could pass 2^63) run the same scan on Python integers, so the result
+    is exact for any M.
     """
     if m_total < 1:
         raise ValueError("M must be >= 1")
@@ -118,28 +131,35 @@ def embedding_sequence(s_values, m_total: int, count: int) -> np.ndarray:
     if s.size < count:
         raise ValueError("not enough strategy values")
     dtype = np.int64 if m_total <= _SCAN_INT64_MAX_M else object
-    u = s[:count].astype(dtype)
-    step = np.empty_like(u)
-    quot = np.empty_like(u)
+    b = _block_length(m_total)
 
-    def reduce(x):  # x mod M, in place
-        q = quot[:x.size]
-        np.floor_divide(x, m_total, out=q)
+    def reduce(x):  # x mod M in place; numpy's // by a scalar (libdivide) beats its %
+        q = x // m_total
         q *= m_total
         x -= q
 
-    reduce(u)
-    u[1:] += np.arange(u.size - 1).astype(dtype)
-    reduce(u[1:])
+    t = np.zeros(-(-count // b) * b, dtype=dtype)  # whole blocks, zero past count
+    t[:count] = s[:count]
+    reduce(t)
+    t[1:count] += np.arange(count - 1).astype(dtype)
+    reduce(t[1:count])
+    v = t.reshape(-1, b).T.copy()  # v[i, block]: each pass below runs on whole rows
     d = 1
-    while d < u.size:
-        x = step[:u.size - d]
-        np.multiply(u[:-d], pow(2, d, m_total), out=x)
-        x += u[d:]
-        reduce(x)
-        u[d:] = x
+    while d < b:
+        v[d:] += v[:-d] << d
         d *= 2
-    return u.astype(np.int64)
+    ends = v[-1].copy()
+    reduce(ends)
+    d = 1
+    while d < ends.size:
+        x = ends[:-d] * pow(2, b * d, m_total)
+        x += ends[d:]
+        reduce(x)
+        ends[d:] = x
+        d *= 2
+    v[:, 1:] += ends[:-1] << np.arange(1, b + 1).astype(dtype)[:, None]
+    reduce(v)
+    return v.T.reshape(-1)[:count].astype(np.int64)
 
 
 def _strategy_seed(s1p: int, s2p: int) -> int:
@@ -147,6 +167,24 @@ def _strategy_seed(s1p: int, s2p: int) -> int:
     flipped seed bit re-keys the mask and the addresses, not just the
     chunk-length draws."""
     return seed_word(s2p ^ _rotl32(s1p, 16))
+
+
+def _first_occurrences(u, m_total: int) -> np.ndarray:
+    """Mask of the positions in `u` (values in [0, M)) that hold the first
+    occurrence of their value. One sort of the keys u_i L + i, L = u.size,
+    orders the values and, within one value, its positions, so the first
+    key of each value names its first position. The keys are int64 while
+    M L < 2^63 and Python integers past it."""
+    n = u.size
+    dtype = np.int64 if m_total * n < 1 << 63 else object
+    keys = u.astype(dtype) * n + np.arange(n).astype(dtype)
+    keys.sort()
+    value = keys // n
+    head = np.ones(n, dtype=bool)
+    np.not_equal(value[1:], value[:-1], out=head[1:])
+    first = np.zeros(n, dtype=bool)
+    first[(keys[head] - value[head] * n).astype(np.intp)] = True
+    return first
 
 
 def _distinct_addresses(cells, draw, m_total: int, count: int) -> np.ndarray:
@@ -159,29 +197,14 @@ def _distinct_addresses(cells, draw, m_total: int, count: int) -> np.ndarray:
     otherwise the sequence is scanned once more up to U_cap, cap =
     16 count + 4096. The recurrence is prefix-consistent, so a longer scan
     keeps every address a shorter one found.
-
-    First occurrences are found without a stable sort of every value: a
-    plain sort names the repeated values, a few dozen at 4,672 values over
-    M = 196,608, and only the positions holding them are put in order.
     """
     for length in (count + count // 8 + 64, 16 * count + 4096 + 1):
         if cells.size < length:
             cells = np.concatenate([cells, draw(length - cells.size)])
         u = embedding_sequence(cells, m_total, length)
-        ordered = np.sort(u)
-        again = ordered[1:] == ordered[:-1]
-        if u.size - np.count_nonzero(again) < count:
-            continue
-        repeated = ordered[1:][again]  # sorted, each value at least once
-        first = np.ones(u.size, dtype=bool)
-        if repeated.size:
-            at = np.searchsorted(repeated, u)
-            np.minimum(at, repeated.size - 1, out=at)
-            pos = np.flatnonzero(repeated[at] == u)
-            _, head = np.unique(u[pos], return_index=True)
-            first[pos] = False
-            first[pos[head]] = True
-        return u[first][:count]
+        first = _first_occurrences(u, m_total)
+        if np.count_nonzero(first) >= count:
+            return u[first][:count]
     raise RuntimeError("address generation did not converge")
 
 
@@ -338,9 +361,10 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     embeds once and every cell attacks that marked image; work that no
     parameter or mode changes is done once, through the same halves the
     attack functions compose: the forward DCT per marked image, the
-    rotation map per rotate cell, the noise offsets per noise cell, and the
-    unauth key schedule, which reads no pixel and serves the unauth embed
-    and every unauth read.
+    rotation map per rotate cell, one standard normal draw, scaled per
+    noise cell, and the unauth key schedule, which reads no pixel and
+    serves the unauth embed and every unauth read. shared_work counts this
+    work for a grid.
     """
     wm = np.asarray(wm, dtype=np.uint8) & 1
     if wm.ndim != 2:
@@ -359,7 +383,7 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     mask, addresses = _schedule(carrier, unauth, wm.size)
     marked = [_write(carrier, wm.reshape(-1) ^ mask, addresses, unauth.repetition),
               embed(carrier, wm, auth)]
-    pairs = None
+    pairs = z = None
     rows = []
     for kind, param in attacks:
         if kind == "jpeg":
@@ -369,7 +393,8 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
             rmap = rotation_map(shape, param)
             images = [remap(image, rmap) for image in marked]
         elif kind == "noise":
-            offsets = noise_offsets(shape, param, noise_seed)
+            z = standard_noise(shape, noise_seed) if z is None else z
+            offsets = scaled_noise(z, param)
             images = [add_offsets(image, offsets) for image in marked]
         else:
             images = [crop_attack(image, param) for image in marked]
@@ -377,3 +402,16 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
         rows.append((kind, param, "unauth", similarity(wm, got)))
         rows.append((kind, param, "auth", similarity(wm, extract(images[1], auth, wm.shape))))
     return rows
+
+
+def shared_work(attacks) -> dict:
+    """The work robustness_sweep runs over the grid `attacks`, by kind:
+    forward DCTs (one per marked image when a JPEG cell is present),
+    rotation maps (one per rotate cell), noise draws (one when a noise cell
+    is present) and key schedules (the shared unauth one, the auth embed's
+    and one per auth extract). An empty grid runs none."""
+    kinds = [kind for kind, _ in attacks]
+    return {"forward_dcts": 2 * ("jpeg" in kinds),
+            "rotation_maps": kinds.count("rotate"),
+            "noise_draws": int("noise" in kinds),
+            "key_schedules": 2 + len(kinds) if kinds else 0}

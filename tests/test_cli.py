@@ -395,6 +395,9 @@ class TestBench:
         assert len(payload["rows"]) == 30
         assert 0 < payload["seconds"] < 60
         assert payload["peak_rss_mb"] > 10
+        # test_shared_work_counted checks these counts against the calls made
+        assert payload["shared_work"] == {"forward_dcts": 2, "rotation_maps": 4,
+                                          "noise_draws": 1, "key_schedules": 17}
 
     def test_bench_requires_noise_seed(self, images):
         carrier, wm = images

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,8 @@ from cimark.imaging import (
     rotate_attack,
     save_pbm,
     save_pgm,
+    scaled_noise,
+    standard_noise,
     synthetic_carrier,
     synthetic_watermark,
 )
@@ -341,6 +344,25 @@ class TestJpegPixels:
         assert wrong.any()
         assert (np.abs(v - np.rint(v))[wrong] > 2.0**-30).all()
 
+    def test_all_pixels_in_bounded_memory(self):
+        """All 65,536 pixels of a 256x256 image of large cancelling
+        coefficients are summed again within a few MiB: the terms are
+        gathered per block of outputs, not as one (64, n) float64 array
+        (32 MiB), and so are the forward coefficients of its pixels."""
+        pair = _cancelling_pair(np.random.default_rng(28), 32, 32)
+        q = _quantize(pair, 0.5)
+        everything = np.arange(256 * 256)
+        tracemalloc.start()
+        try:
+            pixels = _jpeg_pixels(q, (256, 256), everything)
+            coef = _coefficients(pair[1], everything)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert np.array_equal(pixels, reference_inverse(pair, 0.5, (256, 256)).reshape(-1))
+        assert np.array_equal(coef, reference_forward(pair[1]).reshape(-1))
+
     def test_one_quantize_per_inverse(self):
         """The pixel fix-up sums from the coefficients jpeg_inverse already
         quantized: one _quantize call per inverse, also where the fix-up
@@ -512,6 +534,20 @@ class TestNoise:
             gaussian_noise_attack(img, 2.0, None)
         with pytest.raises(ValueError, match="explicit seed"):
             noise_offsets(img.shape, 2.0, None)
+
+    @pytest.mark.parametrize("seed", [0, 0x5EED, 2**32 - 1])
+    @pytest.mark.parametrize("sigma", [0.1, 1, 2, 3, 10])
+    def test_offsets_equal_rounded_normal_draw(self, seed, sigma):
+        """noise_offsets scales one standard normal draw; bit for bit that
+        is numpy's normal(0, sigma) from the same generator, rounded half
+        away from zero, because numpy computes loc + scale z. This pins the
+        identity on the installed numpy."""
+        n = np.random.default_rng(seed).normal(0.0, sigma, size=(61, 67))
+        want = np.sign(n) * np.floor(np.abs(n) + 0.5)
+        got = noise_offsets((61, 67), sigma, seed)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        z = standard_noise((61, 67), seed)
+        assert np.array_equal(scaled_noise(z, sigma).view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
     def test_seed_not_a_nonnegative_integer_rejected(self, seed):

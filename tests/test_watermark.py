@@ -31,10 +31,12 @@ from cimark.watermark import (
     extract,
     fold_digest,
     robustness_sweep,
+    shared_work,
     similarity,
 )
-from cimark.watermark import (_distinct_addresses, _key_stream, _lsc_at, _msc_bytes,
-                              _schedule, _strategy_seed, _write)
+from cimark.watermark import (_block_length, _distinct_addresses, _first_occurrences,
+                              _key_stream, _lsc_at, _msc_bytes, _schedule, _strategy_seed,
+                              _write)
 from jpeg_oracle import SWEEP_KEYS, kernel_run, tie_prone_digest
 
 KEY1, KEY2 = SWEEP_KEYS
@@ -344,11 +346,71 @@ class TestEmbeddingSequence:
         got = embedding_sequence(s, m_total, 3000)
         assert got.tolist() == doubling_reference(s, m_total, 3000)
 
+    @pytest.mark.parametrize("m_total", [1, 2, 3, 196_608, 2**31 - 1, 2**31, 2**31 + 1,
+                                         2**62 + 1])
+    def test_block_edges_match_reference(self, m_total):
+        """The blocked scan at counts one short of a block, one block, one
+        past it and two blocks and one, so the in-block doubling, the block
+        carries and the partial last block all run, on int64 (M <= 2^31) and
+        on Python integers (past it), against the step-at-a-time recurrence
+        over strategy values spanning the int64 range and over the largest
+        terms, t_k = M - 1 for every k, where every sum is at its bound."""
+        b = _block_length(m_total)
+        k = np.arange(2 * b + 1)
+        largest = (m_total - k) % m_total  # S_k + k - 1 = M - 1 (mod M), S_0 = M - 1
+        largest[0] = m_total - 1
+        spanning = np.random.default_rng(m_total % 1000).integers(
+            -2**63, 2**63 - 1, size=2 * b + 1, endpoint=True)
+        spanning[:2] = (-2**63, 2**63 - 1)
+        for s in (spanning, largest):
+            for count in (b - 1, b, b + 1, 2 * b + 1):
+                assert embedding_sequence(s, m_total, count).tolist() == \
+                    doubling_reference(s, m_total, count), count
+
+    def test_block_length_values(self):
+        """B, the largest power of two with 2^B M < 2^62 (1 where none is)."""
+        moduli = (1, 2, 3, 196_608, 2**31 - 1, 2**31, 2**31 + 1, 2**45, 2**60, 2**61,
+                  2**62 + 1)
+        assert [_block_length(m) for m in moduli] == [32, 32, 32, 32, 16, 16, 16, 16, 1, 1, 1]
+
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 64, 1000, 1025])
     def test_every_length_matches_reference(self, count):
         s = np.random.default_rng(32).integers(0, 4096, size=1025)
         assert embedding_sequence(s, 196_608, count).tolist() == \
             doubling_reference(s, 196_608, count)
+
+
+def first_occurrences_reference(u):
+    """Mask of each value's first position in u, by a stable argsort."""
+    order = np.argsort(u, kind="stable")
+    ordered = u[order]
+    head = np.ones(u.size, dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    mask = np.zeros(u.size, dtype=bool)
+    mask[order[head]] = True
+    return mask
+
+
+class TestFirstOccurrences:
+    @pytest.mark.parametrize("m_total, size, spread", [
+        (1, 7, 1),
+        (50, 200, 50),                 # every value repeats
+        (196_608, 4672, 196_608),      # the sweep's first scan
+        (196_608, 4672, 300),          # many repeats
+        (2**61 - 1, 4, 2**61 - 1),     # M L just under 2^63: int64 keys near the top
+        (2**61, 4, 2**61),             # M L = 2^63: Python-integer keys
+        (2**62 + 1, 5000, 40),         # M L >= 2^63, many repeats
+        (2**62 + 1, 5000, 2**62 + 1),
+    ])
+    def test_equals_stable_argsort_reference(self, m_total, size, spread):
+        """Both key dtypes: int64 keys while M L < 2^63, Python integers
+        past it."""
+        rng = np.random.default_rng(size + spread % 97)
+        u = rng.integers(0, spread, size=size, dtype=np.int64)
+        if spread > 2**40:  # plant repeats among values that rarely collide
+            u[size // 2:] = rng.choice(u[:size // 2 + 1], size - size // 2)
+            u[0] = m_total - 1
+        assert np.array_equal(_first_occurrences(u, m_total), first_occurrences_reference(u))
 
 
 class _ServeStream:
@@ -671,14 +733,15 @@ class TestSweep:
 
     def test_rows_equal_single_attack_path(self):
         # Non-square sides that are not multiples of 8 (JPEG padding), a
-        # non-square watermark, interleaved families and one repeated cell:
+        # non-square watermark, interleaved families and repeated cells:
         # every row must equal a fresh embed, one ATTACKS call and one
         # extract, so the sweep's shared work is checked against the
         # single-attack path rather than against itself.
         carrier = synthetic_carrier(5, 240)[:203, 11:]
         wm = synthetic_watermark(5, 48)[:, :40]
         grid = [("jpeg", 5), ("rotate", 10), ("noise", 2), ("crop", 40), ("jpeg", 20),
-                ("rotate", 2.5), ("noise", 0.5), ("jpeg", 5), ("crop", 7.9)]
+                ("rotate", 2.5), ("noise", 0.5), ("jpeg", 5), ("crop", 7.9), ("noise", 3),
+                ("crop", 3), ("noise", 3)]
         noise_seed = 0xC0FFEE
         want = []
         for kind, param in grid:
@@ -752,11 +815,13 @@ class TestSweep:
     def test_shared_work_counted(self, monkeypatch):
         """Over BENCH_GRID the sweep runs the forward DCT once per marked
         image, one inverse per JPEG cell and mode, one rotation map per
-        rotate cell, one noise draw per noise cell, one embed (auth) and one
-        key schedule per auth extract plus the shared unauth one."""
+        rotate cell, one standard normal draw for every noise cell, one
+        embed (auth) and one key schedule per auth extract plus the shared
+        unauth one; shared_work, which `cimark bench` reports, counts the
+        same."""
         import cimark.watermark as wmk
 
-        names = ("jpeg_forward", "jpeg_inverse", "rotation_map", "noise_offsets",
+        names = ("jpeg_forward", "jpeg_inverse", "rotation_map", "standard_noise",
                  "_key_stream", "embed")
         calls = dict.fromkeys(names, 0)
 
@@ -771,7 +836,30 @@ class TestSweep:
         robustness_sweep(synthetic_carrier(3), synthetic_watermark(0), KEY1, KEY2,
                          BENCH_GRID, noise_seed=0x5EED)
         assert calls == {"jpeg_forward": 2, "jpeg_inverse": 8, "rotation_map": 4,
-                         "noise_offsets": 3, "_key_stream": 17, "embed": 1}
+                         "standard_noise": 1, "_key_stream": 17, "embed": 1}
+        assert shared_work(BENCH_GRID) == {
+            "forward_dcts": calls["jpeg_forward"], "rotation_maps": calls["rotation_map"],
+            "noise_draws": calls["standard_noise"], "key_schedules": calls["_key_stream"]}
+
+    @pytest.mark.parametrize("grid", [
+        [],
+        [("crop", 4)],
+        [("noise", 2), ("rotate", 5), ("noise", 2), ("rotate", 5), ("noise", 0.5)],
+        [("jpeg", 5), ("jpeg", 5), ("crop", 0)],
+    ], ids=["empty", "crop", "noise-rotate", "jpeg"])
+    def test_shared_work_matches_calls(self, monkeypatch, grid):
+        """shared_work counts what the sweep runs on other grids too:
+        nothing on an empty one, and repeated cells."""
+        import cimark.watermark as wmk
+
+        spies = {"forward_dcts": "jpeg_forward", "rotation_maps": "rotation_map",
+                 "noise_draws": "standard_noise", "key_schedules": "_key_stream"}
+        for name in spies.values():
+            monkeypatch.setattr(wmk, name, mock.Mock(wraps=getattr(wmk, name)))
+        robustness_sweep(synthetic_carrier(3, 64), synthetic_watermark(0, 16), KEY1, KEY2,
+                         grid, noise_seed=0x5EED)
+        assert shared_work(grid) == {key: getattr(wmk, name).call_count
+                                     for key, name in spies.items()}
 
     def test_noise_attack_needs_seed(self):
         img = synthetic_carrier(3, 64)
