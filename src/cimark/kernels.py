@@ -98,7 +98,8 @@ def xorshift_step(word: int) -> int:
 # gives the low b bits of 32 consecutive words at once: column t of E_b(z)
 # is T^t(z) & (2^b - 1). Its byte tables hold a row of 32 uint8 or uint16
 # values per byte value, XORed as 4 or 8 uint64 words; E_b is applied to
-# each word of a T^32 chain. A round reads only the low bit of its length
+# each word of a T^32 chain, or of several chains at once (the watermark
+# key schedule reads one per seed). A round reads only the low bit of its length
 # word (m = c + bit), so its length bits are E_1 of the T^32 chain of the
 # length words: 4 row lookups per 32 rounds, not a full-word fill. Rounds are
 # taken in blocks of _LENGTH_BLOCK, with last flips counted as int64 from
@@ -141,13 +142,15 @@ def _byte_tables(cols):
 
 
 def _apply_tables(tab, v, out):
-    """out = M v for each word of the contiguous uint32 array v: one image,
-    a word or a row of values, per word."""
-    b = v.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
-    np.take(tab[0], b[:, 0], axis=0, out=out)
-    out ^= tab[1].take(b[:, 1], axis=0)
-    out ^= tab[2].take(b[:, 2], axis=0)
-    out ^= tab[3].take(b[:, 3], axis=0)
+    """out = M v for each word of the contiguous uint32 array v, of any
+    shape: one image, a word or a row of values, per word."""
+    b = v.astype("<u4", copy=False).view(np.uint8).reshape(v.shape + (4,))
+    # a byte always indexes the 256 rows; take's default mode would also
+    # write to a buffered copy of out
+    np.take(tab[0], b[..., 0], axis=0, out=out, mode="clip")
+    out ^= tab[1].take(b[..., 1], axis=0)
+    out ^= tab[2].take(b[..., 2], axis=0)
+    out ^= tab[3].take(b[..., 3], axis=0)
 
 
 @functools.cache
@@ -179,8 +182,9 @@ def _low_bit_tables(b):
 
 
 def _jump_chain(out, shift):
-    """out[i] = T^(i << shift)(out[0]) for i >= 1, by doubling."""
-    n = out.size
+    """out[i] = T^(i << shift)(out[0]) for i >= 1, by doubling; out[i] is a
+    word or a row of words, one chain per column."""
+    n = len(out)
     levels = (n - 1).bit_length()  # doublings from 1 word to n
     h = 1
     for k in range(shift, shift + levels):
@@ -213,9 +217,13 @@ def _lanes(state, buf):
 
 def _length_chain(state, n):
     """Every 32nd word of the n >= 1 words of the chain after `state`: z[q]
-    is word 32q, word 0 being the first after `state`."""
-    z = np.empty(-(-n // 32), dtype=np.uint32)
-    z[0] = xorshift_step(int(state))
+    is word 32q, word 0 being the first after `state`. For a sequence of
+    states z[q] is a row, one chain per column."""
+    z = np.empty((-(-n // 32),) + np.shape(state), dtype=np.uint32)
+    if np.ndim(state):
+        z[0] = [xorshift_step(int(word)) for word in state]
+    else:
+        z[0] = xorshift_step(int(state))
     _jump_chain(z, 5)
     return z
 
@@ -226,14 +234,21 @@ def _low_bits(z, n, b):
     order, and the last of those words: E_b reads word 32q and the 31
     after it from word 32q."""
     q = -(-n // 32)
-    tab = _low_bit_tables(b)
-    wide = tab.view(np.uint64)  # a row of 32 values as 4 or 8 wider words
-    out = np.empty((q, wide.shape[-1]), dtype=np.uint64)
-    _apply_tables(wide, z[:q], out)
     state = int(z[q - 1])
     for _ in range((n - 1) & 31):
         state = xorshift_step(state)
-    return out.view(tab.dtype).reshape(-1)[:n], state
+    return _low_bit_rows(z[:q], b).reshape(-1)[:n], state
+
+
+def _low_bit_rows(z, b):
+    """The low b bits of the 32 words from each word of the contiguous T^32
+    chain z, of any shape: E_b(z[...]) as z.shape + (32,) uint8 or uint16
+    values."""
+    tab = _low_bit_tables(b)
+    wide = tab.view(np.uint64)  # a row of 32 values as 4 or 8 wider words
+    out = np.empty(z.shape + wide.shape[-1:], dtype=np.uint64)
+    _apply_tables(wide, z, out)
+    return out.view(tab.dtype)
 
 
 def _flip_prefix(starts, n, pre, tot, rows):

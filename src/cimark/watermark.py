@@ -8,26 +8,27 @@ then written into LSC addresses produced by the doubling recurrence
 
     U_0 = S_0 (mod M),   U_{k+1} = S_{k+1} + 2 U_k + k (mod M)
 
-over the mixture-stage strategy sequence S. One key schedule, `_key_stream`,
-yields both the mixing mask and the addresses; embed and extract XOR the
-watermark with the same mask. In authenticated mode the seeds
-are first combined with a digest of the MSCs, so any MSC change
-re-keys both the mixture and the addresses and extraction collapses to
-coin-flip similarity.
+over the mixture-stage strategy sequence S. One key schedule, `_key_streams`
+(for any number of derived seed pairs at once), yields both the mixing mask
+and the addresses; embed and extract XOR the watermark with the same mask.
+In authenticated mode the seeds are first combined with a digest of the
+MSCs, so any MSC change re-keys both the mixture and the addresses and
+extraction collapses to coin-flip similarity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import CiGenerator, XorShift32, _rotl32, _whole, seed_word
+from .generator import CiGenerator, _rotl32, _whole, seed_word
 from .imaging import (_check_angle, _check_gray, _check_level, _check_noise_seed,
                       _check_sigma, _crop_side, add_offsets, crop_attack,
                       gaussian_noise_attack, jpeg_attack, jpeg_forward, jpeg_inverse,
                       remap, rotate_attack, rotation_map, scaled_noise, standard_noise)
-from .kernels import _LOW_BITS_MAX, _length_chain, _low_bits, xorshift_fill
+from .kernels import _LOW_BITS_MAX, _length_chain, _low_bit_rows, xorshift_fill, xorshift_step
 
 FOLD_INIT = 0x811C9DC5  # nonzero so the all-zero MSC plane still digests
 
@@ -110,7 +111,8 @@ def _block_length(m_total: int) -> int:
 
 def embedding_sequence(s_values, m_total: int, count: int) -> np.ndarray:
     """U_0 .. U_{count-1} of the doubling recurrence over the strategy
-    values: U_0 = S_0 mod M and U_{k+1} = (S_{k+1} + 2 U_k + k) mod M.
+    values: U_0 = S_0 mod M and U_{k+1} = (S_{k+1} + 2 U_k + k) mod M, for
+    each row of `s_values` along its last axis (a 1-D input is one row).
 
     With t_0 = S_0 and t_k = S_k + k - 1 (mod M), U_k is the sum of
     2^(k - j) t_j over j <= k. The scan is two-level (Blelloch, "Prefix
@@ -121,45 +123,57 @@ def embedding_sequence(s_values, m_total: int, count: int) -> np.ndarray:
     ends, reduced once, are joined by the affine scan E_b = 2^B E_{b-1} +
     e_b (mod M), a log-depth multiply-add on the block ends only; then
     U = 2^(i+1) E_{b-1} + v[i] at offset i of block b, and one reduction
-    finishes. Moduli past int64 range (M > 2^31, where a carry product
-    could pass 2^63) run the same scan on Python integers, so the result
-    is exact for any M.
+    finishes. Every pass runs on all rows at once. Only the first `count`
+    values of a row are cast to int64. Moduli past int64 range (M > 2^31,
+    where a carry product could pass 2^63) run the same scan on Python
+    integers, so the result is exact for any M.
     """
     if m_total < 1:
         raise ValueError("M must be >= 1")
-    s = np.asarray(s_values, dtype=np.int64)
-    if s.size < count:
+    s = np.asarray(s_values)
+    if s.shape[-1] < count:
         raise ValueError("not enough strategy values")
     dtype = np.int64 if m_total <= _SCAN_INT64_MAX_M else object
     b = _block_length(m_total)
+    rows = s.shape[:-1]
+    s = s.reshape(math.prod(rows), s.shape[-1])
+    nb = -(-count // b)
 
-    def reduce(x):  # x mod M in place; numpy's // by a scalar (libdivide) beats its %
-        q = x // m_total
+    # x mod M in place, through the scratch q; numpy's // by a scalar
+    # (libdivide) beats its %
+    def reduce(x, q=None):
+        q = np.floor_divide(x, m_total, out=q)
         q *= m_total
         x -= q
 
-    t = np.zeros(-(-count // b) * b, dtype=dtype)  # whole blocks, zero past count
-    t[:count] = s[:count]
-    reduce(t)
-    t[1:count] += np.arange(count - 1).astype(dtype)
-    reduce(t[1:count])
-    v = t.reshape(-1, b).T.copy()  # v[i, block]: each pass below runs on whole rows
+    t = np.zeros((len(s), nb * b), dtype=dtype)  # whole blocks, zero past count
+    # v[i, block, row]: each pass below runs on whole rows of every block
+    v = np.empty((b, nb, len(s)), dtype=dtype)
+    scratch = v.reshape(t.shape)  # t's scratch until v is filled, then t is v's
+    t[:, :count] = s[:, :count].astype(np.int64, copy=False)
+    reduce(t, scratch)
+    t[:, 1:count] += np.arange(count - 1).astype(dtype)
+    reduce(t[:, 1:count], scratch[:, 1:count])
+    np.copyto(v, t.reshape(len(s), nb, b).T)
+    scratch = t.reshape(v.shape)
     d = 1
     while d < b:
-        v[d:] += v[:-d] << d
+        v[d:] += np.left_shift(v[:-d], d, out=scratch[d:])
         d *= 2
     ends = v[-1].copy()
     reduce(ends)
     d = 1
-    while d < ends.size:
+    while d < nb:
         x = ends[:-d] * pow(2, b * d, m_total)
         x += ends[d:]
         reduce(x)
         ends[d:] = x
         d *= 2
-    v[:, 1:] += ends[:-1] << np.arange(1, b + 1).astype(dtype)[:, None]
-    reduce(v)
-    return v.T.reshape(-1)[:count].astype(np.int64)
+    shifts = np.arange(1, b + 1).astype(dtype).reshape(b, 1, 1)
+    v[:, 1:] += np.left_shift(ends[:-1], shifts, out=scratch[:, 1:])
+    reduce(v, scratch)
+    np.copyto(t.reshape(len(s), nb, b), v.T)
+    return t[:, :count].reshape(rows + (count,)).astype(np.int64, copy=False)
 
 
 def _strategy_seed(s1p: int, s2p: int) -> int:
@@ -170,88 +184,131 @@ def _strategy_seed(s1p: int, s2p: int) -> int:
 
 
 def _first_occurrences(u, m_total: int) -> np.ndarray:
-    """Mask of the positions in `u` (values in [0, M)) that hold the first
-    occurrence of their value. One sort of the keys u_i L + i, L = u.size,
+    """Mask of the positions in each row of `u` (values in [0, M), rows
+    along the last axis) that hold the first occurrence of their value in
+    the row. One sort of each row's keys u_i L + i, L = the row length,
     orders the values and, within one value, its positions, so the first
     key of each value names its first position. The keys are int64 while
     M L < 2^63 and Python integers past it."""
-    n = u.size
+    n = u.shape[-1]
     dtype = np.int64 if m_total * n < 1 << 63 else object
-    keys = u.astype(dtype) * n + np.arange(n).astype(dtype)
-    keys.sort()
+    keys = u.astype(dtype)
+    keys *= n
+    keys += np.arange(n).astype(dtype)
+    keys.sort(axis=-1)
     value = keys // n
-    head = np.ones(n, dtype=bool)
-    np.not_equal(value[1:], value[:-1], out=head[1:])
-    first = np.zeros(n, dtype=bool)
-    first[(keys[head] - value[head] * n).astype(np.intp)] = True
-    return first
+    head = np.ones(u.shape, dtype=bool)
+    np.not_equal(value[..., 1:], value[..., :-1], out=head[..., 1:])
+    value *= n
+    keys -= value  # the position of each sorted key in its row
+    keys = keys.astype(np.intp, copy=False)
+    keys += n * np.arange(math.prod(u.shape[:-1])).reshape(u.shape[:-1] + (1,))  # .. in u
+    first = np.empty(u.size, dtype=bool)
+    first[keys.reshape(-1)] = head.reshape(-1)
+    return first.reshape(u.shape)
 
 
-def _distinct_addresses(cells, draw, m_total: int, count: int) -> np.ndarray:
-    """First `count` distinct values of the doubling recurrence over the
-    strategy sequence `cells`, continued by `draw(k)` (the next k strategy
-    values) when it is too short. Revisited addresses are skipped so every
-    payload bit owns one LSC.
+def _address_rows(cells, redraw, m_total: int, count: int) -> np.ndarray:
+    """(R, count): the first `count` distinct values of the doubling
+    recurrence over each row of the strategy cells `cells` (R, L). Revisited
+    addresses are skipped so every payload bit owns one LSC.
 
-    The first count + count // 8 + 64 values almost always suffice;
-    otherwise the sequence is scanned once more up to U_cap, cap =
-    16 count + 4096. The recurrence is prefix-consistent, so a longer scan
-    keeps every address a shorter one found.
+    The first count + count // 8 + 64 values of a row almost always suffice.
+    The rows they do not are scanned once more up to U_cap, cap = 16 count +
+    4096, over redraw(rows, cap + 1), the first cap + 1 cells of those rows.
+    The recurrence is prefix-consistent, so a longer scan keeps every
+    address a shorter one found.
     """
+    out = np.empty((len(cells), count), dtype=np.int64)
+    rows = np.arange(len(cells))
     for length in (count + count // 8 + 64, 16 * count + 4096 + 1):
-        if cells.size < length:
-            cells = np.concatenate([cells, draw(length - cells.size)])
+        if cells.shape[-1] < length:
+            cells = redraw(rows, length)
         u = embedding_sequence(cells, m_total, length)
         first = _first_occurrences(u, m_total)
-        if np.count_nonzero(first) >= count:
-            return u[first][:count]
+        short = np.count_nonzero(first, axis=-1) < count
+        for i in np.flatnonzero(~short):
+            out[rows[i]] = u[i][first[i]][:count]
+        rows, cells = rows[short], cells[short]
+        if not rows.size:
+            return out
     raise RuntimeError("address generation did not converge")
 
 
-def _key_stream(derived, mix: str, n: int, m_total: int, count: int):
-    """The key schedule: (mask, addresses) for an n-bit watermark written to
-    `count` of m_total LSCs, from the derived (sanitized) seeds (s1', s2').
+def _distinct_addresses(cells, draw, m_total: int, count: int) -> np.ndarray:
+    """_address_rows for the one row of strategy cells `cells`, continued
+    by `draw(k)` (the next k strategy values) when it is too short."""
+    def redraw(rows, length):
+        return np.concatenate([cells, draw(length - cells.size)])[None]
 
-    One strategy sequence, drawn from the strategy source, feeds both. Its
-    first values are the chaotic mixture's flips over the n watermark cells:
-    ceil(4n / 3n) = 2 chunks of 3n or 3n+1 flips (the +1 drawn from seed
-    1), about 4 flips per cell. For mix "ci" the mask is the flip parity of
-    each cell; for "xor" it is the generator keystream of the derived
-    seeds. The addresses are the first `count` distinct terms of the
-    doubling recurrence over the same sequence, from its first flip on.
-    XORing with the mask mixes the watermark and unmixes it again.
+    return _address_rows(np.asarray(cells)[None], redraw, m_total, count)[0]
 
-    At n = 2^b, b <= 16 (the default 64x64 watermark included), the
-    strategy values are read through the kernels' low-bits table map, 32
-    words per T^32 chain word, as `ci_fill` reads its length bits.
+
+def _flips(s1p: int, n: int) -> int:
+    """The mixture's flips over n cells: 2 chunks of 3n flips, each one
+    more when its word of the chain after seed 1 is odd."""
+    first = xorshift_step(s1p)
+    return 6 * n + (first & 1) + (xorshift_step(first) & 1)
+
+
+def _strategy_cells(seeds, n: int, k: int) -> np.ndarray:
+    """(R, k): the first k strategy cells, word mod n, of the strategy
+    source of each seed in `seeds`.
+
+    At n = 2^b, b <= 16 (the default 64x64 watermark included), a cell is
+    its word's low b bits, a linear map of the generator state, so one
+    doubling fills the T^32 chains of all rows and one low-bits table map
+    reads them, 32 words per chain word, as `ci_fill` reads its length
+    bits. Word mod n is not linear for other n, nor held in its 16-bit
+    tables past 2^16, so those n reduce whole words, one fill per row.
+    """
+    b = n.bit_length() - 1
+    if n == 1 << b and b <= _LOW_BITS_MAX:
+        z = _length_chain(seeds, k).T.copy()  # (R, q): each row's chain in order
+        return _low_bit_rows(z, b).reshape(z.shape[0], 32 * z.shape[1])[:, :k]
+    cells = np.array([xorshift_fill(seed, k)[0] for seed in seeds],
+                     dtype=np.uint32).reshape(len(seeds), k)
+    cells %= np.uint32(n)
+    return cells
+
+
+def _key_streams(derived, mix: str, n: int, m_total: int, count: int) -> list:
+    """The key schedules [(mask, addresses), ...] for an n-bit watermark
+    written to `count` of m_total LSCs, one per derived (sanitized) seed
+    pair (s1', s2') in `derived`; every stage handles all rows at once.
+
+    One strategy sequence per row, drawn from the strategy source, feeds
+    both. Its first values are the chaotic mixture's flips over the n
+    watermark cells: ceil(4n / 3n) = 2 chunks of 3n or 3n+1 flips (the +1
+    drawn from seed 1), about 4 flips per cell. For mix "ci" the mask is
+    the flip parity of each cell; for "xor" it is the generator keystream
+    of the derived seeds. The addresses are the first `count` distinct
+    terms of the doubling recurrence over the same sequence, from its first
+    flip on. XORing with the mask mixes the watermark and unmixes it again.
     """
     if n < 1:
         raise ValueError("the watermark must hold at least one bit")
     if count > m_total:  # checked before any strategy value is drawn
         raise ValueError(f"watermark needs {count} LSCs, image has {m_total}")
-    s1p, s2p = derived
-    flips = 6 * n + int((xorshift_fill(s1p, 2)[0] & 1).sum())
-    gen2 = XorShift32(_strategy_seed(s1p, s2p))
-    b = n.bit_length() - 1
-    # A cell is its strategy word mod n. For n = 2^b that is the word's low
-    # b bits, a linear map of the generator state, so _low_bits reads them 32
-    # words per T^32 chain word; word mod n is not linear for other n, nor
-    # held in its 16-bit tables past 2^16, so those n reduce whole words.
-    if n == 1 << b and b <= _LOW_BITS_MAX:
-        def draw(k):
-            cells, gen2.word = _low_bits(_length_chain(gen2.word, k), k, b)
-            return cells
-    else:
-        def draw(k):
-            return gen2.fill(k) % np.uint32(n)
-
-    cells = draw(flips)
-    addresses = _distinct_addresses(cells, draw, m_total, count)
+    flips = [_flips(s1p, n) for s1p, _ in derived]
+    seeds = [_strategy_seed(s1p, s2p) for s1p, s2p in derived]
+    cells = _strategy_cells(seeds, n, max(flips + [count + count // 8 + 64]))
     if mix == "xor":
-        mask = CiGenerator.from_seeds(s1p, s2p).bits(n)
+        masks = [CiGenerator.from_seeds(s1p, s2p).bits(n) for s1p, s2p in derived]
     else:
-        mask = (np.bincount(cells, minlength=n) & 1).astype(np.uint8)
-    return mask, addresses
+        masks = [(np.bincount(row[:f], minlength=n) & 1).astype(np.uint8)
+                 for row, f in zip(cells, flips)]
+
+    def redraw(rows, length):  # the stream is prefix-consistent: draw again from the seed
+        return _strategy_cells([seeds[r] for r in rows], n, length)
+
+    return list(zip(masks, _address_rows(cells, redraw, m_total, count)))
+
+
+def _key_stream(derived, mix: str, n: int, m_total: int, count: int):
+    """The key schedule (mask, addresses) of one derived seed pair: a
+    one-row _key_streams."""
+    return _key_streams([derived], mix, n, m_total, count)[0]
 
 
 def _schedule(img, key: EmbeddingKey, n: int) -> tuple:
@@ -281,7 +338,12 @@ def _lsc_place(addresses) -> tuple:
 
 def _lsc_at(img, addresses) -> np.ndarray:
     """The LSCs at `addresses`, read from the addressed pixels alone."""
-    pixel, bit = _lsc_place(addresses)
+    return _lscs(img, _lsc_place(addresses))
+
+
+def _lscs(img, place) -> np.ndarray:
+    """The LSCs at the (pixel, bit) places of _lsc_place."""
+    pixel, bit = place
     return (_check_gray(img).reshape(-1)[pixel] >> bit) & 1
 
 
@@ -363,8 +425,11 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     attack functions compose: the forward DCT per marked image, the
     rotation map per rotate cell, one standard normal draw, scaled per
     noise cell, and the unauth key schedule, which reads no pixel and
-    serves the unauth embed and every unauth read. shared_work counts this
-    work for a grid.
+    serves the unauth embed and every unauth read. The auth attacked images
+    are kept until every cell is attacked; their schedules, one per image
+    as each image's MSCs re-key it, are then drawn in one batched
+    _key_streams call and each image is read as extract reads it.
+    shared_work counts this work for a grid.
     """
     wm = np.asarray(wm, dtype=np.uint8) & 1
     if wm.ndim != 2:
@@ -381,26 +446,44 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
         return []
     unauth, auth = (EmbeddingKey(seed1, seed2, mode=mode) for mode in ("unauth", "auth"))
     mask, addresses = _schedule(carrier, unauth, wm.size)
+    place = _lsc_place(addresses)
     marked = [_write(carrier, wm.reshape(-1) ^ mask, addresses, unauth.repetition),
               embed(carrier, wm, auth)]
+    last = {kind: i for i, (kind, _) in enumerate(attacks)}  # each kind's last cell
     pairs = z = None
-    rows = []
-    for kind, param in attacks:
+    unauth_sims, attacked = [], []
+    for i, (kind, param) in enumerate(attacks):
+        # shared work is dropped once its kind's last cell is done, and each
+        # cell's own map or offsets with the cell, so the auth images kept
+        # for the batched schedules below add no more than they take
         if kind == "jpeg":
             pairs = pairs or [jpeg_forward(image) for image in marked]
             images = [jpeg_inverse(pair, param, shape) for pair in pairs]
+            pairs = pairs if i < last[kind] else None
         elif kind == "rotate":
             rmap = rotation_map(shape, param)
             images = [remap(image, rmap) for image in marked]
+            del rmap
         elif kind == "noise":
             z = standard_noise(shape, noise_seed) if z is None else z
             offsets = scaled_noise(z, param)
             images = [add_offsets(image, offsets) for image in marked]
+            del offsets
+            z = z if i < last[kind] else None
         else:
             images = [crop_attack(image, param) for image in marked]
-        got = _vote(_lsc_at(images[0], addresses), mask, unauth.repetition).reshape(wm.shape)
-        rows.append((kind, param, "unauth", similarity(wm, got)))
-        rows.append((kind, param, "auth", similarity(wm, extract(images[1], auth, wm.shape))))
+        got = _vote(_lscs(images[0], place), mask, unauth.repetition).reshape(wm.shape)
+        unauth_sims.append(similarity(wm, got))
+        attacked.append(images[1])
+        del images
+    derived = [derive_strategy_seed(auth, _msc_bytes(image)) for image in attacked]
+    streams = _key_streams(derived, auth.mix, wm.size, 3 * np.size(carrier),
+                           auth.repetition * wm.size)
+    rows = []
+    for (kind, param), sim, image, (auth_mask, auth_addresses) in zip(
+            attacks, unauth_sims, attacked, streams):
+        got = _vote(_lsc_at(image, auth_addresses), auth_mask, auth.repetition).reshape(wm.shape)
+        rows += [(kind, param, "unauth", sim), (kind, param, "auth", similarity(wm, got))]
     return rows
 
 
@@ -409,7 +492,8 @@ def shared_work(attacks) -> dict:
     forward DCTs (one per marked image when a JPEG cell is present),
     rotation maps (one per rotate cell), noise draws (one when a noise cell
     is present) and key schedules (the shared unauth one, the auth embed's
-    and one per auth extract). An empty grid runs none."""
+    and one per auth read, all of these in one batch: schedule rows, not
+    calls). An empty grid runs none."""
     kinds = [kind for kind, _ in attacks]
     return {"forward_dcts": 2 * ("jpeg" in kinds),
             "rotation_maps": kinds.count("rotate"),

@@ -35,8 +35,8 @@ from cimark.watermark import (
     similarity,
 )
 from cimark.watermark import (_block_length, _distinct_addresses, _first_occurrences,
-                              _key_stream, _lsc_at, _msc_bytes, _schedule, _strategy_seed,
-                              _write)
+                              _key_stream, _key_streams, _lsc_at, _msc_bytes, _schedule,
+                              _strategy_seed, _write)
 from jpeg_oracle import SWEEP_KEYS, kernel_run, tie_prone_digest
 
 KEY1, KEY2 = SWEEP_KEYS
@@ -373,6 +373,28 @@ class TestEmbeddingSequence:
                   2**62 + 1)
         assert [_block_length(m) for m in moduli] == [32, 32, 32, 32, 16, 16, 16, 16, 1, 1, 1]
 
+    @pytest.mark.parametrize("m_total", [1, 196_608, 2**31, 2**31 + 1, 2**62 + 1])
+    @pytest.mark.parametrize("count", [0, 1, 31, 33, 300])
+    def test_rows_match_reference(self, m_total, count):
+        """A 2-D input is one recurrence per row along its last axis, on
+        int64 (M <= 2^31) and on Python integers (past it): each row equals
+        the step-at-a-time recurrence over that row alone, here with rows
+        that differ in their first term only and rows longer than count."""
+        rng = np.random.default_rng(count + m_total % 1000)
+        s = rng.integers(0, 2**40, size=(5, 301))
+        s[1, 1:] = s[0, 1:]
+        s[1, 0] = s[0, 0] + 1
+        got = embedding_sequence(s, m_total, count)
+        assert got.shape == (5, count) and got.dtype == np.int64
+        for row, values in zip(s, got):
+            assert values.tolist() == doubling_reference(row, m_total, count)
+
+    def test_rows_of_no_rows_and_one_row(self):
+        s = np.random.default_rng(33).integers(0, 4096, size=(1, 100))
+        assert embedding_sequence(s[:0], 196_608, 50).shape == (0, 50)
+        assert embedding_sequence(s, 196_608, 50).tolist() == \
+            [embedding_sequence(s[0], 196_608, 50).tolist()]
+
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 64, 1000, 1025])
     def test_every_length_matches_reference(self, count):
         s = np.random.default_rng(32).integers(0, 4096, size=1025)
@@ -411,6 +433,22 @@ class TestFirstOccurrences:
             u[size // 2:] = rng.choice(u[:size // 2 + 1], size - size // 2)
             u[0] = m_total - 1
         assert np.array_equal(_first_occurrences(u, m_total), first_occurrences_reference(u))
+
+    @pytest.mark.parametrize("m_total", [300, 2**61])
+    def test_rows_equal_reference_row_by_row(self, m_total):
+        """Each row of a 2-D input is marked on its own, with int64 keys
+        (M L < 2^63) and Python-integer keys (M L >= 2^63): rows holding
+        the same values in other orders, a row of one repeated value and
+        rows with no repeats, so a sort across rows fails."""
+        rng = np.random.default_rng(m_total % 997)
+        base = rng.integers(0, 40, size=60)
+        u = np.stack([base, base[::-1], np.roll(base, 7), np.full(60, 5),
+                      rng.permutation(60), rng.integers(0, m_total, size=60)])
+        first = _first_occurrences(u, m_total)
+        assert first.shape == u.shape
+        for row, marked in zip(u, first):
+            assert np.array_equal(marked, first_occurrences_reference(row))
+        assert _first_occurrences(u[:0], m_total).shape == (0, 60)
 
 
 class _ServeStream:
@@ -525,6 +563,103 @@ class TestDistinctAddresses:
     def test_capacity_checked_first(self):
         with pytest.raises(ValueError):
             _key_stream(self.DERIVED, "ci", 16, 10, 11)
+
+
+def key_stream_reference(derived, mix, n, m_total, count):
+    """(mask, addresses, flips, reach) of one derived seed pair from its
+    strategy words mod n, drawn in one fill: the mask is the flip parity of
+    the first flips = 6n + (two low bits after seed 1) cells (mix "ci") or
+    the generator keystream (mix "xor"); the addresses are the first
+    `count` distinct terms of the recurrence, one step at a time; reach
+    says whether the first scan, of count + count // 8 + 64 terms, finds
+    them."""
+    first = xorshift_step(derived[0])
+    flips = 6 * n + (first & 1) + (xorshift_step(first) & 1)
+    s = XorShift32(_strategy_seed(*derived)).fill(max(flips, 16 * count + 4097)) % np.uint32(n)
+    addresses, last = distinct_addresses_reference(s, m_total, count)
+    reach = "prefix" if last < count + count // 8 + 64 else "rescan"
+    if mix == "xor":
+        mask = CiGenerator.from_seeds(*derived).bits(n)
+    else:
+        mask = np.bincount(s[:flips], minlength=n) & 1
+    return mask, addresses, flips, reach
+
+
+# Derived seed pairs whose flips are 6n + 0, 1, 1, 1, 1, 2, 1, 0; at
+# (n, M, count) = (64, 64, 56) rows 0, 1 and 4 need the rescan, the others
+# do not.
+MIXED = [((0x1234567 * i) & 0xFFFFFFFF, 0x89ABCDE + i) for i in range(1, 9)]
+
+
+class TestKeyStreams:
+    """Each row of one batched _key_streams call against its own
+    reference."""
+
+    @staticmethod
+    def check(derived, mix, n, m_total, count):
+        """Every row equals its reference; returns the rows' (flips, reach)."""
+        got = _key_streams(derived, mix, n, m_total, count)
+        assert len(got) == len(derived)
+        seen = []
+        for d, (mask, addresses) in zip(derived, got):
+            want_mask, want_addresses, flips, reach = key_stream_reference(
+                d, mix, n, m_total, count)
+            assert mask.dtype == np.uint8 and np.array_equal(mask, want_mask), d
+            assert addresses.tolist() == want_addresses, d
+            seen.append((flips - 6 * n, reach))
+        return seen
+
+    def test_no_rows(self):
+        assert _key_streams([], "ci", 64, 64, 64) == []
+
+    @pytest.mark.parametrize("rows, reaches", [
+        ([4], ["rescan"]),
+        ([2, 1], ["prefix", "rescan"]),
+        (range(8), ["rescan", "rescan", "prefix", "prefix", "rescan", "prefix", "prefix",
+                    "prefix"]),
+    ], ids=["rescan-alone", "prefix-rescan", "eight"])
+    def test_rescan_rows_next_to_prefix_rows(self, rows, reaches):
+        """Only the rows the first scan leaves short are scanned again,
+        each over its own redrawn cells, and rows with 0, 1 and 2 extra
+        flips each take their own mask."""
+        seen = self.check([MIXED[i] for i in rows], "ci", 64, 64, 56)
+        assert [reach for _, reach in seen] == reaches
+        if len(seen) == 8:
+            assert [extra for extra, _ in seen] == [0, 1, 1, 1, 1, 2, 1, 0]
+
+    def test_every_row_rescanned(self):
+        seen = self.check(MIXED[:3], "ci", 64, 64, 64)  # count == M
+        assert [reach for _, reach in seen] == ["rescan"] * 3
+
+    @pytest.mark.parametrize("n", [4096, 1920])
+    def test_fifteen_rows(self, n):
+        """The sweep's batch: 15 rows, at a power of two (low-bit table
+        reads) and at the 48x40 watermark's n (whole words mod n)."""
+        derived = [(KEY1 ^ (977 * i), KEY2 + i) for i in range(15)]
+        self.check(derived, "ci", n, 196_608, n)
+
+    def test_xor_mix(self):
+        self.check(MIXED[:4], "xor", 64, 200, 134)
+
+    def test_repetition_draws_past_the_flips(self):
+        # count + count // 8 + 64 = 4 * 64 + 32 + 64 cells exceed 6n + 2
+        self.check(MIXED[:3], "ci", 64, 196_608, 4 * 64)
+
+    def test_modulus_past_int64_scan(self):
+        self.check(MIXED[:3], "ci", 64, 2**31 + 1, 64)
+
+    def test_capacity_checked_before_any_draw(self, monkeypatch):
+        import cimark.watermark as wmk
+
+        def no_draw(*a, **kw):
+            raise AssertionError("drew before checking the capacity")
+
+        for name in ("xorshift_step", "xorshift_fill", "_strategy_cells", "_length_chain"):
+            monkeypatch.setattr(wmk, name, no_draw)
+        with pytest.raises(ValueError, match="11 LSCs, image has 10"):
+            _key_streams(MIXED[:2], "ci", 16, 10, 11)
+        with pytest.raises(ValueError, match="at least one bit"):
+            _key_streams(MIXED[:2], "ci", 0, 10, 5)
 
 
 class TestEmbedExtract:
@@ -817,17 +952,21 @@ class TestSweep:
         image, one inverse per JPEG cell and mode, one rotation map per
         rotate cell, one standard normal draw for every noise cell, one
         embed (auth) and one key schedule per auth extract plus the shared
-        unauth one; shared_work, which `cimark bench` reports, counts the
-        same."""
+        unauth one: 17 schedule rows in 3 _key_streams calls (the unauth
+        schedule, the auth embed's, and one batch for the 15 auth reads);
+        shared_work, which `cimark bench` reports, counts the same."""
         import cimark.watermark as wmk
 
         names = ("jpeg_forward", "jpeg_inverse", "rotation_map", "standard_noise",
-                 "_key_stream", "embed")
+                 "_key_streams", "embed")
         calls = dict.fromkeys(names, 0)
+        rows = []
 
         def counting(name, fn):
             def wrapper(*a, **kw):
                 calls[name] += 1
+                if name == "_key_streams":
+                    rows.append(len(a[0]))
                 return fn(*a, **kw)
             return wrapper
 
@@ -836,10 +975,11 @@ class TestSweep:
         robustness_sweep(synthetic_carrier(3), synthetic_watermark(0), KEY1, KEY2,
                          BENCH_GRID, noise_seed=0x5EED)
         assert calls == {"jpeg_forward": 2, "jpeg_inverse": 8, "rotation_map": 4,
-                         "standard_noise": 1, "_key_stream": 17, "embed": 1}
+                         "standard_noise": 1, "_key_streams": 3, "embed": 1}
+        assert rows == [1, 1, 15]
         assert shared_work(BENCH_GRID) == {
             "forward_dcts": calls["jpeg_forward"], "rotation_maps": calls["rotation_map"],
-            "noise_draws": calls["standard_noise"], "key_schedules": calls["_key_stream"]}
+            "noise_draws": calls["standard_noise"], "key_schedules": sum(rows)}
 
     @pytest.mark.parametrize("grid", [
         [],
@@ -853,13 +993,30 @@ class TestSweep:
         import cimark.watermark as wmk
 
         spies = {"forward_dcts": "jpeg_forward", "rotation_maps": "rotation_map",
-                 "noise_draws": "standard_noise", "key_schedules": "_key_stream"}
+                 "noise_draws": "standard_noise", "key_schedules": "_key_streams"}
         for name in spies.values():
             monkeypatch.setattr(wmk, name, mock.Mock(wraps=getattr(wmk, name)))
         robustness_sweep(synthetic_carrier(3, 64), synthetic_watermark(0, 16), KEY1, KEY2,
                          grid, noise_seed=0x5EED)
-        assert shared_work(grid) == {key: getattr(wmk, name).call_count
-                                     for key, name in spies.items()}
+        counted = {key: getattr(wmk, name).call_count for key, name in spies.items()}
+        # schedule rows: one per derived seed pair handed to _key_streams
+        counted["key_schedules"] = sum(len(c.args[0]) for c in wmk._key_streams.call_args_list)
+        assert shared_work(grid) == counted
+
+    def test_memory_bounded(self):
+        """One BENCH_GRID sweep, which keeps the 15 auth attacked images
+        for one batched key schedule, peaks under 5.5 MiB traced; each
+        kind's shared work and each cell's own rotation map or offsets are
+        dropped as soon as they are done with."""
+        carrier, wm = synthetic_carrier(3), synthetic_watermark(0)
+        robustness_sweep(carrier, wm, KEY1, KEY2, BENCH_GRID, noise_seed=0x5EED)  # caches
+        tracemalloc.start()
+        try:
+            robustness_sweep(carrier, wm, KEY1, KEY2, BENCH_GRID, noise_seed=0x5EED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * 2**20
 
     def test_noise_attack_needs_seed(self):
         img = synthetic_carrier(3, 64)
