@@ -5,6 +5,7 @@ block-DCT quantization, and additive Gaussian noise."""
 from __future__ import annotations
 
 import math
+import numbers
 import re
 
 import numpy as np
@@ -119,27 +120,32 @@ def save_pbm(img, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _finite(x) -> bool:
+    """Whether x is a finite real number; a string or None is not one."""
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 def _crop_side(side, shape) -> int:
     """The side of a center crop of an image of `shape`, truncated to an
     integer; raises ValueError unless it lies in [0, min(h, w)]."""
-    if not (math.isfinite(side) and 0 <= int(side) <= min(shape)):
-        raise ValueError(f"crop side {side} is not in [0, {min(shape)}]")
+    if not (_finite(side) and 0 <= int(side) <= min(shape)):
+        raise ValueError(f"crop side {side!r} is not in [0, {min(shape)}]")
     return int(side)
 
 
 def _check_angle(theta) -> None:
-    if not 0 < theta < 90:
-        raise ValueError("theta must be in (0, 90) degrees")
+    if not (_finite(theta) and 0 < theta < 90):
+        raise ValueError(f"theta must be in (0, 90) degrees, got {theta!r}")
 
 
 def _check_level(level) -> None:
-    if not (math.isfinite(level) and level > 0):
-        raise ValueError(f"level must be positive and finite, got {level}")
+    if not (_finite(level) and level > 0):
+        raise ValueError(f"level must be positive and finite, got {level!r}")
 
 
 def _check_sigma(sigma) -> None:
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not (_finite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
 
 
 def _check_noise_seed(seed) -> None:

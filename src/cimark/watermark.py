@@ -11,6 +11,7 @@ then written into LSC addresses produced by the doubling recurrence
 over the mixture-stage strategy sequence S. One key schedule, `_key_streams`
 (for any number of derived seed pairs at once), yields both the mixing mask
 and the addresses; embed and extract XOR the watermark with the same mask.
+`_schedules` is the one way from images and a key to that schedule.
 In authenticated mode the seeds are first combined with a digest of the
 MSCs, so any MSC change re-keys both the mixture and the addresses and
 extraction collapses to coin-flip similarity.
@@ -235,15 +236,6 @@ def _address_rows(cells, redraw, m_total: int, count: int) -> np.ndarray:
     raise RuntimeError("address generation did not converge")
 
 
-def _distinct_addresses(cells, draw, m_total: int, count: int) -> np.ndarray:
-    """_address_rows for the one row of strategy cells `cells`, continued
-    by `draw(k)` (the next k strategy values) when it is too short."""
-    def redraw(rows, length):
-        return np.concatenate([cells, draw(length - cells.size)])[None]
-
-    return _address_rows(np.asarray(cells)[None], redraw, m_total, count)[0]
-
-
 def _flips(s1p: int, n: int) -> int:
     """The mixture's flips over n cells: 2 chunks of 3n flips, each one
     more when its word of the chain after seed 1 is odd."""
@@ -305,20 +297,15 @@ def _key_streams(derived, mix: str, n: int, m_total: int, count: int) -> list:
     return list(zip(masks, _address_rows(cells, redraw, m_total, count)))
 
 
-def _key_stream(derived, mix: str, n: int, m_total: int, count: int):
-    """The key schedule (mask, addresses) of one derived seed pair: a
-    one-row _key_streams."""
-    return _key_streams([derived], mix, n, m_total, count)[0]
-
-
-def _schedule(img, key: EmbeddingKey, n: int) -> tuple:
+def _schedules(images, key: EmbeddingKey, n: int) -> list:
     """The (mask, addresses) of an n-bit watermark written key.repetition
-    times into the LSCs of `img`. Only auth mode reads pixels: it packs the
-    MSCs for the digest."""
-    a = _check_gray(img)
-    msc = _msc_bytes(a) if key.mode == "auth" else None
-    return _key_stream(derive_strategy_seed(key, msc), key.mix, n,
-                       3 * a.size, key.repetition * n)
+    times into the LSCs of each image in `images`, which share one size,
+    in one _key_streams call. Only auth mode reads pixels: it packs each
+    image's MSCs for the digest."""
+    images = [_check_gray(img) for img in images]
+    derived = [derive_strategy_seed(key, _msc_bytes(a) if key.mode == "auth" else None)
+               for a in images]
+    return _key_streams(derived, key.mix, n, 3 * images[0].size, key.repetition * n)
 
 
 def _msc_bytes(a) -> np.ndarray:
@@ -336,13 +323,9 @@ def _lsc_place(addresses) -> tuple:
     return pixel, (2 - plane).astype(np.uint8)
 
 
-def _lsc_at(img, addresses) -> np.ndarray:
-    """The LSCs at `addresses`, read from the addressed pixels alone."""
-    return _lscs(img, _lsc_place(addresses))
-
-
 def _lscs(img, place) -> np.ndarray:
-    """The LSCs at the (pixel, bit) places of _lsc_place."""
+    """The LSCs at the (pixel, bit) places of _lsc_place, read from the
+    addressed pixels alone."""
     pixel, bit = place
     return (_check_gray(img).reshape(-1)[pixel] >> bit) & 1
 
@@ -351,7 +334,7 @@ def embed(carrier, wm, key: EmbeddingKey) -> np.ndarray:
     """Write the mixed watermark into key-addressed LSCs. MSCs and bit 3 are
     bit-identical to the carrier's afterwards."""
     wm_bits = np.asarray(wm, dtype=np.uint8).reshape(-1) & 1
-    mask, addresses = _schedule(carrier, key, wm_bits.size)
+    mask, addresses = _schedules([carrier], key, wm_bits.size)[0]
     return _write(carrier, wm_bits ^ mask, addresses, key.repetition)
 
 
@@ -368,11 +351,15 @@ def _write(carrier, mixed, addresses, repetition: int) -> np.ndarray:
 def extract(img, key: EmbeddingKey, wm_dims: tuple = (64, 64)) -> np.ndarray:
     """Recover the watermark: re-derive the strategy from the image's MSCs,
     re-generate the addresses, read, majority-vote repeats, unmix."""
-    h, w = (_whole(side, "wm_dims entry") for side in wm_dims)
+    try:
+        h, w = wm_dims
+    except (TypeError, ValueError):  # not iterable, or not two entries
+        raise ValueError(f"wm_dims must be a pair (height, width), got {wm_dims!r}") from None
+    h, w = _whole(h, "wm_dims entry"), _whole(w, "wm_dims entry")
     if h < 1 or w < 1:
         raise ValueError(f"watermark dimensions must be positive, got {w}x{h}")
-    mask, addresses = _schedule(img, key, h * w)
-    return _vote(_lsc_at(img, addresses), mask, key.repetition).reshape(h, w)
+    mask, addresses = _schedules([img], key, h * w)[0]
+    return _vote(_lscs(img, _lsc_place(addresses)), mask, key.repetition).reshape(h, w)
 
 
 def _vote(bits, mask, repetition: int) -> np.ndarray:
@@ -427,8 +414,8 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     noise cell, and the unauth key schedule, which reads no pixel and
     serves the unauth embed and every unauth read. The auth attacked images
     are kept until every cell is attacked; their schedules, one per image
-    as each image's MSCs re-key it, are then drawn in one batched
-    _key_streams call and each image is read as extract reads it.
+    as each image's MSCs re-key it, are then drawn in one _schedules call
+    and each image is read as extract reads it.
     shared_work counts this work for a grid.
     """
     wm = np.asarray(wm, dtype=np.uint8) & 1
@@ -445,7 +432,7 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     if not attacks:
         return []
     unauth, auth = (EmbeddingKey(seed1, seed2, mode=mode) for mode in ("unauth", "auth"))
-    mask, addresses = _schedule(carrier, unauth, wm.size)
+    mask, addresses = _schedules([carrier], unauth, wm.size)[0]
     place = _lsc_place(addresses)
     marked = [_write(carrier, wm.reshape(-1) ^ mask, addresses, unauth.repetition),
               embed(carrier, wm, auth)]
@@ -476,13 +463,11 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
         unauth_sims.append(similarity(wm, got))
         attacked.append(images[1])
         del images
-    derived = [derive_strategy_seed(auth, _msc_bytes(image)) for image in attacked]
-    streams = _key_streams(derived, auth.mix, wm.size, 3 * np.size(carrier),
-                           auth.repetition * wm.size)
     rows = []
     for (kind, param), sim, image, (auth_mask, auth_addresses) in zip(
-            attacks, unauth_sims, attacked, streams):
-        got = _vote(_lsc_at(image, auth_addresses), auth_mask, auth.repetition).reshape(wm.shape)
+            attacks, unauth_sims, attacked, _schedules(attacked, auth, wm.size)):
+        got = _vote(_lscs(image, _lsc_place(auth_addresses)), auth_mask,
+                    auth.repetition).reshape(wm.shape)
         rows += [(kind, param, "unauth", sim), (kind, param, "auth", similarity(wm, got))]
     return rows
 

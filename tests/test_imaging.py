@@ -187,8 +187,10 @@ class TestCrop:
         assert np.array_equal(crop_attack(once, 50), once)
 
     def test_oversize_rejected(self):
-        with pytest.raises(ValueError):
-            crop_attack(synthetic_carrier(1), 257)
+        # a string or None used to fail inside math.isfinite with a TypeError
+        for side in (257, "5", None):
+            with pytest.raises(ValueError, match="crop side"):
+                crop_attack(synthetic_carrier(1), side)
 
 
 class TestRotate:
@@ -200,8 +202,8 @@ class TestRotate:
 
     def test_bad_angle_rejected(self):
         img = synthetic_carrier(1)
-        for theta in (0, -3, 90, 120):
-            with pytest.raises(ValueError):
+        for theta in (0, -3, 90, 120, "5", None):
+            with pytest.raises(ValueError, match="theta"):
                 rotate_attack(img, theta)
 
     def test_vanishing_angle_is_identity(self):
@@ -260,8 +262,9 @@ class TestJpeg:
         assert out.shape == img.shape
 
     def test_bad_level_rejected(self):
-        with pytest.raises(ValueError):
-            jpeg_attack(synthetic_carrier(1), 0)
+        for level in (0, "5", None):
+            with pytest.raises(ValueError, match="level"):
+                jpeg_attack(synthetic_carrier(1), level)
 
 
 def _gemm_only(pair, level, shape):
@@ -523,8 +526,9 @@ class TestNoise:
         assert abs(delta.std() - 1.0) < 0.05
 
     def test_bad_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_noise_attack(synthetic_carrier(1), 0.0, seed=1)
+        for sigma in (0.0, "5", None):
+            with pytest.raises(ValueError, match="sigma"):
+                gaussian_noise_attack(synthetic_carrier(1), sigma, seed=1)
 
     def test_seed_none_rejected(self):
         """seed=None used to fall through to OS entropy: a different image on

@@ -34,8 +34,8 @@ from cimark.watermark import (
     shared_work,
     similarity,
 )
-from cimark.watermark import (_block_length, _distinct_addresses, _first_occurrences,
-                              _key_stream, _key_streams, _lsc_at, _msc_bytes, _schedule,
+from cimark.watermark import (_address_rows, _block_length, _first_occurrences,
+                              _key_streams, _lsc_place, _lscs, _msc_bytes, _schedules,
                               _strategy_seed, _write)
 from jpeg_oracle import SWEEP_KEYS, kernel_run, tie_prone_digest
 
@@ -44,6 +44,16 @@ KEY1, KEY2 = SWEEP_KEYS
 # Bit planes, 7 = most significant: the MSCs and the LSCs of a pixel.
 MSC_BITS = (7, 6, 5, 4)
 LSC_BITS = (2, 1, 0)
+
+
+def key_stream(derived, mix, n, m_total, count):
+    """The key schedule (mask, addresses) of one derived seed pair."""
+    return _key_streams([derived], mix, n, m_total, count)[0]
+
+
+def lsc_at(img, addresses):
+    """The LSCs at `addresses`, by the rule embed writes them with."""
+    return _lscs(img, _lsc_place(addresses))
 
 
 def planes_reference(img, bits):
@@ -100,15 +110,15 @@ class TestSplitMerge:
     def test_lsc_count_for_256_image(self):
         img = synthetic_carrier(0)
         key = EmbeddingKey(KEY1, KEY2, mode="auth")
-        with mock.patch("cimark.watermark._key_stream", wraps=_key_stream) as spy:
-            _schedule(img, key, 64)
+        with mock.patch("cimark.watermark._key_streams", wraps=_key_streams) as spy:
+            _schedules([img], key, 64)
         assert spy.call_args.args[3] == 256 * 256 * 3 == 196_608  # M, the LSC count
         assert _msc_bytes(img).size * 8 == 256 * 256 * 4  # every MSC bit, packed
 
     def test_single_pixel_msc_bits(self):
         img = np.array([[0b10110010]], dtype=np.uint8)
         assert np.unpackbits(_msc_bytes(img)).tolist() == [1, 0, 1, 1, 0, 0, 0, 0]
-        assert _lsc_at(img, np.arange(3)).tolist() == [0, 1, 0]
+        assert lsc_at(img, np.arange(3)).tolist() == [0, 1, 0]
 
     def test_split_merge_identity_100_random(self):
         """Writing every LSC back as read gives the image again."""
@@ -118,14 +128,14 @@ class TestSplitMerge:
             w = int(rng.integers(1, 24))
             img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
             every = np.arange(3 * img.size)
-            assert np.array_equal(_write(img, _lsc_at(img, every), every, 1), img)
+            assert np.array_equal(_write(img, lsc_at(img, every), every, 1), img)
 
     def test_merge_overwrites_covered_planes_only(self):
         rng = np.random.default_rng(22)
         img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
         every = np.arange(3 * img.size)
         other = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        merged = _write(other, _lsc_at(img, every), every, 1)
+        merged = _write(other, lsc_at(img, every), every, 1)
         # MSCs and bit 3 come from the carrier, the LSCs from the written bits
         assert np.array_equal(merged & np.uint8(0b11111000),
                               other & np.uint8(0b11111000))
@@ -259,7 +269,7 @@ class TestKey:
         seeds = {"seed1": KEY1, "seed2": KEY2, name: seed}
         with pytest.raises(ValueError, match=f"{name} must be a whole number"):
             EmbeddingKey(**seeds)
-        monkeypatch.setattr(wmk, "_schedule", no_schedule)
+        monkeypatch.setattr(wmk, "_schedules", no_schedule)
         with pytest.raises(ValueError, match=f"{name} must be a whole number"):
             robustness_sweep(synthetic_carrier(3, 64), synthetic_watermark(0, 8), **seeds,
                              attacks=[("crop", 4)])
@@ -285,9 +295,23 @@ class TestKey:
         def no_schedule(*a, **kw):
             raise AssertionError("scheduled before checking wm_dims")
 
-        monkeypatch.setattr(wmk, "_schedule", no_schedule)
+        monkeypatch.setattr(wmk, "_schedules", no_schedule)
         with pytest.raises(ValueError, match="wm_dims entry must be a whole number, got 2.5"):
             extract(synthetic_carrier(3, 64), EmbeddingKey(KEY1, KEY2), wm_dims=(2.5, 4))
+
+    @pytest.mark.parametrize("wm_dims", [5, None, (4,), (2, 2, 2)])
+    def test_wm_dims_not_a_pair_rejected(self, monkeypatch, wm_dims):
+        """A wm_dims that is not two entries used to fail with a bare
+        TypeError or unpacking error; it is refused by name, before any
+        draw."""
+        import cimark.watermark as wmk
+
+        def no_schedule(*a, **kw):
+            raise AssertionError("scheduled before checking wm_dims")
+
+        monkeypatch.setattr(wmk, "_schedules", no_schedule)
+        with pytest.raises(ValueError, match=r"wm_dims must be a pair \(height, width\)"):
+            extract(synthetic_carrier(3, 64), EmbeddingKey(KEY1, KEY2), wm_dims=wm_dims)
 
 
 class TestMixture:
@@ -295,13 +319,13 @@ class TestMixture:
 
     def test_mixture_decorrelates(self):
         for mix in ("ci", "xor"):
-            mask, _ = _key_stream(self.DERIVED, mix, 4096, 196_608, 4096)
+            mask, _ = key_stream(self.DERIVED, mix, 4096, 196_608, 4096)
             assert mask.dtype == np.uint8 and mask.shape == (4096,)
             assert 0.35 < mask.mean() < 0.65
 
     def test_xor_mask_is_generator_keystream(self):
         for n in (1, 7, 4096):
-            mask, _ = _key_stream(self.DERIVED, "xor", n, 196_608, n)
+            mask, _ = key_stream(self.DERIVED, "xor", n, 196_608, n)
             assert np.array_equal(mask, CiGenerator.from_seeds(*self.DERIVED).bits(n))
 
 
@@ -483,7 +507,7 @@ class TestDistinctAddresses:
     def test_equals_first_distinct_reference(self, n_mix, m_total, count, reach):
         want, last = distinct_addresses_reference(
             self.strategy(n_mix, 16 * count + 4097), m_total, count)
-        _, got = _key_stream(self.DERIVED, "ci", n_mix, m_total, count)
+        _, got = key_stream(self.DERIVED, "ci", n_mix, m_total, count)
         assert got.tolist() == want
         # whether the first scan, of count + count // 8 + 64 values, suffices
         assert reach == ("prefix" if last < count + count // 8 + 64 else "rescan")
@@ -503,7 +527,7 @@ class TestDistinctAddresses:
         flips = 6 * n_mix + (first & 1) + (xorshift_step(first) & 1)
         s = self.strategy(n_mix, max(flips, 16 * count + 4097))
         want, last = distinct_addresses_reference(s, m_total, count)
-        mask, got = _key_stream(self.DERIVED, "ci", n_mix, m_total, count)
+        mask, got = key_stream(self.DERIVED, "ci", n_mix, m_total, count)
         assert got.tolist() == want
         assert np.array_equal(mask, np.bincount(s[:flips], minlength=n_mix) & 1)
         first_scan = count + count // 8 + 64
@@ -525,9 +549,9 @@ class TestDistinctAddresses:
             want, _ = distinct_addresses_reference(strategy, m_total, count)
         except RuntimeError:
             with pytest.raises(RuntimeError):
-                _key_stream(derived, mix, n, m_total, count)
+                key_stream(derived, mix, n, m_total, count)
             return
-        _, got = _key_stream(derived, mix, n, m_total, count)
+        _, got = key_stream(derived, mix, n, m_total, count)
         assert got.tolist() == want
 
     @staticmethod
@@ -549,20 +573,24 @@ class TestDistinctAddresses:
         m_total, count, held = 1000, 2, 200
         s = self.pinned(4130, m_total, hit)
         draw = _ServeStream(s[held:]).fill
+
+        def redraw(rows, length):  # the held values, continued by the served ones
+            return np.concatenate([s[:held], draw(length - held)])[None]
+
         if hit <= 4128:
             want, last = distinct_addresses_reference(s, m_total, count)
             assert (want, last) == ([0, 1], hit)
-            got = _distinct_addresses(s[:held], draw, m_total, count)
+            got = _address_rows(s[:held][None], redraw, m_total, count)[0]
             assert got.tolist() == want
         else:
             with pytest.raises(RuntimeError):
                 distinct_addresses_reference(s, m_total, count)
             with pytest.raises(RuntimeError):
-                _distinct_addresses(s[:held], draw, m_total, count)
+                _address_rows(s[:held][None], redraw, m_total, count)
 
     def test_capacity_checked_first(self):
         with pytest.raises(ValueError):
-            _key_stream(self.DERIVED, "ci", 16, 10, 11)
+            key_stream(self.DERIVED, "ci", 16, 10, 11)
 
 
 def key_stream_reference(derived, mix, n, m_total, count):
@@ -759,7 +787,7 @@ class TestEmbedExtract:
         key = EmbeddingKey(KEY1, KEY2, mode=mode, repetition=repetition)
         car, wm = synthetic_carrier(4), synthetic_watermark(4)
         marked = embed(car, wm, key)
-        _, addresses = _schedule(marked, key, wm.size)
+        _, addresses = _schedules([marked], key, wm.size)[0]
         lsc = planes_reference(marked, LSC_BITS)
         free = np.ones(lsc.size, dtype=bool)
         free[addresses] = False
@@ -774,7 +802,7 @@ class TestEmbedExtract:
         rng = np.random.default_rng(seed)
         img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
         addresses = rng.integers(0, 3 * h * w, size=50)
-        assert np.array_equal(_lsc_at(img, addresses),
+        assert np.array_equal(lsc_at(img, addresses),
                               planes_reference(img, LSC_BITS)[addresses])
 
 
@@ -889,10 +917,10 @@ class TestSweep:
         assert got == want
 
     @pytest.mark.parametrize("kind, bad", [
-        ("crop", (257, -1, math.nan, math.inf)),
-        ("rotate", (0, 90, -3, math.nan, math.inf)),
-        ("jpeg", (0, -1, math.nan, math.inf)),
-        ("noise", (0, -0.5, math.nan, math.inf)),
+        ("crop", (257, -1, math.nan, math.inf, "5", None)),
+        ("rotate", (0, 90, -3, math.nan, math.inf, "5", None)),
+        ("jpeg", (0, -1, math.nan, math.inf, "5", None)),
+        ("noise", (0, -0.5, math.nan, math.inf, "5", None)),
         ("noise_seed", (-1, 1.5)),
     ], ids=["crop", "rotate", "jpeg", "noise", "noise_seed"])
     def test_bad_parameter_rejected_before_any_work(self, monkeypatch, kind, bad):
