@@ -4,26 +4,27 @@ rounds. (The GF(2) rank elimination lives in `gf2.gf2_rank_many`.)
 Every kernel is vectorised numpy, one function per job: `xorshift_fill`
 for XORshift chains, `ci_fill` for generator rounds.
 
-The XORshift fill jumps ahead with cached byte tables of the round matrix
-raised to powers of two: short chains by doubling, long ones by stepping
-32-word lanes, whose starts the tables jump to, as one vector. One more
-cached table map reads the low b <= 16 bits of 32 consecutive words from
-one word of a T^32 chain: `ci_fill`'s length bits (b = 1) and the
-watermark's strategy cells at a power-of-two watermark size are read
-through it. The generator kernel draws its strategy words in the lane
-layout and never puts them into stream order. It works through the flips
-in chunks of a fixed power of two, one lane row at a time: each row is
-stepped, reduced to cells, turned into one-hot flip masks in 32-bit state
-words and prefix-XORed while it is in cache. Each round's state is
-gathered at its last flip, and the lane starts are carried from chunk to
-chunk by one table jump. Its working memory beyond the output is bounded
-for any stream length and any round length. See the comment above the
-kernels.
+Every XORshift draw is one table read. Cached byte tables of the round
+matrix raised to powers of two fill the chain of every 32nd word by
+doubling, and one more cached table map, E_b, reads the low b <= 32 bits
+of the 32 words from each word of that chain: full words (b = 32) for
+`xorshift_fill`, `ci_fill`'s length bits (b = 1) and the watermark's
+strategy cells (b = log2 n, or 32 then mod n). The generator kernel draws
+its strategy words in a lane layout and never puts them into stream order.
+It works through the flips in chunks of a fixed power of two, one lane row
+at a time: each row is stepped, reduced to cells, turned into one-hot flip
+masks in 32-bit state words and prefix-XORed while it is in cache. Each
+round's state is gathered at its last flip, and the lane starts are carried
+from chunk to chunk by one table jump. Its working memory beyond the output
+is bounded for any stream length and any round length. See the comment
+above the kernels.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import mmap
 
 import numpy as np
 
@@ -54,15 +55,21 @@ def xorshift_step(word: int) -> int:
 # the XOR of one table lookup per byte. Level k+1 is found by applying level
 # k to its own columns, so the cache is built in about a millisecond and
 # only up to the level a call needs. A chain from a given out[0] is filled
-# by doubling: while h words are known, out[h:2h] = T^h(out[:h]).
+# by doubling: while h words are known, out[h:2h] = T^h(out[:h]). With
+# levels k + s the same doubling fills a T^(2^s) chain, as (T^(2^s))^(2^k)
+# = T^(2^(k + s)).
 #
-# A lane stepper fills an (L, K) buffer with L*K words of the chain, word e
-# at [e % L, e // L]: K lanes of L = _LANE words whose starts are a T^L chain
-# filled by doubling with levels k + log2(L), as (T^L)^(2^k) =
-# T^(2^(k + log2 L)). The K lanes take L plain rounds as one uint32 vector.
-# Fills of _LANE_MIN words or more step lanes in blocks of _LANE_BLOCK words
-# and transpose each block into stream order; shorter fills are faster by
-# doubling.
+# The low b bits of T^t(z) are a linear function of z, so one map E_b
+# gives the low b bits of 32 consecutive words at once: column t of E_b(z)
+# is T^t(z) & (2^b - 1). Its byte tables hold a row of 32 uint8, uint16 or
+# uint32 values per byte value, XORed as 4, 8 or 16 uint64 words. E_b is
+# applied to each word of a T^32 chain, or of several chains at once (the
+# watermark key schedule reads one per seed), in blocks of _READ_BLOCK
+# chain words, so that a block's lookups stay in cache. Every XORshift draw
+# is such a read: xorshift_fill reads full words (b = 32) from the T^32
+# chain of its words, filled by doubling with levels k + 5; the watermark's
+# strategy cells are b = log2 n bits, or full words mod n when n is not a
+# power of two; and a generator round's length bit is b = 1 (below).
 #
 # A generator round flips m >= 1 cells and emits the state, so each emitted
 # state is the initial state XOR the prefix XOR of one-hot flip masks up to
@@ -70,8 +77,9 @@ def xorshift_step(word: int) -> int:
 # _CHUNK_FLIPS flips, halved once per doubling of nw = ceil(N/32), the
 # big-endian uint32 state words, so that the prefix buffer of nw * F words
 # stays at 4 MiB; a round may span chunks. A chunk is K = F / L lanes, flip
-# e of the chunk at row e % L, lane e // L. The call's first chunk finds its
-# lane starts by doubling; each later one takes them from the previous
+# e of the chunk at row e % L, lane e // L, for L = _LANE. The lane starts
+# are a T^L chain: the call's first chunk fills them by doubling with levels
+# k + log2 L, and each later one takes them from the previous
 # chunk's by one jump, T^F. The last chunk steps only the lanes the
 # remaining rounds can reach.
 #
@@ -94,16 +102,10 @@ def xorshift_step(word: int) -> int:
 # chunk; its output row is the leading ceil(N/8) bytes of its state words.
 # At each chunk's end the carried state takes the XOR of all its flips.
 #
-# The low b bits of T^t(z) are a linear function of z, so one map E_b
-# gives the low b bits of 32 consecutive words at once: column t of E_b(z)
-# is T^t(z) & (2^b - 1). Its byte tables hold a row of 32 uint8 or uint16
-# values per byte value, XORed as 4 or 8 uint64 words; E_b is applied to
-# each word of a T^32 chain, or of several chains at once (the watermark
-# key schedule reads one per seed). A round reads only the low bit of its length
-# word (m = c + bit), so its length bits are E_1 of the T^32 chain of the
-# length words: 4 row lookups per 32 rounds, not a full-word fill. Rounds are
-# taken in blocks of _LENGTH_BLOCK, with last flips counted as int64 from
-# the call's first. The first block fills its chain by doubling; each later
+# A round reads only the low bit of its length word (m = c + bit), so its
+# length bits are E_1 of the T^32 chain of the length words: 4 row lookups
+# per 32 rounds, not a full-word read. Rounds are taken in blocks of
+# _LENGTH_BLOCK, with last flips counted as int64 from the call's first. The first block fills its chain by doubling; each later
 # block's chain is the one before jumped by T^_LENGTH_BLOCK, one table pass,
 # so _LENGTH_BLOCK must stay a power of two (the jump tables are of
 # T^(2^k)). The returned strategy word is rebuilt from its lane start with
@@ -119,9 +121,10 @@ _MAX_CELLS = 32 * (_CHUNK_FLIPS // _LANE)
 # Rounds per block of length bits: the block's last flips take 128 KiB as
 # int64. A power of two: the next block's chain is this one's jumped by it.
 _LENGTH_BLOCK = 1 << 14
-_LANE_MIN = 1 << 16  # shortest xorshift_fill that steps lanes
-_LANE_BLOCK = 1 << 18  # words per transposed block; keeps the transpose in cache
-_LOW_BITS_MAX = 16  # widest low-bits read: its tables hold uint16 values
+# Chain words per block of a low-bits read, whose lookups then stay in
+# cache: the sweep's 15-row read takes 0.20-0.29 ms in blocks of 4,096,
+# 0.58 ms in blocks of 16,384 or more.
+_READ_BLOCK = 1 << 12
 
 
 def _xs_columns():
@@ -132,8 +135,16 @@ def _xs_columns():
 def _byte_tables(cols):
     """(4, 256, ...) tables of the linear map with columns `cols`, the images
     of the 32 basis words (each a word or a row of values): row b maps the
-    value of byte b (b = 0 least significant) to its image."""
-    tab = np.zeros((4, 256) + cols.shape[1:], dtype=cols.dtype)
+    value of byte b (b = 0 least significant) to its image.
+
+    The tables live in zeroed pages of their own, outside the malloc heap.
+    A cached table there (128 KiB at b = 32) splits the free blocks that
+    large arrays reuse: a battery-xorshift process then peaked 6-11 MB
+    higher in 15-50% of runs, as it also did when a fill drew its chain
+    before allocating its output."""
+    shape = (4, 256) + cols.shape[1:]
+    tab = np.frombuffer(mmap.mmap(-1, math.prod(shape) * cols.itemsize),
+                        dtype=cols.dtype).reshape(shape)
     c = cols.reshape(4, 8, 1, *cols.shape[1:])
     for i in range(8):
         tab[:, 1 << i:2 << i] = tab[:, :1 << i] ^ c[:, i]
@@ -168,9 +179,10 @@ def _jump_table(k):
 @functools.cache
 def _low_bit_tables(b):
     """(4, 256, 32) byte tables of E_b, which reads the low b bits of 32
-    words at once, b <= _LOW_BITS_MAX: column t of E_b(z) is T^t(z) &
-    (2^b - 1), for t = 0..31. Entries are uint8 up to b = 8, else uint16."""
-    cols = np.empty((32, 32), dtype=np.uint8 if b <= 8 else np.uint16)
+    words at once, 0 <= b <= 32: column t of E_b(z) is T^t(z) & (2^b - 1),
+    for t = 0..31. Entries are uint8 up to b = 8, uint16 up to 16, else
+    uint32."""
+    cols = np.empty((32, 32), dtype=np.uint8 if b <= 8 else np.uint16 if b <= 16 else np.uint32)
     w = np.uint32(1) << np.arange(32, dtype=np.uint32)  # basis words, stepped
     nxt, t = np.empty(32, dtype=np.uint32), np.empty(32, dtype=np.uint32)
     mask = np.uint32((1 << b) - 1)
@@ -203,18 +215,6 @@ def _step(prev, out, t):
     out ^= t
 
 
-def _lanes(state, buf):
-    """Fill the (L, K) uint32 buffer with the next L*K words of the chain
-    after `state`, word e at [e % L, e // L]."""
-    ln, k = buf.shape
-    prev = np.full(k, state, dtype=np.uint32)
-    _jump_chain(prev, ln.bit_length() - 1)  # lane starts
-    t = np.empty(k, dtype=np.uint32)
-    for row in buf:
-        _step(prev, row, t)
-        prev = row
-
-
 def _length_chain(state, n):
     """Every 32nd word of the n >= 1 words of the chain after `state`: z[q]
     is word 32q, word 0 being the first after `state`. For a sequence of
@@ -228,27 +228,36 @@ def _length_chain(state, n):
     return z
 
 
-def _low_bits(z, n, b):
-    """Low b bits (0 <= b <= _LOW_BITS_MAX) of the first n >= 1 words of
-    the chain whose every 32nd word is z (see _length_chain), in stream
-    order, and the last of those words: E_b reads word 32q and the 31
-    after it from word 32q."""
-    q = -(-n // 32)
-    state = int(z[q - 1])
+def _low_bits(z, n, b, out=None):
+    """Low b bits (0 <= b <= 32) of the first n >= 1 words of the chain
+    whose every 32nd word is z (see _length_chain), in stream order, written
+    to `out` (n values) if given, and the last of those words: E_b reads
+    word 32q and the 31 after it from word 32q."""
+    if out is None:
+        out = np.empty(n, dtype=_low_bit_tables(b).dtype)
+    full = n // 32
+    _low_bit_rows(z[:full], b, out[:32 * full].reshape(full, 32))
+    if n % 32:  # the leading words read from the next chain word
+        out[32 * full:] = _low_bit_rows(z[full:full + 1], b)[0, :n % 32]
+    state = int(z[(n - 1) // 32])
     for _ in range((n - 1) & 31):
         state = xorshift_step(state)
-    return _low_bit_rows(z[:q], b).reshape(-1)[:n], state
+    return out, state
 
 
-def _low_bit_rows(z, b):
+def _low_bit_rows(z, b, out=None):
     """The low b bits of the 32 words from each word of the contiguous T^32
-    chain z, of any shape: E_b(z[...]) as z.shape + (32,) uint8 or uint16
-    values."""
+    chain z, of any shape: E_b(z[...]) as z.shape + (32,) uint8, uint16 or
+    uint32 values, written to the contiguous `out` if given, in blocks of
+    _READ_BLOCK chain words."""
     tab = _low_bit_tables(b)
-    wide = tab.view(np.uint64)  # a row of 32 values as 4 or 8 wider words
-    out = np.empty(z.shape + wide.shape[-1:], dtype=np.uint64)
-    _apply_tables(wide, z, out)
-    return out.view(tab.dtype)
+    wide = tab.view(np.uint64)  # a row of 32 values as 4, 8 or 16 wider words
+    if out is None:
+        out = np.empty(z.shape + (32,), dtype=tab.dtype)
+    flat, rows = z.reshape(-1), out.view(np.uint64).reshape(-1, wide.shape[-1])
+    for s in range(0, flat.size, _READ_BLOCK):
+        _apply_tables(wide, flat[s:s + _READ_BLOCK], rows[s:s + _READ_BLOCK])
+    return out
 
 
 def _flip_prefix(starts, n, pre, tot, rows):
@@ -291,25 +300,14 @@ def _flip_prefix(starts, n, pre, tot, rows):
 
 
 def xorshift_fill(state: int, n: int) -> tuple[np.ndarray, int]:
-    """Next n words of the XORshift chain starting after `state`."""
-    out = np.empty(n, dtype=np.uint32)
+    """Next n words of the XORshift chain starting after `state`: the b = 32
+    read of the T^32 chain of those words."""
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
+    out = np.empty(n, dtype=np.uint32)  # before the chain: see _byte_tables
     if n == 0:
         return out, int(state)
-    if n < _LANE_MIN:
-        out[0] = xorshift_step(int(state))
-        _jump_chain(out, 0)
-        return out, int(out[-1])
-    ln = _LANE
-    buf = np.empty(ln * -(-min(n, _LANE_BLOCK) // ln), dtype=np.uint32)
-    for s in range(0, n, _LANE_BLOCK):
-        e = min(n, s + _LANE_BLOCK)
-        full, k = (e - s) // ln, -(-(e - s) // ln)
-        lanes = buf[:ln * k].reshape(ln, k)
-        _lanes(state, lanes)
-        out[s:s + ln * full].reshape(full, ln)[...] = lanes[:, :full].T
-        out[s + ln * full:e] = lanes[:e - s - ln * full, full:].ravel()
-        state = int(out[e - 1])
-    return out, state
+    return _low_bits(_length_chain(state, n), n, 32, out)
 
 
 def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[np.ndarray, int, int]:

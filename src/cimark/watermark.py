@@ -29,7 +29,7 @@ from .imaging import (_check_angle, _check_gray, _check_level, _check_noise_seed
                       _check_sigma, _crop_side, add_offsets, crop_attack,
                       gaussian_noise_attack, jpeg_attack, jpeg_forward, jpeg_inverse,
                       remap, rotate_attack, rotation_map, scaled_noise, standard_noise)
-from .kernels import _LOW_BITS_MAX, _length_chain, _low_bit_rows, xorshift_fill, xorshift_step
+from .kernels import _length_chain, _low_bit_rows, xorshift_step
 
 FOLD_INIT = 0x811C9DC5  # nonzero so the all-zero MSC plane still digests
 
@@ -247,20 +247,19 @@ def _strategy_cells(seeds, n: int, k: int) -> np.ndarray:
     """(R, k): the first k strategy cells, word mod n, of the strategy
     source of each seed in `seeds`.
 
-    At n = 2^b, b <= 16 (the default 64x64 watermark included), a cell is
-    its word's low b bits, a linear map of the generator state, so one
-    doubling fills the T^32 chains of all rows and one low-bits table map
-    reads them, 32 words per chain word, as `ci_fill` reads its length
-    bits. Word mod n is not linear for other n, nor held in its 16-bit
-    tables past 2^16, so those n reduce whole words, one fill per row.
+    One doubling fills the T^32 chains of all rows and one low-bits table
+    map reads them, 32 words per chain word, as `ci_fill` reads its length
+    bits. At n = 2^b (the default 64x64 watermark included) a cell is its
+    word's low b bits, a linear map of the generator state, so the map reads
+    b bits. Word mod n is not linear for other n: the map reads whole words
+    (b = 32), reduced mod n.
     """
     b = n.bit_length() - 1
-    if n == 1 << b and b <= _LOW_BITS_MAX:
-        z = _length_chain(seeds, k).T.copy()  # (R, q): each row's chain in order
-        return _low_bit_rows(z, b).reshape(z.shape[0], 32 * z.shape[1])[:, :k]
-    cells = np.array([xorshift_fill(seed, k)[0] for seed in seeds],
-                     dtype=np.uint32).reshape(len(seeds), k)
-    cells %= np.uint32(n)
+    power = n == 1 << b
+    z = _length_chain(seeds, k).T.copy()  # (R, q): each row's chain in order
+    cells = _low_bit_rows(z, b if power else 32).reshape(z.shape[0], 32 * z.shape[1])[:, :k]
+    if not power:
+        cells %= np.uint32(n)
     return cells
 
 

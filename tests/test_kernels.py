@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import cimark
 from cimark import kernels
-from cimark.generator import ZERO_SEED_FALLBACK, CiGenerator, kth_bit_oracle
+from cimark.generator import ZERO_SEED_FALLBACK, CiGenerator, XorShift32, kth_bit_oracle
 from cimark.gf2 import gf2_rank_many
 from cimark.kernels import (
     _xs_columns,
@@ -22,17 +22,15 @@ from cimark.kernels import (
 from gf2_oracle import mat_pow_gf2, naive_rank
 
 seeds = st.integers(min_value=1, max_value=2**32 - 1)
-# lengths around the doubling boundaries of the fill, around the lane
-# threshold, around multiples of the lane length on the lane path, and
-# around the lane block size and its multiples
-_LANE, _LANE_MIN, _LANE_BLOCK = kernels._LANE, kernels._LANE_MIN, kernels._LANE_BLOCK
+# lengths around the doubling boundaries of the fill's T^32 chain, around
+# the 32-word edges of that chain, and around multiples of the 32 *
+# _READ_BLOCK words of one block of its table read
+_LANE, _READ = kernels._LANE, 32 * kernels._READ_BLOCK
 edge_lengths = sorted(
     {0, 1}
     | {(1 << k) + d for k in range(1, 19) for d in (-1, 0, 1)}
-    | {_LANE_MIN + d for d in (-1, 0, 1)}
-    | {_LANE * j + d for j in (_LANE_MIN // _LANE + 1, 3001, _LANE_BLOCK // _LANE + 1)
-       for d in (-1, 1)}
-    | {_LANE_BLOCK * j + d for j in (1, 2, 3) for d in (-1, 0, 1)})
+    | {32 * j + d for j in (1, 2, 3, 3001) for d in (-1, 0, 1)}
+    | {_READ * j + d for j in (1, 2, 3) for d in (-1, 0, 1)})
 
 
 def scalar_chain(state, n):
@@ -53,7 +51,8 @@ def test_xorshift_fallback_matches_scalar():
 
 
 def test_xorshift_paths_agree():
-    """xorshift_fill equals the scalar chain at every doubling and lane edge."""
+    """xorshift_fill equals the scalar chain at every doubling, 32-word and
+    read-block edge."""
     ref = scalar_chain(0xCAFEBABE, edge_lengths[-1])
     for n in edge_lengths:
         words, end = xorshift_fill(0xCAFEBABE, n)
@@ -72,6 +71,19 @@ def test_xorshift_fill_resumes_like_scalar(seed, sizes):
         assert np.array_equal(words, ref[pos:pos + n])
         pos += n
     assert state == (int(ref[-1]) if pos else seed)
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_xorshift_fill_rejects_negative_length(n):
+    """A negative length used to fail inside numpy ("negative dimensions are
+    not allowed"); it is refused by name, through XorShift32.fill too, which
+    keeps its state."""
+    with pytest.raises(ValueError, match=f"n must be at least 0, got {n}"):
+        xorshift_fill(1, n)
+    src = XorShift32(7)
+    with pytest.raises(ValueError, match=f"n must be at least 0, got {n}"):
+        src.fill(n)
+    assert src.word == 7
 
 
 def test_xorshift_fill_memory_bounded():
@@ -102,39 +114,28 @@ def reference_rounds(x0, s1, s2, c, rounds):
     return np.array(states, dtype=np.uint8).reshape(rounds, len(x)), x, a, b
 
 
-# (_LANE_MIN, _LANE_BLOCK) patched so that fills of a few hundred flips take
-# the lane path, with blocks that are and are not multiples of the lane
-# length, and _LANE patched to other powers of two
-lane_settings = st.tuples(st.sampled_from([None, (1, 128), (64, 200), (300, 1000)]),
-                          st.sampled_from([8, 32, 64]))
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([2, 5, 24, 31, 32, 33, 64, 65, 130]),
        c_scale=st.sampled_from([None, 1, 2]),
        rounds=st.integers(min_value=0, max_value=40),
        s1=seeds, s2=seeds,
        chunk=st.sampled_from([1 << 6, 1 << 7, 1 << 8, 1 << 9]),
-       lanes=lane_settings,
+       lane=st.sampled_from([8, 32, 64]),
        block=st.sampled_from([None, 1, 4, 8, 32]),
        data=st.data())
-def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lanes, block, data):
+def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lane, block, data):
     """ci_fill equals round-by-round iteration driven by scalar chains,
     across many chunk boundaries of the numpy kernel (rounds straddle them,
-    and the lane starts are carried over them), on either side of the lane
-    threshold of the strategy fills, for any lane length, and with blocks of
-    length bits (a power of two rounds) that end inside a 32-round slice and
-    inside a chunk."""
+    and the lane starts are carried over them), for any lane length, and
+    with blocks of length bits (a power of two rounds) that end inside a
+    32-round slice and inside a chunk."""
     c = 3 * n if c_scale is None else c_scale
     x0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                   dtype=np.uint8)
     expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
 
-    thresholds, lane = lanes
-    lane_min, lane_block = thresholds or (_LANE_MIN, _LANE_BLOCK)
     xbits = x0.copy()
-    with mock.patch.multiple(kernels, _CHUNK_FLIPS=chunk, _LANE=lane, _LANE_MIN=lane_min,
-                             _LANE_BLOCK=lane_block,
+    with mock.patch.multiple(kernels, _CHUNK_FLIPS=chunk, _LANE=lane,
                              _LENGTH_BLOCK=block or kernels._LENGTH_BLOCK):
         out, a, b = ci_fill(xbits, s1, s2, c, rounds)
     assert out.dtype == np.uint8 and out.shape == (rounds + 1, -(-n // 8))
@@ -313,14 +314,14 @@ def test_xorshift_full_period():
 
 
 def test_jump_tables_match_matrix_powers():
-    """Level k of the jump cache is T^(2^k), including every level
-    k + log2(_LANE) that jumps the lane starts of a block by (T^_LANE)^(2^k)."""
+    """Level k of the jump cache is T^(2^k), including every level k + 5
+    that doubles the T^32 chain of a fill of up to 2^22 words by
+    (T^32)^(2^k)."""
     tabs = [kernels._jump_table(k) for k in range(25)]
     cols = _xs_columns()
-    shift = _LANE.bit_length() - 1
-    lane_levels = range(shift, shift + (_LANE_BLOCK // _LANE - 1).bit_length())
+    chain_levels = range(5, 5 + ((1 << 22) // 32 - 1).bit_length())
     chunk_level = kernels._CHUNK_FLIPS.bit_length() - 1  # carries ci_fill's lane starts
-    for k in sorted({0, 1, 2, 6, 7, 12, 16, 18, 24, chunk_level} | set(lane_levels)):
+    for k in sorted({0, 1, 2, 6, 7, 12, 16, 18, 24, chunk_level} | set(chain_levels)):
         expected = mat_pow_gf2(cols, 1 << k)
         got = [int(tabs[k][j // 8, 1 << (j % 8)]) for j in range(32)]
         assert got == expected, k
@@ -329,11 +330,12 @@ def test_jump_tables_match_matrix_powers():
 def test_low_bit_table_reads_32_low_bits():
     """Column t of the image of each basis word 2^j under E_b is the low b
     bits of T^t(2^j), for t = 0..31, stepped with the scalar round; at b = 1,
-    5, 12 and 16, in uint8 tables up to b = 8 and uint16 past it."""
-    for b in (1, 5, 12, 16):
+    5, 12, 16, 17, 31 and 32, in uint8 tables up to b = 8, uint16 up to 16
+    and uint32 past it."""
+    for b in (1, 5, 12, 16, 17, 31, 32):
         tab = kernels._low_bit_tables(b)
         assert tab.shape == (4, 256, 32)
-        assert tab.dtype == (np.uint8 if b <= 8 else np.uint16)
+        assert tab.dtype == low_bits_dtype(b)
         for j in range(32):
             w, expected = 1 << j, []
             for t in range(32):
@@ -342,19 +344,23 @@ def test_low_bit_table_reads_32_low_bits():
             assert tab[j // 8, 1 << (j % 8)].tolist() == expected, (b, j)
 
 
+def low_bits_dtype(b):
+    return np.uint8 if b <= 8 else np.uint16 if b <= 16 else np.uint32
+
+
 def test_low_bits_match_scalar_chain():
-    """The low b bits, for every b from 0 to 16, are those of the scalar
+    """The low b bits, for every b from 0 to 32, are those of the scalar
     chain, and the word returned is its last, for draws that end on, before
-    and after a 32-word slice, and from the all-ones word and the zero-seed
-    fallback."""
-    sizes = (1, 2, 31, 32, 33, 63, 64, 65, 5_405, 1 << 14, (1 << 16) + 5)
+    and after a 32-word slice, past one block of the table read, and from
+    the all-ones word and the zero-seed fallback."""
+    sizes = (1, 2, 31, 32, 33, 63, 64, 65, 5_405, 1 << 14, (1 << 16) + 5, _READ + 33)
     for state in (1, 0xFFFFFFFF, ZERO_SEED_FALLBACK):
         ref = scalar_chain(state, sizes[-1])
         for n in sizes:
             z = kernels._length_chain(state, n)
-            for b in range(kernels._LOW_BITS_MAX + 1):
+            for b in range(33):
                 bits, end = kernels._low_bits(z, n, b)
-                assert bits.size == n and bits.dtype.itemsize <= 2
+                assert bits.size == n and bits.dtype == low_bits_dtype(b)
                 assert np.array_equal(bits, ref[:n] & ((1 << b) - 1)), (state, n, b)
                 assert end == int(ref[n - 1]), (state, n, b)
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cimark import imaging
 from cimark.cli import BENCH_GRID
-from cimark.generator import CiGenerator, XorShift32
+from cimark.generator import CiGenerator
 from cimark.imaging import (
     crop_attack,
     gaussian_noise_attack,
@@ -88,6 +88,17 @@ def doubling_reference(s, m_total, count):
         u = int(s[0]) % m_total if k == 0 else (int(s[k]) + 2 * u + (k - 1)) % m_total
         out.append(u)
     return out
+
+
+def strategy_reference(derived, n, length):
+    """The first `length` strategy cells of a derived seed pair, word mod n,
+    from the scalar `xorshift_step` chain after its strategy seed: they
+    share no table read with the key schedule they check."""
+    word, words = _strategy_seed(*derived), []
+    for _ in range(length):
+        word = xorshift_step(word)
+        words.append(word)
+    return np.array(words, dtype=np.uint32) % np.uint32(n)
 
 
 def distinct_addresses_reference(s, m_total, count):
@@ -493,7 +504,7 @@ class TestDistinctAddresses:
     DERIVED = (0x1234567, 0x89ABCDE)
 
     def strategy(self, n_mix, length):
-        return XorShift32(_strategy_seed(*self.DERIVED)).fill(length) % np.uint32(n_mix)
+        return strategy_reference(self.DERIVED, n_mix, length)
 
     @pytest.mark.parametrize("n_mix, m_total, count, reach", [
         (4096, 196_608, 4096, "prefix"),  # 64x64 watermark, 256x256 carrier
@@ -515,14 +526,16 @@ class TestDistinctAddresses:
     @pytest.mark.parametrize("n_mix, m_total, count, reach", [
         (1, 50, 30, "prefix"),                                   # b = 0: every cell 0
         *[(1 << b, 300, 40, "prefix") for b in range(1, 17)],    # table reads
-        (1 << 17, 300, 40, "prefix"),                            # past 16 bits: word mod n
-        (4095, 300, 40, "prefix"),                               # not a power of two
+        (1 << 17, 300, 40, "prefix"),                            # b = 17, uint32 cells
+        (3, 300, 40, "prefix"),                                  # full words mod n
+        (4095, 300, 40, "prefix"),                               # .. below 2^16
+        ((1 << 16) + 1, 300, 40, "prefix"),                      # .. past 2^16
         (64, 256, 256, "rescan"),  # only the rescan draws on after the table read
     ])
     def test_key_stream_equals_words_mod_n(self, n_mix, m_total, count, reach):
-        """Both ways of drawing the strategy cells, low-bit table reads at
-        n = 2^b up to 2^16 and whole words mod n elsewhere, give the mask and
-        the addresses of the XORshift words mod n."""
+        """Both ways of reading the strategy cells, the low b bits at n = 2^b
+        and whole words (b = 32) mod n elsewhere, give the mask and the
+        addresses of the scalar chain's words mod n."""
         first = xorshift_step(self.DERIVED[0])
         flips = 6 * n_mix + (first & 1) + (xorshift_step(first) & 1)
         s = self.strategy(n_mix, max(flips, 16 * count + 4097))
@@ -544,7 +557,7 @@ class TestDistinctAddresses:
     def test_addresses_equal_first_distinct_reference(self, n, m_total, count, mix,
                                                       derived):
         count = min(count, m_total)  # count == m_total about half the time
-        strategy = XorShift32(_strategy_seed(*derived)).fill(16 * count + 4097) % np.uint32(n)
+        strategy = strategy_reference(derived, n, 16 * count + 4097)
         try:
             want, _ = distinct_addresses_reference(strategy, m_total, count)
         except RuntimeError:
@@ -595,7 +608,7 @@ class TestDistinctAddresses:
 
 def key_stream_reference(derived, mix, n, m_total, count):
     """(mask, addresses, flips, reach) of one derived seed pair from its
-    strategy words mod n, drawn in one fill: the mask is the flip parity of
+    strategy words mod n, drawn from the scalar chain: the mask is the flip parity of
     the first flips = 6n + (two low bits after seed 1) cells (mix "ci") or
     the generator keystream (mix "xor"); the addresses are the first
     `count` distinct terms of the recurrence, one step at a time; reach
@@ -603,7 +616,7 @@ def key_stream_reference(derived, mix, n, m_total, count):
     them."""
     first = xorshift_step(derived[0])
     flips = 6 * n + (first & 1) + (xorshift_step(first) & 1)
-    s = XorShift32(_strategy_seed(*derived)).fill(max(flips, 16 * count + 4097)) % np.uint32(n)
+    s = strategy_reference(derived, n, max(flips, 16 * count + 4097))
     addresses, last = distinct_addresses_reference(s, m_total, count)
     reach = "prefix" if last < count + count // 8 + 64 else "rescan"
     if mix == "xor":
@@ -682,7 +695,7 @@ class TestKeyStreams:
         def no_draw(*a, **kw):
             raise AssertionError("drew before checking the capacity")
 
-        for name in ("xorshift_step", "xorshift_fill", "_strategy_cells", "_length_chain"):
+        for name in ("xorshift_step", "_strategy_cells", "_length_chain", "_low_bit_rows"):
             monkeypatch.setattr(wmk, name, no_draw)
         with pytest.raises(ValueError, match="11 LSCs, image has 10"):
             _key_streams(MIXED[:2], "ci", 16, 10, 11)
