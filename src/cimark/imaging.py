@@ -1,6 +1,7 @@
 """Grayscale/binary image I/O (binary PGM/PBM) and the attack transforms
 used in the robustness evaluation: center crop-out, double rotation,
-block-DCT quantization, and additive Gaussian noise."""
+block-DCT quantization, and additive Gaussian noise, each run over a series
+of parameters by attack_cells."""
 
 from __future__ import annotations
 
@@ -133,19 +134,9 @@ def _crop_side(side, shape) -> int:
     return int(side)
 
 
-def _check_angle(theta) -> None:
-    if not (_finite(theta) and 0 < theta < 90):
-        raise ValueError(f"theta must be in (0, 90) degrees, got {theta!r}")
-
-
-def _check_level(level) -> None:
-    if not (_finite(level) and level > 0):
-        raise ValueError(f"level must be positive and finite, got {level!r}")
-
-
-def _check_sigma(sigma) -> None:
-    if not (_finite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+def _check_positive(name: str, value) -> None:
+    if not (_finite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _check_noise_seed(seed) -> None:
@@ -153,6 +144,22 @@ def _check_noise_seed(seed) -> None:
         raise ValueError("the noise attack needs an explicit seed")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"the noise seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_attack(kind: str, param, shape, noise_seed) -> None:
+    """Raise the ValueError that attack `kind` raises on `param` for an
+    image of `shape`, and, for noise, on `noise_seed`."""
+    if kind == "crop":
+        _crop_side(param, shape)
+    elif kind == "rotate":
+        if not (_finite(param) and 0 < param < 90):
+            raise ValueError(f"theta must be in (0, 90) degrees, got {param!r}")
+    elif kind in ("jpeg", "noise"):
+        _check_positive("level" if kind == "jpeg" else "sigma", param)
+    else:
+        raise ValueError(f"unknown attack {kind!r}")
+    if kind == "noise":
+        _check_noise_seed(noise_seed)
 
 
 def _check_shape(a: np.ndarray, shape) -> np.ndarray:
@@ -218,7 +225,7 @@ def rotation_map(shape, theta: float) -> np.ndarray:
     one, the round trip reads r1[r2], r1 extended by h * w so that a
     source outside the first frame stays outside.
     """
-    _check_angle(theta)
+    _check_attack("rotate", theta, shape, None)
     h, w = shape
     r1 = _nearest_sources(h, w, theta)
     r2 = _nearest_sources(h, w, -theta)
@@ -240,8 +247,7 @@ def rotate_attack(img, theta: float) -> np.ndarray:
     similarity the benchmark is meant to expose; nearest keeps the attack
     geometric.
     """
-    a = _check_gray(img)
-    return remap(a, rotation_map(a.shape, theta))
+    return next(attack_cells([img], "rotate", [theta]))[0]
 
 
 def _dct_matrix() -> np.ndarray:
@@ -402,7 +408,7 @@ def _quantize(pair, level: float) -> np.ndarray:
     jpeg_forward's matrix products, whose order can show only where
     coef / step is near a tie at .5 (_near_ties), so only those
     coefficients are summed again."""
-    _check_level(level)
+    _check_positive("level", level)
     coef, padded = pair
     steps = np.maximum(_QTABLE * (level * _LEVEL_SCALE), 1.0).reshape(64)
     q = coef.reshape(-1, 64) / steps  # rows of 64: numpy's inner loop runs 64 long, not 8
@@ -474,13 +480,12 @@ def jpeg_attack(img, level: float) -> np.ndarray:
     Higher level means coarser quantization. Images whose sides are not
     multiples of 8 are padded by edge replication and cropped back.
     """
-    a = _check_gray(img)
-    return jpeg_inverse(jpeg_forward(a), level, a.shape)
+    return next(attack_cells([img], "jpeg", [level]))[0]
 
 
 def standard_noise(shape, seed: int) -> np.ndarray:
-    """The draw behind noise_offsets: one standard normal z per pixel of an
-    image of `shape`, from default_rng(seed); seed must be a non-negative
+    """The noise attack's draw: one standard normal z per pixel of an image
+    of `shape`, from default_rng(seed); seed must be a non-negative
     integer. It does not depend on sigma, so one draw serves every sigma."""
     _check_noise_seed(seed)
     return np.random.default_rng(seed).standard_normal(shape)
@@ -497,25 +502,58 @@ def scaled_noise(z: np.ndarray, sigma: float) -> np.ndarray:
     return np.copysign(np.floor(out, out=out), noise, out=out)
 
 
-def noise_offsets(shape, sigma: float, seed: int) -> np.ndarray:
-    """First half of gaussian_noise_attack: independent N(0, sigma^2) per
-    pixel of an image of `shape`, rounded half away from zero; seed must
-    not be None."""
-    _check_sigma(sigma)
-    return scaled_noise(standard_noise(shape, seed), sigma)
-
-
 def add_offsets(img, offsets: np.ndarray) -> np.ndarray:
     """Second half of gaussian_noise_attack: add, clamp to [0, 255]."""
     a = _check_shape(_check_gray(img), offsets.shape)
     return np.clip(a.astype(np.float64) + offsets, 0, 255).astype(np.uint8)
 
 
+def _each(half, images, arg) -> list:
+    """half(image, arg) for each image; `arg` lives only for this call."""
+    return [half(a, arg) for a in images]
+
+
+def attack_cells(images, kind: str, params, noise_seed=None):
+    """Yield, per parameter in turn, the list of `images` (2-D uint8, one
+    shape) under attack `kind` at it, each the single attack's image. Only
+    noise reads noise_seed. Every parameter is checked before any work.
+
+    Work no parameter changes is done once, at the first cell: the forward
+    DCT of each image (jpeg_forward, then jpeg_inverse per level) and one
+    standard normal draw (standard_noise, then scaled_noise and add_offsets
+    per sigma); a rotation map serves every image. A cell's map or offsets
+    are dropped before it is yielded; at the last cell, each pair as it is
+    inverted and the draw before any image is built."""
+    shape = np.shape(images[0])
+    images = [_check_shape(_check_gray(img), shape) for img in images]
+    params = list(params)
+    for p in params:
+        _check_attack(kind, p, shape, noise_seed)
+    if not params:
+        return
+    if kind == "crop":
+        for side in params:
+            yield _each(crop_attack, images, side)
+    elif kind == "rotate":
+        for theta in params:
+            yield _each(remap, images, rotation_map(shape, theta))
+    elif kind == "jpeg":
+        pairs = [jpeg_forward(a) for a in images]
+        for level in params[:-1]:
+            yield [jpeg_inverse(pair, level, shape) for pair in pairs]
+        # each pair is dropped as soon as its last inverse is done
+        yield [jpeg_inverse(pairs.pop(0), params[-1], shape) for _ in images]
+    else:
+        draw = [standard_noise(shape, noise_seed)]
+        for sigma in params[:-1]:
+            yield _each(add_offsets, images, scaled_noise(draw[0], sigma))
+        yield _each(add_offsets, images, scaled_noise(draw.pop(), params[-1]))
+
+
 def gaussian_noise_attack(img, sigma: float, seed: int) -> np.ndarray:
     """Add independent N(0, sigma^2) per pixel, round half away from zero,
     clamp to [0, 255]. Deterministic for a given seed."""
-    a = _check_gray(img)
-    return add_offsets(a, noise_offsets(a.shape, sigma, seed))
+    return next(attack_cells([img], "noise", [sigma], seed))[0]
 
 
 def psnr(a, b) -> float:

@@ -231,18 +231,15 @@ def _length_chain(state, n):
 def _low_bits(z, n, b, out=None):
     """Low b bits (0 <= b <= 32) of the first n >= 1 words of the chain
     whose every 32nd word is z (see _length_chain), in stream order, written
-    to `out` (n values) if given, and the last of those words: E_b reads
-    word 32q and the 31 after it from word 32q."""
+    to `out` (n values) if given: E_b reads word 32q and the 31 after it
+    from word 32q."""
     if out is None:
         out = np.empty(n, dtype=_low_bit_tables(b).dtype)
     full = n // 32
     _low_bit_rows(z[:full], b, out[:32 * full].reshape(full, 32))
     if n % 32:  # the leading words read from the next chain word
         out[32 * full:] = _low_bit_rows(z[full:full + 1], b)[0, :n % 32]
-    state = int(z[(n - 1) // 32])
-    for _ in range((n - 1) & 31):
-        state = xorshift_step(state)
-    return out, state
+    return out
 
 
 def _low_bit_rows(z, b, out=None):
@@ -307,7 +304,8 @@ def xorshift_fill(state: int, n: int) -> tuple[np.ndarray, int]:
     out = np.empty(n, dtype=np.uint32)  # before the chain: see _byte_tables
     if n == 0:
         return out, int(state)
-    return _low_bits(_length_chain(state, n), n, 32, out)
+    _low_bits(_length_chain(state, n), n, 32, out)
+    return out, int(out[-1])
 
 
 def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[np.ndarray, int, int]:
@@ -348,7 +346,7 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
         if r0:  # this block's chain: the one before, jumped by T^per
             _apply_tables(_jump_table(per.bit_length() - 1), z, jumped)
             z, jumped = jumped, z
-        odd, s1 = _low_bits(z, r1 - r0, 1)
+        odd = _low_bits(z, r1 - r0, 1)
         last = odd + np.int64(c)  # each round's flips
         np.cumsum(last, out=last)
         last += end  # each round's last flip, counted from the call's first
@@ -382,6 +380,10 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
                 states[:, w] = got
             rows[1 + r0 + i0:1 + r0 + i1] = states.view(np.uint8)[:, :nb]
             i0 = i1
+    t = (rounds - 1) % per  # the last round's length word, in the last block's chain
+    s1 = int(z[t >> 5])
+    for _ in range(t & 31):
+        s1 = xorshift_step(s1)
     loc = end - j * flips  # the strategy word at the final flip, from its lane start
     s2 = int(starts[loc >> sh])
     for _ in range((loc & (ln - 1)) + 1):

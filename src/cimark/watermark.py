@@ -25,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import CiGenerator, _rotl32, _whole, seed_word
-from .imaging import (_check_angle, _check_gray, _check_level, _check_noise_seed,
-                      _check_sigma, _crop_side, add_offsets, crop_attack,
-                      gaussian_noise_attack, jpeg_attack, jpeg_forward, jpeg_inverse,
-                      remap, rotate_attack, rotation_map, scaled_noise, standard_noise)
+from .imaging import (_check_attack, _check_gray, attack_cells, crop_attack,
+                      gaussian_noise_attack, jpeg_attack, rotate_attack)
 from .kernels import _length_chain, _low_bit_rows, xorshift_step
 
 FOLD_INIT = 0x811C9DC5  # nonzero so the all-zero MSC plane still digests
@@ -388,16 +386,6 @@ ATTACKS = {
 }
 
 
-# kind -> check(parameter, image shape): raises the ValueError that the
-# attack itself raises on that parameter.
-_PARAM_CHECKS = {
-    "crop": _crop_side,
-    "rotate": lambda p, shape: _check_angle(p),
-    "jpeg": lambda p, shape: _check_level(p),
-    "noise": lambda p, shape: _check_sigma(p),
-}
-
-
 def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
                      noise_seed: int = 0x5EED) -> list:
     """Embed, attack, extract, and score every attack cell in both modes.
@@ -406,28 +394,19 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     (kind, parameter, mode, similarity). Deterministic given the seeds.
     The watermark must be 2-D; its shape, every cell's parameter and, with a
     noise cell, noise_seed are checked before the first embed. Each mode
-    embeds once and every cell attacks that marked image; work that no
-    parameter or mode changes is done once, through the same halves the
-    attack functions compose: the forward DCT per marked image, the
-    rotation map per rotate cell, one standard normal draw, scaled per
-    noise cell, and the unauth key schedule, which reads no pixel and
-    serves the unauth embed and every unauth read. The auth attacked images
-    are kept until every cell is attacked; their schedules, one per image
-    as each image's MSCs re-key it, are then drawn in one _schedules call
-    and each image is read as extract reads it.
-    shared_work counts this work for a grid.
+    embeds once; each kind's cells attack both marked images in one
+    attack_cells pass, which shares the work no parameter changes. One
+    unauth key schedule, which reads no pixel, serves the unauth embed and
+    every unauth read. The auth attacked images are kept until every cell
+    is attacked; their schedules, re-keyed by each image's MSCs, are then
+    drawn in one _schedules call. shared_work counts this work for a grid.
     """
     wm = np.asarray(wm, dtype=np.uint8) & 1
     if wm.ndim != 2:
         raise ValueError(f"the watermark must be a 2-D image, got shape {wm.shape}")
     attacks = list(attacks)
-    shape = np.shape(carrier)
     for kind, param in attacks:
-        if kind not in ATTACKS:
-            raise ValueError(f"unknown attack {kind!r}")
-        _PARAM_CHECKS[kind](param, shape)
-        if kind == "noise":
-            _check_noise_seed(noise_seed)
+        _check_attack(kind, param, np.shape(carrier), noise_seed)
     if not attacks:
         return []
     unauth, auth = (EmbeddingKey(seed1, seed2, mode=mode) for mode in ("unauth", "auth"))
@@ -435,33 +414,13 @@ def robustness_sweep(carrier, wm, seed1: int, seed2: int, attacks,
     place = _lsc_place(addresses)
     marked = [_write(carrier, wm.reshape(-1) ^ mask, addresses, unauth.repetition),
               embed(carrier, wm, auth)]
-    last = {kind: i for i, (kind, _) in enumerate(attacks)}  # each kind's last cell
-    pairs = z = None
-    unauth_sims, attacked = [], []
-    for i, (kind, param) in enumerate(attacks):
-        # shared work is dropped once its kind's last cell is done, and each
-        # cell's own map or offsets with the cell, so the auth images kept
-        # for the batched schedules below add no more than they take
-        if kind == "jpeg":
-            pairs = pairs or [jpeg_forward(image) for image in marked]
-            images = [jpeg_inverse(pair, param, shape) for pair in pairs]
-            pairs = pairs if i < last[kind] else None
-        elif kind == "rotate":
-            rmap = rotation_map(shape, param)
-            images = [remap(image, rmap) for image in marked]
-            del rmap
-        elif kind == "noise":
-            z = standard_noise(shape, noise_seed) if z is None else z
-            offsets = scaled_noise(z, param)
-            images = [add_offsets(image, offsets) for image in marked]
-            del offsets
-            z = z if i < last[kind] else None
-        else:
-            images = [crop_attack(image, param) for image in marked]
-        got = _vote(_lscs(images[0], place), mask, unauth.repetition).reshape(wm.shape)
-        unauth_sims.append(similarity(wm, got))
-        attacked.append(images[1])
-        del images
+    unauth_sims, attacked = [None] * len(attacks), [None] * len(attacks)
+    for kind in dict.fromkeys(kind for kind, _ in attacks):  # in order of first cell
+        cells = [i for i, (k, _) in enumerate(attacks) if k == kind]
+        params = [attacks[i][1] for i in cells]
+        for i, images in zip(cells, attack_cells(marked, kind, params, noise_seed)):
+            got = _vote(_lscs(images[0], place), mask, unauth.repetition).reshape(wm.shape)
+            unauth_sims[i], attacked[i] = similarity(wm, got), images[1]
     rows = []
     for (kind, param), sim, image, (auth_mask, auth_addresses) in zip(
             attacks, unauth_sims, attacked, _schedules(attacked, auth, wm.size)):

@@ -24,7 +24,6 @@ from cimark.imaging import (
     jpeg_inverse,
     load_pbm,
     load_pgm,
-    noise_offsets,
     psnr,
     rotate_attack,
     save_pbm,
@@ -537,21 +536,22 @@ class TestNoise:
         with pytest.raises(ValueError, match="explicit seed"):
             gaussian_noise_attack(img, 2.0, None)
         with pytest.raises(ValueError, match="explicit seed"):
-            noise_offsets(img.shape, 2.0, None)
+            standard_noise(img.shape, None)
 
     @pytest.mark.parametrize("seed", [0, 0x5EED, 2**32 - 1])
     @pytest.mark.parametrize("sigma", [0.1, 1, 2, 3, 10])
     def test_offsets_equal_rounded_normal_draw(self, seed, sigma):
-        """noise_offsets scales one standard normal draw; bit for bit that
-        is numpy's normal(0, sigma) from the same generator, rounded half
-        away from zero, because numpy computes loc + scale z. This pins the
-        identity on the installed numpy."""
+        """The noise attack scales one standard normal draw; bit for bit
+        that is numpy's normal(0, sigma) from the same generator, rounded
+        half away from zero, because numpy computes loc + scale z. This pins
+        the identity on the installed numpy, and the attack adds exactly
+        these offsets (clamped) to a mid-gray image."""
         n = np.random.default_rng(seed).normal(0.0, sigma, size=(61, 67))
         want = np.sign(n) * np.floor(np.abs(n) + 0.5)
-        got = noise_offsets((61, 67), sigma, seed)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         z = standard_noise((61, 67), seed)
         assert np.array_equal(scaled_noise(z, sigma).view(np.uint64), want.view(np.uint64))
+        got = gaussian_noise_attack(np.full((61, 67), 128, dtype=np.uint8), sigma, seed)
+        assert np.array_equal(got, np.clip(128 + want, 0, 255).astype(np.uint8))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
     def test_seed_not_a_nonnegative_integer_rejected(self, seed):
@@ -562,7 +562,7 @@ class TestNoise:
         with pytest.raises(ValueError, match=re.escape(message)):
             gaussian_noise_attack(img, 2.0, seed)
         with pytest.raises(ValueError, match=re.escape(message)):
-            noise_offsets(img.shape, 2.0, seed)
+            standard_noise(img.shape, seed)
 
 
 class TestPsnr:

@@ -52,11 +52,11 @@ ZERO_SPANS = {
         **reasons({"cli.gen.s", "cli.overhead.s", "generator.bits.s", "generator.pack.s",
                    "generator.words.s", "gf2.matrices", "gf2.rank_many.s", "source.pull.s",
                    "source.words"} | BATTERY | CI_FILL, ELSEWHERE),
-        # the sweep calls the attack halves, draws its strategy cells through
+        # the sweep attacks through imaging.attack_cells, which calls crop_attack
+        # and the halves on cimark.imaging, draws its strategy cells through
         # the low-bits table map and reads its auth images without extract
-        **reasons({"imaging.rotate.s", "imaging.jpeg.s", "imaging.noise.s",
-                   "kernels.xorshift_fill.s", "kernels.xorshift_fill.words",
-                   "watermark.extract.s", "watermark.extract.calls"}, BYPASS),
+        **reasons(IMAGING | {"kernels.xorshift_fill.s", "kernels.xorshift_fill.words",
+                             "watermark.extract.s", "watermark.extract.calls"}, BYPASS),
         **TRACE,
     },
     "gen-stream": {

@@ -995,11 +995,13 @@ class TestSweep:
         embed (auth) and one key schedule per auth extract plus the shared
         unauth one: 17 schedule rows in 3 _key_streams calls (the unauth
         schedule, the auth embed's, and one batch for the 15 auth reads);
-        shared_work, which `cimark bench` reports, counts the same."""
+        shared_work, which `cimark bench` reports, counts the same. The
+        attack halves are spied on cimark.imaging, where attack_cells looks
+        them up."""
         import cimark.watermark as wmk
 
-        names = ("jpeg_forward", "jpeg_inverse", "rotation_map", "standard_noise",
-                 "_key_streams", "embed")
+        halves = ("jpeg_forward", "jpeg_inverse", "rotation_map", "standard_noise")
+        names = halves + ("_key_streams", "embed")
         calls = dict.fromkeys(names, 0)
         rows = []
 
@@ -1012,7 +1014,8 @@ class TestSweep:
             return wrapper
 
         for name in names:
-            monkeypatch.setattr(wmk, name, counting(name, getattr(wmk, name)))
+            module = imaging if name in halves else wmk
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         robustness_sweep(synthetic_carrier(3), synthetic_watermark(0), KEY1, KEY2,
                          BENCH_GRID, noise_seed=0x5EED)
         assert calls == {"jpeg_forward": 2, "jpeg_inverse": 8, "rotation_map": 4,
@@ -1033,13 +1036,16 @@ class TestSweep:
         nothing on an empty one, and repeated cells."""
         import cimark.watermark as wmk
 
-        spies = {"forward_dcts": "jpeg_forward", "rotation_maps": "rotation_map",
-                 "noise_draws": "standard_noise", "key_schedules": "_key_streams"}
-        for name in spies.values():
-            monkeypatch.setattr(wmk, name, mock.Mock(wraps=getattr(wmk, name)))
+        spies = {"forward_dcts": (imaging, "jpeg_forward"),
+                 "rotation_maps": (imaging, "rotation_map"),
+                 "noise_draws": (imaging, "standard_noise"),
+                 "key_schedules": (wmk, "_key_streams")}
+        for module, name in spies.values():
+            monkeypatch.setattr(module, name, mock.Mock(wraps=getattr(module, name)))
         robustness_sweep(synthetic_carrier(3, 64), synthetic_watermark(0, 16), KEY1, KEY2,
                          grid, noise_seed=0x5EED)
-        counted = {key: getattr(wmk, name).call_count for key, name in spies.items()}
+        counted = {key: getattr(module, name).call_count
+                   for key, (module, name) in spies.items()}
         # schedule rows: one per derived seed pair handed to _key_streams
         counted["key_schedules"] = sum(len(c.args[0]) for c in wmk._key_streams.call_args_list)
         assert shared_work(grid) == counted
