@@ -52,7 +52,7 @@ class XorShift32:
 
     def fill(self, n: int) -> np.ndarray:
         """Next n outputs as a uint32 array."""
-        out, self.word = xorshift_fill(self.word, n)
+        out, self.word = xorshift_fill(self.word, _whole(n, "n"))
         return out
 
 
@@ -85,12 +85,11 @@ def chaotic_iterate(x0, f, strategy, steps: int) -> list[np.ndarray]:
 def seed_from_time(t: int, n: int) -> np.ndarray:
     """State vector from an integer timestamp fragment: t mod 2^n, as n bits
     most significant first."""
+    n = _whole(n, "n")
     if n < 2:
         raise ValueError(_BAD_STATE)
     _check_cells(n)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    t %= 1 << n
+    t = _whole(t, "t", 0) % (1 << n)
     return np.array([(t >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
 
 
@@ -101,16 +100,18 @@ def derive_initial_state(seed1: int, seed2: int, n: int) -> np.ndarray:
     return np.unpackbits(words.astype(">u4").view(np.uint8), count=n)
 
 
-def _whole(value, name: str) -> int:
-    """value as an int if it equals one (5, 5.0, a numpy integer), else a
-    ValueError naming it `name`. No float() conversion, so an int of any
-    size is tested exactly."""
+def _whole(value, name: str, low: int = None) -> int:
+    """value as an int if it equals one (5, 5.0, a numpy integer) and is at
+    least `low` if given, else a ValueError naming it `name`. No float()
+    conversion, so an int of any size is tested exactly."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):  # None, nan, inf
         whole = None
     if whole is None or whole != value:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if low is not None and whole < low:
+        raise ValueError(f"{name} must be at least {low}, got {whole}")
     return whole
 
 
@@ -135,6 +136,7 @@ class CiGenerator:
                  n_cells: int = None, c: int = None,
                  emit_seed_first: bool = False):
         if n_cells is not None:
+            n_cells = _whole(n_cells, "n_cells")
             _check_cells(n_cells)  # before the initial state is drawn
         if x0 is None:
             if n_cells is None:
@@ -170,8 +172,6 @@ class CiGenerator:
     def _packed(self, nbits: int) -> np.ndarray:
         """The next nbits output bits packed most significant bit first into
         ceil(nbits/8) bytes; bits past nbits in the last byte are unspecified."""
-        if nbits < 0:
-            raise ValueError("nbits must be nonnegative")
         n, unread = self.n_cells, self._unread
         rounds = max(0, -(-(nbits - unread) // n))
         rows, self.s1, self.s2 = ci_fill(self.x, self.s1, self.s2, self.c, rounds)
@@ -193,11 +193,12 @@ class CiGenerator:
     def bits(self, nbits: int) -> np.ndarray:
         """The next nbits output bits as a uint8 array. Successive calls are
         contiguous: bits(a) followed by bits(b) equals bits(a+b)."""
+        nbits = _whole(nbits, "nbits", 0)
         return np.unpackbits(self._packed(nbits), count=nbits)
 
     def words(self, n: int) -> np.ndarray:
         """Output stream regrouped into big-endian 32-bit words."""
-        return self._packed(32 * n).view(">u4").astype(np.uint32)
+        return self._packed(32 * _whole(n, "n", 0)).view(">u4").astype(np.uint32)
 
 
 def kth_bit_oracle(make_generator, k):

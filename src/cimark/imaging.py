@@ -524,6 +524,8 @@ def attack_cells(images, kind: str, params, noise_seed=None):
     per sigma); a rotation map serves every image. A cell's map or offsets
     are dropped before it is yielded; at the last cell, each pair as it is
     inverted and the draw before any image is built."""
+    if len(images) == 0:
+        raise ValueError("images is empty: an attack needs at least one image")
     shape = np.shape(images[0])
     images = [_check_shape(_check_gray(img), shape) for img in images]
     params = list(params)

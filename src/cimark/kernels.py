@@ -9,15 +9,16 @@ matrix raised to powers of two fill the chain of every 32nd word by
 doubling, and one more cached table map, E_b, reads the low b <= 32 bits
 of the 32 words from each word of that chain: full words (b = 32) for
 `xorshift_fill`, `ci_fill`'s length bits (b = 1) and the watermark's
-strategy cells (b = log2 n, or 32 then mod n). The generator kernel draws
-its strategy words in a lane layout and never puts them into stream order.
-It works through the flips in chunks of a fixed power of two, one lane row
-at a time: each row is stepped, reduced to cells, turned into one-hot flip
-masks in 32-bit state words and prefix-XORed while it is in cache. Each
-round's state is gathered at its last flip, and the lane starts are carried
-from chunk to chunk by one table jump. Its working memory beyond the output
-is bounded for any stream length and any round length. See the comment
-above the kernels.
+strategy cells (b = log2 n, or 32 then mod n). The generator kernel steps
+its strategy words in lanes of 32, each starting at a word of that chain,
+and never puts them into stream order. It works through the flips in
+chunks of a fixed power of two, one lane row at a time: each row is
+stepped, reduced to cells, turned into one-hot flip masks in 32-bit state
+words and prefix-XORed while it is in cache. Each round's state is
+gathered at its last flip, and the lane starts are carried from chunk to
+chunk by one table jump. Its working memory beyond the output is bounded
+for any stream length and any round length. See the comment above the
+kernels.
 """
 
 from __future__ import annotations
@@ -54,10 +55,11 @@ def xorshift_step(word: int) -> int:
 # cache holds T^(2^k) as four 256-entry byte tables: the image of a word is
 # the XOR of one table lookup per byte. Level k+1 is found by applying level
 # k to its own columns, so the cache is built in about a millisecond and
-# only up to the level a call needs. A chain from a given out[0] is filled
-# by doubling: while h words are known, out[h:2h] = T^h(out[:h]). With
-# levels k + s the same doubling fills a T^(2^s) chain, as (T^(2^s))^(2^k)
-# = T^(2^(k + s)).
+# only up to the level a call needs. Every draw is laid out as a T^32
+# chain: z[q] is word 32q of a stream (_length_chain), and word t is
+# T^(t % 32)(z[t // 32]) (_chain_word). From z[0] the chain is filled by
+# doubling: while h words are known, z[h:2h] = T^(32h)(z[:h]), with levels
+# k + 5, as (T^32)^(2^k) = T^(2^(k + 5)).
 #
 # The low b bits of T^t(z) are a linear function of z, so one map E_b
 # gives the low b bits of 32 consecutive words at once: column t of E_b(z)
@@ -65,59 +67,60 @@ def xorshift_step(word: int) -> int:
 # uint32 values per byte value, XORed as 4, 8 or 16 uint64 words. E_b is
 # applied to each word of a T^32 chain, or of several chains at once (the
 # watermark key schedule reads one per seed), in blocks of _READ_BLOCK
-# chain words, so that a block's lookups stay in cache. Every XORshift draw
-# is such a read: xorshift_fill reads full words (b = 32) from the T^32
-# chain of its words, filled by doubling with levels k + 5; the watermark's
-# strategy cells are b = log2 n bits, or full words mod n when n is not a
-# power of two; and a generator round's length bit is b = 1 (below).
+# chain words, so that a block's lookups stay in cache: E_b(z[q]) is words
+# 32q to 32q + 31. Every XORshift draw is such a read: xorshift_fill reads
+# full words (b = 32) into its output rounded up to whole rows of 32; the
+# watermark's strategy cells are b = log2 n bits, or full words mod n when
+# n is not a power of two; and a generator round's length bit is b = 1.
 #
 # A generator round flips m >= 1 cells and emits the state, so each emitted
 # state is the initial state XOR the prefix XOR of one-hot flip masks up to
 # the round's last flip. The kernel takes the flips in chunks of F =
 # _CHUNK_FLIPS flips, halved once per doubling of nw = ceil(N/32), the
 # big-endian uint32 state words, so that the prefix buffer of nw * F words
-# stays at 4 MiB; a round may span chunks. A chunk is K = F / L lanes, flip
-# e of the chunk at row e % L, lane e // L, for L = _LANE. The lane starts
-# are a T^L chain: the call's first chunk fills them by doubling with levels
-# k + log2 L, and each later one takes them from the previous
-# chunk's by one jump, T^F. The last chunk steps only the lanes the
-# remaining rounds can reach.
+# stays at 4 MiB; a round may span chunks. A chunk is K = F / 32 lanes,
+# flip e of the chunk at row e % 32, lane e // 32: the lane starts, row 0,
+# are the chunk's T^32 chain of strategy words. The first chunk fills them
+# by doubling, each later one jumps the previous chunk's by T^F, and the
+# last one steps only the lanes the remaining rounds can reach.
 #
-# Each of the L rows makes one trip while it is in cache: the 6 shift-XOR
-# ufuncs step the previous row into a scratch row; the cells are that row
-# mod N, as w & (N - 1) when N is a power of two, else as w - (w // N) * N
-# (numpy floor-divides by a scalar with libdivide, a multiply and shifts per
-# element, which makes the three passes about twice as fast as
-# np.remainder), written into the row's prefix row; the mask of a cell in
-# state word w is 2^31 >> (cell - 32w), where a shift of 32 or more, or a
-# wrapped negative one, gives 0, so cells outside word w add nothing; and
-# the masks are XORed with the prefix row above. The prefix row is the
-# scratch of the step too, and the cells live in the last word's prefix row
-# until its masks overwrite them. The lane totals are an exclusive XOR-scan
-# of the last prefix row over the K lanes (Blelloch's blocked scan); they
-# take the place of the raw rows once the pass is done, and the raw rows
-# take the jump's output. So beyond the 4 MiB buffer a chunk needs the lane
-# starts and max(2, nw) more lane rows. A round's state is one gather at
-# its last flip, XOR its lane's total, XOR the state carried into the
-# chunk; its output row is the leading ceil(N/8) bytes of its state words.
-# At each chunk's end the carried state takes the XOR of all its flips.
+# Each of the 32 rows makes one trip while it is in cache: the 6 shift-XOR
+# ufuncs step the previous row into a scratch row (row 0 is the starts);
+# the cells are that row mod N, as w & (N - 1) when N is a power of two,
+# else as w - (w // N) * N (numpy floor-divides by a scalar with libdivide,
+# a multiply and shifts per element, which makes the three passes about
+# twice as fast as np.remainder), written into the row's prefix row; the
+# mask of a cell in state word w is 2^31 >> (cell - 32w), where a shift of
+# 32 or more, or a wrapped negative one, gives 0, so cells outside word w
+# add nothing; and the masks are XORed with the prefix row above. The
+# prefix row is the scratch of the step too, and the cells live in the last
+# word's prefix row until its masks overwrite them. The lane totals are an
+# exclusive XOR-scan of the last prefix row over the K lanes (Blelloch's
+# blocked scan); they take the place of the raw rows once the pass is done,
+# and the raw rows take the jump's output. So beyond the 4 MiB buffer a
+# chunk needs the lane starts and max(2, nw) more lane rows. A round's
+# state is one gather at its last flip, XOR its lane's total, XOR the state
+# carried into the chunk; its output row is the leading ceil(N/8) bytes of
+# its state words. At each chunk's end the carried state takes the XOR of
+# all its flips.
 #
 # A round reads only the low bit of its length word (m = c + bit), so its
 # length bits are E_1 of the T^32 chain of the length words: 4 row lookups
 # per 32 rounds, not a full-word read. Rounds are taken in blocks of
-# _LENGTH_BLOCK, with last flips counted as int64 from the call's first. The first block fills its chain by doubling; each later
-# block's chain is the one before jumped by T^_LENGTH_BLOCK, one table pass,
-# so _LENGTH_BLOCK must stay a power of two (the jump tables are of
-# T^(2^k)). The returned strategy word is rebuilt from its lane start with
-# at most L rounds. Every buffer is allocated once per call, no larger than
-# the call's flips need: a short call neither maps nor faults in 4 MiB.
+# _LENGTH_BLOCK, with last flips counted as int64 from the call's first.
+# The first block fills its chain by doubling; each later block's chain is
+# the one before jumped by T^_LENGTH_BLOCK, one table pass, so
+# _LENGTH_BLOCK must stay a power of two (the jump tables are of T^(2^k)).
+# Both returned words are chain words. Every buffer is allocated once per
+# call, no larger than the call's flips need: a short call neither maps
+# nor faults in 4 MiB.
 # ---------------------------------------------------------------------------
 
 _CHUNK_FLIPS = 1 << 20
-_LANE = 32  # words per lane, a power of two
-# Up to this many cells the prefix buffer stays at 4 MiB; past it a chunk
-# cannot shrink below one lane (_LANE flips) and the buffer grows as 4N bytes.
-_MAX_CELLS = 32 * (_CHUNK_FLIPS // _LANE)
+# Up to this many cells (32 per state word) the prefix buffer stays at
+# 4 MiB; past it a chunk cannot shrink below one lane of 32 flips and the
+# buffer grows as 4N bytes.
+_MAX_CELLS = 32 * (_CHUNK_FLIPS // 32)
 # Rounds per block of length bits: the block's last flips take 128 KiB as
 # int64. A power of two: the next block's chain is this one's jumped by it.
 _LENGTH_BLOCK = 1 << 14
@@ -193,18 +196,6 @@ def _low_bit_tables(b):
     return _byte_tables(cols)
 
 
-def _jump_chain(out, shift):
-    """out[i] = T^(i << shift)(out[0]) for i >= 1, by doubling; out[i] is a
-    word or a row of words, one chain per column."""
-    n = len(out)
-    levels = (n - 1).bit_length()  # doublings from 1 word to n
-    h = 1
-    for k in range(shift, shift + levels):
-        t = min(h, n - h)
-        _apply_tables(_jump_table(k), out[:t], out[h:h + t])
-        h += t
-
-
 def _step(prev, out, t):
     """out = one XORshift round of each word of prev; t is scratch."""
     np.left_shift(prev, 13, out=out)
@@ -220,26 +211,21 @@ def _length_chain(state, n):
     is word 32q, word 0 being the first after `state`. For a sequence of
     states z[q] is a row, one chain per column."""
     z = np.empty((-(-n // 32),) + np.shape(state), dtype=np.uint32)
-    if np.ndim(state):
-        z[0] = [xorshift_step(int(word)) for word in state]
-    else:
-        z[0] = xorshift_step(int(state))
-    _jump_chain(z, 5)
+    z[0] = np.reshape([xorshift_step(int(w)) for w in np.ravel(state)], np.shape(state))
+    h = 1
+    for k in range(5, 5 + (len(z) - 1).bit_length()):
+        t = min(h, len(z) - h)
+        _apply_tables(_jump_table(k), z[:t], z[h:h + t])
+        h += t
     return z
 
 
-def _low_bits(z, n, b, out=None):
-    """Low b bits (0 <= b <= 32) of the first n >= 1 words of the chain
-    whose every 32nd word is z (see _length_chain), in stream order, written
-    to `out` (n values) if given: E_b reads word 32q and the 31 after it
-    from word 32q."""
-    if out is None:
-        out = np.empty(n, dtype=_low_bit_tables(b).dtype)
-    full = n // 32
-    _low_bit_rows(z[:full], b, out[:32 * full].reshape(full, 32))
-    if n % 32:  # the leading words read from the next chain word
-        out[32 * full:] = _low_bit_rows(z[full:full + 1], b)[0, :n % 32]
-    return out
+def _chain_word(z, t):
+    """Word t of the chain whose every 32nd word is z: T^(t % 32)(z[t // 32])."""
+    word = int(z[t >> 5])
+    for _ in range(t & 31):
+        word = xorshift_step(word)
+    return word
 
 
 def _low_bit_rows(z, b, out=None):
@@ -258,20 +244,22 @@ def _low_bit_rows(z, b, out=None):
 
 
 def _flip_prefix(starts, n, pre, tot, rows):
-    """Step the L*k strategy words after the k lane starts and prefix-XOR
-    their one-hot flip masks, one lane row at a time.
+    """Prefix-XOR the one-hot flip masks of the 32 strategy words of k lanes,
+    one lane row at a time: row 0 is the lane starts, each later row the one
+    before stepped.
 
-    pre is (nw, L, k): pre[w, i, l] is the XOR, in state word w, of the masks
-    of the first i + 1 words of lane l. tot is (nw, k): tot[w, l] is the XOR
-    of all masks of the lanes before l, so the state after flip (i, l) is the
-    carried state ^ tot[:, l] ^ pre[:, i, l]. rows are two scratch rows of k
-    words, which tot may share: it is written last."""
-    nw, ln, k = pre.shape
+    pre is (nw, 32, k): pre[w, i, l] is the XOR, in state word w, of the
+    masks of the first i + 1 words of lane l. tot is (nw, k): tot[w, l] is
+    the XOR of all masks of the lanes before l, so the state after flip
+    (i, l) is the carried state ^ tot[:, l] ^ pre[:, i, l]. rows are two
+    scratch rows of k words, which tot may share: it is written last."""
+    nw = pre.shape[0]
     top, nn, low = np.uint32(1 << 31), np.uint32(n), np.uint32(n - 1)
-    prev = starts
-    for i in range(ln):
-        cur = rows[i & 1]
-        _step(prev, cur, pre[0, i])  # the mask row is scratch until the masks
+    cur = starts
+    for i in range(32):
+        if i:
+            cur, prev = rows[i & 1], cur
+            _step(prev, cur, pre[0, i])  # the mask row is scratch until the masks
         cell = pre[-1, i]  # the cells, until the last word's masks
         if n & (n - 1):
             np.floor_divide(cur, nn, out=cell)
@@ -285,7 +273,6 @@ def _flip_prefix(starts, n, pre, tot, rows):
             np.right_shift(top, off, out=row)  # 0 outside word w
             if i:
                 row ^= pre[w, i - 1]
-        prev = cur
     tot[:, 0] = 0
     for w in range(nw):
         np.bitwise_xor.accumulate(pre[w, -1, :-1], out=tot[w, 1:])
@@ -301,11 +288,12 @@ def xorshift_fill(state: int, n: int) -> tuple[np.ndarray, int]:
     read of the T^32 chain of those words."""
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n}")
-    out = np.empty(n, dtype=np.uint32)  # before the chain: see _byte_tables
+    # whole rows of 32, allocated before the chain: see _byte_tables
+    out = np.empty(-(-n // 32) * 32, dtype=np.uint32)
     if n == 0:
         return out, int(state)
-    _low_bits(_length_chain(state, n), n, 32, out)
-    return out, int(out[-1])
+    _low_bit_rows(_length_chain(state, n), 32, out.reshape(-1, 32))
+    return out[:n], int(out[n - 1])
 
 
 def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[np.ndarray, int, int]:
@@ -331,10 +319,9 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
     packed = np.zeros(4 * nw, dtype=np.uint8)
     packed[:nb] = rows[0]
     carry = packed.view(">u4").astype(np.uint32)
-    ln, sh = _LANE, _LANE.bit_length() - 1
-    flips = max(ln, _CHUNK_FLIPS >> (nw - 1).bit_length())  # per chunk, a power of two
-    kf = min(flips, rounds * (c + 1) + ln - 1) // ln  # lanes per chunk, fewer for a short call
-    buf = np.empty((nw, ln * kf), dtype=np.uint32)
+    flips = max(32, _CHUNK_FLIPS >> (nw - 1).bit_length())  # per chunk, a power of two
+    kf = min(flips, rounds * (c + 1) + 31) // 32  # lanes per chunk, fewer for a short call
+    buf = np.empty((nw, 32 * kf), dtype=np.uint32)
     vec = np.empty((1 + max(2, nw), kf), dtype=np.uint32)
     starts, tot = vec[0], vec[1:1 + nw]  # tot shares the rows of raw words
     per = _LENGTH_BLOCK
@@ -346,7 +333,7 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
         if r0:  # this block's chain: the one before, jumped by T^per
             _apply_tables(_jump_table(per.bit_length() - 1), z, jumped)
             z, jumped = jumped, z
-        odd = _low_bits(z, r1 - r0, 1)
+        odd = _low_bit_rows(z[:-(-(r1 - r0) // 32)], 1).reshape(-1)[:r1 - r0]
         last = odd + np.int64(c)  # each round's flips
         np.cumsum(last, out=last)
         last += end  # each round's last flip, counted from the call's first
@@ -356,20 +343,19 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
         while i0 < r1 - r0:
             while (j + 1) * flips <= last[i0]:  # on to the chunk of round i0's last flip
                 j += 1
-                k = min(kf, (reach - j * flips) // ln + 1)  # lanes the rounds reach
+                k = min(kf, (reach - j * flips) // 32 + 1)  # lanes the rounds reach
                 if j == 0:
-                    starts[:k] = s2
-                    _jump_chain(starts[:k], sh)
+                    starts[:k] = _length_chain(s2, 32 * k)
                 else:
                     carry ^= tot[:, -1] ^ buf[:, -1]  # all flips of the full chunk j - 1
                     _apply_tables(_jump_table(flips.bit_length() - 1), starts[:k], vec[1, :k])
                     starts[:k] = vec[1, :k]
-                pre = buf[:, :ln * k].reshape(nw, ln, k)
+                pre = buf[:, :32 * k].reshape(nw, 32, k)
                 _flip_prefix(starts[:k], n, pre, tot[:, :k], (vec[1, :k], vec[2, :k]))
             i1 = i0 + int(np.searchsorted(last[i0:], (j + 1) * flips))
             at = last[i0:i1] - j * flips
-            lane = at >> sh
-            at &= ln - 1
+            lane = at >> 5
+            at &= 31
             at *= k
             at += lane  # each last flip in a word's prefix rows
             states = np.empty((i1 - i0, nw), dtype=">u4")
@@ -380,12 +366,4 @@ def ci_fill(xbits: np.ndarray, s1: int, s2: int, c: int, rounds: int) -> tuple[n
                 states[:, w] = got
             rows[1 + r0 + i0:1 + r0 + i1] = states.view(np.uint8)[:, :nb]
             i0 = i1
-    t = (rounds - 1) % per  # the last round's length word, in the last block's chain
-    s1 = int(z[t >> 5])
-    for _ in range(t & 31):
-        s1 = xorshift_step(s1)
-    loc = end - j * flips  # the strategy word at the final flip, from its lane start
-    s2 = int(starts[loc >> sh])
-    for _ in range((loc & (ln - 1)) + 1):
-        s2 = xorshift_step(s2)
-    return rows, s1, s2
+    return rows, _chain_word(z, (rounds - 1) % per), _chain_word(starts, end - j * flips)

@@ -210,6 +210,8 @@ class TestAttackCells:
             next(attack_cells([_image(8, 8)], "blur", [1]))
         with pytest.raises(ValueError, match="built for"):
             next(attack_cells([_image(8, 8), _image(8, 9)], "crop", [1]))
+        with pytest.raises(ValueError, match="images is empty"):
+            next(attack_cells([], "crop", [1]))
 
     @pytest.mark.parametrize("kind, half", [
         ("rotate", "rotation_map"), ("noise", "scaled_noise"),

@@ -263,6 +263,37 @@ class TestCiGenerator:
         assert np.array_equal(CiGenerator.from_seeds(np.float64(3.0), True).words(4),
                               CiGenerator.from_seeds(3, 1).words(4))
 
+    @pytest.mark.parametrize("value", [2.5, "8", None, 8.0])
+    def test_counts_run_or_are_refused_by_name(self, value):
+        """Every count a generator takes used to fail inside numpy with a bare
+        TypeError on 2.5, "8" or None (n_cells=8.0 with "expected a sequence
+        of integers"); each is refused by its own name, and a whole float
+        runs as its int, as c does. (n_cells=None is the default, 32.)"""
+        draws = [("n", lambda v: CiGenerator.from_seeds(1, 2).words(v)),
+                 ("nbits", lambda v: CiGenerator.from_seeds(1, 2).bits(v)),
+                 ("n", lambda v: XorShift32(1).fill(v)),
+                 ("t", lambda v: seed_from_time(v, 8)),
+                 ("n", lambda v: seed_from_time(5, v)),
+                 ("n_cells", lambda v: CiGenerator(None, 1, 2, n_cells=v).words(2))]
+        if value is None:
+            draws.pop()
+        for name, draw in draws:
+            if value == 8.0:
+                assert np.array_equal(draw(value), draw(8)), name
+            else:
+                message = re.escape(f"{name} must be a whole number, got {value!r}")
+                with pytest.raises(ValueError, match=f"^{message}"):
+                    draw(value)
+
+    def test_negative_counts_refused_by_their_own_name(self):
+        """words(-1) used to blame nbits, the bit count it asks for."""
+        with pytest.raises(ValueError, match="^n must be at least 0, got -1"):
+            CiGenerator.from_seeds(1, 2).words(-1)
+        with pytest.raises(ValueError, match="^nbits must be at least 0, got -1"):
+            CiGenerator.from_seeds(1, 2).bits(-1)
+        with pytest.raises(ValueError, match="^t must be at least 0, got -1"):
+            seed_from_time(-1, 8)
+
     @pytest.mark.parametrize("c, message", [(0, "c must be positive"),
                                             (-1, "c must be positive"),
                                             (0.5, "c must be a whole number, got 0.5"),

@@ -25,7 +25,7 @@ seeds = st.integers(min_value=1, max_value=2**32 - 1)
 # lengths around the doubling boundaries of the fill's T^32 chain, around
 # the 32-word edges of that chain, and around multiples of the 32 *
 # _READ_BLOCK words of one block of its table read
-_LANE, _READ = kernels._LANE, 32 * kernels._READ_BLOCK
+_READ = 32 * kernels._READ_BLOCK
 edge_lengths = sorted(
     {0, 1}
     | {(1 << k) + d for k in range(1, 19) for d in (-1, 0, 1)}
@@ -120,22 +120,21 @@ def reference_rounds(x0, s1, s2, c, rounds):
        rounds=st.integers(min_value=0, max_value=40),
        s1=seeds, s2=seeds,
        chunk=st.sampled_from([1 << 6, 1 << 7, 1 << 8, 1 << 9]),
-       lane=st.sampled_from([8, 32, 64]),
        block=st.sampled_from([None, 1, 4, 8, 32]),
        data=st.data())
-def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lane, block, data):
+def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, block, data):
     """ci_fill equals round-by-round iteration driven by scalar chains,
     across many chunk boundaries of the numpy kernel (rounds straddle them,
-    and the lane starts are carried over them), for any lane length, and
-    with blocks of length bits (a power of two rounds) that end inside a
-    32-round slice and inside a chunk."""
+    and the lane starts are carried over them), and with blocks of length
+    bits (a power of two rounds) that end inside a 32-round slice and
+    inside a chunk."""
     c = 3 * n if c_scale is None else c_scale
     x0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                   dtype=np.uint8)
     expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
 
     xbits = x0.copy()
-    with mock.patch.multiple(kernels, _CHUNK_FLIPS=chunk, _LANE=lane,
+    with mock.patch.multiple(kernels, _CHUNK_FLIPS=chunk,
                              _LENGTH_BLOCK=block or kernels._LENGTH_BLOCK):
         out, a, b = ci_fill(xbits, s1, s2, c, rounds)
     assert out.dtype == np.uint8 and out.shape == (rounds + 1, -(-n // 8))
@@ -146,7 +145,7 @@ def test_ci_fill_paths_agree(n, c_scale, rounds, s1, s2, chunk, lane, block, dat
 
 
 def test_ci_fill_lane_path_matches_rounds():
-    """With the module's own chunk and lane, a call of two chunks, with a
+    """With the module's own chunk, a call of two chunks, with a
     round that straddles their boundary, two blocks of length bits (8,192
     rounds each, the second partly used) and a final flip in a partly used
     lane of the second chunk, equals round-by-round iteration."""
@@ -154,13 +153,13 @@ def test_ci_fill_lane_path_matches_rounds():
     chunk = kernels._CHUNK_FLIPS
     rounds = chunk // (c + 1) + 700
     ends = np.cumsum((scalar_chain(s1, rounds).astype(np.int64) & 1) + c)
-    assert chunk < ends[-1] < 2 * chunk and ends[-1] % _LANE
+    assert chunk < ends[-1] < 2 * chunk and ends[-1] % 32
     assert chunk not in ends  # no round ends on the boundary
     x0 = np.arange(n, dtype=np.uint8) % 3 % 2
     expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
     xbits = x0.copy()
     with mock.patch.object(kernels, "_LENGTH_BLOCK", 1 << 13), \
-            mock.patch.object(kernels, "_low_bits", wraps=kernels._low_bits) as draw:
+            mock.patch.object(kernels, "_low_bit_rows", wraps=kernels._low_bit_rows) as draw:
         out, a, b = ci_fill(xbits, s1, s2, c, rounds)
     assert draw.call_count == 2 and rounds % (1 << 13)
     assert np.array_equal(out, np.packbits(np.vstack([x0, expected]), axis=1))
@@ -171,18 +170,41 @@ def test_ci_fill_lane_path_matches_rounds():
 def test_ci_fill_carries_the_length_chain():
     """A call of 3 whole blocks of length bits and part of a fourth, with the
     module's own block, equals round-by-round iteration; the chain of length
-    words is filled by doubling once and jumped from block to block."""
+    words is filled by doubling once and jumped from block to block, and the
+    chain of strategy words (the first chunk's lane starts) is filled once."""
     n, c, s1, s2 = 8, 1, 0x2545F491, 0x9E3779B9
     rounds = 3 * kernels._LENGTH_BLOCK + 1000
     x0 = np.arange(n, dtype=np.uint8) % 2
     expected, x_end, a_end, b_end = reference_rounds(x0, s1, s2, c, rounds)
     xbits = x0.copy()
     with mock.patch.object(kernels, "_length_chain", wraps=kernels._length_chain) as fill, \
-            mock.patch.object(kernels, "_low_bits", wraps=kernels._low_bits) as draw:
+            mock.patch.object(kernels, "_low_bit_rows", wraps=kernels._low_bit_rows) as draw:
         out, a, b = ci_fill(xbits, s1, s2, c, rounds)
-    assert fill.call_count == 1 and draw.call_count == 4
+    assert sorted(call.args[0] for call in fill.call_args_list) == sorted([s1, s2])
+    assert draw.call_count == 4
     assert np.array_equal(out, np.packbits(np.vstack([x0, expected]), axis=1))
     assert (a, b) == (a_end, b_end)
+
+
+def test_ci_fill_lane_starts_are_chain_words():
+    """Lane q of chunk j starts at strategy word j * F + 32q, the lane's
+    first word: the starts that _flip_prefix takes are every 32nd word of
+    the stream of s2 from the chunk's first, in the first chunk (filled by
+    doubling) and in the chunks it jumps to."""
+    seen, prefix = [], kernels._flip_prefix
+
+    def spy(starts, *rest):
+        seen.append(starts.copy())  # starts is overwritten by the next jump
+        return prefix(starts, *rest)
+
+    s2, chunk = 0x2468ACE0, 1 << 10
+    with mock.patch.object(kernels, "_CHUNK_FLIPS", chunk), \
+            mock.patch.object(kernels, "_flip_prefix", spy):
+        ci_fill(np.ones(32, dtype=np.uint8), 0x13579BDF, s2, 3, 1000)
+    words, _ = xorshift_fill(s2, chunk * len(seen))
+    assert len(seen) > 2 and seen[0].size == chunk // 32
+    for j, starts in enumerate(seen):
+        assert np.array_equal(starts, words[j * chunk::32][:starts.size]), j
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 33, 63, 65])
@@ -255,7 +277,7 @@ def test_ci_fill_rejects_flip_count_past_int64(monkeypatch, c, rounds):
     def no_draw(*a, **kw):
         raise AssertionError("drew words before checking the flip count")
 
-    for draw in ("xorshift_fill", "_low_bits", "_jump_chain"):
+    for draw in ("xorshift_fill", "_length_chain", "_low_bit_rows"):
         monkeypatch.setattr(kernels, draw, no_draw)
     with pytest.raises(ValueError, match="overflow the int64 flip count"):
         ci_fill(np.ones(8, dtype=np.uint8), 1, 2, c, rounds)
@@ -359,7 +381,9 @@ def test_low_bits_match_scalar_chain():
         for n in sizes:
             z = kernels._length_chain(state, n)
             for b in range(33):
-                bits = kernels._low_bits(z, n, b)
+                rows = kernels._low_bit_rows(z, b)
+                assert rows.shape == (len(z), 32)
+                bits = rows.reshape(-1)[:n]
                 assert bits.size == n and bits.dtype == low_bits_dtype(b)
                 assert np.array_equal(bits, ref[:n] & ((1 << b) - 1)), (state, n, b)
 
